@@ -232,11 +232,14 @@ def fit(X, ys, loss: L.LossSpec, params: TrainParams, feature_names=None,
     return model
 
 
-def predict_raw(model: BoostedModel, X, n_trees: int | None = None) -> np.ndarray:
-    """Raw boosting estimate: base score plus the (prefix) sum of trees.
+def predict_raw_staged(model: BoostedModel, X, checkpoints) -> list[np.ndarray]:
+    """Raw boosting estimates after each checkpointed number of rounds.
 
-    ``n_trees`` truncates to the first rounds (multiclass counts rounds,
-    not individual trees); None uses the full model.
+    One pass adds the trees in model order and snapshots the running sum
+    at every checkpoint, so each snapshot equals the prefix prediction bit
+    for bit.  Checkpoints count rounds (multiclass rounds, not individual
+    trees), may come in any order, and are capped at the model's rounds;
+    None means the full model.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != len(model.feature_names):
@@ -244,19 +247,35 @@ def predict_raw(model: BoostedModel, X, n_trees: int | None = None) -> np.ndarra
             f"feature mismatch: model expects {len(model.feature_names)} features, "
             f"got {X.shape[1] if X.ndim == 2 else 'non-matrix'}"
         )
-    rounds = model.n_rounds if n_trees is None else min(n_trees, model.n_rounds)
+    stops = [model.n_rounds if k is None else min(int(k), model.n_rounds)
+             for k in checkpoints]
     lr = model.params.learning_rate
     if model.loss.multiclass:
         C = model.loss.n_classes
         out = np.tile(np.asarray(model.base_score, dtype=float), (X.shape[0], 1))
-        for r in range(rounds):
-            for c in range(C):
-                out[:, c] += lr * model.trees[r * C + c].predict(X)
-        return out
-    out = np.full(X.shape[0], float(model.base_score))
-    for t in model.trees[:rounds]:
-        out += lr * t.predict(X)
-    return out
+    else:
+        out = np.full(X.shape[0], float(model.base_score))
+    snapshots = {}
+    done = 0
+    for stop in sorted(set(stops)):
+        for r in range(done, stop):
+            if model.loss.multiclass:
+                for c in range(C):
+                    out[:, c] += lr * model.trees[r * C + c].predict(X)
+            else:
+                out += lr * model.trees[r].predict(X)
+        done = stop
+        snapshots[stop] = out.copy()
+    return [snapshots[stop] for stop in stops]
+
+
+def predict_raw(model: BoostedModel, X, n_trees: int | None = None) -> np.ndarray:
+    """Raw boosting estimate: base score plus the (prefix) sum of trees.
+
+    ``n_trees`` truncates to the first rounds (multiclass counts rounds,
+    not individual trees); None uses the full model.
+    """
+    return predict_raw_staged(model, X, [n_trees])[0]
 
 
 # ---------------------------------------------------------------------------

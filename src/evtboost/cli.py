@@ -52,15 +52,14 @@ class RunConfig:
 
     def __init__(self, path: str | None):
         self.path = path
-        self.raw = b""
         cp = configparser.ConfigParser()
         if path is not None:
             if not os.path.exists(path):
                 raise ConfigError(f"config file {path!r} does not exist")
             with open(path, "rb") as fh:
-                self.raw = fh.read()
+                raw = fh.read()
             try:
-                cp.read_string(self.raw.decode("utf-8"))
+                cp.read_string(raw.decode("utf-8"))
             except (configparser.Error, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot parse config {path!r}: {exc}") from exc
             for section in cp.sections():
@@ -107,9 +106,6 @@ class RunConfig:
         if val.lower() in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"[{section}] {key} must be a boolean, got {val!r}")
-
-    def config_hash(self) -> str:
-        return hashlib.sha256(self.raw).hexdigest()[:12]
 
     # -- builders ----------------------------------------------------------
 
@@ -291,7 +287,7 @@ def cmd_predict(args) -> int:
             return EXIT_OK
         raw = B.predict_raw(model, Xa)
         if with_mean:
-            means = L.dgpd_mean(raw, model.loss.alpha, tol=1e-8)
+            means = L.dgpd_mean(raw, model.loss.alpha)
             rows = [list(k) + [float(r), float(mn)]
                     for k, r, mn in zip(keys, raw, means)]
         else:
@@ -474,7 +470,7 @@ def cmd_pdp(args) -> int:
     if args.transform == "mean":
         if model.loss.kind != "dgpd" or model.loss.alpha <= 1.0:
             raise DataError("--transform mean needs a dgpd model with alpha > 1")
-        transform = lambda raw: L.dgpd_mean(raw, model.loss.alpha, tol=1e-8)
+        transform = lambda raw: L.dgpd_mean(raw, model.loss.alpha)
     elif args.transform != "none":
         raise ConfigError(f"unknown transform {args.transform!r}")
 

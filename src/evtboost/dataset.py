@@ -10,7 +10,7 @@ imputation) return new datasets; nothing mutates in place.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,18 +29,6 @@ class GridCell:
     id: int
     lon: float
     lat: float
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One (cell, year, month) row; NaN marks a masked response / missing covariate."""
-
-    cell: GridCell
-    year: int
-    month: int
-    covariates: np.ndarray
-    cnt: float
-    ba: float
 
 
 @dataclass
@@ -64,16 +52,6 @@ class GridDataset:
     @property
     def n_rows(self) -> int:
         return self.year.size
-
-    def row(self, i: int) -> Observation:
-        return Observation(
-            cell=self.cells[self.cell_index[i]],
-            year=int(self.year[i]),
-            month=int(self.month[i]),
-            covariates=self.covariates[i].copy(),
-            cnt=float(self.cnt[i]),
-            ba=float(self.ba[i]),
-        )
 
     def copy(self) -> "GridDataset":
         return GridDataset(
@@ -357,7 +335,7 @@ def impute_cnt_covariate(ds: GridDataset, aux: B.BoostedModel,
     vals = ds.cnt.copy()
     if masked.any():
         theta = B.predict_raw(aux, X[masked])
-        vals[masked] = L.dgpd_mean(theta, aux.loss.alpha, tol=1e-8)
+        vals[masked] = L.dgpd_mean(theta, aux.loss.alpha)
     return ds.with_covariate("cnt_cov", vals)
 
 

@@ -4,8 +4,8 @@ The threshold score is a transparent stand-in for competition-style
 weighted ranked probability metrics: a weighted Brier sum over a ladder of
 thresholds, with user-pluggable thresholds and weights.  Cross-validation
 scores checkpointed tree counts by evaluating prefixes of one fitted tree
-list (no refits), and the tree count is then chosen by the
-one-standard-error rule.  Hyperparameter search is sequential Bayesian
+list in one staged prediction pass (no refits), and the tree count is then
+chosen by the one-standard-error rule.  Hyperparameter search is sequential Bayesian
 optimization with a Gaussian-process surrogate and expected improvement.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm, qmc
+from scipy import special
 
 from .errors import DataError
 from .spatialcv import FoldSet
@@ -95,7 +95,7 @@ def run_cv(ds: GridDataset, folds: FoldSet, recipe, response: str,
 
     The recipe sees only non-validation rows at fit time (so any imputation
     models it builds are fold-local), then scores the fold's validation
-    rows at each checkpoint by truncating its tree list.
+    rows at every checkpoint from one staged prediction of its tree list.
     """
     checkpoints = np.asarray(checkpoints, dtype=int)
     if checkpoints.size == 0:
@@ -108,8 +108,7 @@ def run_cv(ds: GridDataset, folds: FoldSet, recipe, response: str,
         train = ds.subset(np.flatnonzero(~valid_rows))
         valid = ds.subset(np.flatnonzero(valid_rows))
         fitted = recipe.fit(train)
-        for k, n_trees in enumerate(checkpoints):
-            scores[f, k] = recipe.score(fitted, valid, int(n_trees))
+        scores[f] = recipe.score(fitted, valid, checkpoints)
     return CvResult(checkpoints=checkpoints, scores=scores)
 
 
@@ -150,7 +149,8 @@ def expected_improvement(mu, sd, best):
     pos = sd > 0.0
     z = np.zeros_like(mu)
     np.divide(imp, sd, out=z, where=pos)
-    ei = imp * norm.cdf(z) + sd * norm.pdf(z)
+    pdf = np.exp(-z ** 2 / 2.0) / np.sqrt(2 * np.pi)
+    ei = imp * special.ndtr(z) + sd * pdf
     return np.where(pos, ei, out)
 
 
@@ -195,6 +195,8 @@ def bo_suggest(history, box: dict, seed: int, n_candidates: int = 1024,
     except np.linalg.LinAlgError:
         L_chol = np.linalg.cholesky(K + 1e-10 * out_scale * np.eye(len(ys)))
     alpha = np.linalg.solve(L_chol.T, np.linalg.solve(L_chol, yc))
+
+    from scipy.stats import qmc  # scipy.stats is slow to import; only tuning needs it
 
     sampler = qmc.Sobol(d=lo.size, scramble=True, seed=seed)
     cand = sampler.random(n_candidates)

@@ -26,7 +26,7 @@ genuine underflow (a pmf that rounds to zero) raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -57,9 +57,9 @@ class LossSpec:
     tail parameter (alpha = 1/xi of the underlying GPD), ``xi`` the GPD
     shape, ``kappa`` the quantile level of the GPD reparameterization,
     ``k_shape`` the gamma shape, ``u_trunc`` the gamma right-truncation
-    point, ``class_weights`` the per-observation cross-entropy weights and
-    ``n_classes`` the number of classes.  ``raw_pmf_loss`` switches the
-    dGPD objective from the negative log pmf (default) to the raw pmf.
+    point and ``n_classes`` the number of classes.  ``raw_pmf_loss``
+    switches the dGPD objective from the negative log pmf (default) to the
+    raw pmf.
     """
 
     kind: str
@@ -68,7 +68,6 @@ class LossSpec:
     kappa: float = 0.5
     k_shape: float = 1.0
     u_trunc: float = 1.0
-    class_weights: np.ndarray | None = None
     n_classes: int = 3
     raw_pmf_loss: bool = False
 
@@ -230,40 +229,28 @@ def dgpd_survival(k, theta, alpha):
     return np.exp(-alpha * sp)
 
 
-def dgpd_mean(theta, alpha: float, tol: float = 1e-10) -> float | np.ndarray:
+def dgpd_mean(theta, alpha: float) -> float | np.ndarray:
     """Predicted mean sum_{k>=1} (1 + e^theta k)^(-alpha) for alpha > 1.
 
-    The series is summed in blocks until the integral bracket around the
-    remaining tail is tighter than ``tol``; the bracket midpoint (an
-    integral tail estimate with guaranteed error < tol) is then added.
+    Closed form through the Hurwitz zeta function (DLMF 25.11):
+    sum_{k>=1} (1 + c k)^(-alpha) = c^(-alpha) zeta(alpha, 1 + 1/c) with
+    c = e^theta.  A non-finite mean (a NaN score, or overflow of c^(-alpha)
+    at very negative theta) raises :class:`~evtboost.errors.NumericalError`.
     """
     if alpha <= 1.0:
         raise DataError("dGPD mean does not exist for alpha <= 1")
-    theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
-    c = np.exp(theta_arr)
-    total = np.zeros_like(theta_arr)
-    done = np.zeros(theta_arr.shape, dtype=bool)
-    k_next = np.ones_like(theta_arr)  # first unsummed integer per row
-    block = 4096
-    max_terms = 10 ** 9
-    while not done.all():
-        idx = np.flatnonzero(~done)
-        ks = k_next[idx, None] + np.arange(block)[None, :]
-        total[idx] += np.exp(-alpha * np.log1p(c[idx, None] * ks)).sum(axis=1)
-        k_next[idx] += block
-        if np.any(k_next > max_terms):
-            raise NumericalError("dGPD mean series did not converge")
-        # tail after summing through K = k_next - 1 lies between
-        # I(K+1) and I(K), with I(a) = (1+c a)^(1-alpha) / (c (alpha-1))
-        K = k_next[idx] - 1.0
-        upper = np.exp((1.0 - alpha) * np.log1p(c[idx] * K)) / (c[idx] * (alpha - 1.0))
-        lower = np.exp((1.0 - alpha) * np.log1p(c[idx] * (K + 1.0))) / (c[idx] * (alpha - 1.0))
-        ok = 0.5 * (upper - lower) < tol
-        total[idx[ok]] += 0.5 * (upper[ok] + lower[ok])
-        done[idx[ok]] = True
-    if np.isscalar(theta) or np.ndim(theta) == 0:
-        return float(total[0])
-    return total
+    theta_arr = np.asarray(theta, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.exp(-alpha * theta_arr) * special.zeta(alpha, 1.0 + np.exp(-theta_arr))
+    bad = ~np.isfinite(mean)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise NumericalError(
+            f"dGPD mean is not finite at theta={theta_arr.flat[i]:g}, alpha={alpha:g}"
+        )
+    if mean.ndim == 0:
+        return float(mean)
+    return mean
 
 
 # ---------------------------------------------------------------------------

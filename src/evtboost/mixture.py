@@ -80,30 +80,41 @@ def component_probs(m: MixtureModel, X, names=None) -> np.ndarray:
     return L.softmax(raw)
 
 
-def tail_sigma(m: MixtureModel, X, names=None) -> np.ndarray:
-    """GPD scale recovered from the tail score via the quantile identity."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    theta = B.predict_raw(m.tail, _component_matrix(m.tail, X, names))
+def tail_sigma(m: MixtureModel, theta) -> np.ndarray:
+    """GPD scale recovered from the tail raw score via the quantile identity."""
     c = L.gpd_scale_factor(m.xi, m.kappa)
     return m.xi * np.exp(theta) / c
 
 
+def raw_scores(m: MixtureModel, X, names=None) -> tuple[np.ndarray, ...]:
+    """Raw scores of the classifier, bulk and tail models, one pass each."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    return tuple(B.predict_raw(part, _component_matrix(part, X, names))
+                 for part in (m.classifier, m.bulk, m.tail))
+
+
+def cdf_from_raw(m: MixtureModel, raw, thresholds) -> np.ndarray:
+    """Matrix of P(BA <= b_j | x_i) from the (classifier, bulk, tail) raw
+    scores of :func:`raw_scores`; ``thresholds`` is a 1-d array of b >= 0.
+
+    Every term is evaluated on the (n, J) grid: below ``u`` the tail CDF is
+    exactly 0, and at b = 0 so is the bulk CDF.
+    """
+    thresholds = np.asarray(thresholds, dtype=float)
+    if np.any(thresholds < 0):
+        raise DataError("cdf threshold must be >= 0")
+    cls, bulk, tail = raw
+    p = L.softmax(cls)
+    b = thresholds[None, :]
+    f_bulk = L.trgamma_cdf(np.log1p(np.minimum(b, m.u)), bulk[:, None], m.k_shape,
+                           np.log1p(m.u))
+    f_tail = L.gpd_cdf_excess(b - m.u, tail_sigma(m, tail)[:, None], m.xi)
+    return p[:, :1] + p[:, 1:2] * f_bulk + p[:, 2:] * f_tail
+
+
 def cdf(m: MixtureModel, X, b, names=None) -> np.ndarray:
     """P(BA <= b | x) for each row; ``b`` is a scalar threshold >= 0."""
-    b = float(b)
-    if b < 0:
-        raise DataError("cdf threshold must be >= 0")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    p = component_probs(m, X, names)
-    out = p[:, 0].copy()
-    if b > 0:
-        theta_bulk = B.predict_raw(m.bulk, _component_matrix(m.bulk, X, names))
-        f2 = L.trgamma_cdf(np.log1p(min(b, m.u)), theta_bulk, m.k_shape, np.log1p(m.u))
-        out += p[:, 1] * f2
-    if b > m.u:
-        sigma = tail_sigma(m, X, names)
-        out += p[:, 2] * L.gpd_cdf_excess(b - m.u, sigma, m.xi)
-    return out
+    return cdf_from_raw(m, raw_scores(m, X, names), [float(b)])[:, 0]
 
 
 def threshold_probs(m: MixtureModel, X, thresholds, names=None) -> np.ndarray:
@@ -111,8 +122,7 @@ def threshold_probs(m: MixtureModel, X, thresholds, names=None) -> np.ndarray:
     thresholds = np.asarray(thresholds, dtype=float)
     if np.any(np.diff(thresholds) < 0):
         raise DataError("thresholds must be sorted ascending")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    return np.column_stack([cdf(m, X, b, names) for b in thresholds])
+    return cdf_from_raw(m, raw_scores(m, X, names), thresholds)
 
 
 def sample(m: MixtureModel, x, n_draws: int, seed: int, names=None) -> np.ndarray:
@@ -141,7 +151,8 @@ def sample(m: MixtureModel, x, n_draws: int, seed: int, names=None) -> np.ndarra
 
     n_tail = int((comp == 2).sum())
     if n_tail:
-        sigma = float(tail_sigma(m, x, names)[0])
+        theta = B.predict_raw(m.tail, _component_matrix(m.tail, x, names))
+        sigma = float(tail_sigma(m, theta)[0])
         urand = rng.uniform(size=n_tail)
         out[comp == 2] = m.u + sigma * np.expm1(-m.xi * np.log1p(-urand)) / m.xi
     return out
@@ -162,7 +173,6 @@ def fit_mixture(
     bulk_params: B.TrainParams,
     tail_params: B.TrainParams,
     feature_names=None,
-    class_weights=None,
 ) -> MixtureModel:
     """Fit the three components on observed burned areas.
 
@@ -177,7 +187,7 @@ def fit_mixture(
     labels = ba_class_labels(ba, u)
     cls_loss = L.LossSpec(kind="cross_entropy", n_classes=3)
     classifier = B.fit(X, labels, cls_loss, classifier_params,
-                       feature_names=feature_names, weights=class_weights)
+                       feature_names=feature_names)
 
     bulk_rows = labels == 1
     if not bulk_rows.any():

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from . import booster as B
 from . import dataset as D
@@ -20,20 +20,6 @@ from . import losses as L
 from . import mixture as M
 from .errors import DataError
 from .evaluate import ThresholdScoreSpec, threshold_score
-
-
-def truncate(model: B.BoostedModel, n_rounds: int | None) -> B.BoostedModel:
-    """Shallow copy keeping only the first ``n_rounds`` boosting rounds."""
-    if n_rounds is None or n_rounds >= model.n_rounds:
-        return model
-    per_round = model.loss.n_classes if model.loss.multiclass else 1
-    return B.BoostedModel(
-        loss=model.loss,
-        base_score=model.base_score,
-        trees=model.trees[: n_rounds * per_round],
-        params=model.params,
-        feature_names=model.feature_names,
-    )
 
 
 def response_rows(ds: D.GridDataset, loss_kind: str, response: str, u: float):
@@ -60,17 +46,16 @@ def response_rows(ds: D.GridDataset, loss_kind: str, response: str, u: float):
     raise DataError(f"loss {loss_kind!r} does not model burned areas")
 
 
-def count_threshold_probs(model: B.BoostedModel, X, thresholds) -> np.ndarray:
-    """P(Y <= u_j) per row for a fitted count model (dgpd or poisson)."""
-    theta = B.predict_raw(model, X)
-    ks = np.floor(np.asarray(thresholds, dtype=float))
-    if model.loss.kind == "dgpd":
-        cols = [1.0 - L.dgpd_survival(k + 1.0, theta, model.loss.alpha) for k in ks]
-    elif model.loss.kind == "poisson":
-        cols = [special.pdtr(k, np.exp(theta)) for k in ks]
-    else:
-        raise DataError(f"loss {model.loss.kind!r} has no count CDF")
-    return np.column_stack(cols)
+def count_threshold_probs(loss: L.LossSpec, theta, thresholds) -> np.ndarray:
+    """Matrix of P(Y <= u_j) from the raw scores ``theta`` of a count model
+    (dgpd or poisson)."""
+    theta = np.asarray(theta, dtype=float)[:, None]
+    ks = np.floor(np.asarray(thresholds, dtype=float))[None, :]
+    if loss.kind == "dgpd":
+        return 1.0 - L.dgpd_survival(ks + 1.0, theta, loss.alpha)
+    if loss.kind == "poisson":
+        return special.pdtr(ks, np.exp(theta))
+    raise DataError(f"loss {loss.kind!r} has no count CDF")
 
 
 def balanced_weights(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -130,44 +115,42 @@ class BoosterRecipe:
             fitted.residual_sd = float(max(resid.std(), 1e-6))
         return fitted
 
-    def score(self, fitted: Fitted, valid: D.GridDataset,
-              n_trees: int | None = None) -> float:
+    def score(self, fitted: Fitted, valid: D.GridDataset, checkpoints) -> np.ndarray:
+        """Validation score after each checkpointed number of rounds."""
+        if self.metric not in ("nll", "threshold"):
+            raise DataError(f"unknown metric {self.metric!r}")
+        spec = self.score_spec
+        if self.metric == "threshold" and spec is None:
+            raise DataError("threshold metric requires a score spec")
         for e in fitted.enrichers:
             valid = e.transform(valid)
-        model = truncate(fitted.model, n_trees)
         rows, y = response_rows(valid, self.loss.kind, self.response, self.u)
         if not rows.any():
             raise DataError("no scorable validation rows")
-        X, names = self._design(valid)
-        X = X[rows]
-        if self.metric == "nll":
-            theta = B.predict_raw(model, X)
-            if self.loss.multiclass:
-                yv = B._one_hot(y, self.loss.n_classes)
-                v, _, _ = L.cross_entropy_eval(yv, theta)
-            else:
+        X, _ = self._design(valid)
+        if self.loss.multiclass:
+            y = B._one_hot(y, self.loss.n_classes)
+        scores = []
+        for theta in B.predict_raw_staged(fitted.model, X[rows], checkpoints):
+            if self.metric == "nll":
                 v, _, _ = L.evaluate_loss(self.loss, y, theta)
-            return float(v.mean())
-        if self.metric == "threshold":
-            spec = self.score_spec
-            if spec is None:
-                raise DataError("threshold metric requires a score spec")
-            if self.loss.kind == "squared_log":
-                theta = B.predict_raw(model, X)
+                scores.append(float(v.mean()))
+            elif self.loss.kind == "squared_log":
                 z = (np.log1p(spec.thresholds)[None, :] - theta[:, None])
-                probs = stats.norm.cdf(z / fitted.residual_sd)
+                probs = special.ndtr(z / fitted.residual_sd)
+                scores.append(threshold_score(probs, y, spec))
             else:
-                probs = count_threshold_probs(model, X, spec.thresholds)
-            return threshold_score(probs, y, spec)
-        raise DataError(f"unknown metric {self.metric!r}")
+                probs = count_threshold_probs(self.loss, theta, spec.thresholds)
+                scores.append(threshold_score(probs, y, spec))
+        return np.array(scores)
 
 
 @dataclass
 class MixtureRecipe:
     """Three-component burned-area mixture scored by the threshold score.
 
-    ``vary`` names the component whose tree count the CV checkpoints
-    truncate (the other components keep their full tree lists).
+    ``vary`` names the component whose round count the CV checkpoints
+    stage (the other components keep their full tree lists).
     """
 
     classifier_params: B.TrainParams
@@ -199,26 +182,29 @@ class MixtureRecipe:
         )
         return Fitted(model=model, enrichers=list(self.enrichers))
 
-    def _truncated(self, m: M.MixtureModel, n_trees: int | None) -> M.MixtureModel:
-        if n_trees is None:
-            return m
-        parts = {"classifier": m.classifier, "bulk": m.bulk, "tail": m.tail}
+    def score(self, fitted, valid: D.GridDataset, checkpoints) -> np.ndarray:
+        """Validation threshold score after each checkpointed number of
+        rounds of the ``vary`` component."""
+        parts = ("classifier", "bulk", "tail")
         if self.vary not in parts:
             raise DataError(f"unknown component {self.vary!r}")
-        parts[self.vary] = truncate(parts[self.vary], n_trees)
-        return M.MixtureModel(u=m.u, **parts)
-
-    def score(self, fitted, valid: D.GridDataset, n_trees: int | None = None) -> float:
         spec = self.score_spec or _default_ba_spec()
         for e in fitted.enrichers:
             valid = e.transform(valid)
-        model = self._truncated(fitted.model, n_trees)
         rows = ~np.isnan(valid.ba)
         if not rows.any():
             raise DataError("no scorable validation rows")
-        X, names = self._design(valid)
-        probs = M.threshold_probs(model, X[rows], spec.thresholds, names=None)
-        return threshold_score(probs, valid.ba[rows], spec)
+        X, _ = self._design(valid)
+        X = X[rows]
+        m = fitted.model
+        raw = {name: B.predict_raw(getattr(m, name), X)
+               for name in parts if name != self.vary}
+        scores = []
+        for theta in B.predict_raw_staged(getattr(m, self.vary), X, checkpoints):
+            raw[self.vary] = theta
+            probs = M.cdf_from_raw(m, [raw[name] for name in parts], spec.thresholds)
+            scores.append(threshold_score(probs, valid.ba[rows], spec))
+        return np.array(scores)
 
 
 def _default_ba_spec() -> ThresholdScoreSpec:

@@ -1,7 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evtboost import booster, losses, tree
 from evtboost.errors import DataError
@@ -144,6 +146,44 @@ class TestPredictRaw:
         p1 = losses.softmax(raw)
         p2 = losses.softmax(raw + 3.3)
         np.testing.assert_allclose(p1, p2, atol=1e-12)
+
+
+@functools.cache
+def _staged_models():
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(60, 3))
+    counts = rng.poisson(2.0, size=60).astype(float)
+    labels = rng.integers(0, 3, size=60)
+    params = booster.TrainParams(n_trees=6, max_leaves=4, seed=3)
+    return X, {
+        "scalar": booster.fit(X, counts, _spec("poisson"), params),
+        "multiclass": booster.fit(X, labels, _spec("cross_entropy", n_classes=3), params),
+    }
+
+
+def _prefix_sum(m, X, n_rounds):
+    """Base score plus the trees of the first rounds, added one at a time."""
+    C = m.loss.n_classes if m.loss.multiclass else 1
+    out = np.tile(np.asarray(m.base_score, dtype=float), (X.shape[0], 1))
+    for i, t in enumerate(m.trees[: n_rounds * C]):
+        out[:, i % C] += m.params.learning_rate * t.predict(X)
+    return out if m.loss.multiclass else out[:, 0]
+
+
+class TestPredictRawStaged:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["scalar", "multiclass"]),
+           checkpoints=st.lists(st.one_of(st.none(), st.integers(0, 9)),
+                                min_size=1, max_size=6))
+    def test_snapshots_equal_prefix_predictions(self, kind, checkpoints):
+        X, models = _staged_models()
+        m = models[kind]
+        snaps = booster.predict_raw_staged(m, X, checkpoints)
+        assert len(snaps) == len(checkpoints)
+        for k, snap in zip(checkpoints, snaps):
+            np.testing.assert_array_equal(snap, booster.predict_raw(m, X, n_trees=k))
+            rounds = m.n_rounds if k is None else min(k, m.n_rounds)
+            np.testing.assert_array_equal(snap, _prefix_sum(m, X, rounds))
 
 
 class TestSerialization:

@@ -25,9 +25,9 @@ class TestLoadCsv:
     def test_basic_fields(self, tmp_path):
         ds = dataset.load_csv(write_csv(tmp_path / "d.csv", BASIC))
         assert ds.n_rows == 4
-        row = ds.row(0)
-        assert (row.cell.lon, row.cell.lat) == (-100.25, 37.75)
-        assert row.cnt == 0 and row.ba == 0
+        cell = ds.cells[ds.cell_index[0]]
+        assert (cell.lon, cell.lat) == (-100.25, 37.75)
+        assert ds.cnt[0] == 0 and ds.ba[0] == 0
         assert math.isnan(ds.cnt[2])
         assert math.isnan(ds.ba[3])
         assert ds.covariate_names == ["clim1"]

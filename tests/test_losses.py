@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from evtboost import losses
@@ -84,9 +85,33 @@ class TestDgpdMean:
             alpha = rng.uniform(1.5, 6.0)
             ks = np.arange(1, 2_000_001, dtype=float)
             brute = float(np.exp(-alpha * np.log1p(np.exp(theta) * ks)).sum())
-            got = losses.dgpd_mean(theta, alpha, tol=1e-10)
+            got = losses.dgpd_mean(theta, alpha)
             # brute truncation error is below 1e-6 in this parameter range
             assert got == pytest.approx(brute, abs=1e-5)
+
+    def test_nan_score_raises(self):
+        with pytest.raises(NumericalError, match="not finite"):
+            losses.dgpd_mean(float("nan"), 5.0)
+
+    def test_overflow_raises(self):
+        # c^-alpha = e^800 overflows
+        with pytest.raises(NumericalError, match="not finite"):
+            losses.dgpd_mean(-40.0, 20.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(theta=st.floats(-3.0, 6.0), alpha=st.floats(1.2, 20.0),
+           step=st.floats(0.01, 1.0))
+    def test_within_bracketed_partial_sum(self, theta, alpha, step):
+        # after summing K terms the tail lies between I(K+1) and I(K),
+        # with I(a) = (1 + c a)^(1 - alpha) / (c (alpha - 1))
+        c, K = math.exp(theta), 2000
+        ks = np.arange(1, K + 1, dtype=float)
+        partial = float(np.exp(-alpha * np.log1p(c * ks)).sum())
+        tail = lambda a: math.exp((1.0 - alpha) * math.log1p(c * a)) / (c * (alpha - 1.0))
+        got = losses.dgpd_mean(theta, alpha)
+        slack = 1e-9 * got
+        assert partial + tail(K + 1) - slack <= got <= partial + tail(K) + slack
+        assert losses.dgpd_mean(theta + step, alpha) < got
 
 
 class TestTrGamma:

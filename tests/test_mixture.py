@@ -1,7 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evtboost import booster, losses, mixture
 from evtboost.errors import DataError
@@ -30,6 +32,33 @@ def toy_mixture(p=(0.9, 0.08, 0.02), u=200.0, theta_bulk=1.2, theta_tail=4.0,
 
 
 X1 = np.array([[0.0]])
+
+
+@functools.cache
+def _fitted_mixture():
+    ds = synth_dataset("sizes", n_years=1, nx=5, ny=5, seed=8)
+    obs = ~np.isnan(ds.ba)
+    X, names = ds.feature_matrix()
+    params = booster.TrainParams(n_trees=4, max_leaves=4, seed=0)
+    m = mixture.fit_mixture(X[obs], ds.ba[obs], u=200.0, xi=0.8, kappa=0.5,
+                            k_shape=1.2, classifier_params=params,
+                            bulk_params=params, tail_params=params,
+                            feature_names=names)
+    return m, X[obs]
+
+
+def _termwise_cdf(m, X, b):
+    """P(BA <= b) term by term: no bulk term at b = 0, no tail term up to u."""
+    p = mixture.component_probs(m, X)
+    out = p[:, 0].copy()
+    if b > 0:
+        f_bulk = losses.trgamma_cdf(np.log1p(min(b, m.u)), booster.predict_raw(m.bulk, X),
+                                    m.k_shape, np.log1p(m.u))
+        out += p[:, 1] * f_bulk
+    if b > m.u:
+        sigma = mixture.tail_sigma(m, booster.predict_raw(m.tail, X))
+        out += p[:, 2] * losses.gpd_cdf_excess(b - m.u, sigma, m.xi)
+    return out
 
 
 class TestComponentProbs:
@@ -124,6 +153,17 @@ class TestThresholdProbs:
         with pytest.raises(DataError):
             mixture.threshold_probs(toy_mixture(), X1, [2.0, 1.0])
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.one_of(st.just(0.0), st.just(200.0), st.floats(0.0, 1e5)),
+                    min_size=1, max_size=8).map(sorted))
+    def test_columns_equal_cdf(self, thresholds):
+        m, X = _fitted_mixture()
+        probs = mixture.threshold_probs(m, X, thresholds)
+        assert probs.shape == (X.shape[0], len(thresholds))
+        for j, b in enumerate(thresholds):
+            np.testing.assert_array_equal(probs[:, j], mixture.cdf(m, X, b))
+            np.testing.assert_array_equal(probs[:, j], _termwise_cdf(m, X, b))
+
 
 class TestSampleAgainstCdf:
     def test_empirical_cdf_matches(self):
@@ -168,3 +208,4 @@ class TestFitMixture:
         assert mixture.is_mixture_document(path)
         booster.save(m.classifier, tmp_path / "single.json")
         assert not mixture.is_mixture_document(tmp_path / "single.json")
+

@@ -38,7 +38,7 @@ class TestCountThresholdProbs:
         m = booster.fit(X, y, losses.LossSpec(kind="dgpd", alpha=4.0),
                         booster.TrainParams(n_trees=3, seed=1))
         theta = booster.predict_raw(m, X)
-        probs = recipes.count_threshold_probs(m, X, [0.0, 2.5, 10.0])
+        probs = recipes.count_threshold_probs(m.loss, theta, [0.0, 2.5, 10.0])
         for j, u in enumerate([0.0, 2.5, 10.0]):
             expect = 1.0 - losses.dgpd_survival(np.floor(u) + 1.0, theta, 4.0)
             np.testing.assert_allclose(probs[:, j], expect)
@@ -48,23 +48,10 @@ class TestCountThresholdProbs:
         y = rng.integers(0, 6, size=20).astype(float)
         m = booster.fit(X, y, losses.LossSpec(kind="poisson"),
                         booster.TrainParams(n_trees=3, seed=1))
-        probs = recipes.count_threshold_probs(m, X, np.arange(12, dtype=float))
+        probs = recipes.count_threshold_probs(m.loss, booster.predict_raw(m, X),
+                                              np.arange(12, dtype=float))
         assert np.all((probs >= 0) & (probs <= 1))
         assert np.all(np.diff(probs, axis=1) >= 0)
-
-
-class TestTruncate:
-    def test_prefix_model(self, rng):
-        X = rng.normal(size=(40, 2))
-        y = rng.integers(0, 5, size=40).astype(float)
-        m = booster.fit(X, y, losses.LossSpec(kind="poisson"),
-                        booster.TrainParams(n_trees=8, seed=2))
-        m3 = recipes.truncate(m, 3)
-        assert m3.n_rounds == 3
-        np.testing.assert_allclose(booster.predict_raw(m3, X),
-                                   booster.predict_raw(m, X, n_trees=3))
-        assert recipes.truncate(m, None) is m
-        assert recipes.truncate(m, 99) is m
 
 
 class TestEnrichers:
