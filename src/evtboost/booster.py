@@ -17,7 +17,7 @@ import numpy as np
 
 from . import losses as L
 from .errors import DataError, NumericalError
-from .tree import Tree, grow
+from .tree import Tree, bin_features, grow, is_finite_number
 
 FORMAT_VERSION = 1
 
@@ -48,6 +48,8 @@ class TrainParams:
             raise DataError("learning_rate must lie in (0, 1]")
         if self.lambda_reg < 0 or self.eta < 0:
             raise DataError("lambda_reg and eta must be >= 0")
+        if self.n_quantile_bins < 2:
+            raise DataError("n_quantile_bins must be >= 2")
 
 
 @dataclass
@@ -211,6 +213,7 @@ def fit(X, ys, loss: L.LossSpec, params: TrainParams, feature_names=None,
     model = BoostedModel(loss=loss, base_score=base, trees=[], params=params,
                          feature_names=list(feature_names))
     lr = params.learning_rate
+    binned = bin_features(X, params.n_quantile_bins)  # once per fit, for every tree
     for round_idx in range(params.n_trees):
         subset = _round_feature_subset(params.seed, round_idx, p, params.colsample)
         v, g, h = L.evaluate_loss(loss, y, theta, weights=w)
@@ -218,12 +221,12 @@ def fit(X, ys, loss: L.LossSpec, params: TrainParams, feature_names=None,
         h = np.maximum(h, HESS_FLOOR)
         if loss.multiclass:
             for c in range(loss.n_classes):
-                t = grow(X, g[:, c], h[:, c], params.max_leaves, params.lambda_reg,
+                t = grow(binned, g[:, c], h[:, c], params.max_leaves, params.lambda_reg,
                          params.eta, params.n_quantile_bins, subset)
                 theta[:, c] += lr * t.predict(X)
                 model.trees.append(t)
         else:
-            t = grow(X, g, h, params.max_leaves, params.lambda_reg,
+            t = grow(binned, g, h, params.max_leaves, params.lambda_reg,
                      params.eta, params.n_quantile_bins, subset)
             theta += lr * t.predict(X)
             model.trees.append(t)
@@ -308,16 +311,32 @@ def from_doc(doc: dict) -> BoostedModel:
         raise DataError(f"model document missing fields: {sorted(missing)}")
     loss = L.loss_spec_from_dict(doc["loss"])
     base = doc["base_score"]
-    if isinstance(base, list):
+    if loss.multiclass:
+        ok = isinstance(base, list) and len(base) == loss.n_classes \
+            and all(map(is_finite_number, base))
+    else:
+        ok = is_finite_number(base)
+    if not ok:
+        raise DataError("base_score must be a finite number, one per class for cross_entropy")
+    if loss.multiclass:
         base = np.asarray(base, dtype=float)
     try:
         params = TrainParams(**doc["params"])
     except TypeError as exc:
         raise DataError(f"bad training params in model document: {exc}") from exc
+    if not isinstance(doc["trees"], list) or not isinstance(doc["feature_names"], list):
+        raise DataError("trees and feature_names must be lists")
+    trees = [Tree.from_doc(t) for t in doc["trees"]]
+    n_features = len(doc["feature_names"])
+    for i, t in enumerate(trees):
+        for node in t.nodes:
+            if not node.is_leaf and node.feature >= n_features:
+                raise DataError(f"tree {i} node {node.id}: feature {node.feature} is "
+                                f"outside the model's {n_features} features")
     return BoostedModel(
         loss=loss,
         base_score=base,
-        trees=[Tree.from_doc(t) for t in doc["trees"]],
+        trees=trees,
         params=params,
         feature_names=list(doc["feature_names"]),
     )

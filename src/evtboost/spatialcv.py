@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import special
-from scipy.optimize import brentq
 
 from .dataset import GridDataset
 from .errors import DataError, NumericalError
@@ -174,6 +173,8 @@ def mean_expit_gaussian(mu: float, var: float, n_quad: int = 64) -> float:
 def calibrate_intercepts(ds: GridDataset, params: MaskModelParams) -> MaskModelParams:
     """Set the intercepts so the expected masking rate matches the observed
     masked fraction of each response in ``ds``."""
+    from scipy.optimize import brentq  # slow to import; only cvfolds needs it
+
     var = params.sigma_gp ** 2 + params.phi
     var_ba = params.beta ** 2 * params.sigma_gp ** 2 + params.phi
     out = params

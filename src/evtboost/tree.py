@@ -6,16 +6,33 @@ feature transformations).  Growth is best-first: the leaf whose best
 candidate split has the highest positive gain is split until the leaf cap
 is reached or no split improves the objective.  Rows with a missing value
 in the split feature follow a learned default direction.
+
+Features are binned once per fit: ``bin_features`` stores each value's
+candidate index as a small unsigned code, and every tree of the fit reuses
+it.  A node's split search builds the g, h and count histograms of all its
+features with one bincount over the flattened (row, feature) codes, and the
+sums add in the same order as a per-feature scan of raw values, so the
+trees are bit-identical to it.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError, NumericalError
+
+
+def is_number(value) -> bool:
+    """A JSON number: an int or float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    return is_number(value) and math.isfinite(value)
 
 
 def leaf_weight(g_sum: float, h_sum: float, lambda_reg: float) -> float:
@@ -81,10 +98,29 @@ class TreeNode:
     def from_doc(cls, doc: dict) -> "TreeNode":
         known = {"id", "feature", "threshold", "default_left", "left", "right",
                  "gain", "weight", "cover"}
+        if not isinstance(doc, dict) or "id" not in doc:
+            raise DataError("tree node must be an object with an id")
         unknown = set(doc) - known
         if unknown:
             raise DataError(f"unknown tree node fields: {sorted(unknown)}")
-        return cls(**doc)
+        node = cls(**doc)
+        problem = None
+        if node.left is None and node.right is None:
+            if not is_finite_number(node.weight):
+                problem = "leaf weight must be a finite number"
+        elif node.left is None or node.right is None:
+            problem = "branch needs both a left and a right child"
+        elif type(node.feature) is not int or node.feature < 0:
+            problem = f"feature must be a non-negative integer, got {node.feature!r}"
+        elif not is_finite_number(node.threshold):
+            problem = f"threshold must be a finite number, got {node.threshold!r}"
+        elif not isinstance(node.default_left, bool) or not is_number(node.gain):
+            problem = "branch needs a boolean default_left and a numeric gain"
+        elif not is_number(node.cover):
+            problem = "cover must be a number"
+        if problem:
+            raise DataError(f"tree node {node.id}: {problem}")
+        return node
 
 
 @dataclass
@@ -118,9 +154,19 @@ class Tree:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Tree":
+        """Rebuild a tree, rejecting documents that cannot route a row: every
+        child id lies above its parent's id, so routing always terminates."""
+        if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list) \
+                or not doc["nodes"]:
+            raise DataError("tree document needs a non-empty node list")
         nodes = [TreeNode.from_doc(d) for d in doc["nodes"]]
         if [n.id for n in nodes] != list(range(len(nodes))):
             raise DataError("tree node ids must be 0..n-1 in order")
+        for n in nodes:
+            for child in () if n.is_leaf else (n.left, n.right):
+                if type(child) is not int or not n.id < child < len(nodes):
+                    raise DataError(f"tree node {n.id}: child id {child!r} must lie "
+                                    f"in ({n.id}, {len(nodes)})")
         return cls(nodes)
 
 
@@ -140,57 +186,137 @@ def quantile_candidates(x: np.ndarray, n_bins: int) -> np.ndarray:
     return cand[cand < x.max()]
 
 
+# Node histograms are built for blocks of features holding about this many
+# (row, feature) cells, so a block's int64 index and float64 weight
+# temporaries stay near 16 MB even at the root of a 560k-row fit.
+_HIST_BLOCK_CELLS = 1 << 20
+
+
+@dataclass
+class BinnedFeatures:
+    """A feature matrix binned once against its quantile candidates.
+
+    ``codes[i, j]`` is ``searchsorted(candidates[j], X[i, j], side="left")``,
+    so ``codes[:, j] <= t`` routes exactly as ``X[:, j] <= candidates[j][t]``.
+    Missing values get the code ``n_bins``, above every candidate index.
+    """
+
+    codes: np.ndarray
+    candidates: list[np.ndarray]
+    n_bins: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.codes.shape
+
+    @property
+    def n_candidates(self) -> np.ndarray:
+        return np.array([c.size for c in self.candidates], dtype=np.intp)
+
+
+def bin_features(X, n_bins: int) -> BinnedFeatures:
+    """Quantile candidates and codes of every column of ``X``, stored in the
+    smallest unsigned dtype that holds the missing code ``n_bins``."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise DataError("feature matrix must be 2-dimensional")
+    if n_bins < 2:
+        raise DataError("n_quantile_bins must be >= 2")
+    codes = np.empty(X.shape, dtype=np.min_scalar_type(n_bins))
+    candidates = []
+    for j in range(X.shape[1]):
+        x = X[:, j]
+        cand = quantile_candidates(x, n_bins)
+        codes[:, j] = np.where(np.isnan(x), n_bins, np.searchsorted(cand, x, side="left"))
+        candidates.append(cand)
+    return BinnedFeatures(codes, candidates, n_bins)
+
+
 @dataclass
 class _Split:
     gain: float
     feature: int
     threshold: float
     default_left: bool
+    bin: int
 
 
-def _best_split_for_node(X, g, h, rows, features, candidates, lambda_reg, eta):
+def _best_split_for_node(binned, g, h, rows, features, lambda_reg, eta):
     """Scan the sampled features with histogram prefix sums; return the
     best _Split or None.  Ties break on lowest feature index then lowest
-    threshold (then default_left=True)."""
-    g_total = g[rows].sum()
-    h_total = h[rows].sum()
-    best = None
-    for j in features:
-        cand = candidates[j]
-        if cand.size == 0:
-            continue
-        x = X[rows, j]
-        missing = np.isnan(x)
-        obs = ~missing
-        if not obs.any():
-            continue
-        bucket = np.searchsorted(cand, x[obs], side="left")
-        n_slots = cand.size + 1
-        g_left = np.cumsum(np.bincount(bucket, weights=g[rows][obs], minlength=n_slots))[:-1]
-        h_left = np.cumsum(np.bincount(bucket, weights=h[rows][obs], minlength=n_slots))[:-1]
-        n_left = np.cumsum(np.bincount(bucket, minlength=n_slots))[:-1]
-        g_miss = g[rows][missing].sum()
-        h_miss = h[rows][missing].sum()
-        n_miss = int(missing.sum())
-        # try routing missing rows left, then right
-        for default_left in (True, False):
-            gl = g_left + g_miss if default_left else g_left
-            hl = h_left + h_miss if default_left else h_left
-            nl = n_left + n_miss if default_left else n_left
-            valid = (nl > 0) & (nl < rows.size)
-            if not valid.any():
-                continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gains = split_gain(gl, hl, g_total - gl, h_total - hl, lambda_reg, eta)
-            gains = np.where(valid, gains, -np.inf)
-            t = int(np.argmax(gains))
-            if np.isfinite(gains[t]) and (best is None or gains[t] > best.gain):
-                best = _Split(float(gains[t]), int(j), float(cand[t]), default_left)
-    return best
+    threshold (then default_left=True).
+
+    One bincount per feature block over the node's flattened (row, feature)
+    codes fills every feature's g, h and count histograms; each bin adds its
+    rows in ascending row order, as a per-feature bincount would.  Missing
+    rows are summed pairwise (``.sum()``), and the scan over (features x
+    thresholds) is vectorised for each default direction.
+    """
+    gn, hn = g[rows], h[rows]
+    g_total = gn.sum()
+    h_total = hn.sum()
+    codes = binned.codes[rows]
+    if features.size < codes.shape[1]:
+        codes = codes[:, features]
+    n_node, n_feat = codes.shape
+    n_cand = binned.n_candidates[features]
+    n_thr = int(n_cand.max(initial=0))
+    if n_thr == 0:
+        return None
+
+    n_slots = binned.n_bins + 1  # observed codes 0..n_bins-1, missing n_bins
+    g_hist = np.empty((n_feat, n_slots))
+    h_hist = np.empty((n_feat, n_slots))
+    n_hist = np.empty((n_feat, n_slots), dtype=np.intp)
+    step = max(1, _HIST_BLOCK_CELLS // n_node)
+    for lo in range(0, n_feat, step):
+        block = codes[:, lo:lo + step]
+        nb = block.shape[1]
+        flat = (block + np.arange(0, nb * n_slots, n_slots)).ravel()
+        size = nb * n_slots
+        g_hist[lo:lo + nb] = np.bincount(flat, np.repeat(gn, nb), size).reshape(nb, n_slots)
+        h_hist[lo:lo + nb] = np.bincount(flat, np.repeat(hn, nb), size).reshape(nb, n_slots)
+        n_hist[lo:lo + nb] = np.bincount(flat, minlength=size).reshape(nb, n_slots)
+
+    n_miss = n_hist[:, binned.n_bins]
+    g_miss = np.zeros(n_feat)
+    h_miss = np.zeros(n_feat)
+    for k in np.flatnonzero(n_miss):
+        missing = codes[:, k] == binned.n_bins
+        g_miss[k] = gn[missing].sum()
+        h_miss[k] = hn[missing].sum()
+
+    g_left = np.cumsum(g_hist[:, :n_thr], axis=1)
+    h_left = np.cumsum(h_hist[:, :n_thr], axis=1)
+    n_left = np.cumsum(n_hist[:, :n_thr], axis=1)
+    in_range = np.arange(n_thr) < n_cand[:, None]
+    rows_idx = np.arange(n_feat)
+    bins, best_gains = [], []
+    # try routing missing rows left, then right
+    for default_left in (True, False):
+        gl = g_left + g_miss[:, None] if default_left else g_left
+        hl = h_left + h_miss[:, None] if default_left else h_left
+        nl = n_left + n_miss[:, None] if default_left else n_left
+        valid = in_range & (nl > 0) & (nl < n_node)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gains = split_gain(gl, hl, g_total - gl, h_total - hl, lambda_reg, eta)
+        gains = np.where(valid, gains, -np.inf)
+        t = np.argmax(gains, axis=1)
+        bins.append(t)
+        best_gains.append(gains[rows_idx, t])
+    # (feature, direction) in scan order; the first finite maximum wins
+    best_gains = np.column_stack(best_gains)
+    finite = np.isfinite(best_gains)
+    if not finite.any():
+        return None
+    top = best_gains[finite].max()
+    k, d = divmod(int(np.flatnonzero(finite & (best_gains == top))[0]), 2)
+    j, t = int(features[k]), int(bins[d][k])
+    return _Split(float(best_gains[k, d]), j, float(binned.candidates[j][t]), d == 0, t)
 
 
 def grow(
-    X: np.ndarray,
+    X: np.ndarray | BinnedFeatures,
     g: np.ndarray,
     h: np.ndarray,
     max_leaves: int,
@@ -201,11 +327,15 @@ def grow(
 ) -> Tree:
     """Grow one tree best-first on the given gradient pairs.
 
-    ``feature_subset`` restricts candidate features (the booster draws it
-    per iteration); None means all features.  Growth stops when the best
-    candidate gain is <= 0 or the leaf count reaches ``max_leaves``.
+    ``X`` is a raw feature matrix, binned here with ``n_quantile_bins``, or
+    the ``bin_features`` result a caller reuses across trees (the bins it
+    was made with then apply).  ``feature_subset`` restricts candidate
+    features (the booster draws it per iteration); None means all features.
+    Growth stops when the best candidate gain is <= 0 or the leaf count
+    reaches ``max_leaves``.
     """
-    X = np.asarray(X, dtype=float)
+    if not isinstance(X, BinnedFeatures):
+        X = bin_features(X, n_quantile_bins)
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
     n, p = X.shape
@@ -215,9 +345,7 @@ def grow(
         raise DataError("gradient/hessian length must match row count")
     if max_leaves < 2:
         raise DataError("max_leaves must be >= 2")
-    features = np.arange(p) if feature_subset is None else np.sort(np.asarray(feature_subset))
-
-    candidates = {int(j): quantile_candidates(X[:, j], n_quantile_bins) for j in features}
+    features = np.arange(p) if feature_subset is None else np.unique(feature_subset)
 
     tree = Tree()
     root_rows = np.arange(n)
@@ -233,7 +361,7 @@ def grow(
 
     def consider(nid: int):
         split = _best_split_for_node(
-            X, g, h, node_rows[nid], features, candidates, lambda_reg, eta
+            X, g, h, node_rows[nid], features, lambda_reg, eta
         )
         if split is not None:
             pending[nid] = split
@@ -247,9 +375,8 @@ def grow(
             break
         split = pending.pop(nid)
         rows = node_rows.pop(nid)
-        x = X[rows, split.feature]
-        missing = np.isnan(x)
-        go_left = (x <= split.threshold) | (missing & split.default_left)
+        code = X.codes[rows, split.feature]
+        go_left = (code <= split.bin) | ((code == X.n_bins) & split.default_left)
         left_rows, right_rows = rows[go_left], rows[~go_left]
 
         node = tree.nodes[nid]

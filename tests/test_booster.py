@@ -101,6 +101,30 @@ class TestFit:
             booster.fit(X, y, _spec("trgamma", k_shape=1.0, u_trunc=10.0),
                         booster.TrainParams(n_trees=2))
 
+    @pytest.mark.parametrize("n_bins", [-1, 0, 1])
+    def test_too_few_quantile_bins_rejected(self, n_bins):
+        with pytest.raises(DataError, match="n_quantile_bins"):
+            booster.TrainParams(n_quantile_bins=n_bins)
+
+    def test_features_binned_once_per_fit(self, rng, monkeypatch):
+        # 3 classes x 4 rounds = 12 trees on half the features each, but the
+        # candidates of every feature are computed once
+        X = rng.normal(size=(80, 6))
+        X[rng.uniform(size=X.shape) < 0.1] = np.nan
+        labels = rng.integers(0, 3, size=80)
+        calls = []
+        original = tree.quantile_candidates
+
+        def counted(x, n_bins):
+            calls.append(n_bins)
+            return original(x, n_bins)
+
+        monkeypatch.setattr(tree, "quantile_candidates", counted)
+        m = booster.fit(X, labels, _spec("cross_entropy", n_classes=3),
+                        booster.TrainParams(n_trees=4, max_leaves=4, colsample=0.5, seed=2))
+        assert len(m.trees) == 12
+        assert len(calls) == X.shape[1]
+
     @pytest.mark.parametrize("kind", ["poisson", "dgpd", "squared_log"])
     def test_training_loss_non_increasing(self, kind, rng):
         X = rng.normal(size=(300, 3))

@@ -1,5 +1,7 @@
 import csv
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -146,6 +148,82 @@ class TestPredict:
                 writer.writerow(row[:-1])  # drop covariate x2
         assert run(tmp_path, "predict", "--model", str(model), "--data",
                    str(stripped), "--out", str(tmp_path / "p.csv")) == 2
+
+
+def _first_branch(nodes, above=-1):
+    return next(n for n in nodes if "left" in n and n["id"] > above)
+
+
+def _first_leaf(nodes):
+    return next(n for n in nodes if "weight" in n)
+
+
+def _set(key, value, pick=_first_branch):
+    def edit(doc):
+        pick(doc["trees"][0]["nodes"])[key] = value
+    return edit
+
+
+def _drop(key, pick=_first_branch):
+    def edit(doc):
+        del pick(doc["trees"][0]["nodes"])[key]
+    return edit
+
+
+def _back_edge(doc):
+    # a branch below the root pointing back at the root: a cycle
+    _first_branch(doc["trees"][0]["nodes"], above=0)["right"] = 0
+
+
+MALFORMED = {
+    "child_out_of_range": _set("left", 10_000),
+    "child_not_int": _set("right", 2.5),
+    "branch_lacks_child": _drop("right"),
+    "feature_too_large": lambda doc: _set("feature", len(doc["feature_names"]))(doc),
+    "feature_negative": _set("feature", -1),
+    "threshold_missing": _drop("threshold"),
+    "threshold_not_finite": _set("threshold", float("inf")),
+    "weight_missing": _drop("weight", _first_leaf),
+    "weight_not_finite": _set("weight", float("nan"), _first_leaf),
+    "default_left_not_bool": _set("default_left", "yes"),
+    "base_score_not_finite": lambda doc: doc.update(base_score=float("nan")),
+}
+
+class TestMalformedModel:
+    @pytest.fixture
+    def model_doc(self, tmp_path, counts_csv):
+        cfg = write_config(tmp_path, counts_csv)
+        model = tmp_path / "m.json"
+        assert run(tmp_path, "train", "--config", cfg, "--out", str(model)) == 0
+        return json.loads(model.read_text())
+
+    def _write(self, tmp_path, doc, edit):
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")  # NaN/Infinity literals allowed
+        return path
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exit_2_without_traceback(self, tmp_path, counts_csv, model_doc, case, capsys):
+        bad = self._write(tmp_path, model_doc, MALFORMED[case])
+        capsys.readouterr()
+        assert run(tmp_path, "predict", "--model", str(bad), "--data", counts_csv,
+                   "--out", str(tmp_path / "p.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", [_set("left", 0), _back_edge],
+                             ids=["self_loop", "back_edge"])
+    def test_cycle_is_exit_2_not_a_hang(self, tmp_path, counts_csv, model_doc, edit):
+        bad = self._write(tmp_path, model_doc, edit)
+        # the child inherits this process's cwd and PYTHONPATH
+        proc = subprocess.run(
+            [sys.executable, "-m", "evtboost.cli", "--runlog", str(tmp_path / "runs.log"),
+             "predict", "--model", str(bad), "--data", counts_csv,
+             "--out", str(tmp_path / "p.csv")],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "child id" in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestCvFolds:

@@ -1,0 +1,75 @@
+"""Golden model files: training on a fixed dataset must reproduce the
+committed ``booster.dumps`` output byte for byte, for every loss kind.
+
+The dataset has missing covariates, tied values and a constant column, and
+the models sample 70% of the features per round, so split search, default
+directions and column sampling are all pinned.  Regenerate the files (only
+for a deliberate, documented format change) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from evtboost import booster, losses
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+SPECS = {
+    "poisson": losses.LossSpec("poisson"),
+    "dgpd": losses.LossSpec("dgpd", alpha=2.5),
+    "trgamma": losses.LossSpec("trgamma", k_shape=1.5, u_trunc=40.0),
+    "gpd": losses.LossSpec("gpd", xi=0.4, kappa=0.6),
+    "cross_entropy": losses.LossSpec("cross_entropy", n_classes=3),
+    "squared_log": losses.LossSpec("squared_log"),
+}
+
+PARAMS = booster.TrainParams(n_trees=5, learning_rate=0.3, max_leaves=6, lambda_reg=1.0,
+                             colsample=0.7, n_quantile_bins=16, seed=11)
+
+
+def golden_data(n: int = 400):
+    """Covariates with ties, a constant column and missing values, plus one
+    response array per loss kind."""
+    rng = np.random.default_rng(20261018)
+    x0 = rng.normal(size=n)
+    x1 = np.round(rng.normal(size=n), 1)          # ties
+    x2 = rng.integers(0, 5, size=n).astype(float)  # heavy ties
+    x3 = rng.uniform(size=n)
+    x4 = np.full(n, 2.0)                           # constant: no candidates
+    x5 = rng.normal(size=n)
+    X = np.column_stack([x0, x1, x2, x3, x4, x5])
+    mu = np.exp(0.4 + 0.6 * x0 - 0.3 * x2 / 4 + 0.5 * (x3 > 0.5))
+    ys = {
+        "poisson": rng.poisson(mu).astype(float),
+        "dgpd": np.floor(rng.pareto(2.5, size=n) * mu),
+        "trgamma": np.clip(rng.gamma(1.5, mu), 1e-3, 40.0),
+        "gpd": rng.pareto(2.5, size=n) * mu + 1e-3,
+        "cross_entropy": np.digitize(x0 + 0.5 * x3 + rng.normal(scale=0.5, size=n),
+                                     [-0.3, 0.7]).astype(float),
+        "squared_log": rng.poisson(2.0 * mu).astype(float),
+    }
+    X[rng.uniform(size=X.shape) < 0.08] = np.nan
+    X[rng.uniform(size=n) < 0.3, 5] = np.nan
+    return X, ys
+
+
+def golden_text(kind: str) -> str:
+    X, ys = golden_data()
+    names = [f"x{j}" for j in range(X.shape[1])]
+    return booster.dumps(booster.fit(X, ys[kind], SPECS[kind], PARAMS, feature_names=names))
+
+
+@pytest.mark.parametrize("kind", sorted(SPECS))
+def test_model_matches_golden_file(kind):
+    expected = (GOLDEN / f"{kind}.json").read_text(encoding="utf-8")
+    assert golden_text(kind) == expected
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for kind in sorted(SPECS):
+        (GOLDEN / f"{kind}.json").write_text(golden_text(kind), encoding="utf-8")

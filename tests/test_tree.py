@@ -1,5 +1,9 @@
+import heapq
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evtboost import tree
 from evtboost.errors import DataError, NumericalError
@@ -173,3 +177,170 @@ class TestSerialization:
     def test_unknown_field_rejected(self):
         with pytest.raises(DataError):
             tree.TreeNode.from_doc({"id": 0, "weight": 1.0, "bogus": 2})
+
+
+# ---------------------------------------------------------------------------
+# Binned engine against the per-feature scan it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_best_split(X, g, h, rows, features, candidates, lambda_reg, eta):
+    """Per-feature searchsorted/bincount scan over raw values (the engine
+    before features were binned once per fit)."""
+    g_total = g[rows].sum()
+    h_total = h[rows].sum()
+    best = None
+    for j in features:
+        cand = candidates[j]
+        if cand.size == 0:
+            continue
+        x = X[rows, j]
+        missing = np.isnan(x)
+        obs = ~missing
+        if not obs.any():
+            continue
+        bucket = np.searchsorted(cand, x[obs], side="left")
+        n_slots = cand.size + 1
+        g_left = np.cumsum(np.bincount(bucket, weights=g[rows][obs], minlength=n_slots))[:-1]
+        h_left = np.cumsum(np.bincount(bucket, weights=h[rows][obs], minlength=n_slots))[:-1]
+        n_left = np.cumsum(np.bincount(bucket, minlength=n_slots))[:-1]
+        g_miss = g[rows][missing].sum()
+        h_miss = h[rows][missing].sum()
+        n_miss = int(missing.sum())
+        for default_left in (True, False):
+            gl = g_left + g_miss if default_left else g_left
+            hl = h_left + h_miss if default_left else h_left
+            nl = n_left + n_miss if default_left else n_left
+            valid = (nl > 0) & (nl < rows.size)
+            if not valid.any():
+                continue
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gains = tree.split_gain(gl, hl, g_total - gl, h_total - hl, lambda_reg, eta)
+            gains = np.where(valid, gains, -np.inf)
+            t = int(np.argmax(gains))
+            if np.isfinite(gains[t]) and (best is None or gains[t] > best[0]):
+                best = (float(gains[t]), int(j), float(cand[t]), default_left)
+    return best
+
+
+def _reference_grow(X, g, h, max_leaves, lambda_reg, eta, n_bins, feature_subset):
+    """Best-first growth routing raw values on ``x <= threshold``."""
+    p = X.shape[1]
+    features = np.arange(p) if feature_subset is None else np.sort(feature_subset)
+    candidates = {int(j): tree.quantile_candidates(X[:, j], n_bins) for j in features}
+    t = tree.Tree([tree.TreeNode(id=0, weight=tree.leaf_weight(g.sum(), h.sum(), lambda_reg),
+                                 cover=float(h.sum()))])
+    node_rows = {0: np.arange(X.shape[0])}
+    heap, pending = [], {}
+
+    def consider(nid):
+        split = _reference_best_split(X, g, h, node_rows[nid], features, candidates,
+                                      lambda_reg, eta)
+        if split is not None:
+            pending[nid] = split
+            heapq.heappush(heap, (-split[0], nid))
+
+    consider(0)
+    n_leaves = 1
+    while n_leaves < max_leaves and heap:
+        neg_gain, nid = heapq.heappop(heap)
+        if -neg_gain <= 0.0:
+            break
+        gain, feature, threshold, default_left = pending.pop(nid)
+        rows = node_rows.pop(nid)
+        x = X[rows, feature]
+        go_left = (x <= threshold) | (np.isnan(x) & default_left)
+        node = t.nodes[nid]
+        node.feature, node.threshold, node.default_left = feature, threshold, default_left
+        node.gain, node.weight = gain, None
+        for child_rows in (rows[go_left], rows[~go_left]):
+            cid = len(t.nodes)
+            t.nodes.append(tree.TreeNode(
+                id=cid, cover=float(h[child_rows].sum()),
+                weight=tree.leaf_weight(g[child_rows].sum(), h[child_rows].sum(), lambda_reg)))
+            node_rows[cid] = child_rows
+        node.left, node.right = t.nodes[-2].id, t.nodes[-1].id
+        n_leaves += 1
+        if n_leaves < max_leaves:
+            consider(node.left)
+            consider(node.right)
+    return t
+
+
+@st.composite
+def _feature_matrices(draw):
+    """Columns with NaNs, ties, constants and all-NaN columns, plus a seed."""
+    n = draw(st.integers(1, 60))
+    kinds = draw(st.lists(st.sampled_from(["normal", "ties", "constant", "all_nan"]),
+                          min_size=1, max_size=6))
+    nan_rate = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    cols = []
+    for kind in kinds:
+        if kind == "normal":
+            x = rng.normal(size=n)
+        elif kind == "ties":
+            x = rng.integers(0, 4, size=n).astype(float)
+        elif kind == "constant":
+            x = np.full(n, 1.5)
+        else:
+            x = np.full(n, np.nan)
+        x[rng.uniform(size=n) < nan_rate] = np.nan
+        cols.append(x)
+    return np.column_stack(cols), seed
+
+
+def _outcome(fn):
+    """to_doc() of the grown tree, or the type of the error it raised."""
+    try:
+        return fn().to_doc()
+    except (NumericalError, DataError) as exc:
+        return type(exc)
+
+
+class TestBinnedEngine:
+    @settings(max_examples=80, deadline=None)
+    @given(data=_feature_matrices(), n_bins=st.sampled_from([2, 3, 8, 32]))
+    def test_codes_route_like_raw_thresholds(self, data, n_bins):
+        X, _ = data
+        binned = tree.bin_features(X, n_bins)
+        assert binned.shape == X.shape
+        assert binned.codes.dtype == np.uint8
+        for j in range(X.shape[1]):
+            x, codes, cand = X[:, j], binned.codes[:, j], binned.candidates[j]
+            np.testing.assert_array_equal(cand, tree.quantile_candidates(x, n_bins))
+            missing = codes == n_bins
+            np.testing.assert_array_equal(missing, np.isnan(x))
+            for t in range(cand.size):
+                np.testing.assert_array_equal((codes <= t) & ~missing, x <= cand[t])
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=_feature_matrices(),
+           n_bins=st.sampled_from([2, 3, 8, 32]),
+           max_leaves=st.integers(2, 8),
+           lambda_reg=st.sampled_from([0.0, 1.0]),
+           eta=st.sampled_from([0.0, 0.05]),
+           colsample=st.sampled_from([0.4, 0.7, 1.0]),
+           zero_hessians=st.booleans(),
+           block_cells=st.sampled_from([5, 64, tree._HIST_BLOCK_CELLS]))
+    def test_matches_per_feature_scan(self, data, n_bins, max_leaves, lambda_reg, eta,
+                                      colsample, zero_hessians, block_cells):
+        X, seed = data
+        n, p = X.shape
+        rng = np.random.default_rng(seed + 1)
+        g = np.round(rng.normal(size=n), 1)  # ties in the gradients too
+        h = rng.uniform(0.1, 2.0, size=n)
+        if zero_hessians:
+            h[rng.uniform(size=n) < 0.5] = 0.0
+        subset = None
+        if colsample < 1.0:
+            subset = np.sort(rng.choice(p, size=max(1, round(colsample * p)), replace=False))
+        args = (g, h, max_leaves, lambda_reg, eta, n_bins, subset)
+        expected = _outcome(lambda: _reference_grow(X, *args))
+        with mock.patch.object(tree, "_HIST_BLOCK_CELLS", block_cells):
+            assert _outcome(lambda: tree.grow(X, *args)) == expected
+            assert _outcome(lambda: tree.grow(tree.bin_features(X, n_bins), *args)) == expected
+
+    def test_too_few_bins_rejected(self):
+        with pytest.raises(DataError, match="n_quantile_bins"):
+            tree.bin_features(np.zeros((3, 1)), 1)
