@@ -16,6 +16,7 @@ import hashlib
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -250,49 +251,27 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     ds = _load_data_for_model(args)
     X, names = ds.feature_matrix()
-    keys = [(ds.cells[c].id, int(y), int(m))
-            for c, y, m in zip(ds.cell_index, ds.year, ds.month)]
-
     if M.is_mixture_document(args.model):
         mix = M.load(args.model)
         thresholds = _read_numbers(args.thresholds) if args.thresholds \
             else E.default_score_spec("ba").thresholds
         if np.any(np.diff(thresholds) < 0):
             raise DataError("thresholds must be sorted ascending")
-        header = ["cell", "year", "month"] + [f"p_le_{_fmt(float(t))}" for t in thresholds]
-        if ds.n_rows == 0:
-            _write_csv(args.out, header, [])
-            return EXIT_OK
-        probs = M.threshold_probs(mix, X, thresholds, names=names)
-        rows = [list(k) + list(p) for k, p in zip(keys, probs)]
-        _write_csv(args.out, header, rows)
-        return EXIT_OK
-
-    model = B.load(args.model)
-    Xa = D._align_features(X, names, model.feature_names)
-    if model.loss.multiclass:
-        header = ["cell", "year", "month", "p_zero", "p_med", "p_large"]
-        if ds.n_rows == 0:
-            _write_csv(args.out, header, [])
-            return EXIT_OK
-        probs = L.softmax(B.predict_raw(model, Xa))
-        rows = [list(k) + list(p) for k, p in zip(keys, probs)]
+        header = [f"p_le_{_fmt(float(t))}" for t in thresholds]
+        values = M.threshold_probs(mix, X, thresholds, names=names)
     else:
-        header = ["cell", "year", "month", "raw"]
-        with_mean = model.loss.kind == "dgpd" and model.loss.alpha > 1.0
-        if with_mean:
-            header.append("mean")
-        if ds.n_rows == 0:
-            _write_csv(args.out, header, [])
-            return EXIT_OK
-        raw = B.predict_raw(model, Xa)
-        if with_mean:
-            means = L.dgpd_mean(raw, model.loss.alpha)
-            rows = [list(k) + [float(r), float(mn)]
-                    for k, r, mn in zip(keys, raw, means)]
+        model = B.load(args.model)
+        raw = B.predict_raw(model, D.align_features(X, names, model.feature_names))
+        if model.loss.multiclass:
+            header, values = ["p_zero", "p_med", "p_large"], L.softmax(raw)
+        elif model.loss.kind == "dgpd" and model.loss.alpha > 1.0:
+            header = ["raw", "mean"]
+            values = np.column_stack([raw, L.dgpd_mean(raw, model.loss.alpha)])
         else:
-            rows = [list(k) + [float(r)] for k, r in zip(keys, raw)]
-    _write_csv(args.out, header, rows)
+            header, values = ["raw"], raw[:, None]
+    keys = zip(ds.cell_index.tolist(), ds.year.tolist(), ds.month.tolist())
+    _write_csv(args.out, ["cell", "year", "month"] + header,
+               [list(k) + v for k, v in zip(keys, values.tolist())])
     return EXIT_OK
 
 
@@ -312,7 +291,7 @@ def cmd_cvfolds(args) -> int:
     seed = args.seed if args.seed is not None else cfg.getint("cv", "seed", 0)
     folds = S.generate_folds(ds, params, n_folds=n_folds, seed=seed)
     S.save_folds(folds, ds, args.out)
-    total = sum(len(folds.masks[f][r]) for f in range(n_folds) for r in S.RESPONSES)
+    total = int(folds.masks.sum())
     print(f"n_folds={n_folds}")
     print(f"validation_keys={total}")
     print(f"folds={args.out}")
@@ -353,7 +332,7 @@ def cmd_tune(args) -> int:
                 lkw[key] = float(val)
             else:
                 kwargs[key] = float(val)
-        params = B.TrainParams(**{**_params_dict(base_params), **kwargs})
+        params = replace(base_params, **kwargs)
         spec = loss if not lkw else L.LossSpec(**{**loss.hyperparams(), **lkw})
         recipe = R.BoosterRecipe(loss=spec, params=params, response=response,
                                  u=cfg.threshold_u(), metric="nll")
@@ -373,12 +352,6 @@ def cmd_tune(args) -> int:
     return EXIT_OK
 
 
-def _params_dict(p: B.TrainParams) -> dict:
-    return {k: getattr(p, k) for k in
-            ("n_trees", "learning_rate", "max_leaves", "lambda_reg", "eta",
-             "colsample", "n_quantile_bins", "seed")}
-
-
 def cmd_cv(args) -> int:
     cfg = RunConfig(args.config)
     ds = cfg.load_dataset()
@@ -392,7 +365,7 @@ def cmd_cv(args) -> int:
     except ValueError:
         raise ConfigError(f"--checkpoints must be comma-separated integers, "
                           f"got {args.checkpoints!r}") from None
-    params = B.TrainParams(**{**_params_dict(params), "n_trees": max(checkpoints)})
+    params = replace(params, n_trees=max(checkpoints))
     recipe = R.BoosterRecipe(loss=loss, params=params, response=response,
                              u=cfg.threshold_u(), metric="nll")
     cv = E.run_cv(ds, folds, recipe, response, checkpoints=checkpoints)
@@ -452,7 +425,7 @@ def cmd_pdp(args) -> int:
     model = B.load(args.model)
     ds = D.load_csv(args.data)
     X, names = ds.feature_matrix()
-    Xa = D._align_features(X, names, model.feature_names)
+    Xa = D.align_features(X, names, model.feature_names)
     feats = [f.strip() for f in args.features.split(",")]
     idx = []
     for f in feats:

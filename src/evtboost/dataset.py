@@ -1,15 +1,19 @@
 """Gridded spatio-temporal observations: loading, validation, enrichment.
 
 A dataset holds monthly rows of (cell, year, month, covariates, CNT, BA)
-on a regular lon/lat grid.  Masked responses and missing covariates are
-NaN internally and a configurable marker (default ``"NA"``) on disk.
-Enrichment operations (neighbour averaging, zero cross-filling, model
-imputation) return new datasets; nothing mutates in place.
+on a regular lon/lat grid.  Cells are rows of a sorted (lon, lat) array and
+an observation is identified by its row index; :func:`match_rows` maps key
+columns such as (cell, year, month) back to rows.  Masked responses and
+missing covariates are NaN internally and a configurable marker (default
+``"NA"``) on disk.  Enrichment operations (neighbour averaging, zero
+cross-filling, model imputation) return new datasets; nothing mutates in
+place.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,13 +28,6 @@ DEFAULT_SEASON = tuple(range(3, 10))  # March .. September
 GRID_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class GridCell:
-    id: int
-    lon: float
-    lat: float
-
-
 @dataclass
 class GridDataset:
     """Columnar store of observations over a regular grid.
@@ -39,8 +36,8 @@ class GridDataset:
     Instances are read-only by convention; enrichment returns copies.
     """
 
-    cells: list[GridCell]
-    cell_index: np.ndarray          # (n,) int index into cells
+    cells: np.ndarray               # (n_cells, 2) float (lon, lat), sorted
+    cell_index: np.ndarray          # (n,) int row of cells
     year: np.ndarray                # (n,) int
     month: np.ndarray               # (n,) int
     cnt: np.ndarray                 # (n,) float
@@ -54,22 +51,12 @@ class GridDataset:
         return self.year.size
 
     def copy(self) -> "GridDataset":
-        return GridDataset(
-            cells=list(self.cells),
-            cell_index=self.cell_index.copy(),
-            year=self.year.copy(),
-            month=self.month.copy(),
-            cnt=self.cnt.copy(),
-            ba=self.ba.copy(),
-            covariates=self.covariates.copy(),
-            covariate_names=list(self.covariate_names),
-            spacing=self.spacing,
-        )
+        return self.subset(slice(None))
 
     def subset(self, rows: np.ndarray) -> "GridDataset":
-        """Row-subset view (copied arrays); the cell list is shared layout."""
+        """Row subset (copied arrays); every cell is kept."""
         return GridDataset(
-            cells=list(self.cells),
+            cells=self.cells.copy(),
             cell_index=self.cell_index[rows].copy(),
             year=self.year[rows].copy(),
             month=self.month[rows].copy(),
@@ -80,50 +67,66 @@ class GridDataset:
             spacing=self.spacing,
         )
 
-    def keys(self) -> list[tuple[int, int, int]]:
-        """(cell id, year, month) per row."""
-        return [
-            (self.cells[c].id, int(y), int(m))
-            for c, y, m in zip(self.cell_index, self.year, self.month)
-        ]
+    def rows_of(self, cell, year, month) -> np.ndarray:
+        """Row of each (cell, year, month) key (arrays broadcast together),
+        or -1 where the dataset has no such row."""
+        return match_rows((self.cell_index, self.year, self.month), (cell, year, month))
 
     # -- features ----------------------------------------------------------
 
     def feature_matrix(self, include_position: bool = True):
         """(X, names): covariates, optionally preceded by lon/lat/year/month."""
-        cols, names = [], []
+        cols, names = [self.covariates], list(self.covariate_names)
         if include_position:
-            lons = np.array([self.cells[c].lon for c in self.cell_index])
-            lats = np.array([self.cells[c].lat for c in self.cell_index])
-            cols += [lons, lats, self.year.astype(float), self.month.astype(float)]
-            names += ["lon", "lat", "year", "month"]
-        if self.covariate_names:
-            cols.append(self.covariates)
-            names += list(self.covariate_names)
-        if not cols:
-            return np.empty((self.n_rows, 0)), names
-        X = np.column_stack(cols) if len(cols) > 1 else np.asarray(cols[0], dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
-        return X, names
+            lons, lats = self.cells[self.cell_index].T
+            cols = [lons, lats, self.year.astype(float), self.month.astype(float)] + cols
+            names = ["lon", "lat", "year", "month"] + names
+        return np.column_stack(cols), names
 
     def with_covariate(self, name: str, values: np.ndarray) -> "GridDataset":
         if name in self.covariate_names:
             raise DataError(f"covariate {name!r} already exists")
         out = self.copy()
-        values = np.asarray(values, dtype=float)
-        if out.covariate_names:
-            out.covariates = np.column_stack([out.covariates, values])
-        else:
-            out.covariates = values[:, None]
+        out.covariates = np.column_stack([out.covariates, np.asarray(values, dtype=float)])
         out.covariate_names.append(name)
         return out
 
 
-def _parse_number(token: str, missing_marker: str) -> float:
+def match_rows(keys, queries) -> np.ndarray:
+    """Index of the first row of the key columns ``keys`` equal to each
+    query row, or -1 where there is none.
+
+    ``queries`` holds one array per key column; they broadcast together and
+    the result has their shape.  Each column is ranked among its distinct
+    key values and the ranks are packed into one int64 per row, so the
+    lookup is one sort of the keys and one ``searchsorted`` of the queries,
+    sized by the rows and not by the key space.
+    """
+    queries = np.broadcast_arrays(*queries)
+    if len(keys[0]) == 0:
+        return np.full(queries[0].shape, -1)
+    key = np.zeros(len(keys[0]), dtype=np.int64)
+    query = np.zeros(queries[0].shape, dtype=np.int64)
+    found = np.ones(queries[0].shape, dtype=bool)
+    for k, q in zip(keys, queries):
+        vals, rank = np.unique(k, return_inverse=True)
+        pos = np.searchsorted(vals, q).clip(max=vals.size - 1)
+        found &= vals[pos] == q
+        key = key * vals.size + rank
+        query = query * vals.size + pos
+    order = np.argsort(key, kind="stable")
+    pos = np.searchsorted(key[order], query).clip(max=key.size - 1)
+    found &= key[order][pos] == query
+    return np.where(found, order[pos], -1)
+
+
+def _parse_number(token: str, missing_marker: str | None = None) -> float:
     if token == missing_marker:
         return np.nan
-    return float(token)
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {token!r}")
+    return value
 
 
 def load_csv(path, schema: dict | None = None, missing_marker: str = "NA",
@@ -167,8 +170,8 @@ def load_csv(path, schema: dict | None = None, missing_marker: str = "NA",
                 raise DataError(f"{path}:{lineno}: expected {len(header)} fields, "
                                 f"got {len(rowvals)}")
             try:
-                lon = float(rowvals[role_idx["lon"]])
-                lat = float(rowvals[role_idx["lat"]])
+                lon = _parse_number(rowvals[role_idx["lon"]])
+                lat = _parse_number(rowvals[role_idx["lat"]])
                 year = int(rowvals[role_idx["year"]])
                 month = int(rowvals[role_idx["month"]])
                 cnt = _parse_number(rowvals[role_idx["cnt"]], missing_marker)
@@ -179,44 +182,28 @@ def load_csv(path, schema: dict | None = None, missing_marker: str = "NA",
             if month not in season:
                 raise DataError(f"{path}:{lineno}: month {month} outside configured "
                                 f"season {sorted(season)}")
-            if not np.isnan(cnt) and (not np.isfinite(cnt) or cnt < 0 or cnt != int(cnt)):
+            if not np.isnan(cnt) and (cnt < 0 or cnt != int(cnt)):
                 raise DataError(f"{path}:{lineno}: cnt must be a nonnegative integer")
-            if not np.isnan(ba) and (not np.isfinite(ba) or ba < 0):
+            if not np.isnan(ba) and ba < 0:
                 raise DataError(f"{path}:{lineno}: ba must be nonnegative")
             if not np.isnan(cnt) and not np.isnan(ba) and cnt == 0 and ba != 0:
                 raise DataError(f"{path}:{lineno}: ba must be 0 when cnt is 0")
             lons.append(lon); lats.append(lat); years.append(year)
             months.append(month); cnts.append(cnt); bas.append(ba); covs.append(cov)
 
-    lons = np.asarray(lons); lats = np.asarray(lats)
-    if lons.size == 0:
-        return GridDataset([], np.empty(0, int), np.empty(0, int), np.empty(0, int),
-                           np.empty(0), np.empty(0), np.empty((0, len(covariate_columns))),
-                           list(covariate_columns), spacing)
-
-    for name, vals in (("lon", lons), ("lat", lats)):
-        offsets = (vals - vals.min()) / spacing
+    coords = np.column_stack([lons, lats])
+    for j, name in enumerate(("lon", "lat")):
+        offsets = (coords[:, j] - coords[:, j].min(initial=np.inf)) / spacing
         bad = np.abs(offsets - np.round(offsets)) > GRID_TOL
         if bad.any():
             i = int(np.argmax(bad))
-            raise DataError(f"{path}: {name}={vals[i]:g} does not lie on a regular "
+            raise DataError(f"{path}: {name}={coords[i, j]:g} does not lie on a regular "
                             f"grid with spacing {spacing:g}")
 
-    coords = sorted(set(zip(lons.tolist(), lats.tolist())))
-    cell_id = {c: i for i, c in enumerate(coords)}
-    cells = [GridCell(i, lo, la) for i, (lo, la) in enumerate(coords)]
-    cell_index = np.array([cell_id[(lo, la)] for lo, la in zip(lons, lats)], dtype=int)
-
-    keys = set()
-    for i, key in enumerate(zip(cell_index.tolist(), years, months)):
-        if key in keys:
-            raise DataError(f"{path}:{i + 2}: duplicate (cell, year, month) = "
-                            f"({coords[key[0]]}, {key[1]}, {key[2]})")
-        keys.add(key)
-
-    return GridDataset(
+    cells, cell_index = np.unique(coords, axis=0, return_inverse=True)
+    ds = GridDataset(
         cells=cells,
-        cell_index=cell_index,
+        cell_index=cell_index.reshape(-1),
         year=np.asarray(years, dtype=int),
         month=np.asarray(months, dtype=int),
         cnt=np.asarray(cnts, dtype=float),
@@ -225,55 +212,39 @@ def load_csv(path, schema: dict | None = None, missing_marker: str = "NA",
         covariate_names=list(covariate_columns),
         spacing=spacing,
     )
+    repeated = np.flatnonzero(ds.rows_of(ds.cell_index, ds.year, ds.month)
+                              != np.arange(ds.n_rows))
+    if repeated.size:
+        i = int(repeated[0])
+        cell = tuple(cells[ds.cell_index[i]].tolist())
+        raise DataError(f"{path}:{i + 2}: duplicate (cell, year, month) = "
+                        f"({cell}, {years[i]}, {months[i]})")
+    return ds
 
 
 def save_csv(ds: GridDataset, path, missing_marker: str = "NA") -> None:
     """Write the dataset back out in the same CSV dialect."""
     def fmt(v: float) -> str:
-        if np.isnan(v):
+        if math.isnan(v):
             return missing_marker
-        if float(v).is_integer():
+        if v.is_integer():
             return str(int(v))
-        return repr(float(v))
+        return repr(v)
 
+    lon, lat = ds.cells[ds.cell_index].T.tolist()
+    columns = (lon, lat, ds.year.tolist(), ds.month.tolist(), ds.cnt.tolist(),
+               ds.ba.tolist(), ds.covariates.tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["lon", "lat", "year", "month", "cnt", "ba"] + ds.covariate_names)
-        for i in range(ds.n_rows):
-            cell = ds.cells[ds.cell_index[i]]
-            writer.writerow(
-                [repr(cell.lon), repr(cell.lat), int(ds.year[i]), int(ds.month[i]),
-                 fmt(ds.cnt[i]), fmt(ds.ba[i])]
-                + [fmt(v) for v in ds.covariates[i]]
-            )
+        for lo, la, y, m, cnt, ba, cov in zip(*columns):
+            writer.writerow([repr(lo), repr(la), y, m, fmt(cnt), fmt(ba)]
+                            + [fmt(v) for v in cov])
 
 
 # ---------------------------------------------------------------------------
 # Enrichment
 # ---------------------------------------------------------------------------
-
-def _neighbor_lists(ds: GridDataset) -> list[np.ndarray]:
-    """8-neighbourhood (queen) cell ids for each cell on the regular grid."""
-    if not ds.cells:
-        return []
-    # integer lattice coordinates relative to the grid origin (offsets are
-    # integral by the load-time grid check, so round() is exact here)
-    lon0 = min(c.lon for c in ds.cells)
-    lat0 = min(c.lat for c in ds.cells)
-
-    def key(c: GridCell) -> tuple[int, int]:
-        return (round((c.lon - lon0) / ds.spacing), round((c.lat - lat0) / ds.spacing))
-
-    index = {key(c): c.id for c in ds.cells}
-    out = []
-    for c in ds.cells:
-        ci, cj = key(c)
-        nbrs = [index[(ci + di, cj + dj)]
-                for di in (-1, 0, 1) for dj in (-1, 0, 1)
-                if (di, dj) != (0, 0) and (ci + di, cj + dj) in index]
-        out.append(np.asarray(nbrs, dtype=int))
-    return out
-
 
 def neighbor_average(ds: GridDataset, covariate: str) -> GridDataset:
     """Append ``<covariate>_nbr``: the mean of the covariate over the 8
@@ -283,23 +254,20 @@ def neighbor_average(ds: GridDataset, covariate: str) -> GridDataset:
         raise DataError(f"unknown covariate {covariate!r}")
     j = ds.covariate_names.index(covariate)
     values = ds.covariates[:, j]
-    nbrs = _neighbor_lists(ds)
+    # integer lattice coordinates of each cell; any cell is a lattice origin
+    # and offsets are integral by the load-time grid check
+    lattice = np.rint((ds.cells - ds.cells[:1]) / ds.spacing)
+    offsets = np.array([(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj])
+    nbr_cell = match_rows(lattice.T, (lattice[:, None, :] + offsets).transpose(2, 0, 1))
+    nbr_rows = ds.rows_of(nbr_cell[ds.cell_index].T, ds.year, ds.month)   # (8, n)
 
-    # (cell, year, month) -> row lookup
-    row_of = {}
-    for i in range(ds.n_rows):
-        row_of[(int(ds.cell_index[i]), int(ds.year[i]), int(ds.month[i]))] = i
-
-    out_vals = np.empty(ds.n_rows)
-    for i in range(ds.n_rows):
-        c, y, m = int(ds.cell_index[i]), int(ds.year[i]), int(ds.month[i])
-        acc, cnt = 0.0, 0
-        for nb in nbrs[c]:
-            r = row_of.get((int(nb), y, m))
-            if r is not None and not np.isnan(values[r]):
-                acc += values[r]
-                cnt += 1
-        out_vals[i] = acc / cnt if cnt else values[i]
+    acc, cnt = np.zeros(ds.n_rows), np.zeros(ds.n_rows, dtype=int)
+    for rows in nbr_rows:  # one offset at a time, adding in (di, dj) order
+        vals = np.where(rows >= 0, values[rows], np.nan)
+        present = ~np.isnan(vals)
+        acc[present] += vals[present]
+        cnt += present
+    out_vals = np.where(cnt > 0, acc / np.maximum(cnt, 1), values)
     return ds.with_covariate(f"{covariate}_nbr", out_vals)
 
 
@@ -330,7 +298,7 @@ def impute_cnt_covariate(ds: GridDataset, aux: B.BoostedModel,
         raise DataError(f"count imputation model uses burned-area-derived "
                         f"covariates: {sorted(leaky)}")
     X, names = ds.feature_matrix(include_position=include_position)
-    X = _align_features(X, names, aux.feature_names)
+    X = align_features(X, names, aux.feature_names)
     masked = np.isnan(ds.cnt)
     vals = ds.cnt.copy()
     if masked.any():
@@ -356,7 +324,7 @@ def impute_ba_class_covariates(ds: GridDataset, aux: B.BoostedModel, u: float = 
     if "cnt_cov" in aux.feature_names:
         raise DataError("size classifier for imputation uses a count-derived covariate")
     X, names = ds.feature_matrix(include_position=include_position)
-    X = _align_features(X, names, aux.feature_names)
+    X = align_features(X, names, aux.feature_names)
     probs = np.zeros((ds.n_rows, 3))
     observed = ~np.isnan(ds.ba)
     labels = ba_class_labels(ds.ba[observed], u)
@@ -370,9 +338,15 @@ def impute_ba_class_covariates(ds: GridDataset, aux: B.BoostedModel, u: float = 
     return out
 
 
-def _align_features(X: np.ndarray, names: list[str], wanted: list[str]) -> np.ndarray:
+def align_features(X: np.ndarray, names: list[str] | None,
+                   wanted: list[str]) -> np.ndarray:
+    """The columns of ``X`` (named ``names``) that a model wants, in its
+    order; without names, ``X`` must already have the model's columns."""
+    if names is None:
+        if X.shape[1] != len(wanted):
+            raise DataError("feature count mismatch; pass feature names to align")
+        return X
     missing = [w for w in wanted if w not in names]
     if missing:
         raise DataError(f"dataset lacks features required by the model: {missing}")
-    idx = [names.index(w) for w in wanted]
-    return X[:, idx]
+    return X[:, [names.index(w) for w in wanted]]

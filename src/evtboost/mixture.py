@@ -15,6 +15,7 @@ F_bulk(u) = 1 by construction) and F_tail supported on (u, inf).
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ from scipy import special
 from . import booster as B
 from . import losses as L
 from .errors import DataError
-from .dataset import ba_class_labels
+from .dataset import align_features, ba_class_labels
 
 MANIFEST_VERSION = 1
 
@@ -61,22 +62,10 @@ class MixtureModel:
         return self.bulk.loss.k_shape
 
 
-def _component_matrix(model: B.BoostedModel, X, names):
-    if names is None:
-        if X.shape[1] != len(model.feature_names):
-            raise DataError("feature count mismatch; pass feature names to align")
-        return X
-    missing = [w for w in model.feature_names if w not in names]
-    if missing:
-        raise DataError(f"missing features for mixture component: {missing}")
-    idx = [names.index(w) for w in model.feature_names]
-    return X[:, idx]
-
-
 def component_probs(m: MixtureModel, X, names=None) -> np.ndarray:
     """Softmax class probabilities (n, 3) of (zero, bulk, tail)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    raw = B.predict_raw(m.classifier, _component_matrix(m.classifier, X, names))
+    raw = B.predict_raw(m.classifier, align_features(X, names, m.classifier.feature_names))
     return L.softmax(raw)
 
 
@@ -89,7 +78,7 @@ def tail_sigma(m: MixtureModel, theta) -> np.ndarray:
 def raw_scores(m: MixtureModel, X, names=None) -> tuple[np.ndarray, ...]:
     """Raw scores of the classifier, bulk and tail models, one pass each."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return tuple(B.predict_raw(part, _component_matrix(part, X, names))
+    return tuple(B.predict_raw(part, align_features(X, names, part.feature_names))
                  for part in (m.classifier, m.bulk, m.tail))
 
 
@@ -142,7 +131,8 @@ def sample(m: MixtureModel, x, n_draws: int, seed: int, names=None) -> np.ndarra
 
     n_bulk = int((comp == 1).sum())
     if n_bulk:
-        theta = float(B.predict_raw(m.bulk, _component_matrix(m.bulk, x, names))[0])
+        x_bulk = align_features(x, names, m.bulk.feature_names)
+        theta = float(B.predict_raw(m.bulk, x_bulk)[0])
         k = m.k_shape
         s_trunc = k * np.log1p(m.u) * np.exp(-theta)
         urand = rng.uniform(size=n_bulk)
@@ -151,7 +141,7 @@ def sample(m: MixtureModel, x, n_draws: int, seed: int, names=None) -> np.ndarra
 
     n_tail = int((comp == 2).sum())
     if n_tail:
-        theta = B.predict_raw(m.tail, _component_matrix(m.tail, x, names))
+        theta = B.predict_raw(m.tail, align_features(x, names, m.tail.feature_names))
         sigma = float(tail_sigma(m, theta)[0])
         urand = rng.uniform(size=n_tail)
         out[comp == 2] = m.u + sigma * np.expm1(-m.xi * np.log1p(-urand)) / m.xi
@@ -242,12 +232,24 @@ def load(path) -> MixtureModel:
     for name in ("classifier", "bulk", "tail"):
         if name not in manifest:
             raise DataError(f"manifest missing component {name!r}")
+        if not isinstance(manifest[name], str):
+            raise DataError(f"manifest component {name!r} must be a file name")
         parts[name] = B.load(os.path.join(outdir, manifest[name]))
-    m = MixtureModel(u=float(manifest["threshold"]), **parts)
+    m = MixtureModel(u=_manifest_number(manifest, "threshold"), **parts)
     for key, val in (("xi", m.xi), ("kappa", m.kappa), ("k_shape", m.k_shape)):
-        if key in manifest and abs(float(manifest[key]) - val) > 1e-12:
+        if key in manifest and abs(_manifest_number(manifest, key) - val) > 1e-12:
             raise DataError(f"manifest {key} disagrees with component model")
     return m
+
+
+def _manifest_number(manifest: dict, key: str) -> float:
+    val = manifest.get(key)
+    try:
+        if type(val) in (int, float) and math.isfinite(val):
+            return float(val)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise DataError(f"manifest {key} must be a finite number, got {val!r}")
 
 
 def is_mixture_document(path) -> bool:

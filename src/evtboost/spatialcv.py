@@ -4,8 +4,8 @@ Folds are produced by forward-simulating a hierarchical masking model: one
 shared zero-mean Gaussian field per month with Matern covariance, month
 level Gaussian noise, and Bernoulli masking through the inverse logit.
 The CNT and BA masks share the latent field up to a scaling ``beta``, which
-induces the inter-variable mask correlation.  Keys that are already masked
-in the input dataset never enter a validation set.
+induces the inter-variable mask correlation.  Rows whose response is
+already masked in the input dataset never enter a validation set.
 
 No posterior inference happens here; parameters are user-supplied, with
 intercepts optionally calibrated so the expected masking rate matches the
@@ -15,12 +15,12 @@ dataset's observed rate.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
 
-from .dataset import GridDataset
+from .dataset import GridDataset, match_rows
 from .errors import DataError, NumericalError
 
 RESPONSES = ("cnt", "ba")
@@ -52,23 +52,31 @@ class MaskModelParams:
 
 @dataclass
 class FoldSet:
-    """Per-fold validation keys, one set per response.
+    """Validation rows of every fold and response.
 
-    ``masks[f][response]`` is a set of (cell id, year, month) triples chosen
-    for validation in fold ``f``.
+    ``masks[f, r]`` is the boolean row mask, over the dataset that made or
+    loaded the folds, of the rows held out for response ``RESPONSES[r]`` in
+    fold ``f``; the array has shape (n_folds, 2, n_rows).
     """
 
-    n_folds: int
-    masks: list[dict[str, set[tuple[int, int, int]]]] = field(default_factory=list)
+    masks: np.ndarray
+
+    @property
+    def n_folds(self) -> int:
+        return self.masks.shape[0]
 
     def validation_rows(self, ds: GridDataset, fold: int, response: str) -> np.ndarray:
         """Boolean row mask of the validation set for one fold/response."""
         if response not in RESPONSES:
             raise DataError(f"unknown response {response!r}")
-        keys = self.masks[fold][response]
-        return np.fromiter(
-            (k in keys for k in ds.keys()), dtype=bool, count=ds.n_rows
-        )
+        _check_rows(self, ds)
+        return self.masks[fold, RESPONSES.index(response)].copy()
+
+
+def _check_rows(folds: FoldSet, ds: GridDataset) -> None:
+    if folds.masks.shape[2] != ds.n_rows:
+        raise DataError(f"folds cover {folds.masks.shape[2]} rows but the dataset "
+                        f"has {ds.n_rows}")
 
 
 def matern_cov(d, r: float, sigma_gp: float, nu: float = 1.0):
@@ -91,13 +99,10 @@ def matern_cov(d, r: float, sigma_gp: float, nu: float = 1.0):
     return float(out) if np.isscalar(d) or d.ndim == 0 else out
 
 
-def _cell_coords(cells) -> np.ndarray:
-    return np.array([[c.lon, c.lat] for c in cells], dtype=float)
-
-
 def field_factor(cells, params: MaskModelParams) -> np.ndarray:
-    """Cholesky factor of the unit-variance Matern correlation (+ jitter)."""
-    coords = _cell_coords(cells)
+    """Cholesky factor of the unit-variance Matern correlation (+ jitter)
+    between the (lon, lat) rows of ``cells``."""
+    coords = np.asarray(cells, dtype=float)
     diff = coords[:, None, :] - coords[None, :, :]
     dist = np.sqrt((diff ** 2).sum(axis=-1))
     corr = matern_cov(dist, params.r, 1.0, params.nu)
@@ -118,44 +123,34 @@ def simulate_field(cells, params: MaskModelParams, seed: int, n_draws: int = 1) 
 
 def generate_folds(ds: GridDataset, params: MaskModelParams, n_folds: int = 5,
                    seed: int = 0) -> FoldSet:
-    """Simulate the masking model once per (fold, month) and collect keys.
+    """Simulate the masking model once per (fold, month) and mask rows.
 
     Per month: one shared field draw g, month-level noise eps per response,
     then each (cell, response) is selected with probability
-    expit(beta0 + [beta *] g + eps).  Keys whose response is already masked
+    expit(beta0 + [beta *] g + eps).  Rows whose response is already masked
     in ``ds`` are dropped.
     """
     if n_folds < 1:
         raise DataError("n_folds must be >= 1")
-    months = sorted(set(zip(ds.year.tolist(), ds.month.tolist())))
-    L_chol = field_factor(ds.cells, params) if ds.cells else None
+    months, month_of_row = np.unique(np.column_stack([ds.year, ds.month]), axis=0,
+                                     return_inverse=True)
+    month_of_row = month_of_row.reshape(-1)
     n_cells = len(ds.cells)
-
-    # rows grouped by month for key collection
-    rows_of_month: dict[tuple[int, int], list[int]] = {}
-    for i in range(ds.n_rows):
-        rows_of_month.setdefault((int(ds.year[i]), int(ds.month[i])), []).append(i)
-
-    folds = FoldSet(n_folds=n_folds, masks=[])
+    L_chol = field_factor(ds.cells, params)
+    observed = ~np.isnan(np.stack([ds.cnt, ds.ba]))
+    picks = np.empty((2, len(months), n_cells), dtype=bool)
+    masks = np.empty((n_folds, 2, ds.n_rows), dtype=bool)
     for f in range(n_folds):
-        fold_masks = {resp: set() for resp in RESPONSES}
-        for mi, (y, mo) in enumerate(months):
+        for mi in range(len(months)):
             rng = np.random.default_rng([seed, f, mi])
             g = params.sigma_gp * (L_chol @ rng.standard_normal(n_cells))
             eps_cnt, eps_ba = rng.normal(scale=np.sqrt(params.phi), size=2)
             mu_cnt = params.beta0_cnt + g + eps_cnt
             mu_ba = params.beta0_ba + params.beta * g + eps_ba
-            pick_cnt = rng.uniform(size=n_cells) < special.expit(mu_cnt)
-            pick_ba = rng.uniform(size=n_cells) < special.expit(mu_ba)
-            for i in rows_of_month.get((y, mo), ()):
-                c = int(ds.cell_index[i])
-                key = (ds.cells[c].id, y, mo)
-                if pick_cnt[c] and not np.isnan(ds.cnt[i]):
-                    fold_masks["cnt"].add(key)
-                if pick_ba[c] and not np.isnan(ds.ba[i]):
-                    fold_masks["ba"].add(key)
-        folds.masks.append(fold_masks)
-    return folds
+            picks[0, mi] = rng.uniform(size=n_cells) < special.expit(mu_cnt)
+            picks[1, mi] = rng.uniform(size=n_cells) < special.expit(mu_ba)
+        masks[f] = picks[:, month_of_row, ds.cell_index] & observed
+    return FoldSet(masks)
 
 
 # ---------------------------------------------------------------------------
@@ -191,44 +186,57 @@ def calibrate_intercepts(ds: GridDataset, params: MaskModelParams) -> MaskModelP
 # CSV round trip
 # ---------------------------------------------------------------------------
 
+FOLD_HEADER = ["fold", "response", "lon", "lat", "year", "month"]
+
+
 def save_folds(folds: FoldSet, ds: GridDataset, path) -> None:
-    """Export as fold,response,lon,lat,year,month rows (sorted, with header)."""
-    cell_of = {c.id: c for c in ds.cells}
+    """Export as fold,response,lon,lat,year,month rows, each fold's rows
+    sorted by (cell, year, month), with a header."""
+    _check_rows(folds, ds)
+    order = np.lexsort((ds.month, ds.year, ds.cell_index))
+    lon, lat = ds.cells[ds.cell_index].T
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["fold", "response", "lon", "lat", "year", "month"])
+        writer.writerow(FOLD_HEADER)
         for f in range(folds.n_folds):
-            for resp in RESPONSES:
-                for cid, y, mo in sorted(folds.masks[f][resp]):
-                    cell = cell_of[cid]
-                    writer.writerow([f, resp, repr(cell.lon), repr(cell.lat), y, mo])
+            for r, resp in enumerate(RESPONSES):
+                rows = order[folds.masks[f, r, order]]
+                writer.writerows(zip([f] * rows.size, [resp] * rows.size,
+                                     lon[rows].tolist(), lat[rows].tolist(),
+                                     ds.year[rows].tolist(), ds.month[rows].tolist()))
 
 
 def load_folds(path, ds: GridDataset) -> FoldSet:
-    id_of = {(c.lon, c.lat): c.id for c in ds.cells}
-    masks: dict[int, dict[str, set]] = {}
+    """Read a :func:`save_folds` export as row masks over ``ds``."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["fold", "response", "lon", "lat", "year", "month"]:
+        if next(reader, None) != FOLD_HEADER:
             raise DataError(f"{path}: not a fold export")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                f, resp = int(row[0]), row[1]
-                lon, lat = float(row[2]), float(row[3])
-                y, mo = int(row[4]), int(row[5])
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{path}:{lineno}: malformed fold row ({exc})") from None
-            if resp not in RESPONSES:
-                raise DataError(f"{path}:{lineno}: unknown response {resp!r}")
-            if (lon, lat) not in id_of:
-                raise DataError(f"{path}:{lineno}: cell ({lon:g}, {lat:g}) not in dataset")
-            masks.setdefault(f, {r: set() for r in RESPONSES})
-            masks[f][resp].add((id_of[(lon, lat)], y, mo))
-    if not masks:
+        lines = list(reader)
+    fold, resp, lon, lat, year, month = (np.empty(len(lines), dtype=t)
+                                         for t in (int, int, float, float, int, int))
+    for i, row in enumerate(lines):
+        lineno = i + 2
+        try:
+            f, name = int(row[0]), row[1]
+            lon[i], lat[i] = float(row[2]), float(row[3])
+            year[i], month[i] = int(row[4]), int(row[5])
+        except (ValueError, IndexError, OverflowError) as exc:
+            raise DataError(f"{path}:{lineno}: malformed fold row ({exc})") from None
+        if name not in RESPONSES:
+            raise DataError(f"{path}:{lineno}: unknown response {name!r}")
+        if not 0 <= f < len(lines):
+            raise DataError(f"{path}:{lineno}: fold index {f} must lie in "
+                            f"[0, {len(lines)}), the number of fold rows")
+        fold[i], resp[i] = f, RESPONSES.index(name)
+    if not lines:
         raise DataError(f"{path}: no folds found")
-    n_folds = max(masks) + 1
-    return FoldSet(
-        n_folds=n_folds,
-        masks=[masks.get(f, {r: set() for r in RESPONSES}) for f in range(n_folds)],
-    )
+    cell = match_rows(ds.cells.T, (lon, lat))
+    rows = ds.rows_of(cell, year, month)
+    if (rows < 0).any():
+        i = int(np.argmax(rows < 0))
+        raise DataError(f"{path}:{i + 2}: no row for ({lon[i]:g}, {lat[i]:g}, "
+                        f"{year[i]}, {month[i]}) in the dataset")
+    masks = np.zeros((fold.max() + 1, 2, ds.n_rows), dtype=bool)
+    masks[fold, resp, rows] = True
+    return FoldSet(masks)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import special
 
 from . import losses as L
-from .dataset import GridCell, GridDataset
+from .dataset import GridDataset
 
 SEASON = tuple(range(3, 10))
 
@@ -24,8 +24,7 @@ def _grid(nx: int, ny: int, lon0=-110.25, lat0=35.25, spacing=0.5):
     for j in range(ny):
         for i in range(nx):
             cells.append((lon0 + i * spacing, lat0 + j * spacing))
-    cells = sorted(cells)
-    return [GridCell(k, lo, la) for k, (lo, la) in enumerate(cells)], spacing
+    return np.array(sorted(cells)), spacing
 
 
 def sample_dgpd(theta, alpha: float, rng) -> np.ndarray:

@@ -170,11 +170,6 @@ class Tree:
         return cls(nodes)
 
 
-def predict_tree(tree: Tree, x) -> float:
-    """Single-row convenience wrapper around Tree.predict."""
-    return float(tree.predict(np.atleast_2d(np.asarray(x, dtype=float)))[0])
-
-
 def quantile_candidates(x: np.ndarray, n_bins: int) -> np.ndarray:
     """Candidate thresholds: order-statistic quantiles of the non-missing
     feature values, excluding the maximum (which cannot separate rows)."""

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+
+from evtboost.dataset import GridDataset
 
 
 def fd_grad(f, theta: float, h: float = 1e-5) -> float:
@@ -21,3 +24,31 @@ def rel_err(analytic: float, numeric: float) -> float:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@st.composite
+def sparse_grids(draw, max_side=5):
+    """Datasets on a regular grid of up to ``max_side`` x ``max_side`` cells
+    over one to three months, with some (cell, month) rows absent, rows in
+    random order and NaNs among cnt, ba and the covariate ``v``."""
+    nx, ny = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    spacing = draw(st.sampled_from([0.1, 0.25, 0.5, 1.0]))  # 0.1: inexact offsets
+    months = draw(st.lists(st.tuples(st.integers(2000, 2002), st.integers(3, 9)),
+                           min_size=1, max_size=3, unique=True))
+    cells = np.array(sorted((-110.25 + i * spacing, 35.25 + j * spacing)
+                            for i in range(nx) for j in range(ny)))
+    keys = [(c, y, m) for y, m in months for c in range(len(cells))]
+    keep = draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
+    keys = draw(st.permutations([k for k, kept in zip(keys, keep) if kept]))
+    n = len(keys)
+
+    def column(values):
+        return np.array(draw(st.lists(st.one_of(st.just(np.nan), values),
+                                      min_size=n, max_size=n)), dtype=float)
+
+    cell, year, month = (np.array([k[i] for k in keys], dtype=int) for i in range(3))
+    return GridDataset(cells=cells, cell_index=cell, year=year, month=month,
+                       cnt=column(st.integers(0, 5).map(float)),
+                       ba=column(st.floats(0.0, 1e3)),
+                       covariates=column(st.floats(-1e6, 1e6)).reshape(n, 1),
+                       covariate_names=["v"], spacing=spacing)

@@ -19,7 +19,7 @@ from scipy import integrate, special
 
 import evtboost
 from evtboost import booster, evaluate, interpret, losses, mixture, spatialcv, tree
-from evtboost.dataset import GridCell, GridDataset
+from evtboost.dataset import GridDataset
 from evtboost.errors import DataError
 from evtboost.synth import sample_dgpd, sample_gpd, sample_trgamma
 
@@ -306,7 +306,7 @@ def test_criterion_07_mixture_cdf_calibration():
 # ---------------------------------------------------------------------------
 
 def _single_cell_dataset(n_months):
-    cells = [GridCell(0, -100.0, 40.0)]
+    cells = np.array([[-100.0, 40.0]])
     return GridDataset(
         cells=cells,
         cell_index=np.zeros(n_months, dtype=int),
@@ -322,7 +322,7 @@ def _single_cell_dataset(n_months):
 def _grid_for_folds(nx=5, ny=5, n_months=6):
     coords = sorted((-100.0 + 0.5 * i, 40.0 + 0.5 * j)
                     for j in range(ny) for i in range(nx))
-    cells = [GridCell(k, lo, la) for k, (lo, la) in enumerate(coords)]
+    cells = np.array(coords)
     n_cells = len(cells)
     rows = n_cells * n_months
     return GridDataset(
@@ -347,7 +347,7 @@ def test_criterion_08_fold_generator():
     n_folds = 4000
     folds = spatialcv.generate_folds(ds1, params, n_folds=n_folds, seed=SEED)
     n_keys = months * n_folds
-    rate = sum(len(folds.masks[f]["cnt"]) for f in range(n_folds)) / n_keys
+    rate = int(folds.masks[:, 0].sum()) / n_keys
     rng = np.random.default_rng(SEED + 5)
     mu = params.beta0_cnt + rng.normal(
         scale=math.sqrt(params.sigma_gp ** 2 + params.phi), size=100_000)
@@ -362,12 +362,8 @@ def test_criterion_08_fold_generator():
     for beta in (0.0, 0.42, 1.0):
         p = spatialcv.MaskModelParams(beta=beta, sigma_gp=1.5, phi=0.0, r=2.0)
         fs = spatialcv.generate_folds(ds, p, n_folds=40, seed=SEED + 6)
-        keys = ds.keys()
-        xs, ys = [], []
-        for f in range(fs.n_folds):
-            cm, bm = fs.masks[f]["cnt"], fs.masks[f]["ba"]
-            xs.extend(1.0 if k in cm else 0.0 for k in keys)
-            ys.extend(1.0 if k in bm else 0.0 for k in keys)
+        xs = fs.masks[:, 0].ravel().astype(float)  # fold-major, rows in order
+        ys = fs.masks[:, 1].ravel().astype(float)
         corrs.append(float(np.corrcoef(xs, ys)[0, 1]))
     assert abs(corrs[0]) < 0.05
     assert corrs[0] < corrs[1] < corrs[2]
@@ -377,7 +373,7 @@ def test_criterion_08_fold_generator():
     draws = spatialcv.simulate_field(ds.cells, p, seed=SEED + 7, n_draws=2000)
     a = 0
     b = next(i for i, c in enumerate(ds.cells)
-             if (c.lon, c.lat) == (ds.cells[0].lon, ds.cells[0].lat + 0.5))
+             if tuple(c) == (ds.cells[0, 0], ds.cells[0, 1] + 0.5))
     emp = float(np.cov(draws[:, a], draws[:, b])[0, 1])
     expect = spatialcv.matern_cov(0.5, 2.0, 1.2, 1.0)
     var = p.sigma_gp ** 2

@@ -150,6 +150,55 @@ class TestPredict:
                    str(stripped), "--out", str(tmp_path / "p.csv")) == 2
 
 
+class TestNonFiniteTokens:
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+    @pytest.mark.parametrize("column", ["lon", "lat", "cnt", "ba", "x1"])
+    def test_exit_2_without_traceback(self, tmp_path, counts_csv, column, token, capsys):
+        with open(counts_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[1][rows[0].index(column)] = token
+        bad = tmp_path / "bad.csv"
+        with open(bad, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        cfg = write_config(tmp_path, str(bad))
+        capsys.readouterr()
+        assert run(tmp_path, "train", "--config", cfg, "--out",
+                   str(tmp_path / "m.json")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and ":2:" in err and "Traceback" not in err
+
+
+MALFORMED_MANIFEST = {
+    "threshold_missing": lambda doc: doc.pop("threshold"),
+    "threshold_not_numeric": lambda doc: doc.update(threshold="abc"),
+    "threshold_not_finite": lambda doc: doc.update(threshold=float("nan")),
+    "component_not_string": lambda doc: doc.update(tail=7),
+}
+
+
+class TestMalformedManifest:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFEST))
+    def test_exit_2_without_traceback(self, tmp_path, sizes_csv, case, capsys):
+        ds = D.load_csv(sizes_csv)
+        obs = ~np.isnan(ds.ba)
+        X, names = ds.feature_matrix()
+        params = booster.TrainParams(n_trees=1, max_leaves=2, seed=0)
+        m = mixture.fit_mixture(X[obs], ds.ba[obs], u=200.0, xi=0.8, kappa=0.5,
+                                k_shape=1.2, classifier_params=params,
+                                bulk_params=params, tail_params=params,
+                                feature_names=names)
+        manifest = tmp_path / "mix.json"
+        mixture.save(m, manifest)
+        doc = json.loads(manifest.read_text())
+        MALFORMED_MANIFEST[case](doc)
+        manifest.write_text(json.dumps(doc), encoding="utf-8")  # NaN literal allowed
+        capsys.readouterr()
+        assert run(tmp_path, "predict", "--model", str(manifest), "--data", sizes_csv,
+                   "--out", str(tmp_path / "p.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+
+
 def _first_branch(nodes, above=-1):
     return next(n for n in nodes if "left" in n and n["id"] > above)
 
@@ -250,9 +299,9 @@ class TestCvFolds:
         from evtboost import spatialcv
         ds2 = D.load_csv(str(masked))
         folds = spatialcv.load_folds(out, ds2)
-        masked_cnt = {k for k, m in zip(ds2.keys(), np.isnan(ds2.cnt)) if m}
+        masked_cnt = np.isnan(ds2.cnt)
         for f in range(folds.n_folds):
-            assert not (folds.masks[f]["cnt"] & masked_cnt)
+            assert not (folds.masks[f, 0] & masked_cnt).any()
 
 
 class TestScore:
@@ -267,7 +316,7 @@ class TestScore:
             for i in range(ds.n_rows):
                 ba = ds.ba[i] if not np.isnan(ds.ba[i]) else 0.0
                 probs = (ba <= thresholds).astype(float)
-                writer.writerow([ds.cells[ds.cell_index[i]].id, ds.year[i],
+                writer.writerow([ds.cell_index[i], ds.year[i],
                                  ds.month[i]] + [repr(float(p)) for p in probs])
         assert run(tmp_path, "score", "--pred", str(pred), "--data", sizes_csv,
                    "--response", "ba") == 0

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import sparse_grids
 from evtboost import booster, dataset, losses
 from evtboost.errors import DataError
 
@@ -25,8 +27,7 @@ class TestLoadCsv:
     def test_basic_fields(self, tmp_path):
         ds = dataset.load_csv(write_csv(tmp_path / "d.csv", BASIC))
         assert ds.n_rows == 4
-        cell = ds.cells[ds.cell_index[0]]
-        assert (cell.lon, cell.lat) == (-100.25, 37.75)
+        assert tuple(ds.cells[ds.cell_index[0]]) == (-100.25, 37.75)
         assert ds.cnt[0] == 0 and ds.ba[0] == 0
         assert math.isnan(ds.cnt[2])
         assert math.isnan(ds.ba[3])
@@ -71,6 +72,13 @@ class TestLoadCsv:
                     "cnt": "fires", "ba": "acres"})
         assert ds.n_rows == 4
 
+    def test_first_repeated_line_is_named(self, tmp_path):
+        text = BASIC + ("-99.75,37.75,1993,5,0,0,1.0\n"
+                        "-99.75,37.75,1993,4,1,5,1.0\n"
+                        "-100.25,37.75,1993,3,1,5,1.0\n")
+        with pytest.raises(DataError, match=r":7: duplicate .*-99\.75, 37\.75\), 1993, 4"):
+            dataset.load_csv(write_csv(tmp_path / "d.csv", text))
+
     def test_round_trip(self, tmp_path):
         p1 = write_csv(tmp_path / "d.csv", BASIC)
         ds = dataset.load_csv(p1)
@@ -84,14 +92,8 @@ class TestLoadCsv:
 
 def grid_dataset(values, year=1993, month=3, spacing=0.5):
     """3x3 grid with one row per cell and the covariate 'v' set per cell."""
-    cells, rows = [], []
-    k = 0
-    for j in range(3):
-        for i in range(3):
-            cells.append(dataset.GridCell(k, -100.0 + i * spacing, 35.0 + j * spacing))
-            k += 1
-    cells = sorted(cells, key=lambda c: (c.lon, c.lat))
-    cells = [dataset.GridCell(i, c.lon, c.lat) for i, c in enumerate(cells)]
+    cells = np.array(sorted((-100.0 + i * spacing, 35.0 + j * spacing)
+                            for j in range(3) for i in range(3)))
     vals = np.asarray(values, dtype=float)
     return dataset.GridDataset(
         cells=cells,
@@ -106,7 +108,67 @@ def grid_dataset(values, year=1993, month=3, spacing=0.5):
     )
 
 
+class TestMatchRows:
+    @given(keys=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), max_size=30),
+           queries=st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 3)),
+                            max_size=30))
+    def test_first_equal_row_or_minus_one(self, keys, queries):
+        first = {}
+        for i, k in enumerate(keys):
+            first.setdefault(k, i)
+        got = dataset.match_rows(np.array(keys, dtype=int).reshape(-1, 2).T,
+                                 np.array(queries, dtype=int).reshape(-1, 2).T)
+        assert got.tolist() == [first.get(q, -1) for q in queries]
+
+    def test_queries_broadcast(self):
+        keys = (np.array([0, 0, 1]), np.array([5, 6, 5]))
+        got = dataset.match_rows(keys, (np.array([[0], [1]]), np.array([5, 6])))
+        np.testing.assert_array_equal(got, [[0, 1], [2, -1]])
+
+
+def reference_neighbor_average(ds, covariate):
+    """The per-row loop that ``neighbor_average`` replaced: neighbour cells
+    from a lattice dict, rows from a (cell, year, month) dict, sums added in
+    (di, dj) order."""
+    values = ds.covariates[:, ds.covariate_names.index(covariate)]
+    cells = ds.cells.tolist()
+    lon0 = min(c[0] for c in cells)
+    lat0 = min(c[1] for c in cells)
+
+    def key(c):
+        return (round((c[0] - lon0) / ds.spacing), round((c[1] - lat0) / ds.spacing))
+
+    index = {key(c): k for k, c in enumerate(cells)}
+    nbrs = []
+    for c in cells:
+        ci, cj = key(c)
+        nbrs.append([index[(ci + di, cj + dj)]
+                     for di in (-1, 0, 1) for dj in (-1, 0, 1)
+                     if (di, dj) != (0, 0) and (ci + di, cj + dj) in index])
+    row_of = {}
+    for i in range(ds.n_rows):
+        row_of[(int(ds.cell_index[i]), int(ds.year[i]), int(ds.month[i]))] = i
+    out = np.empty(ds.n_rows)
+    for i in range(ds.n_rows):
+        c, y, m = int(ds.cell_index[i]), int(ds.year[i]), int(ds.month[i])
+        acc, cnt = 0.0, 0
+        for nb in nbrs[c]:
+            r = row_of.get((nb, y, m))
+            if r is not None and not np.isnan(values[r]):
+                acc += values[r]
+                cnt += 1
+        out[i] = acc / cnt if cnt else values[i]
+    return out
+
+
 class TestNeighborAverage:
+    @settings(max_examples=80, deadline=None)
+    @given(ds=sparse_grids())
+    def test_matches_reference_loop_bit_for_bit(self, ds):
+        got = dataset.neighbor_average(ds, "v").covariates[:, -1]
+        assert got.tobytes() == reference_neighbor_average(ds, "v").tobytes()
+
+
     def test_constant_field(self):
         ds = grid_dataset(np.full(9, 2.0))
         out = dataset.neighbor_average(ds, "v")

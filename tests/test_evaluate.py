@@ -140,7 +140,7 @@ class TestRunCv:
 
     def test_empty_validation_fold_rejected(self):
         ds, _ = _folds_and_data()
-        folds = spatialcv.FoldSet(n_folds=1, masks=[{"cnt": set(), "ba": set()}])
+        folds = spatialcv.FoldSet(np.zeros((1, 2, ds.n_rows), dtype=bool))
         recipe = recipes.BoosterRecipe(
             loss=losses.LossSpec(kind="poisson"),
             params=booster.TrainParams(n_trees=1), response="cnt")

@@ -1,20 +1,24 @@
-"""Golden model files: training on a fixed dataset must reproduce the
-committed ``booster.dumps`` output byte for byte, for every loss kind.
+"""Golden files: training on a fixed dataset must reproduce the committed
+``booster.dumps`` output byte for byte, for every loss kind, and fold
+generation must reproduce the committed ``save_folds`` export.
 
 The dataset has missing covariates, tied values and a constant column, and
 the models sample 70% of the features per round, so split search, default
-directions and column sampling are all pinned.  Regenerate the files (only
+directions and column sampling are all pinned.  The folds come from a
+synthetic grid with masked responses and some (cell, month) rows dropped,
+with intercepts calibrated to its masking rate.  Regenerate the files (only
 for a deliberate, documented format change) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from evtboost import booster, losses
+from evtboost import booster, losses, spatialcv, synth
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -63,13 +67,32 @@ def golden_text(kind: str) -> str:
     return booster.dumps(booster.fit(X, ys[kind], SPECS[kind], PARAMS, feature_names=names))
 
 
+def golden_folds_text() -> str:
+    ds = synth.synth_dataset("sizes", n_years=2, nx=5, ny=4, seed=17, mask_rate=0.15)
+    keep = np.random.default_rng(18).uniform(size=ds.n_rows) > 0.1
+    ds = ds.subset(np.flatnonzero(keep))
+    params = spatialcv.calibrate_intercepts(
+        ds, spatialcv.MaskModelParams(sigma_gp=1.0, phi=0.1))
+    folds = spatialcv.generate_folds(ds, params, n_folds=3, seed=19)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "folds.csv"
+        spatialcv.save_folds(folds, ds, path)
+        return path.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("kind", sorted(SPECS))
 def test_model_matches_golden_file(kind):
     expected = (GOLDEN / f"{kind}.json").read_text(encoding="utf-8")
     assert golden_text(kind) == expected
 
 
+def test_folds_match_golden_file():
+    expected = (GOLDEN / "folds.csv").read_text(encoding="utf-8")
+    assert golden_folds_text() == expected
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for kind in sorted(SPECS):
         (GOLDEN / f"{kind}.json").write_text(golden_text(kind), encoding="utf-8")
+    (GOLDEN / "folds.csv").write_text(golden_folds_text(), encoding="utf-8")

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special
 
+from conftest import sparse_grids
 from evtboost import spatialcv
-from evtboost.dataset import GridCell, GridDataset
+from evtboost.dataset import GridDataset
 from evtboost.errors import DataError
 
 
 def small_grid(nx=4, ny=4, n_months=6, mask_cnt=None, mask_ba=None, seed=0):
-    cells = []
     coords = sorted(((-100.0 + i * 0.5, 40.0 + j * 0.5) for j in range(ny)
                      for i in range(nx)))
-    cells = [GridCell(k, lo, la) for k, (lo, la) in enumerate(coords)]
+    cells = np.array(coords)
     n_cells = len(cells)
     rows = n_cells * n_months
     rng = np.random.default_rng(seed)
@@ -77,7 +78,7 @@ class TestSimulateField:
         draws = spatialcv.simulate_field(ds.cells, params, seed=5, n_draws=2000)
         # two cells half a degree apart
         a, b = 0, next(i for i, c in enumerate(ds.cells)
-                       if (c.lon, c.lat) == (ds.cells[0].lon, ds.cells[0].lat + 0.5))
+                       if tuple(c) == (ds.cells[0, 0], ds.cells[0, 1] + 0.5))
         emp = np.cov(draws[:, a], draws[:, b])
         expect = spatialcv.matern_cov(0.5, 2.0, 1.2, 1.0)
         var = params.sigma_gp ** 2
@@ -91,17 +92,15 @@ class TestGenerateFolds:
         folds = spatialcv.generate_folds(ds, spatialcv.MaskModelParams(), n_folds=5,
                                          seed=2)
         assert folds.n_folds == 5
-        all_keys = set(ds.keys())
-        for f in range(5):
-            for resp in spatialcv.RESPONSES:
-                assert folds.masks[f][resp] <= all_keys
+        assert folds.masks.shape == (5, len(spatialcv.RESPONSES), ds.n_rows)
+        assert folds.masks.dtype == bool
 
     def test_half_rate_at_zero_parameters(self):
         ds = small_grid(nx=6, ny=6, n_months=8)
         params = spatialcv.MaskModelParams(beta0_cnt=0.0, beta0_ba=0.0, beta=0.0,
                                            sigma_gp=0.0, phi=0.0)
         folds = spatialcv.generate_folds(ds, params, n_folds=20, seed=3)
-        total = sum(len(folds.masks[f]["cnt"]) for f in range(20))
+        total = int(folds.masks[:, 0].sum())
         n_keys = ds.n_rows * 20
         rate = total / n_keys
         se = np.sqrt(0.25 / n_keys)
@@ -111,23 +110,18 @@ class TestGenerateFolds:
         ds = small_grid(mask_cnt=0.3, mask_ba=0.3, seed=4)
         folds = spatialcv.generate_folds(ds, spatialcv.MaskModelParams(), n_folds=5,
                                          seed=5)
-        masked_cnt = {k for k, m in zip(ds.keys(), np.isnan(ds.cnt)) if m}
-        masked_ba = {k for k, m in zip(ds.keys(), np.isnan(ds.ba)) if m}
+        masked_cnt = np.isnan(ds.cnt)
+        masked_ba = np.isnan(ds.ba)
         for f in range(5):
-            assert not (folds.masks[f]["cnt"] & masked_cnt)
-            assert not (folds.masks[f]["ba"] & masked_ba)
+            assert not (folds.masks[f, 0] & masked_cnt).any()
+            assert not (folds.masks[f, 1] & masked_ba).any()
 
     def _mask_correlation(self, beta, seed=6):
         ds = small_grid(nx=5, ny=5, n_months=6)
         params = spatialcv.MaskModelParams(beta=beta, sigma_gp=1.5, phi=0.0, r=2.0)
         folds = spatialcv.generate_folds(ds, params, n_folds=40, seed=seed)
-        keys = ds.keys()
-        xs, ys = [], []
-        for f in range(folds.n_folds):
-            cnt_mask = folds.masks[f]["cnt"]
-            ba_mask = folds.masks[f]["ba"]
-            xs.extend(1.0 if k in cnt_mask else 0.0 for k in keys)
-            ys.extend(1.0 if k in ba_mask else 0.0 for k in keys)
+        xs = folds.masks[:, 0].ravel().astype(float)  # fold-major, rows in order
+        ys = folds.masks[:, 1].ravel().astype(float)
         return float(np.corrcoef(xs, ys)[0, 1])
 
     def test_correlation_increases_with_beta(self):
@@ -139,7 +133,7 @@ class TestGenerateFolds:
         ds = small_grid(nx=6, ny=6, n_months=8)
         params = spatialcv.MaskModelParams(beta0_cnt=-0.8, sigma_gp=1.1, phi=0.3)
         folds = spatialcv.generate_folds(ds, params, n_folds=25, seed=7)
-        total = sum(len(folds.masks[f]["cnt"]) for f in range(25))
+        total = int(folds.masks[:, 0].sum())
         n_keys = ds.n_rows * 25
         rate = total / n_keys
         rng = np.random.default_rng(123)
@@ -148,6 +142,55 @@ class TestGenerateFolds:
         expect = float(special.expit(mu).mean())
         se = np.sqrt(expect * (1 - expect) / n_keys)
         assert abs(rate - expect) < 3 * se + 0.01  # small allowance for key dependence
+
+
+def reference_fold_keys(ds, params, n_folds, seed):
+    """The per-row loop that the row masks replaced: one set of (cell, year,
+    month) keys per fold and response, from the same random draws."""
+    months = sorted(set(zip(ds.year.tolist(), ds.month.tolist())))
+    L_chol = spatialcv.field_factor(ds.cells, params)
+    n_cells = len(ds.cells)
+    rows_of_month = {}
+    for i in range(ds.n_rows):
+        rows_of_month.setdefault((int(ds.year[i]), int(ds.month[i])), []).append(i)
+    folds = []
+    for f in range(n_folds):
+        fold = {resp: set() for resp in spatialcv.RESPONSES}
+        for mi, (y, mo) in enumerate(months):
+            rng = np.random.default_rng([seed, f, mi])
+            g = params.sigma_gp * (L_chol @ rng.standard_normal(n_cells))
+            eps_cnt, eps_ba = rng.normal(scale=np.sqrt(params.phi), size=2)
+            mu_cnt = params.beta0_cnt + g + eps_cnt
+            mu_ba = params.beta0_ba + params.beta * g + eps_ba
+            pick_cnt = rng.uniform(size=n_cells) < special.expit(mu_cnt)
+            pick_ba = rng.uniform(size=n_cells) < special.expit(mu_ba)
+            for i in rows_of_month.get((y, mo), ()):
+                c = int(ds.cell_index[i])
+                if pick_cnt[c] and not np.isnan(ds.cnt[i]):
+                    fold["cnt"].add((c, y, mo))
+                if pick_ba[c] and not np.isnan(ds.ba[i]):
+                    fold["ba"].add((c, y, mo))
+        folds.append(fold)
+    return folds
+
+
+class TestMasksMatchReference:
+    @settings(max_examples=60, deadline=None)
+    @given(ds=sparse_grids(), n_folds=st.integers(1, 3), seed=st.integers(0, 2 ** 32),
+           beta0=st.floats(-2.0, 2.0), beta=st.floats(-1.0, 1.5),
+           sigma_gp=st.floats(0.0, 2.0), phi=st.floats(0.0, 1.0))
+    def test_masks_select_the_reference_key_rows(self, ds, n_folds, seed, beta0, beta,
+                                                 sigma_gp, phi):
+        params = spatialcv.MaskModelParams(beta0_cnt=beta0, beta0_ba=-beta0, beta=beta,
+                                           sigma_gp=sigma_gp, phi=phi)
+        folds = spatialcv.generate_folds(ds, params, n_folds=n_folds, seed=seed)
+        reference = reference_fold_keys(ds, params, n_folds, seed)
+        keys = list(zip(ds.cell_index.tolist(), ds.year.tolist(), ds.month.tolist()))
+        assert folds.masks.shape == (n_folds, 2, ds.n_rows)
+        for f in range(n_folds):
+            for r, resp in enumerate(spatialcv.RESPONSES):
+                expect = [k in reference[f][resp] for k in keys]
+                assert folds.masks[f, r].tolist() == expect
 
 
 class TestCalibration:
@@ -178,9 +221,48 @@ class TestFoldIo:
         spatialcv.save_folds(folds, ds, path)
         folds2 = spatialcv.load_folds(path, ds)
         assert folds2.n_folds == folds.n_folds
-        for f in range(3):
-            for resp in spatialcv.RESPONSES:
-                assert folds2.masks[f][resp] == folds.masks[f][resp]
+        np.testing.assert_array_equal(folds2.masks, folds.masks)
+
+    def _edited_export(self, tmp_path, field, token):
+        """A fold export of ``small_grid`` with one field of its first data
+        line (line 2) replaced, and the dataset it was made from."""
+        ds = small_grid(mask_cnt=0.2, seed=11)
+        folds = spatialcv.generate_folds(ds, spatialcv.MaskModelParams(), n_folds=2,
+                                         seed=12)
+        path = tmp_path / "folds.csv"
+        spatialcv.save_folds(folds, ds, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        fields = lines[1].split(",")
+        fields[field] = token(len(lines) - 1)
+        lines[1] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return ds, path
+
+    def test_negative_fold_index_rejected(self, tmp_path):
+        ds, path = self._edited_export(tmp_path, 0, lambda n: "-1")
+        with pytest.raises(DataError, match=":2: fold index -1"):
+            spatialcv.load_folds(path, ds)
+
+    @pytest.mark.parametrize("token", [str, lambda n: str(10 ** 18)],
+                             ids=["row_count", "huge"])
+    def test_fold_index_beyond_row_count_rejected(self, tmp_path, token):
+        ds, path = self._edited_export(tmp_path, 0, token)
+        with pytest.raises(DataError, match=":2: fold index"):
+            spatialcv.load_folds(path, ds)
+
+    @pytest.mark.parametrize("field, token", [(4, "1999"), (5, "11"), (2, "5.0"),
+                                              (3, "nan")])
+    def test_key_without_row_rejected(self, tmp_path, field, token):
+        ds, path = self._edited_export(tmp_path, field, lambda n: token)
+        with pytest.raises(DataError, match=":2: no row for"):
+            spatialcv.load_folds(path, ds)
+
+    def test_other_dataset_rejected(self):
+        ds = small_grid()
+        folds = spatialcv.generate_folds(ds, spatialcv.MaskModelParams(), n_folds=2,
+                                         seed=3)
+        with pytest.raises(DataError, match="rows"):
+            folds.validation_rows(ds.subset(np.arange(5)), 0, "cnt")
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -145,7 +145,7 @@ class TestGrow:
 class TestPredict:
     def test_single_leaf(self):
         t = tree.Tree([tree.TreeNode(id=0, weight=0.7)])
-        assert tree.predict_tree(t, [1.0, 2.0]) == 0.7
+        assert t.predict(np.array([[1.0, 2.0]]))[0] == 0.7
 
     def test_stump_routing(self):
         t = tree.Tree([
@@ -154,8 +154,8 @@ class TestPredict:
             tree.TreeNode(id=1, weight=-1.0),
             tree.TreeNode(id=2, weight=1.0),
         ])
-        assert tree.predict_tree(t, [-5.0]) == -1.0
-        assert tree.predict_tree(t, [5.0]) == 1.0
+        assert t.predict(np.array([[-5.0]]))[0] == -1.0
+        assert t.predict(np.array([[5.0]]))[0] == 1.0
 
     def test_tie_routes_left(self):
         t = tree.Tree([
@@ -164,7 +164,7 @@ class TestPredict:
             tree.TreeNode(id=1, weight=-1.0),
             tree.TreeNode(id=2, weight=1.0),
         ])
-        assert tree.predict_tree(t, [0.0]) == -1.0
+        assert t.predict(np.array([[0.0]]))[0] == -1.0
 
 
 class TestSerialization:
