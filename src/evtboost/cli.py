@@ -381,13 +381,7 @@ def cmd_score(args) -> int:
     cfg = RunConfig(args.config) if args.config else RunConfig(None)
     response = args.response or cfg.get("score", "response", "ba")
     ds = D.load_csv(args.data) if not args.config else _dataset_with_path(cfg, args.data)
-    with open(args.pred, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:3] != ["cell", "year", "month"]:
-            raise DataError(f"{args.pred}: not a prediction export")
-        prob_cols = header[3:]
-        rows = list(reader)
+    prob_cols, rows, probs = _read_predictions(args.pred, ds)
     if args.thresholds:
         thresholds = _read_numbers(args.thresholds)
     else:
@@ -401,15 +395,44 @@ def cmd_score(args) -> int:
     spec = E.ThresholdScoreSpec(thresholds, weights)
     if spec.thresholds.size != len(prob_cols):
         raise DataError("threshold count does not match prediction columns")
-    probs = np.array([[float(v) for v in r[3:]] for r in rows]) \
-        if rows else np.empty((0, len(prob_cols)))
-    resp = ds.cnt if response == "cnt" else ds.ba
+    resp = (ds.cnt if response == "cnt" else ds.ba)[rows]
     observed = ~np.isnan(resp)
-    if probs.shape[0] != ds.n_rows:
-        raise DataError("prediction rows do not match data rows")
     score = E.threshold_score(probs[observed], resp[observed], spec)
     print(f"score={score!r}")
     return EXIT_OK
+
+
+def _read_predictions(path, ds: D.GridDataset):
+    """(probability column names, data row of each prediction row, (n, J)
+    probabilities) of a prediction export that covers every row of ``ds``
+    once, matched by (cell, year, month)."""
+    with D.open_table(path) as (header, n, blocks):
+        if header is None or header[:3] != ["cell", "year", "month"]:
+            raise DataError(f"{path}: not a prediction export")
+        keys, probs = np.empty((n, 3)), np.empty((n, len(header) - 3))
+
+        def check(v, missing):
+            outside = (v[:, 3:] < 0) | (v[:, 3:] > 1)
+            return D.first_fault([
+                (D.not_integer(v[:, :3]).any(axis=1),
+                 lambda i: "cell, year and month must be integers"),
+                (outside.any(axis=1),
+                 lambda i: f"probability {v[i, 3 + np.argmax(outside[i])]:g} outside [0, 1]"),
+            ])
+
+        for o, v in blocks(check):
+            keys[o:o + len(v)], probs[o:o + len(v)] = v[:, :3], v[:, 3:]
+    keys = keys.astype(np.int64)
+    rows = ds.rows_of(*keys.T)
+    bad = (rows < 0) | (D.match_rows((rows,), (rows,)) != np.arange(n))
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = "no data row" if rows[i] < 0 else "a repeated key"
+        raise DataError(f"{path}:{i + 2}: {what} for (cell, year, month) = "
+                        f"{tuple(keys[i].tolist())}")
+    if n != ds.n_rows:
+        raise DataError("prediction rows do not match data rows")
+    return header[3:], rows, probs
 
 
 def _dataset_with_path(cfg: RunConfig, path: str) -> D.GridDataset:
@@ -422,6 +445,8 @@ def _dataset_with_path(cfg: RunConfig, path: str) -> D.GridDataset:
 
 
 def cmd_pdp(args) -> int:
+    if args.points < 1 or args.n_sub < 1:
+        raise ConfigError("--points and --n-sub must be at least 1")
     model = B.load(args.model)
     ds = D.load_csv(args.data)
     X, names = ds.feature_matrix()

@@ -13,7 +13,10 @@ place.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,13 +123,190 @@ def match_rows(keys, queries) -> np.ndarray:
     return np.where(found, order[pos], -1)
 
 
-def _parse_number(token: str, missing_marker: str | None = None) -> float:
-    if token == missing_marker:
-        return np.nan
-    value = float(token)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {token!r}")
-    return value
+# A data block is the whole lines in about this many bytes, parsed with one
+# np.loadtxt call: the text in flight (held as UCS-4 by io.StringIO) and the
+# parsed values stay a few MB whatever the file size and line width.
+_BLOCK_BYTES = 1 << 19
+_MAX_INT = 2.0 ** 53   # every integer up to this magnitude is exact in float64
+
+
+class _BadLine(Exception):
+    """``(k, message)``: a fault at line ``k`` (0-based) of the block parsed."""
+
+
+def count_lines(path) -> int:
+    """Lines in the file as a universal-newline reader splits them: "\\n",
+    "\\r\\n" and a lone "\\r" each end one, and so does the end of file
+    after a final unterminated line."""
+    n, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            n += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+            n -= last == b"\r" and block[:1] == b"\n"   # "\r\n" split between reads
+            last = block[-1:]
+    return n + (last not in (b"\n", b"\r"))
+
+
+def first_fault(checks) -> tuple[int, str] | None:
+    """(row, message) for the first row that any ``(mask, message)`` check
+    flags, the message being that of the first check flagging the row;
+    ``message`` is called with the row.  None when no row is flagged."""
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    return i, next(message(i) for mask, message in checks if mask[i])
+
+
+def not_integer(values: np.ndarray) -> np.ndarray:
+    """True where a value is not an integer of magnitude at most 2^53 (NaN
+    and inf included), so it converts to int64 without loss."""
+    return ~(np.abs(values) <= _MAX_INT) | (values != np.trunc(values))
+
+
+@contextmanager
+def open_table(path):
+    """Open a headered CSV for parsing in blocks.
+
+    Yields ``(header, n_rows, blocks)``: the header fields (None for an
+    empty file), the number of data lines, and ``blocks(check,
+    missing_marker=None, used=None)``, which parses the data lines in
+    blocks of about ``_BLOCK_BYTES`` with one ``np.loadtxt`` pass each.
+    ``blocks`` yields ``(offset, values)``: the block's first data row and
+    its float values, one column per header field.  A field that equals
+    ``missing_marker`` (bare or quoted) is NaN; any other field that is not
+    a finite number is a fault, in the columns ``used`` (default: all; the
+    others read as 0).  ``check(values, missing)`` sees each parsed block
+    with its marker mask, may fill in values, and returns the first faulty
+    ``(row, message)`` or None.  A fault raises :class:`DataError` naming
+    the path and line; the earliest faulty line is named, as a line-by-line
+    reader would.
+    """
+    n_lines = count_lines(path)
+    with open(path, encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+
+        def blocks(check, missing_marker=None, used=None):
+            used = range(len(header)) if used is None else sorted(set(used))
+            ignored = {j: _zero for j in range(len(header)) if j not in used}
+            offset = 0
+            while lines := fh.readlines(_BLOCK_BYTES):
+                try:
+                    values = _parse_block(lines, header, used, ignored, missing_marker, check)
+                except _BadLine as bad:
+                    k, message = bad.args
+                    raise DataError(f"{path}:{reader.line_num + 1 + offset + k}: "
+                                    f"{message}") from None
+                yield offset, values
+                offset += len(lines)
+
+        yield header, n_lines - reader.line_num, blocks
+
+
+def _zero(token: str) -> float:
+    return 0.0
+
+
+def _parse_block(lines, header, used, ignored, marker, check) -> np.ndarray:
+    n_fields = len(header)
+    text = "\n" + "".join(lines)   # the leading newline gives line 0 a boundary
+    if not text.endswith("\n"):
+        text += "\n"
+    faults = []
+    if marker is not None:
+        # Marker fields become "-nan", which parses to NaN with its sign bit
+        # set; every other NaN is a literal token, a fault.  A literal "-nan"
+        # would pass for a marker, so lines that may hold one are checked
+        # token by token first.
+        if "-n" in text or "-N" in text:
+            faults += _negative_nan(lines, n_fields, used, marker)
+        text = _mark_missing(text, marker)
+    if not faults:
+        k = message = None
+        if all(line == "\n" for line in lines):   # np.loadtxt would find no data
+            k = 0
+        else:
+            try:
+                values = np.loadtxt(io.StringIO(text), delimiter=",", quotechar='"',
+                                    comments=None, ndmin=2, converters=ignored)
+            except ValueError as exc:
+                k, message = _loadtxt_fault(str(exc), header)
+            else:
+                if values.shape[1] != n_fields:
+                    k = 0
+                elif values.shape[0] != len(lines):   # a blank line, or a quoted line break
+                    k = next((k for k, line in enumerate(lines) if line.count('"') % 2),
+                             len(lines) - 1)
+                    message = "malformed row (line break inside a quoted field)"
+        if k is not None:
+            # np.loadtxt skips blank lines and leaves them out of its row count
+            k = min(k, next((b for b, line in enumerate(lines) if line == "\n"), k))
+            got = len(next(csv.reader([lines[k]]), []))
+            faults.append((k, message if got == n_fields and message
+                           else f"expected {n_fields} fields, got {got}"))
+    if not faults:
+        missing = np.isnan(values) & np.signbit(values) if marker is not None \
+            else np.zeros(values.shape, dtype=bool)   # "-nan" stands for the marker
+        np.abs(values, out=values, where=missing)   # NaN as np.nan has it
+        bad_token = ~np.isfinite(values) & ~missing   # the ignored columns hold 0
+        fault = first_fault([
+            (bad_token.any(axis=1),
+             lambda i: f"malformed row (column {header[int(np.argmax(bad_token[i]))]!r}"
+                       f" is not a finite number)"),
+        ]) or check(values, missing)
+        if fault is None:
+            return values
+        faults.append(fault)
+    k, message = min(faults)
+    if k:  # a fault on an earlier line of the block is named first
+        _parse_block(lines[:k], header, used, ignored, marker, check)
+    raise _BadLine(k, message)
+
+
+def _mark_missing(text: str, marker: str) -> str:
+    """``text`` with every field equal to ``marker``, bare or quoted,
+    replaced by "-nan"; ``text`` starts and ends with a newline."""
+    for token in (marker, f'"{marker}"') if '"' in text else (marker,):
+        # a run ",M,M," needs two passes: the first takes every other field
+        for left, right in ((",", ","), (",", ","), ("\n", ","), (",", "\n")):
+            text = text.replace(f"{left}{token}{right}", f"{left}-nan{right}")
+    return text
+
+
+def _negative_nan(lines, n_fields, used, marker) -> list[tuple[int, str]]:
+    """The first line with a field other than the marker that reads as NaN,
+    and so could pass for a marker, as a one-item fault list, or []."""
+    for k, line in enumerate(lines):
+        fields = next(csv.reader([line]), []) if "-n" in line.lower() else []
+        if len(fields) != n_fields:   # none, or a field-count fault for np.loadtxt
+            continue
+        for j in used:
+            if fields[j] != marker and _reads_as_nan(fields[j]):
+                return [(k, f"malformed row (field {fields[j]!r} is not a finite number)")]
+    return []
+
+
+def _reads_as_nan(token: str) -> bool:
+    try:
+        return math.isnan(float(token))
+    except ValueError:
+        return False
+
+
+def _loadtxt_fault(message: str, header) -> tuple[int, str]:
+    """(line, message) from an ``np.loadtxt`` error, in this module's terms;
+    a wrong field count is reported from the line itself."""
+    m = re.search(r"columns changed from \d+ to \d+ at row (\d+)", message)
+    if m:  # rows counted from 1
+        return int(m[1]) - 1, ""
+    m = re.search(r"(could not convert string .*) to float64 at row (\d+), column (\d+)",
+                  message, re.DOTALL)
+    if m:  # rows counted from 0, columns from 1
+        j = int(m[3]) - 1
+        column = repr(header[j]) if j < len(header) else j + 1
+        return int(m[2]), f"malformed row ({m[1]} in column {column})"
+    return 0, f"malformed row ({message})"
 
 
 def load_csv(path, schema: dict | None = None, missing_marker: str = "NA",
@@ -136,62 +316,73 @@ def load_csv(path, schema: dict | None = None, missing_marker: str = "NA",
 
     ``schema`` maps the roles lon/lat/year/month/cnt/ba to column names
     (defaults to those exact names); every other column is a covariate
-    unless ``covariate_columns`` restricts the list.  Malformed rows,
-    duplicate (cell, year, month) keys, off-season months and off-grid
-    coordinates are reported with their line number.
+    unless ``covariate_columns`` restricts the list.  Fields are decimal
+    numbers as ``np.loadtxt`` reads them, optionally quoted; ``cnt``, ``ba``
+    and covariate fields may instead equal ``missing_marker`` (NaN).
+    Malformed rows, duplicate (cell, year, month) keys, off-season months
+    and off-grid coordinates are reported with their line number.
     """
     schema = dict(DEFAULT_SCHEMA if schema is None else schema)
     missing_roles = set(DEFAULT_SCHEMA) - set(schema)
     if missing_roles:
         raise DataError(f"schema missing roles: {sorted(missing_roles)}")
-    season = set(int(m) for m in season)
+    if any(c in missing_marker for c in ',"\r\n'):
+        raise DataError(f"missing marker {missing_marker!r} holds a comma, quote or "
+                        f"line break")
+    season = sorted(set(int(m) for m in season))
+    try:  # a numeric marker in lon/lat/year/month is that number, as before
+        marker_value = float(missing_marker)
+    except ValueError:
+        marker_value = np.nan
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+    with open_table(path) as (header, n, blocks):
+        if header is None:
+            raise DataError(f"{path}: empty file")
         col_of = {name: i for i, name in enumerate(header)}
         for role, col in schema.items():
             if col not in col_of:
                 raise DataError(f"{path}: schema column {col!r} (role {role}) not in header")
-        role_idx = {role: col_of[schema[role]] for role in schema}
+        lon, lat, year, month, cnt, ba = (col_of[schema[role]] for role in DEFAULT_SCHEMA)
         if covariate_columns is None:
             covariate_columns = [c for c in header if c not in set(schema.values())]
         for c in covariate_columns:
             if c not in col_of:
                 raise DataError(f"{path}: covariate column {c!r} not in header")
         cov_idx = [col_of[c] for c in covariate_columns]
+        keys = [lon, lat, year, month]
 
-        lons, lats, years, months, cnts, bas, covs = [], [], [], [], [], [], []
-        for lineno, rowvals in enumerate(reader, start=2):
-            if len(rowvals) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} fields, "
-                                f"got {len(rowvals)}")
-            try:
-                lon = _parse_number(rowvals[role_idx["lon"]])
-                lat = _parse_number(rowvals[role_idx["lat"]])
-                year = int(rowvals[role_idx["year"]])
-                month = int(rowvals[role_idx["month"]])
-                cnt = _parse_number(rowvals[role_idx["cnt"]], missing_marker)
-                ba = _parse_number(rowvals[role_idx["ba"]], missing_marker)
-                cov = [_parse_number(rowvals[i], missing_marker) for i in cov_idx]
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: malformed row ({exc})") from None
-            if month not in season:
-                raise DataError(f"{path}:{lineno}: month {month} outside configured "
-                                f"season {sorted(season)}")
-            if not np.isnan(cnt) and (cnt < 0 or cnt != int(cnt)):
-                raise DataError(f"{path}:{lineno}: cnt must be a nonnegative integer")
-            if not np.isnan(ba) and ba < 0:
-                raise DataError(f"{path}:{lineno}: ba must be nonnegative")
-            if not np.isnan(cnt) and not np.isnan(ba) and cnt == 0 and ba != 0:
-                raise DataError(f"{path}:{lineno}: ba must be 0 when cnt is 0")
-            lons.append(lon); lats.append(lat); years.append(year)
-            months.append(month); cnts.append(cnt); bas.append(ba); covs.append(cov)
+        def check(v, missing):
+            for j in keys:
+                v[missing[:, j], j] = marker_value
+            bad_key = ~np.isfinite(v[:, keys])
+            fires, burnt = v[:, cnt], v[:, ba]
+            return first_fault([
+                (bad_key.any(axis=1),
+                 lambda i: f"malformed row (column {header[keys[int(np.argmax(bad_key[i]))]]!r}"
+                           f" is not a finite number)"),
+                (not_integer(v[:, year]),
+                 lambda i: f"malformed row (year {v[i, year]:g} is not an integer "
+                           f"within 2^53)"),
+                (not_integer(v[:, month]),
+                 lambda i: f"malformed row (month {v[i, month]:g} is not an integer "
+                           f"within 2^53)"),
+                (~np.isin(v[:, month], season),
+                 lambda i: f"month {int(v[i, month])} outside configured season {season}"),
+                ((fires < 0) | (fires != np.trunc(fires)) & ~np.isnan(fires),
+                 lambda i: "cnt must be a nonnegative integer"),
+                (burnt < 0, lambda i: "ba must be nonnegative"),
+                ((fires == 0) & (burnt > 0), lambda i: "ba must be 0 when cnt is 0"),
+            ])
 
-    coords = np.column_stack([lons, lats])
+        coords, covariates = np.empty((n, 2)), np.empty((n, len(cov_idx)))
+        years, months = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+        counts, areas = np.empty(n), np.empty(n)
+        for o, v in blocks(check, missing_marker, used=keys + [cnt, ba] + cov_idx):
+            rows = slice(o, o + v.shape[0])
+            coords[rows], covariates[rows] = v[:, [lon, lat]], v[:, cov_idx]
+            years[rows], months[rows] = v[:, year], v[:, month]
+            counts[rows], areas[rows] = v[:, cnt], v[:, ba]
+
     for j, name in enumerate(("lon", "lat")):
         offsets = (coords[:, j] - coords[:, j].min(initial=np.inf)) / spacing
         bad = np.abs(offsets - np.round(offsets)) > GRID_TOL
@@ -204,11 +395,11 @@ def load_csv(path, schema: dict | None = None, missing_marker: str = "NA",
     ds = GridDataset(
         cells=cells,
         cell_index=cell_index.reshape(-1),
-        year=np.asarray(years, dtype=int),
-        month=np.asarray(months, dtype=int),
-        cnt=np.asarray(cnts, dtype=float),
-        ba=np.asarray(bas, dtype=float),
-        covariates=np.asarray(covs, dtype=float).reshape(len(years), len(covariate_columns)),
+        year=years,
+        month=months,
+        cnt=counts,
+        ba=areas,
+        covariates=covariates,
         covariate_names=list(covariate_columns),
         spacing=spacing,
     )
@@ -218,7 +409,7 @@ def load_csv(path, schema: dict | None = None, missing_marker: str = "NA",
         i = int(repeated[0])
         cell = tuple(cells[ds.cell_index[i]].tolist())
         raise DataError(f"{path}:{i + 2}: duplicate (cell, year, month) = "
-                        f"({cell}, {years[i]}, {months[i]})")
+                        f"({cell}, {ds.year[i]}, {ds.month[i]})")
     return ds
 
 

@@ -74,17 +74,13 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise DataError(f"unknown loss kind {self.kind!r}")
-        if self.alpha <= 0:
-            raise DataError("alpha must be > 0")
-        if self.xi <= 0:
-            raise DataError("xi must be > 0")
+        # each test is written so that NaN fails it
+        for name in ("alpha", "xi", "k_shape", "u_trunc"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise DataError(f"{name} must be finite and > 0")
         if not 0.0 < self.kappa < 1.0:
             raise DataError("kappa must lie in (0, 1)")
-        if self.k_shape <= 0:
-            raise DataError("k_shape must be > 0")
-        if self.u_trunc <= 0:
-            raise DataError("u_trunc must be > 0")
-        if self.n_classes < 2:
+        if not self.n_classes >= 2:
             raise DataError("n_classes must be >= 2")
 
     @property

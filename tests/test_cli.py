@@ -168,6 +168,38 @@ class TestNonFiniteTokens:
         assert err.startswith("data error:") and ":2:" in err and "Traceback" not in err
 
 
+class TestKeyTokens:
+    @pytest.mark.parametrize("column, token", [("year", "99999999999999999999"),
+                                               ("month", "3.5"), ("year", "1993.5")])
+    def test_not_an_integer_is_exit_2(self, tmp_path, counts_csv, column, token, capsys):
+        with open(counts_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[1][rows[0].index(column)] = token
+        bad = tmp_path / "bad.csv"
+        with open(bad, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        cfg = write_config(tmp_path, str(bad))
+        capsys.readouterr()
+        assert run(tmp_path, "train", "--config", cfg, "--out",
+                   str(tmp_path / "m.json")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"bad.csv:2: malformed row ({column}" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+class TestLossParameters:
+    @pytest.mark.parametrize("key, value", [("alpha", "nan"), ("alpha", "inf"),
+                                            ("xi", "nan"), ("k_shape", "inf"),
+                                            ("u", "inf"), ("u", "nan")])
+    def test_non_finite_in_config_is_exit_1(self, tmp_path, counts_csv, key, value, capsys):
+        cfg = write_config(tmp_path, counts_csv, extra=f"\n[loss]\n{key} = {value}\n")
+        capsys.readouterr()
+        assert run(tmp_path, "train", "--config", cfg, "--out",
+                   str(tmp_path / "m.json")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "finite" in err
+
+
 MALFORMED_MANIFEST = {
     "threshold_missing": lambda doc: doc.pop("threshold"),
     "threshold_not_numeric": lambda doc: doc.update(threshold="abc"),
@@ -236,6 +268,8 @@ MALFORMED = {
     "weight_not_finite": _set("weight", float("nan"), _first_leaf),
     "default_left_not_bool": _set("default_left", "yes"),
     "base_score_not_finite": lambda doc: doc.update(base_score=float("nan")),
+    "loss_alpha_nan": lambda doc: doc["loss"].update(alpha=float("nan")),
+    "loss_alpha_inf": lambda doc: doc["loss"].update(alpha=float("inf")),
 }
 
 class TestMalformedModel:
@@ -323,6 +357,70 @@ class TestScore:
         assert "score=0.0" in capsys.readouterr().out
 
 
+class TestScoreAlignment:
+    THRESHOLDS = [0.0, 100.0, 1000.0]
+
+    def _rows(self, ds):
+        """Perfect predictions, one row per data row in data order."""
+        rows = []
+        for i in range(ds.n_rows):
+            ba = ds.ba[i] if not np.isnan(ds.ba[i]) else 0.0
+            rows.append([int(ds.cell_index[i]), int(ds.year[i]), int(ds.month[i])]
+                        + [repr(float(ba <= t)) for t in self.THRESHOLDS])
+        return rows
+
+    def _score(self, tmp_path, sizes_csv, rows):
+        pred = tmp_path / "pred.csv"
+        with open(pred, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["cell", "year", "month"]
+                            + [f"p_le_{cli._fmt(t)}" for t in self.THRESHOLDS])
+            writer.writerows(rows)
+        return run(tmp_path, "score", "--pred", str(pred), "--data", sizes_csv,
+                   "--response", "ba")
+
+    def _edit_and_fail(self, tmp_path, sizes_csv, capsys, edit, line, text):
+        rows = self._rows(D.load_csv(sizes_csv))
+        edit(rows)
+        capsys.readouterr()
+        assert self._score(tmp_path, sizes_csv, rows) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"pred.csv:{line}: " in err and text in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_keys_without_data_rows_rejected(self, tmp_path, sizes_csv, capsys):
+        def edit(rows):
+            for r in rows:
+                r[:2] = [999, 1850]
+        self._edit_and_fail(tmp_path, sizes_csv, capsys, edit, 2, "no data row")
+
+    def test_repeated_key_rejected(self, tmp_path, sizes_csv, capsys):
+        def edit(rows):
+            rows[4][:3] = rows[1][:3]
+        self._edit_and_fail(tmp_path, sizes_csv, capsys, edit, 6, "repeated key")
+
+    @pytest.mark.parametrize("value", ["nan", "-inf", "1.5", "-0.25"])
+    def test_bad_probability_rejected(self, tmp_path, sizes_csv, capsys, value):
+        def edit(rows):
+            rows[2][4] = value
+        self._edit_and_fail(tmp_path, sizes_csv, capsys, edit, 4, "")
+
+    def test_rows_in_another_order_score_the_same(self, tmp_path, sizes_csv, capsys):
+        rows = self._rows(D.load_csv(sizes_csv))
+        for r in rows:   # a slightly wrong forecast, so the score is not 0
+            r[3] = "0.75"
+        capsys.readouterr()
+        assert self._score(tmp_path, sizes_csv, rows) == 0
+        in_order = capsys.readouterr().out
+        rng = np.random.default_rng(3)
+        assert self._score(tmp_path, sizes_csv, [rows[i] for i in
+                                                 rng.permutation(len(rows))]) == 0
+        shuffled = capsys.readouterr().out
+        assert float(shuffled.split("=")[1]) == pytest.approx(float(in_order.split("=")[1]),
+                                                              rel=1e-12)
+        assert float(in_order.split("=")[1]) > 0
+
+
 class TestPdpImportance:
     def test_importance_single_split(self, tmp_path, counts_csv, capsys):
         cfg = write_config(tmp_path, counts_csv)
@@ -356,6 +454,18 @@ class TestPdpImportance:
             rows = list(csv.reader(fh))
         assert rows[0] == ["x1", "estimate", "lo", "hi"]
         assert len(rows) > 2
+
+    @pytest.mark.parametrize("flag, value", [("--n-sub", "0"), ("--points", "0"),
+                                             ("--n-sub", "-3")])
+    def test_pdp_sizes_below_one_are_exit_1(self, tmp_path, counts_csv, flag, value, capsys):
+        cfg = write_config(tmp_path, counts_csv)
+        model = tmp_path / "m.json"
+        run(tmp_path, "train", "--config", cfg, "--out", str(model))
+        capsys.readouterr()
+        assert run(tmp_path, "pdp", "--model", str(model), "--data", counts_csv,
+                   "--features", "x1", flag, value, "--out", str(tmp_path / "pdp.csv")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "--n-sub" in err and "Traceback" not in err
 
 
 class TestTune:

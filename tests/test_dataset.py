@@ -1,11 +1,13 @@
+import csv
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import sparse_grids
-from evtboost import booster, dataset, losses
+from evtboost import booster, cli, dataset, losses
 from evtboost.errors import DataError
 
 
@@ -88,6 +90,286 @@ class TestLoadCsv:
         np.testing.assert_array_equal(ds.cnt, ds2.cnt)
         np.testing.assert_array_equal(ds.ba, ds2.ba)
         np.testing.assert_array_equal(ds.covariates, ds2.covariates)
+
+
+def reference_load_csv(path, schema=None, missing_marker="NA",
+                       season=dataset.DEFAULT_SEASON, spacing=0.5, covariate_columns=None):
+    """The token-by-token loader that ``load_csv`` replaced: ``csv`` fields,
+    ``float()``/``int()`` per token and per-row checks."""
+    def parse_number(token, marker=None):
+        if token == marker:
+            return np.nan
+        value = float(token)
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value {token!r}")
+        return value
+
+    schema = dict(dataset.DEFAULT_SCHEMA if schema is None else schema)
+    season = set(int(m) for m in season)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        col_of = {name: i for i, name in enumerate(header)}
+        role_idx = {role: col_of[schema[role]] for role in schema}
+        if covariate_columns is None:
+            covariate_columns = [c for c in header if c not in set(schema.values())]
+        cov_idx = [col_of[c] for c in covariate_columns]
+        lons, lats, years, months, cnts, bas, covs = [], [], [], [], [], [], []
+        for lineno, rowvals in enumerate(reader, start=2):
+            if len(rowvals) != len(header):
+                raise DataError(f"{path}:{lineno}: expected {len(header)} fields, "
+                                f"got {len(rowvals)}")
+            try:
+                lon = parse_number(rowvals[role_idx["lon"]])
+                lat = parse_number(rowvals[role_idx["lat"]])
+                year = int(rowvals[role_idx["year"]])
+                month = int(rowvals[role_idx["month"]])
+                cnt = parse_number(rowvals[role_idx["cnt"]], missing_marker)
+                ba = parse_number(rowvals[role_idx["ba"]], missing_marker)
+                cov = [parse_number(rowvals[i], missing_marker) for i in cov_idx]
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: malformed row ({exc})") from None
+            if month not in season:
+                raise DataError(f"{path}:{lineno}: month {month} outside season")
+            if not np.isnan(cnt) and (cnt < 0 or cnt != int(cnt)):
+                raise DataError(f"{path}:{lineno}: cnt must be a nonnegative integer")
+            if not np.isnan(ba) and ba < 0:
+                raise DataError(f"{path}:{lineno}: ba must be nonnegative")
+            if not np.isnan(cnt) and not np.isnan(ba) and cnt == 0 and ba != 0:
+                raise DataError(f"{path}:{lineno}: ba must be 0 when cnt is 0")
+            lons.append(lon); lats.append(lat); years.append(year)
+            months.append(month); cnts.append(cnt); bas.append(ba); covs.append(cov)
+    coords = np.column_stack([lons, lats])
+    for j in range(2):
+        offsets = (coords[:, j] - coords[:, j].min(initial=np.inf)) / spacing
+        if (np.abs(offsets - np.round(offsets)) > dataset.GRID_TOL).any():
+            raise DataError(f"{path}: not on a regular grid")
+    cells, cell_index = np.unique(coords, axis=0, return_inverse=True)
+    ds = dataset.GridDataset(
+        cells=cells, cell_index=cell_index.reshape(-1),
+        year=np.asarray(years, dtype=int), month=np.asarray(months, dtype=int),
+        cnt=np.asarray(cnts, dtype=float), ba=np.asarray(bas, dtype=float),
+        covariates=np.asarray(covs, dtype=float).reshape(len(years), len(covariate_columns)),
+        covariate_names=list(covariate_columns), spacing=spacing)
+    repeated = np.flatnonzero(ds.rows_of(ds.cell_index, ds.year, ds.month)
+                              != np.arange(ds.n_rows))
+    if repeated.size:
+        raise DataError(f"{path}:{int(repeated[0]) + 2}: duplicate (cell, year, month)")
+    return ds
+
+
+def assert_same_dataset(got, want):
+    for field in ("cells", "cell_index", "year", "month", "cnt", "ba", "covariates"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), field
+        assert a.tobytes() == b.tobytes(), field
+    assert got.covariate_names == want.covariate_names
+    assert got.spacing == want.spacing
+
+
+# Markers as a user may set them: a word, a number (also a value lon takes,
+# where it is read as that number), NaN, the empty field and a symbol.
+MARKERS = ["NA", "-999", "-100.0", "NaN", "", "?"]
+
+
+@st.composite
+def csv_texts(draw):
+    """(text, marker, fields): a valid data CSV written with the syntax both
+    loaders accept (markers, quotes, surrounding spaces, CRLF or LF, with or
+    without a final line break, masked responses, missing covariates,
+    shuffled columns) and its rows as lists of fields."""
+    marker = draw(st.sampled_from(MARKERS))
+    p = draw(st.integers(0, 3))
+    names = ["lon", "lat", "year", "month", "cnt", "ba"] + [f"x{j}" for j in range(p)]
+    order = draw(st.permutations(range(len(names))))
+    keys = [(i, j, y, m) for i in range(3) for j in range(2)
+            for y in (1993, 1994) for m in (3, 4, 9)]
+    keys = draw(st.lists(st.sampled_from(keys), unique=True, max_size=14))
+    number = st.one_of(
+        st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+        st.floats(-1e3, 1e3, allow_nan=False).map(lambda v: f"{v:.3f}"),
+        st.floats(-1e300, 1e300, allow_nan=False).map(lambda v: f"{v:.6e}"),
+        st.sampled_from(["0", "-0", "+.5", "5.", "1e2", "-999", "-999.0"]))
+    size = st.one_of(st.floats(0, 1e5).map(repr), st.sampled_from(["0.5", "12", "1E3"]))
+
+    def decorate(token, is_marker=False):
+        if not is_marker and draw(st.booleans()):
+            token = draw(st.sampled_from([" ", "  ", "\t"])) + token + \
+                draw(st.sampled_from(["", " "]))
+        return f'"{token}"' if draw(st.integers(0, 4)) == 0 else token
+
+    def value(strategy, masked):
+        return decorate(marker, True) if masked else decorate(draw(strategy))
+
+    rows = []
+    for i, j, y, m in keys:
+        count = draw(st.one_of(st.none(), st.integers(0, 6)))
+        masked_ba = draw(st.integers(0, 4)) == 0
+        fields = [
+            decorate(repr(-100.0 + 0.5 * i)), decorate(f"{37.75 + 0.5 * j:.2f}"),
+            decorate(draw(st.sampled_from([str(y), f"+{y}", f"0{y}"]))),
+            decorate(str(m)),
+            value(st.sampled_from([str(count), f"{count}.0", f"{count}e0"]), count is None),
+            value(st.just("0") if count == 0 else size, masked_ba),
+        ] + [value(number, draw(st.integers(0, 3)) == 0) for _ in range(p)]
+        rows.append([fields[k] for k in order])
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(names[k] for k in order)] + [",".join(r) for r in rows]
+    text = eol.join(lines) + (eol if draw(st.booleans()) else "")
+    return text, marker, rows
+
+
+# Faults both loaders reject, each named by the line it is on.
+FAULTS = [
+    lambda f, c: "",                                     # blank line
+    lambda f, c: "   ",
+    lambda f, c: "# comment",
+    lambda f, c: ",".join(f[:-1]),                       # a field short
+    lambda f, c: ",".join(f + ["1"]),                    # a field over
+    lambda f, c: ",".join(f[:c["month"]] + ["11"] + f[c["month"] + 1:]),
+    lambda f, c: ",".join(f[:c["month"]] + ["3.5"] + f[c["month"] + 1:]),
+    lambda f, c: ",".join(f[:c["year"]] + ["nan"] + f[c["year"] + 1:]),
+    lambda f, c: ",".join(f[:c["lon"]] + ["xx"] + f[c["lon"] + 1:]),
+    lambda f, c: ",".join(f[:c["cnt"]] + ["-1"] + f[c["cnt"] + 1:]),
+    lambda f, c: ",".join(f[:c["cnt"]] + ["1.5"] + f[c["cnt"] + 1:]),
+    lambda f, c: ",".join(f[:c["ba"]] + ["-2"] + f[c["ba"] + 1:]),
+    lambda f, c: ",".join(f[:c["cnt"]] + ["0"] + f[c["cnt"] + 1:c["ba"]] + ["5"]
+                          + f[c["ba"] + 1:]) if c["cnt"] < c["ba"] else "",
+    lambda f, c: ",".join(f[:c["ba"]] + ["inf"] + f[c["ba"] + 1:]),
+    lambda f, c: ",".join(f[:c["ba"]] + ["-nan"] + f[c["ba"] + 1:]),
+    lambda f, c: ",".join(f[:c["ba"]] + ["1e999"] + f[c["ba"] + 1:]),
+    lambda f, c: ",".join(f[:c["ba"]] + ['"-Infinity"'] + f[c["ba"] + 1:]),
+]
+
+
+def line_of(exc) -> int:
+    return int(re.search(r"\.csv:(\d+):", str(exc))[1])
+
+
+class TestLoadCsvEquivalence:
+    """``load_csv`` against the token loop it replaced, with blocks of one to
+    a few lines so that files span block boundaries."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=csv_texts(), block=st.sampled_from([1, 100, 250, 600, 1 << 19]))
+    def test_arrays_equal_the_token_loop(self, tmp_path, monkeypatch, case, block):
+        text, marker, _ = case
+        monkeypatch.setattr(dataset, "_BLOCK_BYTES", block)
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        assert_same_dataset(dataset.load_csv(path, missing_marker=marker),
+                            reference_load_csv(path, missing_marker=marker))
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=csv_texts(), block=st.sampled_from([1, 100, 250, 600, 1 << 19]),
+           faults=st.lists(st.tuples(st.integers(0, 20), st.integers(0, len(FAULTS) - 1)),
+                           min_size=1, max_size=2), data=st.data())
+    def test_first_faulty_line_is_named(self, tmp_path, monkeypatch, case, block,
+                                        faults, data):
+        text, marker, rows = case
+        if not rows:
+            return
+        monkeypatch.setattr(dataset, "_BLOCK_BYTES", block)
+        lines = text.splitlines()
+        col = {name.strip(): k for k, name in enumerate(lines[0].split(","))}
+        for at, which in faults:
+            at = 1 + at % len(rows)
+            bad = FAULTS[which](next(csv.reader([lines[at]])), col)
+            if data.draw(st.booleans()):
+                lines.insert(at, bad)
+            else:
+                lines[at] = bad
+        path = tmp_path / "d.csv"
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        with pytest.raises(DataError) as want:
+            reference_load_csv(path, missing_marker=marker)
+        with pytest.raises(DataError) as got:
+            dataset.load_csv(path, missing_marker=marker)
+        assert line_of(got.value) == line_of(want.value)
+        # a wrong field count (blank and "#" lines included) is reported as one
+        assert ("fields" in str(got.value)) == ("fields" in str(want.value))
+
+    def test_values_read_by_both_are_bit_equal(self, tmp_path):
+        rng = np.random.default_rng(5)
+        scale = 10.0 ** rng.integers(-300, 300, 4000)
+        values = np.concatenate([rng.standard_normal(4000) * scale, rng.uniform(-1, 1, 3996),
+                                 [0.0, -0.0, 5e-324, 1.7976931348623157e308]]).reshape(-1, 4)
+        body = "".join(f"{-100.0 + 0.5 * r!r},37.5,1993,3,NA,NA,"
+                       + ",".join(repr(v) for v in row) + "\n"
+                       for r, row in enumerate(values.tolist()))
+        path = tmp_path / "d.csv"
+        path.write_text("lon,lat,year,month,cnt,ba,x0,x1,x2,x3\n" + body, encoding="utf-8")
+        assert_same_dataset(dataset.load_csv(path), reference_load_csv(path))
+
+
+SYNTAX_BASE = "lon,lat,year,month,cnt,ba,x1\n-100.0,37.5,1993,3,1,2.5,0.5\n"
+
+
+def run_train(tmp_path, text):
+    data = tmp_path / "d.csv"
+    data.write_text(text, encoding="utf-8")
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[data]\ntrain = {data}\n[loss]\nkind = poisson\n[train]\nn_trees = 1\n",
+                   encoding="utf-8")
+    return cli.main(["--runlog", str(tmp_path / "runs.log"), "train", "--config", str(ini),
+                     "--out", str(tmp_path / "m.json")])
+
+
+class TestAcceptedSyntax:
+    """The numeric syntax is ``np.loadtxt``'s: narrower than ``float()``,
+    which also took digit separators and non-ASCII digits."""
+
+    @pytest.mark.parametrize("line", [
+        "-99.5,37.5,1993,4,1,2.5,1_0",          # digit separator
+        "-99.5,37.5,1993,4,1,2.5,١",       # ARABIC-INDIC DIGIT ONE
+        "",                                     # blank line
+        "# a comment",
+        "-99.5,37.5,1993,4,1,2.5,",             # empty field
+        "-99.5,37.5,1993,4,1,2.5,nan",
+        "-99.5,37.5,1993,4,1,2.5,inf",
+        "-99.5,37.5,1993,4,1,2.5,1e999",
+        "-99.5,37.5,1993,4,1,2.5,-nan",
+        "-99.5,37.5,1993,4,1.5,2.5,0.5",        # and the value checks
+        "-99.5,37.5,1993,4,-1,2.5,0.5",
+        "-99.5,37.5,1993,4,0,2.5,0.5",
+        "-99.5,37.5,1993,4,1,-2.5,0.5",
+        "-99.5,37.5,1993,11,1,2.5,0.5",
+    ])
+    def test_rejected_with_its_line(self, tmp_path, capsys, line):
+        text = SYNTAX_BASE + line + "\n-99.0,37.5,1993,4,1,2.5,0.5\n"
+        assert run_train(tmp_path, text) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and ".csv:3:" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("token", ['"0.5"', '" 0.5 "', " 0.5", "\t+.5e0 ", "5e-1"])
+    def test_accepted(self, tmp_path, token):
+        path = tmp_path / "d.csv"
+        path.write_text(SYNTAX_BASE.replace(",0.5\n", f",{token}\n"), encoding="utf-8")
+        assert dataset.load_csv(path).covariates[0, 0] == 0.5
+
+    def test_integral_year_in_float_syntax_is_accepted(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(SYNTAX_BASE.replace(",1993,3,", ",1.993e3,3.0,"), encoding="utf-8")
+        ds = dataset.load_csv(path)
+        assert (ds.year[0], ds.month[0]) == (1993, 3) and ds.year.dtype == np.int64
+
+    def test_marker_with_a_delimiter_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(SYNTAX_BASE, encoding="utf-8")
+        with pytest.raises(DataError, match="missing marker"):
+            dataset.load_csv(path, missing_marker="N,A")
+
+    def test_line_count_follows_line_breaks(self, tmp_path):
+        for eol in ("\n", "\r\n", "\r"):
+            path = tmp_path / "d.csv"
+            path.write_bytes(SYNTAX_BASE.replace("\n", eol).encode())
+            assert dataset.count_lines(path) == 2
+            assert dataset.load_csv(path).n_rows == 1
+            path.write_bytes(SYNTAX_BASE.rstrip("\n").replace("\n", eol).encode())
+            assert dataset.count_lines(path) == 2
 
 
 def grid_dataset(values, year=1993, month=3, spacing=0.5):

@@ -11,6 +11,20 @@ from evtboost.errors import DataError, NumericalError
 from conftest import fd_grad, fd_hess, rel_err
 
 
+class TestLossSpec:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0])
+    @pytest.mark.parametrize("field", ["alpha", "xi", "k_shape", "u_trunc"])
+    def test_positive_parameters_must_be_finite(self, field, value):
+        with pytest.raises(DataError, match=field):
+            losses.LossSpec(kind="dgpd", **{field: value})
+
+    @pytest.mark.parametrize("field, value", [("kappa", float("nan")),
+                                              ("n_classes", float("nan"))])
+    def test_nan_fails_the_range_checks(self, field, value):
+        with pytest.raises(DataError, match=field):
+            losses.LossSpec(kind="cross_entropy", **{field: value})
+
+
 class TestPoisson:
     def test_zero_count(self):
         assert losses.poisson(0, 0.0).value == pytest.approx(1.0)
