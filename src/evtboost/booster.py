@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import losses as L
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, open_text
 from .tree import Tree, bin_features, grow, is_finite_number
 
 FORMAT_VERSION = 1
@@ -361,5 +361,5 @@ def save(model: BoostedModel, path) -> None:
 
 
 def load(path) -> BoostedModel:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return loads(fh.read())

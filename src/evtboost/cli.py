@@ -29,7 +29,7 @@ from . import mixture as M
 from . import recipes as R
 from . import spatialcv as S
 from . import synth
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, open_text
 
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 
@@ -71,9 +71,6 @@ class RunConfig:
                     raise ConfigError(
                         f"unknown keys in [{section}]: {sorted(unknown)}")
         self.cp = cp
-        train_path = self.get("data", "train")
-        if train_path is not None and not os.path.exists(train_path):
-            raise ConfigError(f"referenced data file {train_path!r} does not exist")
 
     def get(self, section, key, default=None):
         if self.cp.has_option(section, key):
@@ -110,10 +107,14 @@ class RunConfig:
 
     # -- builders ----------------------------------------------------------
 
-    def load_dataset(self) -> D.GridDataset:
-        path = self.get("data", "train")
+    def load_dataset(self, path: str | None = None) -> D.GridDataset:
+        """The data CSV at ``path`` (default: ``[data] train``), read with
+        this config's schema, marker, season and grid spacing."""
+        path = path or self.get("data", "train")
         if path is None:
             raise ConfigError("config needs [data] train = <csv path>")
+        if not os.path.exists(path):
+            raise ConfigError(f"data file {path!r} does not exist")
         schema = {role: self.get("schema", role, D.DEFAULT_SCHEMA[role])
                   for role in D.DEFAULT_SCHEMA}
         season_text = self.get("data", "season", "3-9")
@@ -193,7 +194,7 @@ def _read_numbers(path) -> np.ndarray:
     if not os.path.exists(path):
         raise ConfigError(f"file {path!r} does not exist")
     vals = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -219,22 +220,22 @@ def _write_csv(path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _response_for_loss(kind: str, override: str | None) -> str:
-    if override:
-        return override
-    return "cnt" if kind in ("poisson", "dgpd") else "ba"
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_train(args) -> int:
+def _training_setup(args):
+    """(config, cross-filled dataset, loss, response) for train, cv and tune."""
     cfg = RunConfig(args.config)
-    ds = cfg.load_dataset()
-    ds = D.cross_fill_zeros(ds)
+    ds = D.cross_fill_zeros(cfg.load_dataset())
     loss = cfg.loss_spec(args.loss)
-    response = _response_for_loss(loss.kind, args.response or cfg.get("loss", "response"))
+    response = (args.response or cfg.get("loss", "response")
+                or ("cnt" if loss.kind in ("poisson", "dgpd") else "ba"))
+    return cfg, ds, loss, response
+
+
+def cmd_train(args) -> int:
+    cfg, ds, loss, response = _training_setup(args)
     params = cfg.train_params(seed_override=args.seed)
     rows, y = R.response_rows(ds, loss.kind, response, cfg.threshold_u())
     if not rows.any():
@@ -249,7 +250,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    ds = _load_data_for_model(args)
+    ds = RunConfig(args.config).load_dataset(args.data)
     X, names = ds.feature_matrix()
     if M.is_mixture_document(args.model):
         mix = M.load(args.model)
@@ -275,14 +276,6 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _load_data_for_model(args) -> D.GridDataset:
-    if not os.path.exists(args.data):
-        raise ConfigError(f"data file {args.data!r} does not exist")
-    if args.config:
-        return _dataset_with_path(RunConfig(args.config), args.data)
-    return D.load_csv(args.data)
-
-
 def cmd_cvfolds(args) -> int:
     cfg = RunConfig(args.config)
     ds = cfg.load_dataset()
@@ -299,11 +292,7 @@ def cmd_cvfolds(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    cfg = RunConfig(args.config)
-    ds = cfg.load_dataset()
-    ds = D.cross_fill_zeros(ds)
-    loss = cfg.loss_spec(args.loss)
-    response = _response_for_loss(loss.kind, args.response or cfg.get("loss", "response"))
+    cfg, ds, loss, response = _training_setup(args)
     folds = S.load_folds(args.folds, ds)
     base_params = cfg.train_params()
     seed = args.seed if args.seed is not None else base_params.seed
@@ -311,10 +300,15 @@ def cmd_tune(args) -> int:
     box: dict[str, tuple[float, float]] = {}
     if cfg.cp.has_section("tune"):
         for key in cfg.cp["tune"]:
-            lo_hi = [float(t) for t in cfg.get("tune", key).split(",")]
-            if len(lo_hi) != 2:
-                raise ConfigError(f"[tune] {key} must be 'lo, hi'")
-            box[key] = (lo_hi[0], lo_hi[1])
+            text = cfg.get("tune", key)
+            try:
+                lo, hi = map(float, text.split(","))
+            except ValueError:
+                lo = hi = np.nan
+            if not (np.isfinite([lo, hi]).all() and lo < hi):
+                raise ConfigError(f"[tune] {key} must be two finite numbers 'lo, hi' "
+                                  f"with lo < hi, got {text!r}")
+            box[key] = (lo, hi)
     if not box:
         box = {"learning_rate": (0.02, 0.3), "max_leaves": (2, 16),
                "lambda_reg": (0.0, 10.0)}
@@ -353,11 +347,7 @@ def cmd_tune(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    cfg = RunConfig(args.config)
-    ds = cfg.load_dataset()
-    ds = D.cross_fill_zeros(ds)
-    loss = cfg.loss_spec(args.loss)
-    response = _response_for_loss(loss.kind, args.response or cfg.get("loss", "response"))
+    cfg, ds, loss, response = _training_setup(args)
     folds = S.load_folds(args.folds, ds)
     params = cfg.train_params()
     try:
@@ -378,9 +368,9 @@ def cmd_cv(args) -> int:
 
 
 def cmd_score(args) -> int:
-    cfg = RunConfig(args.config) if args.config else RunConfig(None)
+    cfg = RunConfig(args.config)
     response = args.response or cfg.get("score", "response", "ba")
-    ds = D.load_csv(args.data) if not args.config else _dataset_with_path(cfg, args.data)
+    ds = cfg.load_dataset(args.data)
     prob_cols, rows, probs = _read_predictions(args.pred, ds)
     if args.thresholds:
         thresholds = _read_numbers(args.thresholds)
@@ -435,20 +425,11 @@ def _read_predictions(path, ds: D.GridDataset):
     return header[3:], rows, probs
 
 
-def _dataset_with_path(cfg: RunConfig, path: str) -> D.GridDataset:
-    if not os.path.exists(path):
-        raise ConfigError(f"data file {path!r} does not exist")
-    if not cfg.cp.has_section("data"):
-        cfg.cp.add_section("data")
-    cfg.cp["data"]["train"] = path
-    return cfg.load_dataset()
-
-
 def cmd_pdp(args) -> int:
     if args.points < 1 or args.n_sub < 1:
         raise ConfigError("--points and --n-sub must be at least 1")
     model = B.load(args.model)
-    ds = D.load_csv(args.data)
+    ds = RunConfig(None).load_dataset(args.data)
     X, names = ds.feature_matrix()
     Xa = D.align_features(X, names, model.feature_names)
     feats = [f.strip() for f in args.features.split(",")]

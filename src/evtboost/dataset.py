@@ -5,9 +5,8 @@ on a regular lon/lat grid.  Cells are rows of a sorted (lon, lat) array and
 an observation is identified by its row index; :func:`match_rows` maps key
 columns such as (cell, year, month) back to rows.  Masked responses and
 missing covariates are NaN internally and a configurable marker (default
-``"NA"``) on disk.  Enrichment operations (neighbour averaging, zero
-cross-filling, model imputation) return new datasets; nothing mutates in
-place.
+``"NA"``) on disk.  Enrichment operations (zero cross-filling, model
+imputation) return new datasets; nothing mutates in place.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import booster as B
 from . import losses as L
-from .errors import DataError
+from .errors import DataError, open_text
 
 DEFAULT_SCHEMA = {"lon": "lon", "lat": "lat", "year": "year", "month": "month",
                   "cnt": "cnt", "ba": "ba"}
@@ -47,7 +46,6 @@ class GridDataset:
     ba: np.ndarray                  # (n,) float
     covariates: np.ndarray          # (n, p) float
     covariate_names: list[str]
-    spacing: float = 0.5
 
     @property
     def n_rows(self) -> int:
@@ -67,7 +65,6 @@ class GridDataset:
             ba=self.ba[rows].copy(),
             covariates=self.covariates[rows].copy(),
             covariate_names=list(self.covariate_names),
-            spacing=self.spacing,
         )
 
     def rows_of(self, cell, year, month) -> np.ndarray:
@@ -77,14 +74,12 @@ class GridDataset:
 
     # -- features ----------------------------------------------------------
 
-    def feature_matrix(self, include_position: bool = True):
-        """(X, names): covariates, optionally preceded by lon/lat/year/month."""
-        cols, names = [self.covariates], list(self.covariate_names)
-        if include_position:
-            lons, lats = self.cells[self.cell_index].T
-            cols = [lons, lats, self.year.astype(float), self.month.astype(float)] + cols
-            names = ["lon", "lat", "year", "month"] + names
-        return np.column_stack(cols), names
+    def feature_matrix(self):
+        """(X, names): lon, lat, year and month, then the covariates."""
+        lons, lats = self.cells[self.cell_index].T
+        X = np.column_stack([lons, lats, self.year.astype(float), self.month.astype(float),
+                             self.covariates])
+        return X, ["lon", "lat", "year", "month"] + self.covariate_names
 
     def with_covariate(self, name: str, values: np.ndarray) -> "GridDataset":
         if name in self.covariate_names:
@@ -183,7 +178,7 @@ def open_table(path):
     reader would.
     """
     n_lines = count_lines(path)
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
 
@@ -401,7 +396,6 @@ def load_csv(path, schema: dict | None = None, missing_marker: str = "NA",
         ba=areas,
         covariates=covariates,
         covariate_names=list(covariate_columns),
-        spacing=spacing,
     )
     repeated = np.flatnonzero(ds.rows_of(ds.cell_index, ds.year, ds.month)
                               != np.arange(ds.n_rows))
@@ -437,31 +431,6 @@ def save_csv(ds: GridDataset, path, missing_marker: str = "NA") -> None:
 # Enrichment
 # ---------------------------------------------------------------------------
 
-def neighbor_average(ds: GridDataset, covariate: str) -> GridDataset:
-    """Append ``<covariate>_nbr``: the mean of the covariate over the 8
-    neighbouring cells for the same (year, month), excluding the centre
-    cell; cells with no present neighbour value fall back to their own."""
-    if covariate not in ds.covariate_names:
-        raise DataError(f"unknown covariate {covariate!r}")
-    j = ds.covariate_names.index(covariate)
-    values = ds.covariates[:, j]
-    # integer lattice coordinates of each cell; any cell is a lattice origin
-    # and offsets are integral by the load-time grid check
-    lattice = np.rint((ds.cells - ds.cells[:1]) / ds.spacing)
-    offsets = np.array([(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj])
-    nbr_cell = match_rows(lattice.T, (lattice[:, None, :] + offsets).transpose(2, 0, 1))
-    nbr_rows = ds.rows_of(nbr_cell[ds.cell_index].T, ds.year, ds.month)   # (8, n)
-
-    acc, cnt = np.zeros(ds.n_rows), np.zeros(ds.n_rows, dtype=int)
-    for rows in nbr_rows:  # one offset at a time, adding in (di, dj) order
-        vals = np.where(rows >= 0, values[rows], np.nan)
-        present = ~np.isnan(vals)
-        acc[present] += vals[present]
-        cnt += present
-    out_vals = np.where(cnt > 0, acc / np.maximum(cnt, 1), values)
-    return ds.with_covariate(f"{covariate}_nbr", out_vals)
-
-
 def cross_fill_zeros(ds: GridDataset) -> GridDataset:
     """Set masked CNT to 0 where BA is observed 0, and masked BA to 0 where
     CNT is observed 0; every other entry is untouched."""
@@ -473,8 +442,7 @@ def cross_fill_zeros(ds: GridDataset) -> GridDataset:
     return out
 
 
-def impute_cnt_covariate(ds: GridDataset, aux: B.BoostedModel,
-                         include_position: bool = True) -> GridDataset:
+def impute_cnt_covariate(ds: GridDataset, aux: B.BoostedModel) -> GridDataset:
     """Append ``cnt_cov``: the observed count where present, else the
     predicted mean count from a dGPD model ``aux`` (requires alpha > 1).
 
@@ -488,7 +456,7 @@ def impute_cnt_covariate(ds: GridDataset, aux: B.BoostedModel,
     if leaky:
         raise DataError(f"count imputation model uses burned-area-derived "
                         f"covariates: {sorted(leaky)}")
-    X, names = ds.feature_matrix(include_position=include_position)
+    X, names = ds.feature_matrix()
     X = align_features(X, names, aux.feature_names)
     masked = np.isnan(ds.cnt)
     vals = ds.cnt.copy()
@@ -503,8 +471,8 @@ def ba_class_labels(ba: np.ndarray, u: float) -> np.ndarray:
     return np.where(ba == 0, 0, np.where(ba <= u, 1, 2)).astype(int)
 
 
-def impute_ba_class_covariates(ds: GridDataset, aux: B.BoostedModel, u: float = 200.0,
-                               include_position: bool = True) -> GridDataset:
+def impute_ba_class_covariates(ds: GridDataset, aux: B.BoostedModel,
+                               u: float = 200.0) -> GridDataset:
     """Append p_zero/p_med/p_large: the observed one-hot size-component
     indicators where BA is observed, else softmax probabilities from the
     3-class classifier ``aux`` (which must not use count-derived covariates)."""
@@ -514,7 +482,7 @@ def impute_ba_class_covariates(ds: GridDataset, aux: B.BoostedModel, u: float = 
         raise DataError("size-component classifier must have 3 classes")
     if "cnt_cov" in aux.feature_names:
         raise DataError("size classifier for imputation uses a count-derived covariate")
-    X, names = ds.feature_matrix(include_position=include_position)
+    X, names = ds.feature_matrix()
     X = align_features(X, names, aux.feature_names)
     probs = np.zeros((ds.n_rows, 3))
     observed = ~np.isnan(ds.ba)

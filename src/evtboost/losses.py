@@ -16,9 +16,9 @@ distribution:
 * ``squared_log``   -- squared error on log(1 + y), i.e. theta predicts
                        log(1 + y).
 
-Each loss has a vectorized core ``<name>_eval`` returning per-row
-``(value, grad, hess)`` arrays, plus a scalar convenience wrapper returning
-a :class:`LossEval`.  All powers of the form (1+x)^(-a) go through
+Each loss is a vectorized function ``<name>_eval`` returning per-row
+``(value, grad, hess)`` arrays; :func:`evaluate_loss` dispatches on a
+:class:`LossSpec`.  All powers of the form (1+x)^(-a) go through
 log1p/expm1-style identities so that values stay finite far into the tails;
 genuine underflow (a pmf that rounds to zero) raises
 :class:`~evtboost.errors.NumericalError` instead of being clamped.
@@ -34,19 +34,6 @@ from scipy import special
 from .errors import DataError, NumericalError
 
 LOSS_KINDS = ("poisson", "dgpd", "trgamma", "gpd", "cross_entropy", "squared_log")
-
-
-@dataclass
-class LossEval:
-    """Loss value with first and second derivatives w.r.t. the score.
-
-    For ``cross_entropy`` the grad/hess are per-class vectors (the hessian
-    is the diagonal approximation); for all other losses they are scalars.
-    """
-
-    value: float
-    grad: float | np.ndarray
-    hess: float | np.ndarray
 
 
 @dataclass
@@ -131,11 +118,6 @@ def poisson_eval(y, theta):
     return value, mu - y, mu
 
 
-def poisson(y: float, theta: float) -> LossEval:
-    v, g, h = poisson_eval(y, theta)
-    return LossEval(float(v), float(g), float(h))
-
-
 # ---------------------------------------------------------------------------
 # Discrete generalized Pareto
 # ---------------------------------------------------------------------------
@@ -200,11 +182,6 @@ def dgpd_eval(y, theta, alpha, raw_pmf_loss=False):
     grad = ratio1
     hess = ratio1 * ratio1 - ratio2
     return value, grad, hess
-
-
-def dgpd(y: float, theta: float, alpha: float) -> LossEval:
-    v, g, h = dgpd_eval(y, theta, alpha)
-    return LossEval(float(v), float(g), float(h))
 
 
 def dgpd_pmf(y, theta, alpha):
@@ -284,11 +261,6 @@ def trgamma_eval(y, theta, k, u):
     return value, grad, hess
 
 
-def trgamma(y: float, theta: float, k: float, u: float) -> LossEval:
-    v, g, h = trgamma_eval(y, theta, k, u)
-    return LossEval(float(v), float(g), float(h))
-
-
 def trgamma_cdf(y, theta, k, u):
     """CDF of the right-truncated gamma on (0, u] at its log-scale score theta."""
     y = np.asarray(y, dtype=float)
@@ -335,11 +307,6 @@ def gpd_eval(y, theta, xi, kappa):
     return value, grad, hess
 
 
-def gpd(y: float, theta: float, xi: float, kappa: float) -> LossEval:
-    v, g, h = gpd_eval(y, theta, xi, kappa)
-    return LossEval(float(v), float(g), float(h))
-
-
 def gpd_cdf_excess(x, sigma, xi):
     """Standard GPD CDF 1 - (1 + xi x / sigma)^(-1/xi) for excesses x >= 0."""
     x = np.asarray(x, dtype=float)
@@ -384,13 +351,6 @@ def cross_entropy_eval(y, theta, w=1.0):
     return value, grad, hess
 
 
-def cross_entropy(y, theta, w: float = 1.0) -> LossEval:
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    theta = np.atleast_2d(np.asarray(theta, dtype=float))
-    v, g, h = cross_entropy_eval(y, theta, w)
-    return LossEval(float(v[0]), g[0], h[0])
-
-
 # ---------------------------------------------------------------------------
 # Squared loss on log(1 + y)
 # ---------------------------------------------------------------------------
@@ -404,11 +364,6 @@ def squared_log_eval(y, theta):
     z = np.log1p(y)
     resid = theta - z
     return 0.5 * resid * resid, resid, np.ones_like(resid)
-
-
-def squared_log(y: float, theta: float) -> LossEval:
-    v, g, h = squared_log_eval(y, theta)
-    return LossEval(float(v), float(g), float(h))
 
 
 # ---------------------------------------------------------------------------

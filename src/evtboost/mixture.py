@@ -24,7 +24,7 @@ from scipy import special
 
 from . import booster as B
 from . import losses as L
-from .errors import DataError
+from .errors import DataError, open_text
 from .dataset import align_features, ba_class_labels
 
 MANIFEST_VERSION = 1
@@ -221,7 +221,7 @@ def save(m: MixtureModel, path) -> None:
 
 
 def load(path) -> MixtureModel:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         manifest = json.load(fh)
     if manifest.get("kind") != "mixture":
         raise DataError("not a mixture manifest")
@@ -255,7 +255,7 @@ def _manifest_number(manifest: dict, key: str) -> float:
 def is_mixture_document(path) -> bool:
     """True if the JSON file at ``path`` is a mixture manifest."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return False

@@ -2,9 +2,10 @@
 
 A recipe owns the mapping from a GridDataset split to model inputs: which
 rows are in the loss's domain, which response/transform to use, and how to
-turn raw scores into the quantities being scored.  Enrichers (imputation
-or neighbour features) are fitted on the training split only and applied
-to both splits, so no validation information leaks into training.
+turn raw scores into the quantities being scored.  Enrichers (model
+imputation of the other response) are fitted on the training split only
+and applied to both splits, so no validation information leaks into
+training.
 """
 
 from __future__ import annotations
@@ -89,12 +90,8 @@ class BoosterRecipe:
     u: float = 200.0
     metric: str = "nll"
     score_spec: ThresholdScoreSpec | None = None
-    include_position: bool = True
     balance_classes: bool = False
     enrichers: list = field(default_factory=list)
-
-    def _design(self, ds: D.GridDataset):
-        return ds.feature_matrix(include_position=self.include_position)
 
     def fit(self, train: D.GridDataset) -> Fitted:
         for e in self.enrichers:
@@ -103,7 +100,7 @@ class BoosterRecipe:
         rows, y = response_rows(train, self.loss.kind, self.response, self.u)
         if not rows.any():
             raise DataError("no trainable rows for this loss")
-        X, names = self._design(train)
+        X, names = train.feature_matrix()
         weights = None
         if self.loss.multiclass and self.balance_classes:
             weights = balanced_weights(y, self.loss.n_classes)
@@ -127,7 +124,7 @@ class BoosterRecipe:
         rows, y = response_rows(valid, self.loss.kind, self.response, self.u)
         if not rows.any():
             raise DataError("no scorable validation rows")
-        X, _ = self._design(valid)
+        X, _ = valid.feature_matrix()
         if self.loss.multiclass:
             y = B._one_hot(y, self.loss.n_classes)
         scores = []
@@ -162,18 +159,14 @@ class MixtureRecipe:
     k_shape: float = 1.0
     score_spec: ThresholdScoreSpec | None = None
     vary: str = "classifier"
-    include_position: bool = True
     enrichers: list = field(default_factory=list)
-
-    def _design(self, ds: D.GridDataset):
-        return ds.feature_matrix(include_position=self.include_position)
 
     def fit(self, train: D.GridDataset):
         for e in self.enrichers:
             e.fit(train)
             train = e.transform(train)
         rows = ~np.isnan(train.ba)
-        X, names = self._design(train)
+        X, names = train.feature_matrix()
         model = M.fit_mixture(
             X[rows], train.ba[rows], u=self.u, xi=self.xi, kappa=self.kappa,
             k_shape=self.k_shape, classifier_params=self.classifier_params,
@@ -194,7 +187,7 @@ class MixtureRecipe:
         rows = ~np.isnan(valid.ba)
         if not rows.any():
             raise DataError("no scorable validation rows")
-        X, _ = self._design(valid)
+        X, _ = valid.feature_matrix()
         X = X[rows]
         m = fitted.model
         raw = {name: B.predict_raw(getattr(m, name), X)
@@ -219,21 +212,19 @@ class CntImputationEnricher:
 
     alpha: float
     params: B.TrainParams
-    include_position: bool = True
     _aux: B.BoostedModel | None = None
 
     def fit(self, train: D.GridDataset) -> None:
         rows = ~np.isnan(train.cnt)
         if not rows.any():
             raise DataError("no observed counts to fit the imputation model")
-        X, names = train.feature_matrix(include_position=self.include_position)
+        X, names = train.feature_matrix()
         loss = L.LossSpec(kind="dgpd", alpha=self.alpha)
         self._aux = B.fit(X[rows], train.cnt[rows], loss, self.params,
                           feature_names=names)
 
     def transform(self, ds: D.GridDataset) -> D.GridDataset:
-        return D.impute_cnt_covariate(ds, self._aux,
-                                      include_position=self.include_position)
+        return D.impute_cnt_covariate(ds, self._aux)
 
 
 @dataclass
@@ -242,18 +233,16 @@ class BaClassImputationEnricher:
 
     u: float
     params: B.TrainParams
-    include_position: bool = True
     _aux: B.BoostedModel | None = None
 
     def fit(self, train: D.GridDataset) -> None:
         rows = ~np.isnan(train.ba)
         if not rows.any():
             raise DataError("no observed burned areas to fit the classifier")
-        X, names = train.feature_matrix(include_position=self.include_position)
+        X, names = train.feature_matrix()
         loss = L.LossSpec(kind="cross_entropy", n_classes=3)
         labels = D.ba_class_labels(train.ba[rows], self.u)
         self._aux = B.fit(X[rows], labels, loss, self.params, feature_names=names)
 
     def transform(self, ds: D.GridDataset) -> D.GridDataset:
-        return D.impute_ba_class_covariates(ds, self._aux, u=self.u,
-                                            include_position=self.include_position)
+        return D.impute_ba_class_covariates(ds, self._aux, u=self.u)

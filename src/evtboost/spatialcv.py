@@ -21,7 +21,7 @@ import numpy as np
 from scipy import special
 
 from .dataset import GridDataset, match_rows
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, open_text
 
 RESPONSES = ("cnt", "ba")
 JITTER = 1e-8
@@ -208,7 +208,7 @@ def save_folds(folds: FoldSet, ds: GridDataset, path) -> None:
 
 def load_folds(path, ds: GridDataset) -> FoldSet:
     """Read a :func:`save_folds` export as row masks over ``ds``."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != FOLD_HEADER:
             raise DataError(f"{path}: not a fold export")

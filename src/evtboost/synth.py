@@ -24,7 +24,7 @@ def _grid(nx: int, ny: int, lon0=-110.25, lat0=35.25, spacing=0.5):
     for j in range(ny):
         for i in range(nx):
             cells.append((lon0 + i * spacing, lat0 + j * spacing))
-    return np.array(sorted(cells)), spacing
+    return np.array(sorted(cells))
 
 
 def sample_dgpd(theta, alpha: float, rng) -> np.ndarray:
@@ -69,7 +69,7 @@ def synth_dataset(
     if kind not in ("counts", "sizes"):
         raise ValueError(f"unknown synthetic kind {kind!r}")
     rng = np.random.default_rng(seed)
-    cells, spacing = _grid(nx, ny)
+    cells = _grid(nx, ny)
     n_cells = len(cells)
     rows = n_cells * n_years * len(SEASON)
 
@@ -117,5 +117,4 @@ def synth_dataset(
         ba=np.asarray(ba, dtype=float),
         covariates=covariates,
         covariate_names=["x1", "x2"],
-        spacing=spacing,
     )

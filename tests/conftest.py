@@ -51,4 +51,4 @@ def sparse_grids(draw, max_side=5):
                        cnt=column(st.integers(0, 5).map(float)),
                        ba=column(st.floats(0.0, 1e3)),
                        covariates=column(st.floats(-1e6, 1e6)).reshape(n, 1),
-                       covariate_names=["v"], spacing=spacing)
+                       covariate_names=["v"])

@@ -47,43 +47,43 @@ def test_criterion_01_gradient_hessian_correctness():
         theta = float(rng.uniform(-2, 2))
 
         y = int(rng.integers(0, 30))
-        ev = losses.poisson(y, theta)
-        check(lambda t: losses.poisson(y, t).value, ev.grad, ev.hess, theta)
+        _, grad, hess = losses.poisson_eval(y, theta)
+        check(lambda t: losses.poisson_eval(y, t)[0], grad, hess, theta)
 
         y = int(rng.integers(0, 40))
         alpha = float(rng.uniform(0.4, 10.0))
-        ev = losses.dgpd(y, theta, alpha)
-        check(lambda t: losses.dgpd(y, t, alpha).value, ev.grad, ev.hess, theta)
+        _, grad, hess = losses.dgpd_eval(y, theta, alpha)
+        check(lambda t: losses.dgpd_eval(y, t, alpha)[0], grad, hess, theta)
 
         k = float(rng.uniform(0.6, 5.0))
         u = float(rng.uniform(0.5, 30.0))
         y = float(rng.uniform(1e-3, u))
-        ev = losses.trgamma(y, theta, k, u)
-        check(lambda t: losses.trgamma(y, t, k, u).value, ev.grad, ev.hess, theta)
+        _, grad, hess = losses.trgamma_eval(y, theta, k, u)
+        check(lambda t: losses.trgamma_eval(y, t, k, u)[0], grad, hess, theta)
 
         xi = float(rng.uniform(0.05, 2.0))
         kappa = float(rng.uniform(0.05, 0.95))
         y = float(rng.uniform(1e-3, 80.0))
-        ev = losses.gpd(y, theta, xi, kappa)
-        check(lambda t: losses.gpd(y, t, xi, kappa).value, ev.grad, ev.hess, theta)
+        _, grad, hess = losses.gpd_eval(y, theta, xi, kappa)
+        check(lambda t: losses.gpd_eval(y, t, xi, kappa)[0], grad, hess, theta)
 
         y = float(rng.uniform(0.0, 200.0))
-        ev = losses.squared_log(y, theta)
-        check(lambda t: losses.squared_log(y, t).value, ev.grad, ev.hess, theta)
+        _, grad, hess = losses.squared_log_eval(y, theta)
+        check(lambda t: losses.squared_log_eval(y, t)[0], grad, hess, theta)
 
         C = int(rng.integers(2, 5))
         th = rng.normal(scale=1.5, size=C)
         yv = np.eye(C)[int(rng.integers(0, C))]
         w = float(rng.uniform(0.2, 3.0))
-        ev = losses.cross_entropy(yv, th, w)
+        _, grad, hess = losses.cross_entropy_eval(yv, th, w)
         for c in range(C):
             def value_at(t, c=c):
                 t_full = th.copy()
                 t_full[c] = t
-                return losses.cross_entropy(yv, t_full, w).value
+                return losses.cross_entropy_eval(yv, t_full, w)[0]
 
-            assert rel_err(ev.grad[c], fd_grad(value_at, th[c])) < 1e-6
-            assert rel_err(ev.hess[c], fd_hess(value_at, th[c])) < 1e-4
+            assert rel_err(grad[c], fd_grad(value_at, th[c])) < 1e-6
+            assert rel_err(hess[c], fd_hess(value_at, th[c])) < 1e-4
         checked += 1
 
     assert checked == 600
@@ -126,7 +126,8 @@ def test_criterion_02_distributional_normalization():
         y = float(rng.uniform(0.01, 50.0))
         th = math.log(sigma * losses.gpd_scale_factor(xi, kappa) / xi)
         standard_nll = math.log(sigma) + (1 / xi + 1) * math.log1p(xi * y / sigma)
-        assert abs(losses.gpd(y, th, xi, kappa).value - standard_nll) < 1e-10
+        value, _, _ = losses.gpd_eval(y, th, xi, kappa)
+        assert abs(value - standard_nll) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -309,6 +309,90 @@ class TestMalformedModel:
         assert "child id" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def _write_probabilities(path, ds, p=0.5):
+    """A prediction export with one column ``p_le_0.0`` holding ``p`` for
+    every row of ``ds``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["cell", "year", "month", "p_le_0.0"])
+        writer.writerows(zip(ds.cell_index.tolist(), ds.year.tolist(), ds.month.tolist(),
+                             [p] * ds.n_rows))
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("case", ["data_header", "data_row", "folds", "predict_model",
+                                      "importance_model", "thresholds"])
+    def test_exit_2_naming_the_file(self, tmp_path, case, capsys):
+        data = tmp_path / "data.csv"
+        D.save_csv(synth_dataset("counts", n_years=1, nx=4, ny=4, seed=1, mask_rate=0.2),
+                   data)
+        cfg = write_config(tmp_path, str(data))
+        model, folds = tmp_path / "m.json", tmp_path / "folds.csv"
+        pred, thresholds = tmp_path / "pred.csv", tmp_path / "t.txt"
+        assert run(tmp_path, "train", "--config", cfg, "--out", str(model)) == 0
+        assert run(tmp_path, "cvfolds", "--config", cfg, "--n-folds", "2",
+                   "--out", str(folds)) == 0
+        _write_probabilities(pred, D.load_csv(data))
+        thresholds.write_text("0\n", encoding="utf-8")
+        out = str(tmp_path / "out.csv")
+        spoiled, at, argv = {
+            "data_header": (data, 0, ["train", "--config", cfg, "--out", out]),
+            "data_row": (data, -2, ["train", "--config", cfg, "--out", out]),
+            "folds": (folds, -2, ["cv", "--config", cfg, "--folds", str(folds),
+                                  "--checkpoints", "1", "--out", out]),
+            "predict_model": (model, 1, ["predict", "--model", str(model),
+                                         "--data", str(data), "--out", out]),
+            "importance_model": (model, 1, ["importance", "--model", str(model),
+                                            "--out", out]),
+            "thresholds": (thresholds, 0, ["score", "--pred", str(pred), "--data", str(data),
+                                           "--thresholds", str(thresholds)]),
+        }[case]
+        text = spoiled.read_bytes()
+        spoiled.write_bytes(text[:at] + b"\xff" + text[at:])
+        capsys.readouterr()
+        assert run(tmp_path, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {spoiled}: not UTF-8 text")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+class TestDataFlag:
+    """``--data`` names the file ``predict`` and ``score`` read, whatever
+    the ``[data] train`` of their ``--config``."""
+
+    def test_config_without_its_data_file(self, tmp_path, counts_csv, capsys):
+        cfg = write_config(tmp_path, counts_csv)
+        model = tmp_path / "m.json"
+        assert run(tmp_path, "train", "--config", cfg, "--out", str(model)) == 0
+        cfg = write_config(tmp_path, str(tmp_path / "absent.csv"))
+        plain, configured = tmp_path / "plain.csv", tmp_path / "configured.csv"
+        assert run(tmp_path, "predict", "--model", str(model), "--data", counts_csv,
+                   "--out", str(plain)) == 0
+        assert run(tmp_path, "predict", "--model", str(model), "--data", counts_csv,
+                   "--config", cfg, "--out", str(configured)) == 0
+        assert configured.read_bytes() == plain.read_bytes()
+
+        pred, thresholds = tmp_path / "pred.csv", tmp_path / "t.txt"
+        _write_probabilities(pred, D.load_csv(counts_csv))
+        thresholds.write_text("0\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(tmp_path, "score", "--pred", str(pred), "--data", counts_csv,
+                   "--config", cfg, "--thresholds", str(thresholds)) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("score=") and captured.err == ""
+
+    def test_missing_data_file_is_exit_1(self, tmp_path, counts_csv, capsys):
+        cfg = write_config(tmp_path, counts_csv)
+        model = tmp_path / "m.json"
+        assert run(tmp_path, "train", "--config", cfg, "--out", str(model)) == 0
+        capsys.readouterr()
+        assert run(tmp_path, "predict", "--model", str(model), "--config", cfg,
+                   "--data", str(tmp_path / "absent.csv"), "--out",
+                   str(tmp_path / "p.csv")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: data file") and "absent.csv" in err
+
+
 class TestCvFolds:
     def test_default_five_folds_and_determinism(self, tmp_path, counts_csv, capsys):
         masked = tmp_path / "masked.csv"
@@ -485,6 +569,25 @@ class TestTune:
             rows = list(csv.reader(fh))
         assert rows[0] == ["iteration", "learning_rate", "score"]
         assert len(rows) == 4  # header + 3 iterations
+
+
+class TestTuneBounds:
+    @pytest.mark.parametrize("bound", ["0.1, abc", "0.1, inf", "nan, 0.3", "0.1",
+                                       "0.1, 0.2, 0.3", "0.3, 0.02", "0.1, 0.1"])
+    def test_exit_1_naming_the_key(self, tmp_path, bound, capsys):
+        masked = tmp_path / "masked.csv"
+        D.save_csv(synth_dataset("counts", n_years=1, nx=3, ny=3, seed=1,
+                                 mask_rate=0.2), masked)
+        cfg = write_config(tmp_path, str(masked), extra=f"\n[tune]\nlearning_rate = {bound}\n")
+        folds = tmp_path / "folds.csv"
+        assert run(tmp_path, "cvfolds", "--config", cfg, "--n-folds", "2",
+                   "--out", str(folds)) == 0
+        capsys.readouterr()
+        assert run(tmp_path, "tune", "--config", cfg, "--folds", str(folds),
+                   "--max-iters", "2", "--out", str(tmp_path / "tune.csv")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [tune] learning_rate must be two finite numbers")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 class TestPipelineRoundTrip:

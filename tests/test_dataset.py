@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import sparse_grids
 from evtboost import booster, cli, dataset, losses
 from evtboost.errors import DataError
 
@@ -150,7 +149,7 @@ def reference_load_csv(path, schema=None, missing_marker="NA",
         year=np.asarray(years, dtype=int), month=np.asarray(months, dtype=int),
         cnt=np.asarray(cnts, dtype=float), ba=np.asarray(bas, dtype=float),
         covariates=np.asarray(covs, dtype=float).reshape(len(years), len(covariate_columns)),
-        covariate_names=list(covariate_columns), spacing=spacing)
+        covariate_names=list(covariate_columns))
     repeated = np.flatnonzero(ds.rows_of(ds.cell_index, ds.year, ds.month)
                               != np.arange(ds.n_rows))
     if repeated.size:
@@ -164,7 +163,6 @@ def assert_same_dataset(got, want):
         assert (a.dtype, a.shape) == (b.dtype, b.shape), field
         assert a.tobytes() == b.tobytes(), field
     assert got.covariate_names == want.covariate_names
-    assert got.spacing == want.spacing
 
 
 # Markers as a user may set them: a word, a number (also a value lon takes,
@@ -372,9 +370,9 @@ class TestAcceptedSyntax:
             assert dataset.count_lines(path) == 2
 
 
-def grid_dataset(values, year=1993, month=3, spacing=0.5):
+def grid_dataset(values, year=1993, month=3):
     """3x3 grid with one row per cell and the covariate 'v' set per cell."""
-    cells = np.array(sorted((-100.0 + i * spacing, 35.0 + j * spacing)
+    cells = np.array(sorted((-100.0 + i * 0.5, 35.0 + j * 0.5)
                             for j in range(3) for i in range(3)))
     vals = np.asarray(values, dtype=float)
     return dataset.GridDataset(
@@ -386,7 +384,6 @@ def grid_dataset(values, year=1993, month=3, spacing=0.5):
         ba=np.zeros(9),
         covariates=vals[:, None],
         covariate_names=["v"],
-        spacing=spacing,
     )
 
 
@@ -406,81 +403,6 @@ class TestMatchRows:
         keys = (np.array([0, 0, 1]), np.array([5, 6, 5]))
         got = dataset.match_rows(keys, (np.array([[0], [1]]), np.array([5, 6])))
         np.testing.assert_array_equal(got, [[0, 1], [2, -1]])
-
-
-def reference_neighbor_average(ds, covariate):
-    """The per-row loop that ``neighbor_average`` replaced: neighbour cells
-    from a lattice dict, rows from a (cell, year, month) dict, sums added in
-    (di, dj) order."""
-    values = ds.covariates[:, ds.covariate_names.index(covariate)]
-    cells = ds.cells.tolist()
-    lon0 = min(c[0] for c in cells)
-    lat0 = min(c[1] for c in cells)
-
-    def key(c):
-        return (round((c[0] - lon0) / ds.spacing), round((c[1] - lat0) / ds.spacing))
-
-    index = {key(c): k for k, c in enumerate(cells)}
-    nbrs = []
-    for c in cells:
-        ci, cj = key(c)
-        nbrs.append([index[(ci + di, cj + dj)]
-                     for di in (-1, 0, 1) for dj in (-1, 0, 1)
-                     if (di, dj) != (0, 0) and (ci + di, cj + dj) in index])
-    row_of = {}
-    for i in range(ds.n_rows):
-        row_of[(int(ds.cell_index[i]), int(ds.year[i]), int(ds.month[i]))] = i
-    out = np.empty(ds.n_rows)
-    for i in range(ds.n_rows):
-        c, y, m = int(ds.cell_index[i]), int(ds.year[i]), int(ds.month[i])
-        acc, cnt = 0.0, 0
-        for nb in nbrs[c]:
-            r = row_of.get((nb, y, m))
-            if r is not None and not np.isnan(values[r]):
-                acc += values[r]
-                cnt += 1
-        out[i] = acc / cnt if cnt else values[i]
-    return out
-
-
-class TestNeighborAverage:
-    @settings(max_examples=80, deadline=None)
-    @given(ds=sparse_grids())
-    def test_matches_reference_loop_bit_for_bit(self, ds):
-        got = dataset.neighbor_average(ds, "v").covariates[:, -1]
-        assert got.tobytes() == reference_neighbor_average(ds, "v").tobytes()
-
-
-    def test_constant_field(self):
-        ds = grid_dataset(np.full(9, 2.0))
-        out = dataset.neighbor_average(ds, "v")
-        j = out.covariate_names.index("v_nbr")
-        np.testing.assert_allclose(out.covariates[:, j], 2.0)
-
-    def test_corner_mean_of_available(self):
-        ds = grid_dataset(np.arange(9, dtype=float))
-        # corner cell 0 at (-100, 35): neighbours are cells 1, 3, 4
-        out = dataset.neighbor_average(ds, "v")
-        j = out.covariate_names.index("v_nbr")
-        assert out.covariates[0, j] == pytest.approx((1 + 3 + 4) / 3)
-
-    def test_isolated_cell_falls_back_to_self(self):
-        ds = grid_dataset(np.arange(9, dtype=float))
-        lonely = ds.subset(np.array([4]))  # keep only the centre cell's row
-        out = dataset.neighbor_average(lonely, "v")
-        j = out.covariate_names.index("v_nbr")
-        assert out.covariates[0, j] == 4.0
-
-    def test_shift_equivariance(self):
-        base = np.arange(9, dtype=float)
-        ds1 = dataset.neighbor_average(grid_dataset(base), "v")
-        ds2 = dataset.neighbor_average(grid_dataset(base + 5.0), "v")
-        j = ds1.covariate_names.index("v_nbr")
-        np.testing.assert_allclose(ds2.covariates[:, j], ds1.covariates[:, j] + 5.0)
-
-    def test_unknown_covariate(self):
-        with pytest.raises(DataError):
-            dataset.neighbor_average(grid_dataset(np.zeros(9)), "nope")
 
 
 class TestCrossFillZeros:

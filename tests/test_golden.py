@@ -1,24 +1,30 @@
 """Golden files: training on a fixed dataset must reproduce the committed
-``booster.dumps`` output byte for byte, for every loss kind, and fold
-generation must reproduce the committed ``save_folds`` export.
+``booster.dumps`` output byte for byte, for every loss kind, fold
+generation must reproduce the committed ``save_folds`` export, and the CLI
+must reproduce its committed model and prediction files.
 
 The dataset has missing covariates, tied values and a constant column, and
 the models sample 70% of the features per round, so split search, default
 directions and column sampling are all pinned.  The folds come from a
 synthetic grid with masked responses and some (cell, month) rows dropped,
-with intercepts calibrated to its masking rate.  Regenerate the files (only
+with intercepts calibrated to its masking rate.  The CLI files come from
+``synth``, ``train`` and ``predict`` on small synthetic grids, so CSV
+reading, the feature matrix and the output writers are pinned.  Regenerate the files (only
 for a deliberate, documented format change) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
+import io
+import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from evtboost import booster, losses, spatialcv, synth
+from evtboost import booster, cli, losses, spatialcv, synth
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -80,6 +86,50 @@ def golden_folds_text() -> str:
         return path.read_text(encoding="utf-8")
 
 
+def golden_cli_texts() -> dict[str, str]:
+    """Files written by the CLI: a dgpd ``train`` on a count grid with
+    masked responses, ``predict`` with that model (raw and mean), and
+    ``predict`` with a mixture of three CLI-trained components at a few
+    thresholds."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+
+        def run(*argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["--runlog", str(tmp / "runs.log"), *argv]) == 0
+
+        def config(name, data, body):
+            (tmp / name).write_text(f"[data]\ntrain = {tmp / data}\n\n{body}", encoding="utf-8")
+            return str(tmp / name)
+
+        run("synth", "--kind", "counts", "--nx", "4", "--ny", "4", "--years", "2",
+            "--mask-rate", "0.2", "--seed", "23", "--out", str(tmp / "counts.csv"))
+        counts_ini = config("counts.ini", "counts.csv", "[loss]\nkind = dgpd\nalpha = 4.0\n\n"
+                            "[train]\nn_trees = 4\nmax_leaves = 4\ncolsample = 0.8\nseed = 5\n")
+        run("train", "--config", counts_ini, "--out", str(tmp / "dgpd.json"))
+        run("predict", "--model", str(tmp / "dgpd.json"), "--data", str(tmp / "counts.csv"),
+            "--out", str(tmp / "dgpd.csv"))
+
+        run("synth", "--kind", "sizes", "--nx", "4", "--ny", "4", "--years", "2",
+            "--mask-rate", "0.1", "--seed", "29", "--out", str(tmp / "sizes.csv"))
+        sizes_ini = config("sizes.ini", "sizes.csv", "[loss]\nu = 200.0\nxi = 0.8\n"
+                           "kappa = 0.5\nk_shape = 1.2\n\n"
+                           "[train]\nn_trees = 3\nmax_leaves = 4\nseed = 7\n")
+        parts = {"classifier": "cross_entropy", "bulk": "trgamma", "tail": "gpd"}
+        for part, kind in parts.items():
+            run("train", "--config", sizes_ini, "--loss", kind, "--out", str(tmp / f"{part}.json"))
+        (tmp / "mix.json").write_text(json.dumps(
+            {"format_version": 1, "kind": "mixture", "threshold": 200.0,
+             **{part: f"{part}.json" for part in parts}}), encoding="utf-8")
+        (tmp / "thresholds.txt").write_text("0\n25\n200\n1000\n", encoding="utf-8")
+        run("predict", "--model", str(tmp / "mix.json"), "--data", str(tmp / "sizes.csv"),
+            "--thresholds", str(tmp / "thresholds.txt"), "--out", str(tmp / "mix.csv"))
+
+        return {golden: (tmp / made).read_text(encoding="utf-8") for golden, made in
+                (("cli_dgpd.json", "dgpd.json"), ("cli_dgpd_predict.csv", "dgpd.csv"),
+                 ("cli_mixture_predict.csv", "mix.csv"))}
+
+
 @pytest.mark.parametrize("kind", sorted(SPECS))
 def test_model_matches_golden_file(kind):
     expected = (GOLDEN / f"{kind}.json").read_text(encoding="utf-8")
@@ -91,8 +141,15 @@ def test_folds_match_golden_file():
     assert golden_folds_text() == expected
 
 
+def test_cli_outputs_match_golden_files():
+    for name, text in golden_cli_texts().items():
+        assert text == (GOLDEN / name).read_text(encoding="utf-8"), name
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for kind in sorted(SPECS):
         (GOLDEN / f"{kind}.json").write_text(golden_text(kind), encoding="utf-8")
     (GOLDEN / "folds.csv").write_text(golden_folds_text(), encoding="utf-8")
+    for name, text in golden_cli_texts().items():
+        (GOLDEN / name).write_text(text, encoding="utf-8")

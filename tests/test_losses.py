@@ -27,36 +27,42 @@ class TestLossSpec:
 
 class TestPoisson:
     def test_zero_count(self):
-        assert losses.poisson(0, 0.0).value == pytest.approx(1.0)
+        value, _, _ = losses.poisson_eval(0, 0.0)
+        assert value == pytest.approx(1.0)
 
     def test_vanishes_at_fit(self):
-        assert losses.poisson(1, 0.0).value == pytest.approx(0.0, abs=1e-15)
+        value, _, _ = losses.poisson_eval(1, 0.0)
+        assert value == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_value(self):
         # 2*log(2) - 2 + 1
-        assert losses.poisson(2, 0.0).value == pytest.approx(2 * math.log(2) - 1)
+        value, _, _ = losses.poisson_eval(2, 0.0)
+        assert value == pytest.approx(2 * math.log(2) - 1)
 
     def test_grad_hess_forms(self):
-        ev = losses.poisson(3, 0.7)
-        assert ev.grad == pytest.approx(math.exp(0.7) - 3)
-        assert ev.hess == pytest.approx(math.exp(0.7))
+        _, grad, hess = losses.poisson_eval(3, 0.7)
+        assert grad == pytest.approx(math.exp(0.7) - 3)
+        assert hess == pytest.approx(math.exp(0.7))
 
     def test_rejects_negative_counts(self):
         with pytest.raises(DataError):
-            losses.poisson(-1, 0.0)
+            losses.poisson_eval(-1, 0.0)
 
 
 class TestDgpd:
     def test_zero_count_alpha_one(self):
         # pmf(0) = 1 - 1/2
-        assert losses.dgpd(0, 0.0, 1.0).value == pytest.approx(math.log(2))
+        value, _, _ = losses.dgpd_eval(0, 0.0, 1.0)
+        assert value == pytest.approx(math.log(2))
 
     def test_exact_arithmetic_value(self):
         # pmf(1) = 1/4 - 1/9 = 5/36
-        assert losses.dgpd(1, 0.0, 2.0).value == pytest.approx(math.log(36 / 5))
+        value, _, _ = losses.dgpd_eval(1, 0.0, 2.0)
+        assert value == pytest.approx(math.log(36 / 5))
 
     def test_hand_gradient(self):
-        assert losses.dgpd(1, 0.0, 1.0).grad == pytest.approx(1 / 6, rel=1e-12)
+        _, grad, _ = losses.dgpd_eval(1, 0.0, 1.0)
+        assert grad == pytest.approx(1 / 6, rel=1e-12)
 
     def test_pmf_telescopes(self):
         theta, alpha = 0.3, 2.5
@@ -68,7 +74,7 @@ class TestDgpd:
     def test_underflow_raises(self):
         # the survival difference rounds to zero far down the left tail
         with pytest.raises(NumericalError):
-            losses.dgpd(5, -800.0, 1.0)
+            losses.dgpd_eval(5, -800.0, 1.0)
 
     def test_raw_pmf_switch(self):
         v, g, h = losses.dgpd_eval(2, 0.1, 1.5, raw_pmf_loss=True)
@@ -132,16 +138,18 @@ class TestTrGamma:
     def test_closed_form_exponential_case(self):
         # k=1: gamma(1, s) = 1 - e^-s
         expect = 0.5 + math.log(1 - math.exp(-1))
-        assert losses.trgamma(0.5, 0.0, 1.0, 1.0).value == pytest.approx(expect)
+        value, _, _ = losses.trgamma_eval(0.5, 0.0, 1.0, 1.0)
+        assert value == pytest.approx(expect)
 
     def test_huge_truncation_is_exponential_nll(self):
-        assert losses.trgamma(2.0, 0.0, 1.0, 1e9).value == pytest.approx(2.0)
+        value, _, _ = losses.trgamma_eval(2.0, 0.0, 1.0, 1e9)
+        assert value == pytest.approx(2.0)
 
     def test_domain_errors(self):
         with pytest.raises(DataError):
-            losses.trgamma(0.0, 0.0, 1.0, 1.0)
+            losses.trgamma_eval(0.0, 0.0, 1.0, 1.0)
         with pytest.raises(DataError):
-            losses.trgamma(1.5, 0.0, 1.0, 1.0)
+            losses.trgamma_eval(1.5, 0.0, 1.0, 1.0)
 
     def test_density_integrates_to_one(self, rng):
         # exp(-loss) * k^k * y^(k-1) is the truncated density
@@ -169,7 +177,8 @@ class TestTrGamma:
 class TestGpd:
     def test_unit_scale_value(self):
         # kappa=0.5, xi=1 makes A=1: NLL of standard GPD(1, 1) at y=1
-        assert losses.gpd(1.0, 0.0, 1.0, 0.5).value == pytest.approx(2 * math.log(2))
+        value, _, _ = losses.gpd_eval(1.0, 0.0, 1.0, 0.5)
+        assert value == pytest.approx(2 * math.log(2))
 
     def test_matches_standard_parameterization(self, rng):
         for _ in range(50):
@@ -180,8 +189,8 @@ class TestGpd:
             c = losses.gpd_scale_factor(xi, kappa)
             theta = math.log(sigma * c / xi)  # log kappa-quantile
             standard_nll = math.log(sigma) + (1 / xi + 1) * math.log1p(xi * y / sigma)
-            assert losses.gpd(y, theta, xi, kappa).value == pytest.approx(
-                standard_nll, abs=1e-10)
+            value, _, _ = losses.gpd_eval(y, theta, xi, kappa)
+            assert value == pytest.approx(standard_nll, abs=1e-10)
 
     def test_quantile_identity(self, rng):
         # the kappa-quantile of GPD(sigma, xi) equals e^theta
@@ -195,97 +204,99 @@ class TestGpd:
 
     def test_requires_positive_excess(self):
         with pytest.raises(DataError):
-            losses.gpd(0.0, 0.0, 1.0, 0.5)
+            losses.gpd_eval(0.0, 0.0, 1.0, 0.5)
 
     def test_hessian_positive(self, rng):
         for _ in range(50):
-            ev = losses.gpd(rng.uniform(0.01, 100), rng.uniform(-3, 3),
-                            rng.uniform(0.05, 2.0), rng.uniform(0.05, 0.95))
-            assert ev.hess > 0
+            _, _, hess = losses.gpd_eval(rng.uniform(0.01, 100), rng.uniform(-3, 3),
+                                         rng.uniform(0.05, 2.0), rng.uniform(0.05, 0.95))
+            assert hess > 0
 
 
 class TestCrossEntropy:
     def test_uniform_softmax(self):
-        assert losses.cross_entropy([1, 0, 0], [0.0, 0.0, 0.0]).value == pytest.approx(
-            math.log(3))
+        value, _, _ = losses.cross_entropy_eval([1, 0, 0], [0.0, 0.0, 0.0])
+        assert value == pytest.approx(math.log(3))
 
     def test_weight_linearity(self):
-        assert losses.cross_entropy([1, 0, 0], [0.0, 0.0, 0.0], 2.0).value == \
-            pytest.approx(2 * math.log(3))
+        value, _, _ = losses.cross_entropy_eval([1, 0, 0], [0.0, 0.0, 0.0], 2.0)
+        assert value == pytest.approx(2 * math.log(3))
 
     def test_confident_correct(self):
         # -log softmax(10)_1 with scores (0, 10, 0)
         expect = math.log(1 + 2 * math.exp(-10))
-        ev = losses.cross_entropy([0, 1, 0], [0.0, 10.0, 0.0])
-        assert ev.value == pytest.approx(expect, rel=1e-9)
-        assert ev.value == pytest.approx(9.080e-5, rel=1e-3)
+        value, _, _ = losses.cross_entropy_eval([0, 1, 0], [0.0, 10.0, 0.0])
+        assert value == pytest.approx(expect, rel=1e-9)
+        assert value == pytest.approx(9.080e-5, rel=1e-3)
 
     def test_shift_invariance(self, rng):
         theta = rng.normal(size=4)
         y = np.eye(4)[2]
-        v1 = losses.cross_entropy(y, theta).value
-        v2 = losses.cross_entropy(y, theta + 13.7).value
+        v1, _, _ = losses.cross_entropy_eval(y, theta)
+        v2, _, _ = losses.cross_entropy_eval(y, theta + 13.7)
         assert v1 == pytest.approx(v2, rel=1e-12)
 
     def test_grad_hess_forms(self, rng):
         theta = rng.normal(size=3)
         y = np.eye(3)[0]
-        ev = losses.cross_entropy(y, theta, 1.7)
+        _, grad, hess = losses.cross_entropy_eval(y, theta, 1.7)
         p = losses.softmax(theta)
-        np.testing.assert_allclose(ev.grad, 1.7 * (p - y), rtol=1e-12)
-        np.testing.assert_allclose(ev.hess, 1.7 * p * (1 - p), rtol=1e-12)
+        np.testing.assert_allclose(grad, 1.7 * (p - y), rtol=1e-12)
+        np.testing.assert_allclose(hess, 1.7 * p * (1 - p), rtol=1e-12)
 
     def test_rejects_non_one_hot(self):
         with pytest.raises(DataError):
-            losses.cross_entropy([1, 1, 0], [0.0, 0.0, 0.0])
+            losses.cross_entropy_eval([1, 1, 0], [0.0, 0.0, 0.0])
 
 
 class TestSquaredLog:
     def test_exact_fit(self):
-        assert losses.squared_log(0.0, 0.0).value == pytest.approx(0.0)
+        value, _, _ = losses.squared_log_eval(0.0, 0.0)
+        assert value == pytest.approx(0.0)
 
     def test_unit_residual(self):
-        assert losses.squared_log(math.e - 1, 0.0).value == pytest.approx(0.5)
+        value, _, _ = losses.squared_log_eval(math.e - 1, 0.0)
+        assert value == pytest.approx(0.5)
 
     def test_quadratic_identities(self):
-        ev = losses.squared_log(0.0, 2.0)
-        assert ev.value == pytest.approx(2.0)
-        assert ev.grad == pytest.approx(2.0)
-        assert ev.hess == pytest.approx(1.0)
+        value, grad, hess = losses.squared_log_eval(0.0, 2.0)
+        assert value == pytest.approx(2.0)
+        assert grad == pytest.approx(2.0)
+        assert hess == pytest.approx(1.0)
 
 
 def _random_case(kind, rng):
     theta = float(rng.uniform(-2.0, 2.0))
     if kind == "poisson":
         y = int(rng.integers(0, 30))
-        return theta, lambda t: losses.poisson(y, t), ()
+        return theta, lambda t: losses.poisson_eval(y, t), ()
     if kind == "dgpd":
         y = int(rng.integers(0, 40))
         alpha = float(rng.uniform(0.4, 10.0))
-        return theta, lambda t: losses.dgpd(y, t, alpha), ()
+        return theta, lambda t: losses.dgpd_eval(y, t, alpha), ()
     if kind == "trgamma":
         k = float(rng.uniform(0.6, 5.0))
         u = float(rng.uniform(0.5, 30.0))
         y = float(rng.uniform(1e-3, u))
-        return theta, lambda t: losses.trgamma(y, t, k, u), ()
+        return theta, lambda t: losses.trgamma_eval(y, t, k, u), ()
     if kind == "gpd":
         xi = float(rng.uniform(0.05, 2.0))
         kappa = float(rng.uniform(0.05, 0.95))
         y = float(rng.uniform(1e-3, 80.0))
-        return theta, lambda t: losses.gpd(y, t, xi, kappa), ()
+        return theta, lambda t: losses.gpd_eval(y, t, xi, kappa), ()
     y = float(rng.uniform(0.0, 200.0))
-    return theta, lambda t: losses.squared_log(y, t), ()
+    return theta, lambda t: losses.squared_log_eval(y, t), ()
 
 
 @pytest.mark.parametrize("kind", ["poisson", "dgpd", "trgamma", "gpd", "squared_log"])
 def test_derivatives_match_finite_differences(kind, rng):
     for _ in range(100):
         theta, make, _ = _random_case(kind, rng)
-        ev = make(theta)
-        g_fd = fd_grad(lambda t: make(t).value, theta)
-        h_fd = fd_hess(lambda t: make(t).value, theta)
-        assert rel_err(ev.grad, g_fd) < 1e-6
-        assert rel_err(ev.hess, h_fd) < 1e-4
+        _, grad, hess = make(theta)
+        g_fd = fd_grad(lambda t: make(t)[0], theta)
+        h_fd = fd_hess(lambda t: make(t)[0], theta)
+        assert rel_err(grad, g_fd) < 1e-6
+        assert rel_err(hess, h_fd) < 1e-4
 
 
 def test_cross_entropy_derivatives_match_finite_differences(rng):
@@ -294,12 +305,12 @@ def test_cross_entropy_derivatives_match_finite_differences(rng):
         theta = rng.normal(scale=1.5, size=C)
         y = np.eye(C)[int(rng.integers(0, C))]
         w = float(rng.uniform(0.2, 3.0))
-        ev = losses.cross_entropy(y, theta, w)
+        _, grad, hess = losses.cross_entropy_eval(y, theta, w)
         for c in range(C):
             def value_at(t, c=c):
                 th = theta.copy()
                 th[c] = t
-                return losses.cross_entropy(y, th, w).value
+                return losses.cross_entropy_eval(y, th, w)[0]
 
-            assert rel_err(ev.grad[c], fd_grad(value_at, theta[c])) < 1e-6
-            assert rel_err(ev.hess[c], fd_hess(value_at, theta[c])) < 1e-4
+            assert rel_err(grad[c], fd_grad(value_at, theta[c])) < 1e-6
+            assert rel_err(hess[c], fd_hess(value_at, theta[c])) < 1e-4
