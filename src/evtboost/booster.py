@@ -252,6 +252,8 @@ def predict_raw_staged(model: BoostedModel, X, checkpoints) -> list[np.ndarray]:
         )
     stops = [model.n_rounds if k is None else min(int(k), model.n_rounds)
              for k in checkpoints]
+    if min(stops, default=0) < 0:
+        raise DataError(f"checkpoints must be >= 0, got {min(stops)}")
     lr = model.params.learning_rate
     if model.loss.multiclass:
         C = model.loss.n_classes
@@ -347,12 +349,16 @@ def dumps(model: BoostedModel) -> str:
     return json.dumps(to_doc(model), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def loads(text: str) -> BoostedModel:
+def parse(text: str):
+    """The JSON document in ``text``; invalid JSON is a :class:`DataError`."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"model document is not valid JSON: {exc}") from exc
-    return from_doc(doc)
+
+
+def loads(text: str) -> BoostedModel:
+    return from_doc(parse(text))
 
 
 def save(model: BoostedModel, path) -> None:

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import hashlib
 import os
 import sys
 import time
 from dataclasses import replace
+from functools import partialmethod
 
 import numpy as np
 
@@ -42,17 +42,19 @@ _SECTION_KEYS = {
               "colsample", "n_quantile_bins", "seed"},
     "cv": {"n_folds", "seed", "beta0_cnt", "beta0_ba", "beta", "range",
            "sigma_gp", "nu", "phi"},
-    "score": {"thresholds", "weights", "response"},
+    "score": {"weights", "response"},
     "tune": {"learning_rate", "max_leaves", "lambda_reg", "eta", "colsample",
              "alpha", "xi", "k_shape"},
 }
+
+_BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+             **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
 class RunConfig:
     """Parsed INI configuration with strict key checking."""
 
     def __init__(self, path: str | None):
-        self.path = path
         cp = configparser.ConfigParser()
         if path is not None:
             if not os.path.exists(path):
@@ -77,33 +79,18 @@ class RunConfig:
             return self.cp.get(section, key)
         return default
 
-    def getfloat(self, section, key, default=None):
+    def _get_as(self, parse, what, section, key, default=None):
         val = self.get(section, key)
         if val is None:
             return default
         try:
-            return float(val)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key} must be a number, got {val!r}") from None
+            return parse(val)
+        except (KeyError, ValueError):
+            raise ConfigError(f"[{section}] {key} must be {what}, got {val!r}") from None
 
-    def getint(self, section, key, default=None):
-        val = self.get(section, key)
-        if val is None:
-            return default
-        try:
-            return int(val)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key} must be an integer, got {val!r}") from None
-
-    def getbool(self, section, key, default=False):
-        val = self.get(section, key)
-        if val is None:
-            return default
-        if val.lower() in ("1", "true", "yes", "on"):
-            return True
-        if val.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"[{section}] {key} must be a boolean, got {val!r}")
+    getfloat = partialmethod(_get_as, float, "a number")
+    getint = partialmethod(_get_as, int, "an integer")
+    getbool = partialmethod(_get_as, lambda text: _BOOLEANS[text.lower()], "a boolean")
 
     # -- builders ----------------------------------------------------------
 
@@ -139,56 +126,59 @@ class RunConfig:
         kind = kind or self.get("loss", "kind")
         if kind is None:
             raise ConfigError("loss kind required (--loss or [loss] kind)")
-        try:
-            return L.LossSpec(
-                kind=kind,
-                alpha=self.getfloat("loss", "alpha", 1.0),
-                xi=self.getfloat("loss", "xi", 0.8),
-                kappa=self.getfloat("loss", "kappa", 0.5),
-                k_shape=self.getfloat("loss", "k_shape", 1.0),
-                u_trunc=float(np.log1p(self.threshold_u())),
-                n_classes=self.getint("loss", "n_classes", 3),
-                raw_pmf_loss=self.getbool("loss", "raw_pmf_loss", False),
-            )
-        except DataError as exc:
-            raise ConfigError(str(exc)) from exc
+        return _build(
+            L.LossSpec,
+            kind=kind,
+            alpha=self.getfloat("loss", "alpha", 1.0),
+            xi=self.getfloat("loss", "xi", 0.8),
+            kappa=self.getfloat("loss", "kappa", 0.5),
+            k_shape=self.getfloat("loss", "k_shape", 1.0),
+            u_trunc=float(np.log1p(self.threshold_u())),
+            n_classes=self.getint("loss", "n_classes", 3),
+            raw_pmf_loss=self.getbool("loss", "raw_pmf_loss", False),
+        )
 
     def threshold_u(self) -> float:
         return self.getfloat("loss", "u", 200.0)
 
     def train_params(self, seed_override=None) -> B.TrainParams:
-        try:
-            return B.TrainParams(
-                n_trees=self.getint("train", "n_trees", 100),
-                learning_rate=self.getfloat("train", "learning_rate", 0.1),
-                max_leaves=self.getint("train", "max_leaves", 8),
-                lambda_reg=self.getfloat("train", "lambda_reg", 1.0),
-                eta=self.getfloat("train", "eta", 0.0),
-                colsample=self.getfloat("train", "colsample", 1.0),
-                n_quantile_bins=self.getint("train", "n_quantile_bins", 32),
-                seed=seed_override if seed_override is not None
-                else self.getint("train", "seed", 0),
-            )
-        except DataError as exc:
-            raise ConfigError(str(exc)) from exc
+        return _build(
+            B.TrainParams,
+            n_trees=self.getint("train", "n_trees", 100),
+            learning_rate=self.getfloat("train", "learning_rate", 0.1),
+            max_leaves=self.getint("train", "max_leaves", 8),
+            lambda_reg=self.getfloat("train", "lambda_reg", 1.0),
+            eta=self.getfloat("train", "eta", 0.0),
+            colsample=self.getfloat("train", "colsample", 1.0),
+            n_quantile_bins=self.getint("train", "n_quantile_bins", 32),
+            seed=seed_override if seed_override is not None
+            else self.getint("train", "seed", 0),
+        )
 
     def mask_params(self, ds: D.GridDataset) -> S.MaskModelParams:
-        try:
-            params = S.MaskModelParams(
-                beta0_cnt=self.getfloat("cv", "beta0_cnt", 0.0),
-                beta0_ba=self.getfloat("cv", "beta0_ba", 0.0),
-                beta=self.getfloat("cv", "beta", 0.42),
-                r=self.getfloat("cv", "range", 2.0),
-                sigma_gp=self.getfloat("cv", "sigma_gp", 1.0),
-                nu=self.getfloat("cv", "nu", 1.0),
-                phi=self.getfloat("cv", "phi", 0.25),
-            )
-        except DataError as exc:
-            raise ConfigError(str(exc)) from exc
+        params = _build(
+            S.MaskModelParams,
+            beta0_cnt=self.getfloat("cv", "beta0_cnt", 0.0),
+            beta0_ba=self.getfloat("cv", "beta0_ba", 0.0),
+            beta=self.getfloat("cv", "beta", 0.42),
+            r=self.getfloat("cv", "range", 2.0),
+            sigma_gp=self.getfloat("cv", "sigma_gp", 1.0),
+            nu=self.getfloat("cv", "nu", 1.0),
+            phi=self.getfloat("cv", "phi", 0.25),
+        )
         # default intercepts: calibrate to the dataset's observed masking rate
         if self.get("cv", "beta0_cnt") is None and self.get("cv", "beta0_ba") is None:
             params = S.calibrate_intercepts(ds, params)
         return params
+
+
+def _build(make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a :class:`DataError` raised as a :class:`ConfigError`."""
+    try:
+        return make(*args, **kwargs)
+    except DataError as exc:
+        raise ConfigError(str(exc)) from exc
+
 
 def _read_numbers(path) -> np.ndarray:
     if not os.path.exists(path):
@@ -202,22 +192,10 @@ def _read_numbers(path) -> np.ndarray:
             try:
                 vals.append(float(line))
             except ValueError:
-                raise DataError(f"{path}:{lineno}: not a number: {line!r}") from None
+                vals.append(np.nan)
+            if not np.isfinite(vals[-1]):
+                raise DataError(f"{path}:{lineno}: not a finite number: {line!r}")
     return np.asarray(vals)
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):  # includes numpy float64, which reprs differently
-        return repr(float(v))
-    return str(v)
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +230,15 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     ds = RunConfig(args.config).load_dataset(args.data)
     X, names = ds.feature_matrix()
-    if M.is_mixture_document(args.model):
-        mix = M.load(args.model)
+    model = M.load(args.model)
+    if isinstance(model, M.MixtureModel):
         thresholds = _read_numbers(args.thresholds) if args.thresholds \
             else E.default_score_spec("ba").thresholds
         if np.any(np.diff(thresholds) < 0):
             raise DataError("thresholds must be sorted ascending")
-        header = [f"p_le_{_fmt(float(t))}" for t in thresholds]
-        values = M.threshold_probs(mix, X, thresholds, names=names)
+        header = [f"p_le_{float(t)!r}" for t in thresholds]
+        values = M.threshold_probs(model, X, thresholds, names=names)
     else:
-        model = B.load(args.model)
         raw = B.predict_raw(model, D.align_features(X, names, model.feature_names))
         if model.loss.multiclass:
             header, values = ["p_zero", "p_med", "p_large"], L.softmax(raw)
@@ -270,9 +247,9 @@ def cmd_predict(args) -> int:
             values = np.column_stack([raw, L.dgpd_mean(raw, model.loss.alpha)])
         else:
             header, values = ["raw"], raw[:, None]
-    keys = zip(ds.cell_index.tolist(), ds.year.tolist(), ds.month.tolist())
-    _write_csv(args.out, ["cell", "year", "month"] + header,
-               [list(k) + v for k, v in zip(keys, values.tolist())])
+    D.write_csv(args.out, ["cell", "year", "month"] + header,
+                [ds.cell_index.tolist(), ds.year.tolist(), ds.month.tolist(),
+                 *values.T.tolist()])
     return EXIT_OK
 
 
@@ -292,8 +269,9 @@ def cmd_cvfolds(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    if args.max_iters < 1:
+        raise ConfigError("--max-iters must be at least 1")
     cfg, ds, loss, response = _training_setup(args)
-    folds = S.load_folds(args.folds, ds)
     base_params = cfg.train_params()
     seed = args.seed if args.seed is not None else base_params.seed
 
@@ -316,9 +294,8 @@ def cmd_tune(args) -> int:
     int_params = {"max_leaves"}
     loss_params = {"alpha", "xi", "k_shape"}
 
-    def objective(point: dict) -> float:
-        kwargs = {}
-        lkw = {}
+    def setup(point: dict) -> tuple[B.TrainParams, L.LossSpec]:
+        kwargs, lkw = {}, {}
         for key, val in point.items():
             if key in int_params:
                 kwargs[key] = int(round(val))
@@ -326,8 +303,17 @@ def cmd_tune(args) -> int:
                 lkw[key] = float(val)
             else:
                 kwargs[key] = float(val)
-        params = replace(base_params, **kwargs)
-        spec = loss if not lkw else L.LossSpec(**{**loss.hyperparams(), **lkw})
+        params = _build(replace, base_params, **kwargs)
+        spec = loss if not lkw else _build(L.LossSpec, **{**loss.hyperparams(), **lkw})
+        return params, spec
+
+    # each parameter check is a range, so valid corners make the whole box valid
+    for corner in (0, 1):
+        setup({key: bounds[corner] for key, bounds in box.items()})
+    folds = S.load_folds(args.folds, ds)
+
+    def objective(point: dict) -> float:
+        params, spec = setup(point)
         recipe = R.BoosterRecipe(loss=spec, params=params, response=response,
                                  u=cfg.threshold_u(), metric="nll")
         cv = E.run_cv(ds, folds, recipe, response, checkpoints=[params.n_trees])
@@ -335,9 +321,9 @@ def cmd_tune(args) -> int:
 
     history = E.tune_loop(objective, box, n_iters=args.max_iters, seed=seed)
     names = list(box)
-    _write_csv(args.out, ["iteration"] + names + ["score"],
-               [[i] + [float(p[k]) for k in names] + [float(s)]
-                for i, (p, s) in enumerate(history)])
+    table = np.array([[p[k] for k in names] + [s] for p, s in history])
+    D.write_csv(args.out, ["iteration"] + names + ["score"],
+                [range(len(history)), *table.T.tolist()])
     best = min(history, key=lambda hs: hs[1])
     for k in names:
         print(f"best_{k}={best[0][k]!r}")
@@ -347,15 +333,16 @@ def cmd_tune(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    cfg, ds, loss, response = _training_setup(args)
-    folds = S.load_folds(args.folds, ds)
-    params = cfg.train_params()
     try:
         checkpoints = sorted({int(t) for t in args.checkpoints.split(",")})
+        if checkpoints[0] < 0:
+            raise ValueError
     except ValueError:
-        raise ConfigError(f"--checkpoints must be comma-separated integers, "
+        raise ConfigError(f"--checkpoints must be comma-separated integers >= 0, "
                           f"got {args.checkpoints!r}") from None
-    params = replace(params, n_trees=max(checkpoints))
+    cfg, ds, loss, response = _training_setup(args)
+    folds = S.load_folds(args.folds, ds)
+    params = _build(replace, cfg.train_params(), n_trees=max(checkpoints))
     recipe = R.BoosterRecipe(loss=loss, params=params, response=response,
                              u=cfg.threshold_u(), metric="nll")
     cv = E.run_cv(ds, folds, recipe, response, checkpoints=checkpoints)
@@ -455,11 +442,8 @@ def cmd_pdp(args) -> int:
 
     res = I.partial_dependence(model, Xa, idx, mesh, n_sub=args.n_sub,
                                transform=transform, seed=args.seed)
-    header = feats + ["estimate", "lo", "hi"]
-    rows = [list(map(float, res.grid[i])) + [float(res.estimate[i]), float(res.lo[i]),
-                                             float(res.hi[i])]
-            for i in range(res.grid.shape[0])]
-    _write_csv(args.out, header, rows)
+    D.write_csv(args.out, feats + ["estimate", "lo", "hi"],
+                [*res.grid.T.tolist(), res.estimate.tolist(), res.lo.tolist(), res.hi.tolist()])
     print(f"points={res.grid.shape[0]}")
     print(f"pdp={args.out}")
     return EXIT_OK
@@ -468,8 +452,8 @@ def cmd_pdp(args) -> int:
 def cmd_importance(args) -> int:
     model = B.load(args.model)
     imp = I.importance(model, metric=args.metric)
-    _write_csv(args.out, ["feature", "proportion"],
-               [[k, float(v)] for k, v in imp.items()])
+    D.write_csv(args.out, ["feature", "proportion"],
+                [list(imp), [float(v) for v in imp.values()]])
     for k, v in imp.items():
         print(f"{k}={v!r}")
     print(f"importance={args.out}")
@@ -477,6 +461,9 @@ def cmd_importance(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if min(args.years, args.nx, args.ny) < 1 or not 0.0 <= args.mask_rate <= 1.0:
+        raise ConfigError("--years, --nx and --ny must be at least 1 and "
+                          "--mask-rate must lie in [0, 1]")
     ds = synth.synth_dataset(args.kind, n_years=args.years, nx=args.nx, ny=args.ny,
                              seed=args.seed, alpha=args.alpha,
                              mask_rate=args.mask_rate)
@@ -600,7 +587,7 @@ def main(argv=None) -> int:
     status = EXIT_OK
     try:
         status = args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         status = EXIT_CONFIG
     except DataError as exc:
@@ -609,9 +596,6 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         status = EXIT_NUMERIC
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        status = EXIT_CONFIG
     finally:
         cfg_path = getattr(args, "config", None)
         if cfg_path and os.path.exists(cfg_path):

@@ -407,24 +407,26 @@ def load_csv(path, schema: dict | None = None, missing_marker: str = "NA",
     return ds
 
 
-def save_csv(ds: GridDataset, path, missing_marker: str = "NA") -> None:
-    """Write the dataset back out in the same CSV dialect."""
-    def fmt(v: float) -> str:
-        if math.isnan(v):
-            return missing_marker
-        if v.is_integer():
-            return str(int(v))
-        return repr(v)
-
-    lon, lat = ds.cells[ds.cell_index].T.tolist()
-    columns = (lon, lat, ds.year.tolist(), ds.month.tolist(), ds.cnt.tolist(),
-               ds.ba.tolist(), ds.covariates.tolist())
+def write_csv(path, header, columns) -> None:
+    """Write ``header``, then one row per index of the equal-length
+    ``columns``.  ``csv`` writes a float (``np.float64`` too) by
+    ``float.__repr__``, the shortest text that reads back to it."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["lon", "lat", "year", "month", "cnt", "ba"] + ds.covariate_names)
-        for lo, la, y, m, cnt, ba, cov in zip(*columns):
-            writer.writerow([repr(lo), repr(la), y, m, fmt(cnt), fmt(ba)]
-                            + [fmt(v) for v in cov])
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
+
+
+def save_csv(ds: GridDataset, path, missing_marker: str = "NA") -> None:
+    """Write the dataset back out in the same CSV dialect."""
+    def column(values: np.ndarray) -> list:
+        return [missing_marker if math.isnan(v) else int(v) if v.is_integer() else v
+                for v in values.tolist()]
+
+    lon, lat = ds.cells[ds.cell_index].T.tolist()
+    write_csv(path, ["lon", "lat", "year", "month", "cnt", "ba"] + ds.covariate_names,
+              [lon, lat, ds.year.tolist(), ds.month.tolist(), column(ds.cnt), column(ds.ba),
+               *map(column, ds.covariates.T)])
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from scipy import special
 
 from .errors import DataError
 from .spatialcv import FoldSet
-from .dataset import GridDataset
+from .dataset import GridDataset, write_csv
 
 
 @dataclass
@@ -211,16 +211,9 @@ def bo_suggest(history, box: dict, seed: int, n_candidates: int = 1024,
 
 def save_cv_report(cv: CvResult, path) -> None:
     """CV report CSV: tree count, mean score, SE, then one column per fold."""
-    import csv
-
-    n_folds = cv.scores.shape[0]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_trees", "mean_score", "se"]
-                        + [f"fold{f}" for f in range(n_folds)])
-        for k, t in enumerate(cv.checkpoints):
-            writer.writerow([int(t), repr(float(cv.mean[k])), repr(float(cv.se[k]))]
-                            + [repr(float(s)) for s in cv.scores[:, k]])
+    write_csv(path, ["n_trees", "mean_score", "se"]
+              + [f"fold{f}" for f in range(cv.scores.shape[0])],
+              [cv.checkpoints.tolist(), cv.mean.tolist(), cv.se.tolist(), *cv.scores.tolist()])
 
 
 def tune_loop(objective, box: dict, n_iters: int, seed: int):

@@ -98,7 +98,8 @@ def cdf_from_raw(m: MixtureModel, raw, thresholds) -> np.ndarray:
     f_bulk = L.trgamma_cdf(np.log1p(np.minimum(b, m.u)), bulk[:, None], m.k_shape,
                            np.log1p(m.u))
     f_tail = L.gpd_cdf_excess(b - m.u, tail_sigma(m, tail)[:, None], m.xi)
-    return p[:, :1] + p[:, 1:2] * f_bulk + p[:, 2:] * f_tail
+    # rounding can lift the sum of the three terms a bit above 1
+    return np.minimum(p[:, :1] + p[:, 1:2] * f_bulk + p[:, 2:] * f_tail, 1.0)
 
 
 def cdf(m: MixtureModel, X, b, names=None) -> np.ndarray:
@@ -220,11 +221,13 @@ def save(m: MixtureModel, path) -> None:
         fh.write(json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def load(path) -> MixtureModel:
+def load(path) -> MixtureModel | B.BoostedModel:
+    """The model in the JSON file at ``path``, parsed once: a :class:`MixtureModel`
+    for a manifest (components read from beside it), else a single model."""
     with open_text(path) as fh:
-        manifest = json.load(fh)
-    if manifest.get("kind") != "mixture":
-        raise DataError("not a mixture manifest")
+        manifest = B.parse(fh.read())
+    if not (isinstance(manifest, dict) and manifest.get("kind") == "mixture"):
+        return B.from_doc(manifest)
     if manifest.get("format_version") != MANIFEST_VERSION:
         raise DataError(f"unsupported manifest version {manifest.get('format_version')!r}")
     outdir = os.path.dirname(path) or "."
@@ -251,12 +254,3 @@ def _manifest_number(manifest: dict, key: str) -> float:
         pass
     raise DataError(f"manifest {key} must be a finite number, got {val!r}")
 
-
-def is_mixture_document(path) -> bool:
-    """True if the JSON file at ``path`` is a mixture manifest."""
-    try:
-        with open_text(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return False
-    return isinstance(doc, dict) and doc.get("kind") == "mixture"

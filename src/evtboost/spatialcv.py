@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import special
 
-from .dataset import GridDataset, match_rows
+from .dataset import GridDataset, match_rows, write_csv
 from .errors import DataError, NumericalError, open_text
 
 RESPONSES = ("cnt", "ba")
@@ -194,16 +194,11 @@ def save_folds(folds: FoldSet, ds: GridDataset, path) -> None:
     sorted by (cell, year, month), with a header."""
     _check_rows(folds, ds)
     order = np.lexsort((ds.month, ds.year, ds.cell_index))
-    lon, lat = ds.cells[ds.cell_index].T
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FOLD_HEADER)
-        for f in range(folds.n_folds):
-            for r, resp in enumerate(RESPONSES):
-                rows = order[folds.masks[f, r, order]]
-                writer.writerows(zip([f] * rows.size, [resp] * rows.size,
-                                     lon[rows].tolist(), lat[rows].tolist(),
-                                     ds.year[rows].tolist(), ds.month[rows].tolist()))
+    fold, resp, k = np.nonzero(folds.masks[:, :, order])
+    rows = order[k]
+    lon, lat = ds.cells[ds.cell_index[rows]].T.tolist()
+    write_csv(path, FOLD_HEADER, [fold.tolist(), np.asarray(RESPONSES)[resp].tolist(), lon, lat,
+                                  ds.year[rows].tolist(), ds.month[rows].tolist()])
 
 
 def load_folds(path, ds: GridDataset) -> FoldSet:

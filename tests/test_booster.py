@@ -209,6 +209,11 @@ class TestPredictRawStaged:
             rounds = m.n_rounds if k is None else min(k, m.n_rounds)
             np.testing.assert_array_equal(snap, _prefix_sum(m, X, rounds))
 
+    def test_negative_checkpoint_is_data_error(self):
+        X, models = _staged_models()
+        with pytest.raises(DataError, match="checkpoints must be >= 0, got -3"):
+            booster.predict_raw_staged(models["scalar"], X, [2, -3])
+
 
 class TestSerialization:
     def _model(self, rng):

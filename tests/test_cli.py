@@ -430,7 +430,7 @@ class TestScore:
         with open(pred, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["cell", "year", "month"]
-                            + [f"p_le_{cli._fmt(float(t))}" for t in thresholds])
+                            + [f"p_le_{float(t)!r}" for t in thresholds])
             for i in range(ds.n_rows):
                 ba = ds.ba[i] if not np.isnan(ds.ba[i]) else 0.0
                 probs = (ba <= thresholds).astype(float)
@@ -458,7 +458,7 @@ class TestScoreAlignment:
         with open(pred, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["cell", "year", "month"]
-                            + [f"p_le_{cli._fmt(t)}" for t in self.THRESHOLDS])
+                            + [f"p_le_{float(t)!r}" for t in self.THRESHOLDS])
             writer.writerows(rows)
         return run(tmp_path, "score", "--pred", str(pred), "--data", sizes_csv,
                    "--response", "ba")
@@ -661,3 +661,140 @@ class TestSynthAndRunlog:
     def test_bad_flags_exit_1(self, tmp_path, capsys):
         assert run(tmp_path, "synth", "--kind", "bogus",
                    "--out", str(tmp_path / "d.csv")) == 1
+
+
+def _one_line(err, prefix):
+    assert err.startswith(prefix), err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def _mixture_manifest(tmp_path, sizes_csv):
+    """A mixture manifest of three small components fitted on ``sizes_csv``."""
+    ds = D.load_csv(sizes_csv)
+    obs = ~np.isnan(ds.ba)
+    X, names = ds.feature_matrix()
+    params = booster.TrainParams(n_trees=3, max_leaves=4, seed=0)
+    m = mixture.fit_mixture(X[obs], ds.ba[obs], u=200.0, xi=0.8, kappa=0.5, k_shape=1.0,
+                            classifier_params=params, bulk_params=params,
+                            tail_params=params, feature_names=names)
+    manifest = tmp_path / "mix.json"
+    mixture.save(m, manifest)
+    return manifest
+
+
+class TestMixtureProbabilityBound:
+    def test_far_threshold_output_scores(self, tmp_path, sizes_csv, capsys):
+        manifest = _mixture_manifest(tmp_path, sizes_csv)
+        thresholds, preds = tmp_path / "t.txt", tmp_path / "p.csv"
+        thresholds.write_text("0\n10\n1e15\n", encoding="utf-8")
+        assert run(tmp_path, "predict", "--model", str(manifest), "--data", sizes_csv,
+                   "--thresholds", str(thresholds), "--out", str(preds)) == 0
+        assert np.loadtxt(preds, delimiter=",", skiprows=1)[:, 3:].max() == 1.0
+        capsys.readouterr()
+        assert run(tmp_path, "score", "--pred", str(preds), "--data", sizes_csv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("score=") and captured.err == ""
+
+
+class TestNonFiniteNumbersFile:
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_thresholds_exit_2(self, tmp_path, sizes_csv, token, capsys):
+        manifest = _mixture_manifest(tmp_path, sizes_csv)
+        thresholds, preds = tmp_path / "t.txt", tmp_path / "p.csv"
+        thresholds.write_text(f"0\n{token}\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(tmp_path, "predict", "--model", str(manifest), "--data", sizes_csv,
+                   "--thresholds", str(thresholds), "--out", str(preds)) == 2
+        _one_line(capsys.readouterr().err,
+                  f"data error: {thresholds}:2: not a finite number: {token!r}")
+        assert not preds.exists()
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_weights_exit_2(self, tmp_path, sizes_csv, token, capsys):
+        weights, pred = tmp_path / "w.txt", tmp_path / "pred.csv"
+        weights.write_text(f"# one weight\n{token}\n", encoding="utf-8")
+        _write_probabilities(pred, D.load_csv(sizes_csv))
+        cfg = write_config(tmp_path, sizes_csv, extra=f"\n[score]\nweights = {weights}\n")
+        capsys.readouterr()
+        assert run(tmp_path, "score", "--pred", str(pred), "--data", sizes_csv,
+                   "--config", cfg) == 2
+        _one_line(capsys.readouterr().err,
+                  f"data error: {weights}:2: not a finite number: {token!r}")
+
+
+class TestScoreKeys:
+    def test_thresholds_key_is_unknown(self, tmp_path, sizes_csv, capsys):
+        pred = tmp_path / "pred.csv"
+        _write_probabilities(pred, D.load_csv(sizes_csv))
+        cfg = write_config(tmp_path, sizes_csv,
+                           extra=f"\n[score]\nthresholds = {tmp_path / 'absent.txt'}\n")
+        capsys.readouterr()
+        assert run(tmp_path, "score", "--pred", str(pred), "--data", sizes_csv,
+                   "--config", cfg) == 1
+        _one_line(capsys.readouterr().err,
+                  "config error: unknown keys in [score]: ['thresholds']")
+
+
+class TestCountFlagsAndBoxes:
+    """Bad counts, sizes and search boxes are configuration errors, raised
+    before any model is trained."""
+
+    @pytest.fixture
+    def setup(self, tmp_path):
+        masked = tmp_path / "masked.csv"
+        D.save_csv(synth_dataset("counts", n_years=1, nx=3, ny=3, seed=1,
+                                 mask_rate=0.2), masked)
+        folds = tmp_path / "folds.csv"
+
+        def make(extra=""):
+            cfg = write_config(tmp_path, str(masked), extra=extra)
+            assert run(tmp_path, "cvfolds", "--config", cfg, "--n-folds", "2",
+                       "--out", str(folds)) == 0
+            return cfg, str(folds)
+        return make
+
+    @pytest.mark.parametrize("checkpoints", ["-3,2", "-3", "2,-1,4"])
+    def test_negative_checkpoint(self, tmp_path, setup, checkpoints, capsys):
+        cfg, folds = setup()
+        out = tmp_path / "cv.csv"
+        capsys.readouterr()
+        assert run(tmp_path, "cv", "--config", cfg, "--folds", folds,
+                   f"--checkpoints={checkpoints}", "--out", str(out)) == 1
+        _one_line(capsys.readouterr().err, "config error: --checkpoints must be "
+                  "comma-separated integers >= 0")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("box, message", [
+        ("colsample = 0.5, 1.5", "colsample must lie in (0, 1]"),
+        ("max_leaves = 1, 3", "max_leaves must be >= 2"),
+        ("learning_rate = 0.0, 0.2", "learning_rate must lie in (0, 1]"),
+        ("xi = -0.5, 0.5", "xi must be finite and > 0")])
+    def test_tune_box_outside_range(self, tmp_path, setup, box, message, capsys):
+        cfg, folds = setup(f"\n[tune]\n{box}\n")
+        log = tmp_path / "tune.csv"
+        capsys.readouterr()
+        assert run(tmp_path, "tune", "--config", cfg, "--folds", folds,
+                   "--max-iters", "2", "--out", str(log)) == 1
+        err = capsys.readouterr().err
+        _one_line(err, "config error: ")
+        assert message in err
+        assert not log.exists()
+
+    @pytest.mark.parametrize("iters", ["0", "-2"])
+    def test_tune_without_iterations(self, tmp_path, setup, iters, capsys):
+        cfg, folds = setup()
+        capsys.readouterr()
+        assert run(tmp_path, "tune", "--config", cfg, "--folds", folds,
+                   "--max-iters", iters, "--out", str(tmp_path / "tune.csv")) == 1
+        _one_line(capsys.readouterr().err, "config error: --max-iters must be at least 1")
+
+    @pytest.mark.parametrize("flag, value", [("--nx", "0"), ("--ny", "-1"), ("--years", "0"),
+                                             ("--mask-rate", "2"), ("--mask-rate", "-0.5"),
+                                             ("--mask-rate", "nan")])
+    def test_synth_sizes_and_rate(self, tmp_path, flag, value, capsys):
+        out = tmp_path / "d.csv"
+        assert run(tmp_path, "synth", "--kind", "counts", flag, value,
+                   "--out", str(out)) == 1
+        _one_line(capsys.readouterr().err, "config error: --years, --nx and --ny must be "
+                  "at least 1 and --mask-rate must lie in [0, 1]")
+        assert not out.exists()

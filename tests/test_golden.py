@@ -8,9 +8,12 @@ the models sample 70% of the features per round, so split search, default
 directions and column sampling are all pinned.  The folds come from a
 synthetic grid with masked responses and some (cell, month) rows dropped,
 with intercepts calibrated to its masking rate.  The CLI files come from
-``synth``, ``train`` and ``predict`` on small synthetic grids, so CSV
-reading, the feature matrix and the output writers are pinned.  Regenerate the files (only
-for a deliberate, documented format change) with
+``synth``, ``train``, ``predict``, ``cvfolds``, ``cv``, ``tune``, ``pdp`` and
+``importance`` on small synthetic grids, so CSV reading, the feature matrix
+and every output writer are pinned; ``save_csv`` is pinned on a dataset with
+missing responses, integral and missing covariates and a header name that
+holds a comma.  Regenerate the files (only for a deliberate, documented
+format change) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -24,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evtboost import booster, cli, losses, spatialcv, synth
+from evtboost import booster, cli, dataset, losses, spatialcv, synth
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -86,9 +89,23 @@ def golden_folds_text() -> str:
         return path.read_text(encoding="utf-8")
 
 
+def golden_dataset_text() -> str:
+    ds = synth.synth_dataset("counts", n_years=1, nx=3, ny=3, seed=31, mask_rate=0.3)
+    k = np.arange(ds.n_rows) % 4 - 1.0
+    k[::5] = np.nan
+    frac = np.linspace(-1.0, 1.0, ds.n_rows)
+    frac[1::4] = np.nan
+    ds = ds.with_covariate("k,int", k).with_covariate("frac", frac)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        dataset.save_csv(ds, path)
+        return path.read_text(encoding="utf-8")
+
+
 def golden_cli_texts() -> dict[str, str]:
     """Files written by the CLI: a dgpd ``train`` on a count grid with
-    masked responses, ``predict`` with that model (raw and mean), and
+    masked responses, ``predict`` with that model (raw and mean), ``cv``,
+    ``tune``, a two-feature ``pdp`` and ``importance`` on the same grid, and
     ``predict`` with a mixture of three CLI-trained components at a few
     thresholds."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -105,10 +122,21 @@ def golden_cli_texts() -> dict[str, str]:
         run("synth", "--kind", "counts", "--nx", "4", "--ny", "4", "--years", "2",
             "--mask-rate", "0.2", "--seed", "23", "--out", str(tmp / "counts.csv"))
         counts_ini = config("counts.ini", "counts.csv", "[loss]\nkind = dgpd\nalpha = 4.0\n\n"
-                            "[train]\nn_trees = 4\nmax_leaves = 4\ncolsample = 0.8\nseed = 5\n")
+                            "[train]\nn_trees = 4\nmax_leaves = 4\ncolsample = 0.8\nseed = 5\n\n"
+                            "[tune]\nlearning_rate = 0.05, 0.4\nmax_leaves = 2, 6\n")
         run("train", "--config", counts_ini, "--out", str(tmp / "dgpd.json"))
         run("predict", "--model", str(tmp / "dgpd.json"), "--data", str(tmp / "counts.csv"),
             "--out", str(tmp / "dgpd.csv"))
+        run("cvfolds", "--config", counts_ini, "--n-folds", "2", "--seed", "3",
+            "--out", str(tmp / "folds.csv"))
+        run("cv", "--config", counts_ini, "--folds", str(tmp / "folds.csv"),
+            "--checkpoints", "1,2,4", "--out", str(tmp / "cv.csv"))
+        run("tune", "--config", counts_ini, "--folds", str(tmp / "folds.csv"),
+            "--max-iters", "3", "--seed", "4", "--out", str(tmp / "tune.csv"))
+        run("pdp", "--model", str(tmp / "dgpd.json"), "--data", str(tmp / "counts.csv"),
+            "--features", "x1,x2", "--points", "3", "--n-sub", "20", "--transform", "mean",
+            "--out", str(tmp / "pdp.csv"))
+        run("importance", "--model", str(tmp / "dgpd.json"), "--out", str(tmp / "imp.csv"))
 
         run("synth", "--kind", "sizes", "--nx", "4", "--ny", "4", "--years", "2",
             "--mask-rate", "0.1", "--seed", "29", "--out", str(tmp / "sizes.csv"))
@@ -127,7 +155,9 @@ def golden_cli_texts() -> dict[str, str]:
 
         return {golden: (tmp / made).read_text(encoding="utf-8") for golden, made in
                 (("cli_dgpd.json", "dgpd.json"), ("cli_dgpd_predict.csv", "dgpd.csv"),
-                 ("cli_mixture_predict.csv", "mix.csv"))}
+                 ("cli_mixture_predict.csv", "mix.csv"), ("cli_cv.csv", "cv.csv"),
+                 ("cli_tune.csv", "tune.csv"), ("cli_pdp.csv", "pdp.csv"),
+                 ("cli_importance.csv", "imp.csv"))}
 
 
 @pytest.mark.parametrize("kind", sorted(SPECS))
@@ -141,6 +171,11 @@ def test_folds_match_golden_file():
     assert golden_folds_text() == expected
 
 
+def test_saved_dataset_matches_golden_file():
+    expected = (GOLDEN / "dataset.csv").read_text(encoding="utf-8")
+    assert golden_dataset_text() == expected
+
+
 def test_cli_outputs_match_golden_files():
     for name, text in golden_cli_texts().items():
         assert text == (GOLDEN / name).read_text(encoding="utf-8"), name
@@ -151,5 +186,6 @@ if __name__ == "__main__":
     for kind in sorted(SPECS):
         (GOLDEN / f"{kind}.json").write_text(golden_text(kind), encoding="utf-8")
     (GOLDEN / "folds.csv").write_text(golden_folds_text(), encoding="utf-8")
+    (GOLDEN / "dataset.csv").write_text(golden_dataset_text(), encoding="utf-8")
     for name, text in golden_cli_texts().items():
         (GOLDEN / name).write_text(text, encoding="utf-8")

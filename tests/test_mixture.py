@@ -205,7 +205,7 @@ class TestFitMixture:
         b = 150.0
         np.testing.assert_allclose(mixture.cdf(m2, X[obs][:10], b, names=names),
                                    mixture.cdf(m, X[obs][:10], b, names=names))
-        assert mixture.is_mixture_document(path)
+        assert isinstance(m2, mixture.MixtureModel)
         booster.save(m.classifier, tmp_path / "single.json")
-        assert not mixture.is_mixture_document(tmp_path / "single.json")
+        assert not isinstance(mixture.load(tmp_path / "single.json"), mixture.MixtureModel)
 
