@@ -51,6 +51,13 @@ _BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
              **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 class RunConfig:
     """Parsed INI configuration with strict key checking."""
 
@@ -91,6 +98,7 @@ class RunConfig:
     getfloat = partialmethod(_get_as, float, "a number")
     getint = partialmethod(_get_as, int, "an integer")
     getbool = partialmethod(_get_as, lambda text: _BOOLEANS[text.lower()], "a boolean")
+    getseed = partialmethod(_get_as, _seed, "an integer >= 0")
 
     # -- builders ----------------------------------------------------------
 
@@ -141,7 +149,7 @@ class RunConfig:
     def threshold_u(self) -> float:
         return self.getfloat("loss", "u", 200.0)
 
-    def train_params(self, seed_override=None) -> B.TrainParams:
+    def train_params(self) -> B.TrainParams:
         return _build(
             B.TrainParams,
             n_trees=self.getint("train", "n_trees", 100),
@@ -151,8 +159,7 @@ class RunConfig:
             eta=self.getfloat("train", "eta", 0.0),
             colsample=self.getfloat("train", "colsample", 1.0),
             n_quantile_bins=self.getint("train", "n_quantile_bins", 32),
-            seed=seed_override if seed_override is not None
-            else self.getint("train", "seed", 0),
+            seed=self.getseed("train", "seed", 0),
         )
 
     def mask_params(self, ds: D.GridDataset) -> S.MaskModelParams:
@@ -203,18 +210,20 @@ def _read_numbers(path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _training_setup(args):
-    """(config, cross-filled dataset, loss, response) for train, cv and tune."""
+    """(config, train params, cross-filled dataset, loss, response) for train, cv and tune."""
     cfg = RunConfig(args.config)
+    params = cfg.train_params()
     ds = D.cross_fill_zeros(cfg.load_dataset())
     loss = cfg.loss_spec(args.loss)
     response = (args.response or cfg.get("loss", "response")
                 or ("cnt" if loss.kind in ("poisson", "dgpd") else "ba"))
-    return cfg, ds, loss, response
+    return cfg, params, ds, loss, response
 
 
 def cmd_train(args) -> int:
-    cfg, ds, loss, response = _training_setup(args)
-    params = cfg.train_params(seed_override=args.seed)
+    cfg, params, ds, loss, response = _training_setup(args)
+    if args.seed is not None:
+        params = replace(params, seed=args.seed)
     rows, y = R.response_rows(ds, loss.kind, response, cfg.threshold_u())
     if not rows.any():
         raise DataError("no trainable rows for this loss/response")
@@ -255,10 +264,10 @@ def cmd_predict(args) -> int:
 
 def cmd_cvfolds(args) -> int:
     cfg = RunConfig(args.config)
+    n_folds = args.n_folds if args.n_folds is not None else cfg.getint("cv", "n_folds", 5)
+    seed = args.seed if args.seed is not None else cfg.getseed("cv", "seed", 0)
     ds = cfg.load_dataset()
     params = cfg.mask_params(ds)
-    n_folds = args.n_folds if args.n_folds is not None else cfg.getint("cv", "n_folds", 5)
-    seed = args.seed if args.seed is not None else cfg.getint("cv", "seed", 0)
     folds = S.generate_folds(ds, params, n_folds=n_folds, seed=seed)
     S.save_folds(folds, ds, args.out)
     total = int(folds.masks.sum())
@@ -271,8 +280,7 @@ def cmd_cvfolds(args) -> int:
 def cmd_tune(args) -> int:
     if args.max_iters < 1:
         raise ConfigError("--max-iters must be at least 1")
-    cfg, ds, loss, response = _training_setup(args)
-    base_params = cfg.train_params()
+    cfg, base_params, ds, loss, response = _training_setup(args)
     seed = args.seed if args.seed is not None else base_params.seed
 
     box: dict[str, tuple[float, float]] = {}
@@ -340,16 +348,16 @@ def cmd_cv(args) -> int:
     except ValueError:
         raise ConfigError(f"--checkpoints must be comma-separated integers >= 0, "
                           f"got {args.checkpoints!r}") from None
-    cfg, ds, loss, response = _training_setup(args)
+    cfg, params, ds, loss, response = _training_setup(args)
     folds = S.load_folds(args.folds, ds)
-    params = _build(replace, cfg.train_params(), n_trees=max(checkpoints))
+    params = _build(replace, params, n_trees=max(checkpoints))
     recipe = R.BoosterRecipe(loss=loss, params=params, response=response,
                              u=cfg.threshold_u(), metric="nll")
     cv = E.run_cv(ds, folds, recipe, response, checkpoints=checkpoints)
     E.save_cv_report(cv, args.out)
     selected = E.one_se_select(cv, direction=args.direction)
     print(f"selected_n_trees={selected}")
-    print(f"min_mean_score={cv.mean.min()!r}")
+    print(f"min_mean_score={float(cv.mean.min())!r}")
     print(f"report={args.out}")
     return EXIT_OK
 
@@ -417,6 +425,8 @@ def cmd_pdp(args) -> int:
         raise ConfigError("--points and --n-sub must be at least 1")
     model = B.load(args.model)
     ds = RunConfig(None).load_dataset(args.data)
+    if args.points > ds.n_rows:
+        raise ConfigError(f"--points must be at most the {ds.n_rows} rows of --data")
     X, names = ds.feature_matrix()
     Xa = D.align_features(X, names, model.feature_names)
     feats = [f.strip() for f in args.features.split(",")]
@@ -464,6 +474,8 @@ def cmd_synth(args) -> int:
     if min(args.years, args.nx, args.ny) < 1 or not 0.0 <= args.mask_rate <= 1.0:
         raise ConfigError("--years, --nx and --ny must be at least 1 and "
                           "--mask-rate must lie in [0, 1]")
+    if not 0.0 < args.alpha < np.inf:
+        raise ConfigError(f"--alpha must be finite and > 0, got {args.alpha!r}")
     ds = synth.synth_dataset(args.kind, n_years=args.years, nx=args.nx, ny=args.ny,
                              seed=args.seed, alpha=args.alpha,
                              mask_rate=args.mask_rate)
@@ -586,6 +598,8 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     status = EXIT_OK
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         status = args.func(args)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

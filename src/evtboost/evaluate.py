@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import DataError
 from .spatialcv import FoldSet
@@ -142,6 +141,7 @@ def _sq_exp_kernel(A: np.ndarray, B: np.ndarray, lengthscale: float) -> np.ndarr
 
 def expected_improvement(mu, sd, best):
     """EI for minimization: E[max(best - f, 0)] under N(mu, sd^2)."""
+    from scipy import special
     mu = np.asarray(mu, dtype=float)
     sd = np.asarray(sd, dtype=float)
     imp = best - mu

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DataError, NumericalError
 
@@ -113,7 +112,8 @@ def poisson_eval(y, theta):
     if np.any(y < 0):
         raise DataError("poisson loss requires y >= 0")
     mu = np.exp(theta)
-    ylogy = special.xlogy(y, y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ylogy = np.where(y > 0, y * np.log(y), 0.0)
     value = ylogy - y * theta - y + mu
     return value, mu - y, mu
 
@@ -129,6 +129,7 @@ def _dgpd_pieces(y, theta, alpha):
     w_k = e^theta k / (1 + e^theta k), E = s_{y+1}/s_y and D = 1 - E, so
     that pmf = s_y * D.
     """
+    from scipy import special
     with np.errstate(divide="ignore"):  # log(0) at y = 0 is handled below
         t_y = theta + np.log(y)
     t_y1 = theta + np.log(y + 1.0)
@@ -210,6 +211,7 @@ def dgpd_mean(theta, alpha: float) -> float | np.ndarray:
     c = e^theta.  A non-finite mean (a NaN score, or overflow of c^(-alpha)
     at very negative theta) raises :class:`~evtboost.errors.NumericalError`.
     """
+    from scipy import special
     if alpha <= 1.0:
         raise DataError("dGPD mean does not exist for alpha <= 1")
     theta_arr = np.asarray(theta, dtype=float)
@@ -237,6 +239,7 @@ def trgamma_eval(y, theta, k, u):
     s = k*u*e^(-theta), d(gamma)/d(theta) = -s^k e^(-s) and
     d2(gamma)/d(theta)2 = (k - s) s^k e^(-s).
     """
+    from scipy import special
     y = np.asarray(y, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if k <= 0 or u <= 0:
@@ -263,6 +266,7 @@ def trgamma_eval(y, theta, k, u):
 
 def trgamma_cdf(y, theta, k, u):
     """CDF of the right-truncated gamma on (0, u] at its log-scale score theta."""
+    from scipy import special
     y = np.asarray(y, dtype=float)
     theta = np.asarray(theta, dtype=float)
     s = k * np.clip(y, 0.0, u) * np.exp(-theta)
@@ -292,6 +296,7 @@ def gpd_scale_factor(xi: float, kappa: float) -> float:
 
 def gpd_eval(y, theta, xi, kappa):
     """GPD excess loss with theta modelling the log kappa-quantile."""
+    from scipy import special
     y = np.asarray(y, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if np.any(y <= 0):

@@ -20,7 +20,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import booster as B
 from . import losses as L
@@ -122,6 +121,7 @@ def sample(m: MixtureModel, x, n_draws: int, seed: int, names=None) -> np.ndarra
     regularized incomplete gamma on the truncated range, the tail through
     the GPD quantile function.
     """
+    from scipy import special
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[0] != 1:
         raise DataError("sample draws at a single covariate vector")

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from . import booster as B
 from . import dataset as D
@@ -50,6 +49,7 @@ def response_rows(ds: D.GridDataset, loss_kind: str, response: str, u: float):
 def count_threshold_probs(loss: L.LossSpec, theta, thresholds) -> np.ndarray:
     """Matrix of P(Y <= u_j) from the raw scores ``theta`` of a count model
     (dgpd or poisson)."""
+    from scipy import special
     theta = np.asarray(theta, dtype=float)[:, None]
     ks = np.floor(np.asarray(thresholds, dtype=float))[None, :]
     if loss.kind == "dgpd":
@@ -133,6 +133,7 @@ class BoosterRecipe:
                 v, _, _ = L.evaluate_loss(self.loss, y, theta)
                 scores.append(float(v.mean()))
             elif self.loss.kind == "squared_log":
+                from scipy import special
                 z = (np.log1p(spec.thresholds)[None, :] - theta[:, None])
                 probs = special.ndtr(z / fitted.residual_sd)
                 scores.append(threshold_score(probs, y, spec))

@@ -15,10 +15,11 @@ dataset's observed rate.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
-from scipy import special
 
 from .dataset import GridDataset, match_rows, write_csv
 from .errors import DataError, NumericalError, open_text
@@ -85,6 +86,7 @@ def matern_cov(d, r: float, sigma_gp: float, nu: float = 1.0):
     sigma^2 * 2^(1-nu) (kappa d)^nu K_nu(kappa d) / Gamma(nu) with
     kappa = sqrt(8 nu) / r, continuously extended to sigma^2 at d = 0.
     """
+    from scipy import special
     d = np.asarray(d, dtype=float)
     if np.any(d < 0):
         raise DataError("distance must be >= 0")
@@ -101,11 +103,13 @@ def matern_cov(d, r: float, sigma_gp: float, nu: float = 1.0):
 
 def field_factor(cells, params: MaskModelParams) -> np.ndarray:
     """Cholesky factor of the unit-variance Matern correlation (+ jitter)
-    between the (lon, lat) rows of ``cells``."""
+    between the (lon, lat) rows of ``cells``, evaluated once per distinct
+    distance (a lattice has few)."""
     coords = np.asarray(cells, dtype=float)
     diff = coords[:, None, :] - coords[None, :, :]
     dist = np.sqrt((diff ** 2).sum(axis=-1))
-    corr = matern_cov(dist, params.r, 1.0, params.nu)
+    distinct, where = np.unique(dist, return_inverse=True)
+    corr = matern_cov(distinct, params.r, 1.0, params.nu)[where].reshape(dist.shape)
     corr[np.diag_indices_from(corr)] += JITTER
     try:
         return np.linalg.cholesky(corr)
@@ -130,6 +134,7 @@ def generate_folds(ds: GridDataset, params: MaskModelParams, n_folds: int = 5,
     expit(beta0 + [beta *] g + eps).  Rows whose response is already masked
     in ``ds`` are dropped.
     """
+    from scipy import special
     if n_folds < 1:
         raise DataError("n_folds must be >= 1")
     months, month_of_row = np.unique(np.column_stack([ds.year, ds.month]), axis=0,
@@ -157,19 +162,63 @@ def generate_folds(ds: GridDataset, params: MaskModelParams, n_folds: int = 5,
 # Intercept calibration
 # ---------------------------------------------------------------------------
 
+_hermgauss = cache(np.polynomial.hermite.hermgauss)
+
+
 def mean_expit_gaussian(mu: float, var: float, n_quad: int = 64) -> float:
     """E[expit(mu + Z)], Z ~ N(0, var), by Gauss-Hermite quadrature."""
+    from scipy import special
     if var == 0.0:
         return float(special.expit(mu))
-    x, w = np.polynomial.hermite.hermgauss(n_quad)
+    x, w = _hermgauss(n_quad)
     return float((w * special.expit(mu + np.sqrt(2.0 * var) * x)).sum() / np.sqrt(np.pi))
+
+
+def _brent_root(f, xa: float, xb: float, xtol: float = 2e-12,
+                rtol: float = 4 * math.ulp(1.0), max_iter: int = 100):
+    """Root of ``f`` bracketed by [xa, xb] by Brent's method (Brent 1973,
+    ch. 4), step for step as scipy's ``brentq``; None when f(xa) and f(xb)
+    have the same sign or the method has not converged after ``max_iter``
+    steps."""
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if math.copysign(1, fpre) == math.copysign(1, fcur):
+        return None
+    for _ in range(max_iter):
+        if fpre != 0 and fcur != 0 and math.copysign(1, fpre) != math.copysign(1, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    return None
 
 
 def calibrate_intercepts(ds: GridDataset, params: MaskModelParams) -> MaskModelParams:
     """Set the intercepts so the expected masking rate matches the observed
     masked fraction of each response in ``ds``."""
-    from scipy.optimize import brentq  # slow to import; only cvfolds needs it
-
     var = params.sigma_gp ** 2 + params.phi
     var_ba = params.beta ** 2 * params.sigma_gp ** 2 + params.phi
     out = params
@@ -177,7 +226,10 @@ def calibrate_intercepts(ds: GridDataset, params: MaskModelParams) -> MaskModelP
         vals = ds.cnt if resp == "cnt" else ds.ba
         rate = float(np.isnan(vals).mean()) if vals.size else 0.5
         rate = min(max(rate, 1e-6), 1.0 - 1e-6)
-        b0 = brentq(lambda b: mean_expit_gaussian(b, v) - rate, -40.0, 40.0)
+        b0 = _brent_root(lambda b: mean_expit_gaussian(b, v) - rate, -40.0, 40.0)
+        if b0 is None:
+            raise NumericalError(f"no {resp} intercept in [-40, 40] gives the masking rate "
+                                 f"{rate:g} at variance {v:g}")
         out = replace(out, **{f"beta0_{resp}": float(b0)})
     return out
 

@@ -11,7 +11,6 @@ response, mimicking the train/test gaps of real exports.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 from . import losses as L
 from .dataset import GridDataset
@@ -37,6 +36,7 @@ def sample_dgpd(theta, alpha: float, rng) -> np.ndarray:
 
 def sample_trgamma(theta, k: float, u_trunc: float, n: int, rng) -> np.ndarray:
     """Inverse-CDF draws from the right-truncated gamma with log-scale theta."""
+    from scipy import special
     s_trunc = k * u_trunc * np.exp(-np.asarray(theta, dtype=float))
     urand = rng.uniform(size=n)
     return special.gammaincinv(k, urand * special.gammainc(k, s_trunc)) * np.exp(theta) / k
@@ -66,6 +66,7 @@ def synth_dataset(
     composed from the count-zero indicator, a bulk and a tail component.
     ``mask_rate`` independently masks that fraction of each response.
     """
+    from scipy import special
     if kind not in ("counts", "sizes"):
         raise ValueError(f"unknown synthetic kind {kind!r}")
     rng = np.random.default_rng(seed)

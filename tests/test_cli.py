@@ -798,3 +798,92 @@ class TestCountFlagsAndBoxes:
         _one_line(capsys.readouterr().err, "config error: --years, --nx and --ny must be "
                   "at least 1 and --mask-rate must lie in [0, 1]")
         assert not out.exists()
+
+
+class TestSeedsAlphaPointsAndRoots:
+    """Bad seeds, a bad ``--alpha``, too many pdp points and a masking rate
+    with no intercept end in one classified line, before any work."""
+
+    @pytest.fixture
+    def tiny(self, tmp_path):
+        """A 9-row counts grid, its config and a model fitted on it."""
+        data = tmp_path / "tiny.csv"
+        D.save_csv(synth_dataset("counts", n_years=1, nx=3, ny=3, seed=1), data)
+        ds = D.load_csv(data)
+        X, names = ds.feature_matrix()
+        model = tmp_path / "m.json"
+        booster.save(booster.fit(X, ds.cnt, losses.LossSpec(kind="dgpd", alpha=5.0),
+                                 booster.TrainParams(n_trees=2, max_leaves=2),
+                                 feature_names=names), model)
+        return str(data), ds.n_rows, write_config(tmp_path, str(data)), str(model)
+
+    @pytest.mark.parametrize("command", ["train", "cvfolds", "synth", "pdp", "tune"])
+    def test_negative_seed_flag(self, tmp_path, tiny, command, capsys):
+        data, _, cfg, model = tiny
+        out = tmp_path / "out.csv"
+        argv = {"train": ["--config", cfg],
+                "cvfolds": ["--config", cfg],
+                "synth": ["--kind", "counts"],
+                "pdp": ["--model", model, "--data", data, "--features", "x1", "--points", "3"],
+                "tune": ["--config", cfg, "--folds", str(tmp_path / "absent.csv")]}[command]
+        capsys.readouterr()
+        assert run(tmp_path, command, *argv, "--seed", "-1", "--out", str(out)) == 1
+        _one_line(capsys.readouterr().err, "config error: --seed must be >= 0, got -1")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, command", [("train", "train"), ("cv", "cvfolds")])
+    def test_negative_seed_key(self, tmp_path, tiny, section, command, capsys):
+        cfg = tmp_path / "seed.ini"
+        keys = {"train": "n_trees = 2\ncolsample = 0.5\nseed = -3", "cv": "seed = -3"}[section]
+        cfg.write_text(f"[data]\ntrain = {tiny[0]}\n\n[{section}]\n{keys}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(tmp_path, command, "--config", str(cfg), "--out", str(out)) == 1
+        _one_line(capsys.readouterr().err,
+                  f"config error: [{section}] seed must be an integer >= 0, got '-3'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", ["0", "-1", "inf", "nan"])
+    def test_synth_alpha(self, tmp_path, alpha, capsys):
+        out = tmp_path / "d.csv"
+        assert run(tmp_path, "synth", "--kind", "counts", "--alpha", alpha,
+                   "--out", str(out)) == 1
+        _one_line(capsys.readouterr().err, "config error: --alpha must be finite and > 0")
+        assert not out.exists()
+
+    def test_pdp_points_beyond_rows(self, tmp_path, tiny, capsys):
+        data, n_rows, _, model = tiny
+        out = tmp_path / "pdp.csv"
+        capsys.readouterr()
+        assert run(tmp_path, "pdp", "--model", model, "--data", data, "--features", "x1",
+                   "--points", str(n_rows + 1), "--out", str(out)) == 1
+        _one_line(capsys.readouterr().err,
+                  f"config error: --points must be at most the {n_rows} rows of --data")
+        assert not out.exists()
+        assert run(tmp_path, "pdp", "--model", model, "--data", data, "--features", "x1",
+                   "--points", str(n_rows), "--out", str(out)) == 0
+
+    def test_calibration_without_root(self, tmp_path, capsys):
+        data, cfg = tmp_path / "sizes.csv", tmp_path / "wide.ini"
+        D.save_csv(synth_dataset("sizes", n_years=1, nx=3, ny=3, seed=2), data)
+        cfg.write_text(f"[data]\ntrain = {data}\n\n[cv]\nsigma_gp = 1000\n", encoding="utf-8")
+        out = tmp_path / "folds.csv"
+        capsys.readouterr()
+        assert run(tmp_path, "cvfolds", "--config", str(cfg), "--out", str(out)) == 3
+        _one_line(capsys.readouterr().err, "numerical failure: no cnt intercept in "
+                  "[-40, 40] gives the masking rate 1e-06 at variance 1e+06")
+        assert not out.exists()
+
+    def test_cv_prints_a_python_float(self, tmp_path, capsys):
+        masked = tmp_path / "masked.csv"
+        D.save_csv(synth_dataset("counts", n_years=1, nx=3, ny=3, seed=1,
+                                 mask_rate=0.2), masked)
+        cfg, folds = write_config(tmp_path, str(masked)), tmp_path / "folds.csv"
+        assert run(tmp_path, "cvfolds", "--config", cfg, "--n-folds", "2",
+                   "--out", str(folds)) == 0
+        capsys.readouterr()
+        assert run(tmp_path, "cv", "--config", cfg, "--folds", str(folds),
+                   "--checkpoints", "1,2", "--out", str(tmp_path / "cv.csv")) == 0
+        line = [l for l in capsys.readouterr().out.splitlines()
+                if l.startswith("min_mean_score=")][0]
+        assert repr(float(line.split("=", 1)[1])) == line.split("=", 1)[1]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from evtboost import losses
 from evtboost.errors import DataError, NumericalError
@@ -47,6 +47,17 @@ class TestPoisson:
     def test_rejects_negative_counts(self):
         with pytest.raises(DataError):
             losses.poisson_eval(-1, 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(y=st.lists(st.one_of(st.just(0.0), st.integers(0, 10 ** 6).map(float),
+                                st.floats(0.0, 1e300)), min_size=1, max_size=50),
+           theta=st.floats(-20.0, 20.0))
+    def test_value_matches_xlogy_bit_for_bit(self, y, theta):
+        """y log y is computed with numpy as 0 at y = 0, as scipy's xlogy does."""
+        y = np.array(y)
+        value, _, _ = losses.poisson_eval(y, theta)
+        expect = special.xlogy(y, y) - y * theta - y + np.exp(theta)
+        assert value.tobytes() == expect.tobytes()
 
 
 class TestDgpd:

@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import special
+from scipy.optimize import brentq
 
 from conftest import sparse_grids
 from evtboost import spatialcv
 from evtboost.dataset import GridDataset
-from evtboost.errors import DataError
+from evtboost.errors import DataError, NumericalError
 
 
 def small_grid(nx=4, ny=4, n_months=6, mask_cnt=None, mask_ba=None, seed=0):
@@ -210,6 +213,62 @@ class TestCalibration:
             pytest.approx(rate_cnt, abs=1e-6)
         assert spatialcv.mean_expit_gaussian(params.beta0_ba, var_ba) == \
             pytest.approx(rate_ba, abs=1e-6)
+
+
+class TestBrentRoot:
+    """``_brent_root`` takes the steps of scipy's ``brentq`` at its default
+    tolerances, so it returns the same float."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(var=st.floats(0.01, 5.0), rate=st.floats(1e-6, 1.0 - 1e-6))
+    def test_calibration_roots_match_brentq(self, var, rate):
+        f = lambda b: spatialcv.mean_expit_gaussian(b, var) - rate
+        assert spatialcv._brent_root(f, -40.0, 40.0).hex() == brentq(f, -40.0, 40.0).hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(root=st.floats(-29.0, 29.0), slope=st.floats(0.01, 10.0),
+           wiggle=st.floats(-20.0, 20.0), freq=st.floats(0.1, 5.0),
+           bend=st.floats(-3.0, 3.0))
+    def test_bracketed_functions_match_brentq(self, root, slope, wiggle, freq, bend):
+        def f(x):
+            return (slope * (x - root) + wiggle * math.sin(freq * (x - root))
+                    + bend * math.atan(x) * math.exp(-abs(x - root)))
+        assume((f(-30.0) < 0) != (f(30.0) < 0) and f(-30.0) != 0 and f(30.0) != 0)
+        assert spatialcv._brent_root(f, -30.0, 30.0).hex() == brentq(f, -30.0, 30.0).hex()
+
+    def test_no_sign_change_and_no_convergence_give_none(self):
+        assert spatialcv._brent_root(lambda x: x * x + 1.0, -1.0, 2.0) is None
+        assert spatialcv._brent_root(math.atan, -30.0, 20.0, max_iter=2) is None
+        assert spatialcv._brent_root(math.atan, -30.0, 20.0) == brentq(math.atan, -30.0, 20.0)
+
+    def test_unreachable_rate_is_a_numerical_failure(self):
+        ds = small_grid(mask_cnt=0.25, seed=8)
+        with pytest.raises(NumericalError, match=r"no cnt intercept in \[-40, 40\] gives the "
+                           r"masking rate 0.26\d+ at variance 1e\+06"):
+            spatialcv.calibrate_intercepts(ds, spatialcv.MaskModelParams(sigma_gp=1000.0))
+
+
+def reference_field_factor(cells, params):
+    """Cholesky factor with the covariance evaluated at every cell pair."""
+    coords = np.asarray(cells, dtype=float)
+    dist = np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=-1))
+    corr = spatialcv.matern_cov(dist, params.r, 1.0, params.nu)
+    corr[np.diag_indices_from(corr)] += spatialcv.JITTER
+    return np.linalg.cholesky(corr)
+
+
+class TestFieldFactorOnDistinctDistances:
+    @settings(max_examples=60, deadline=None)
+    @given(ds=sparse_grids(), r=st.floats(0.1, 5.0), nu=st.sampled_from([0.5, 1.0, 1.5, 2.5]))
+    def test_factor_matches_all_pairs_reference(self, ds, r, nu):
+        params = spatialcv.MaskModelParams(r=r, nu=nu)
+        try:
+            expect = reference_field_factor(ds.cells, params)
+        except np.linalg.LinAlgError:
+            with pytest.raises(NumericalError):
+                spatialcv.field_factor(ds.cells, params)
+            return
+        assert spatialcv.field_factor(ds.cells, params).tobytes() == expect.tobytes()
 
 
 class TestFoldIo:
