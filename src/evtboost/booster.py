@@ -94,8 +94,7 @@ def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
-def initial_estimate(ys, loss: L.LossSpec, weights=None, tol: float = 1e-10,
-                     max_iter: int = 100):
+def initial_estimate(ys, loss: L.LossSpec, tol: float = 1e-10, max_iter: int = 100):
     """Constant score minimizing the total loss (Newton with bisection).
 
     Returns a scalar, or a per-class vector for the cross-entropy loss
@@ -107,17 +106,16 @@ def initial_estimate(ys, loss: L.LossSpec, weights=None, tol: float = 1e-10,
 
     if loss.multiclass:
         y = _one_hot(ys, loss.n_classes)
-        w = np.ones(y.shape[0]) if weights is None else np.asarray(weights, dtype=float)
-        w_total = float(w.sum())
-        mass = w @ y  # weighted count per class
+        n_total = float(y.shape[0])
+        mass = y.sum(axis=0)  # count per class
         theta = np.zeros(loss.n_classes)
-        scale = max(1.0, w_total)
+        scale = max(1.0, n_total)
         for _ in range(max_iter):
             # cyclic per-class updates; with the other scores fixed the
             # stationary point of one score solves softmax_c = mass_c / total
             for c in range(loss.n_classes):
                 others = np.exp(np.delete(theta, c)).sum()
-                target = mass[c] / w_total
+                target = mass[c] / n_total
                 if target <= 0.0:
                     theta[c] = -30.0
                 elif target >= 1.0:
@@ -125,7 +123,7 @@ def initial_estimate(ys, loss: L.LossSpec, weights=None, tol: float = 1e-10,
                 else:
                     theta[c] = np.clip(np.log(others * target / (1.0 - target)),
                                        -30.0, 30.0)
-            g_tot = w_total * L.softmax(theta) - mass
+            g_tot = n_total * L.softmax(theta) - mass
             if np.abs(g_tot).max() < tol * scale:
                 return theta - theta.mean()  # pin the softmax shift invariance
         raise NumericalError("initial estimate did not converge (cross_entropy)")
@@ -177,21 +175,12 @@ def initial_estimate(ys, loss: L.LossSpec, weights=None, tol: float = 1e-10,
     raise NumericalError("initial estimate did not converge")
 
 
-def _responses_for_loss(loss: L.LossSpec, ys, weights):
-    if loss.multiclass:
-        y = _one_hot(np.asarray(ys), loss.n_classes)
-        w = np.ones(y.shape[0]) if weights is None else np.asarray(weights, dtype=float)
-        return y, w
-    return np.asarray(ys, dtype=float), None
-
-
-def fit(X, ys, loss: L.LossSpec, params: TrainParams, feature_names=None,
-        weights=None) -> BoostedModel:
+def fit(X, ys, loss: L.LossSpec, params: TrainParams, feature_names=None) -> BoostedModel:
     """Train a boosted model on a feature matrix and responses.
 
     ``ys`` is a 1-d response array (class labels 0..C-1 or one-hot rows for
-    cross-entropy); ``weights`` are the per-observation cross-entropy
-    weights.  Loss domain violations surface with the offending row index.
+    cross-entropy).  Loss domain violations surface with the offending row
+    index.
     """
     X = np.asarray(X, dtype=float)
     n, p = X.shape
@@ -200,11 +189,11 @@ def fit(X, ys, loss: L.LossSpec, params: TrainParams, feature_names=None,
     if len(feature_names) != p:
         raise DataError("feature_names length must match column count")
 
-    y, w = _responses_for_loss(loss, ys, weights)
+    y = _one_hot(ys, loss.n_classes) if loss.multiclass else np.asarray(ys, dtype=float)
     if y.shape[0] != n:
         raise DataError("response length must match row count")
 
-    base = initial_estimate(ys, loss, weights=weights)
+    base = initial_estimate(ys, loss)
     if loss.multiclass:
         theta = np.tile(base, (n, 1))
     else:
@@ -216,21 +205,21 @@ def fit(X, ys, loss: L.LossSpec, params: TrainParams, feature_names=None,
     binned = bin_features(X, params.n_quantile_bins)  # once per fit, for every tree
     for round_idx in range(params.n_trees):
         subset = _round_feature_subset(params.seed, round_idx, p, params.colsample)
-        v, g, h = L.evaluate_loss(loss, y, theta, weights=w)
+        v, g, h = L.evaluate_loss(loss, y, theta)
         model.train_losses.append(float(v.sum()))
         h = np.maximum(h, HESS_FLOOR)
         if loss.multiclass:
             for c in range(loss.n_classes):
                 t = grow(binned, g[:, c], h[:, c], params.max_leaves, params.lambda_reg,
-                         params.eta, params.n_quantile_bins, subset)
+                         params.eta, feature_subset=subset)
                 theta[:, c] += lr * t.predict(X)
                 model.trees.append(t)
         else:
             t = grow(binned, g, h, params.max_leaves, params.lambda_reg,
-                     params.eta, params.n_quantile_bins, subset)
+                     params.eta, feature_subset=subset)
             theta += lr * t.predict(X)
             model.trees.append(t)
-    v, _, _ = L.evaluate_loss(loss, y, theta, weights=w)
+    v, _, _ = L.evaluate_loss(loss, y, theta)
     model.train_losses.append(float(v.sum()))
     return model
 

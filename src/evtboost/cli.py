@@ -36,8 +36,8 @@ EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 _SECTION_KEYS = {
     "data": {"train", "spacing", "missing", "season"},
     "schema": {"lon", "lat", "year", "month", "cnt", "ba", "covariates"},
-    "loss": {"kind", "alpha", "xi", "kappa", "k_shape", "u", "n_classes",
-             "raw_pmf_loss", "response"},
+    "loss": {"kind", "alpha", "xi", "kappa", "k_shape", "u", "raw_pmf_loss",
+             "response"},
     "train": {"n_trees", "learning_rate", "max_leaves", "lambda_reg", "eta",
               "colsample", "n_quantile_bins", "seed"},
     "cv": {"n_folds", "seed", "beta0_cnt", "beta0_ba", "beta", "range",
@@ -105,6 +105,9 @@ class RunConfig:
     def load_dataset(self, path: str | None = None) -> D.GridDataset:
         """The data CSV at ``path`` (default: ``[data] train``), read with
         this config's schema, marker, season and grid spacing."""
+        spacing = self.getfloat("data", "spacing", 0.5)
+        if not 0.0 < spacing < np.inf:
+            raise ConfigError(f"[data] spacing must be finite and > 0, got {spacing!r}")
         path = path or self.get("data", "train")
         if path is None:
             raise ConfigError("config needs [data] train = <csv path>")
@@ -126,7 +129,7 @@ class RunConfig:
             schema=schema,
             missing_marker=self.get("data", "missing", "NA"),
             season=season,
-            spacing=self.getfloat("data", "spacing", 0.5),
+            spacing=spacing,
             covariate_columns=covs,
         )
 
@@ -142,7 +145,6 @@ class RunConfig:
             kappa=self.getfloat("loss", "kappa", 0.5),
             k_shape=self.getfloat("loss", "k_shape", 1.0),
             u_trunc=float(np.log1p(self.threshold_u())),
-            n_classes=self.getint("loss", "n_classes", 3),
             raw_pmf_loss=self.getbool("loss", "raw_pmf_loss", False),
         )
 
@@ -248,6 +250,9 @@ def cmd_predict(args) -> int:
         header = [f"p_le_{float(t)!r}" for t in thresholds]
         values = M.threshold_probs(model, X, thresholds, names=names)
     else:
+        if model.loss.multiclass and model.loss.n_classes != 3:
+            raise DataError(f"cross_entropy model has {model.loss.n_classes} classes; "
+                            f"predict writes the 3 size classes")
         raw = B.predict_raw(model, D.align_features(X, names, model.feature_names))
         if model.loss.multiclass:
             header, values = ["p_zero", "p_med", "p_large"], L.softmax(raw)
@@ -267,6 +272,9 @@ def cmd_cvfolds(args) -> int:
     n_folds = args.n_folds if args.n_folds is not None else cfg.getint("cv", "n_folds", 5)
     seed = args.seed if args.seed is not None else cfg.getseed("cv", "seed", 0)
     ds = cfg.load_dataset()
+    if not 1 <= n_folds <= ds.n_rows:
+        raise ConfigError(f"the fold count must lie in [1, {ds.n_rows}] (the data's rows), "
+                          f"got {n_folds}")
     params = cfg.mask_params(ds)
     folds = S.generate_folds(ds, params, n_folds=n_folds, seed=seed)
     S.save_folds(folds, ds, args.out)
@@ -323,7 +331,7 @@ def cmd_tune(args) -> int:
     def objective(point: dict) -> float:
         params, spec = setup(point)
         recipe = R.BoosterRecipe(loss=spec, params=params, response=response,
-                                 u=cfg.threshold_u(), metric="nll")
+                                 u=cfg.threshold_u())
         cv = E.run_cv(ds, folds, recipe, response, checkpoints=[params.n_trees])
         return float(cv.mean[0])
 
@@ -352,7 +360,7 @@ def cmd_cv(args) -> int:
     folds = S.load_folds(args.folds, ds)
     params = _build(replace, params, n_trees=max(checkpoints))
     recipe = R.BoosterRecipe(loss=loss, params=params, response=response,
-                             u=cfg.threshold_u(), metric="nll")
+                             u=cfg.threshold_u())
     cv = E.run_cv(ds, folds, recipe, response, checkpoints=checkpoints)
     E.save_cv_report(cv, args.out)
     selected = E.one_se_select(cv, direction=args.direction)

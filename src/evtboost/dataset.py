@@ -317,6 +317,8 @@ def load_csv(path, schema: dict | None = None, missing_marker: str = "NA",
     Malformed rows, duplicate (cell, year, month) keys, off-season months
     and off-grid coordinates are reported with their line number.
     """
+    if not 0.0 < spacing < np.inf:
+        raise DataError(f"grid spacing must be finite and > 0, got {spacing!r}")
     schema = dict(DEFAULT_SCHEMA if schema is None else schema)
     missing_roles = set(DEFAULT_SCHEMA) - set(schema)
     if missing_roles:

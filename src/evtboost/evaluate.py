@@ -92,9 +92,9 @@ def run_cv(ds: GridDataset, folds: FoldSet, recipe, response: str,
            checkpoints) -> CvResult:
     """Train the recipe once per fold and score tree-count prefixes.
 
-    The recipe sees only non-validation rows at fit time (so any imputation
-    models it builds are fold-local), then scores the fold's validation
-    rows at every checkpoint from one staged prediction of its tree list.
+    The recipe sees only non-validation rows at fit time, then scores the
+    fold's validation rows at every checkpoint from one staged prediction
+    of its tree list.
     """
     checkpoints = np.asarray(checkpoints, dtype=int)
     if checkpoints.size == 0:

@@ -375,12 +375,11 @@ def squared_log_eval(y, theta):
 # Dispatch for the booster
 # ---------------------------------------------------------------------------
 
-def evaluate_loss(spec: LossSpec, y, theta, weights=None):
+def evaluate_loss(spec: LossSpec, y, theta):
     """Per-row (value, grad, hess) arrays for any loss kind.
 
-    For ``cross_entropy``, ``y``/``theta`` are (n, C) and ``weights``
-    (default all-ones) are the per-observation weights; other kinds take
-    1-d arrays and ignore ``weights``.
+    For ``cross_entropy``, ``y``/``theta`` are (n, C); other kinds take
+    1-d arrays.
     """
     if spec.kind == "poisson":
         return poisson_eval(y, theta)
@@ -391,8 +390,7 @@ def evaluate_loss(spec: LossSpec, y, theta, weights=None):
     if spec.kind == "gpd":
         return gpd_eval(y, theta, spec.xi, spec.kappa)
     if spec.kind == "cross_entropy":
-        w = 1.0 if weights is None else weights
-        return cross_entropy_eval(y, theta, w)
+        return cross_entropy_eval(y, theta)
     if spec.kind == "squared_log":
         return squared_log_eval(y, theta)
     raise DataError(f"unknown loss kind {spec.kind!r}")

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import booster as B
 from . import losses as L
+from . import synth
 from .errors import DataError, open_text
 from .dataset import align_features, ba_class_labels
 
@@ -117,11 +118,10 @@ def threshold_probs(m: MixtureModel, X, thresholds, names=None) -> np.ndarray:
 def sample(m: MixtureModel, x, n_draws: int, seed: int, names=None) -> np.ndarray:
     """Monte Carlo draws of BA at a single covariate vector.
 
-    Components are drawn by inverse transform: the bulk through the inverse
-    regularized incomplete gamma on the truncated range, the tail through
-    the GPD quantile function.
+    Components are drawn by inverse transform with :mod:`synth`'s samplers:
+    the bulk through the inverse regularized incomplete gamma on the
+    truncated range, the tail through the GPD quantile function.
     """
-    from scipy import special
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[0] != 1:
         raise DataError("sample draws at a single covariate vector")
@@ -132,20 +132,15 @@ def sample(m: MixtureModel, x, n_draws: int, seed: int, names=None) -> np.ndarra
 
     n_bulk = int((comp == 1).sum())
     if n_bulk:
-        x_bulk = align_features(x, names, m.bulk.feature_names)
-        theta = float(B.predict_raw(m.bulk, x_bulk)[0])
-        k = m.k_shape
-        s_trunc = k * np.log1p(m.u) * np.exp(-theta)
-        urand = rng.uniform(size=n_bulk)
-        z = special.gammaincinv(k, urand * special.gammainc(k, s_trunc)) * np.exp(theta) / k
-        out[comp == 1] = np.expm1(z)
+        theta = float(B.predict_raw(m.bulk, align_features(x, names, m.bulk.feature_names))[0])
+        out[comp == 1] = np.expm1(synth.sample_trgamma(theta, m.k_shape, np.log1p(m.u),
+                                                       n_bulk, rng))
 
     n_tail = int((comp == 2).sum())
     if n_tail:
         theta = B.predict_raw(m.tail, align_features(x, names, m.tail.feature_names))
         sigma = float(tail_sigma(m, theta)[0])
-        urand = rng.uniform(size=n_tail)
-        out[comp == 2] = m.u + sigma * np.expm1(-m.xi * np.log1p(-urand)) / m.xi
+        out[comp == 2] = m.u + synth.sample_gpd(sigma, m.xi, n_tail, rng)
     return out
 
 

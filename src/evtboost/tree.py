@@ -311,26 +311,21 @@ def _best_split_for_node(binned, g, h, rows, features, lambda_reg, eta):
 
 
 def grow(
-    X: np.ndarray | BinnedFeatures,
+    X: BinnedFeatures,
     g: np.ndarray,
     h: np.ndarray,
     max_leaves: int,
     lambda_reg: float = 1.0,
     eta: float = 0.0,
-    n_quantile_bins: int = 32,
     feature_subset: np.ndarray | None = None,
 ) -> Tree:
     """Grow one tree best-first on the given gradient pairs.
 
-    ``X`` is a raw feature matrix, binned here with ``n_quantile_bins``, or
-    the ``bin_features`` result a caller reuses across trees (the bins it
-    was made with then apply).  ``feature_subset`` restricts candidate
-    features (the booster draws it per iteration); None means all features.
-    Growth stops when the best candidate gain is <= 0 or the leaf count
-    reaches ``max_leaves``.
+    ``X`` is the ``bin_features`` result that every tree of a fit reuses.
+    ``feature_subset`` restricts candidate features (the booster draws it
+    per iteration); None means all features.  Growth stops when the best
+    candidate gain is <= 0 or the leaf count reaches ``max_leaves``.
     """
-    if not isinstance(X, BinnedFeatures):
-        X = bin_features(X, n_quantile_bins)
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
     n, p = X.shape

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from evtboost import booster, cli, losses, mixture
+from evtboost.errors import DataError
 from evtboost.synth import synth_dataset
 from evtboost import dataset as D
 
@@ -887,3 +888,85 @@ class TestSeedsAlphaPointsAndRoots:
         line = [l for l in capsys.readouterr().out.splitlines()
                 if l.startswith("min_mean_score=")][0]
         assert repr(float(line.split("=", 1)[1])) == line.split("=", 1)[1]
+
+
+class TestFoldCountSpacingAndClasses:
+    """A fold count outside [1, rows] and a grid spacing that is not finite
+    and > 0 are configuration errors raised before any work; a classifier
+    with other than 3 classes cannot be exported by ``predict``."""
+
+    @pytest.fixture
+    def grid(self, tmp_path):
+        data = tmp_path / "masked.csv"
+        ds = synth_dataset("counts", n_years=1, nx=3, ny=3, seed=1, mask_rate=0.2)
+        D.save_csv(ds, data)
+        return str(data), ds.n_rows
+
+    @pytest.mark.parametrize("n_folds", ["1000000000000000000", "0", "-2", "rows+1"])
+    def test_fold_count_flag(self, tmp_path, grid, n_folds, capsys):
+        data, n_rows = grid
+        n_folds = str(n_rows + 1) if n_folds == "rows+1" else n_folds
+        out = tmp_path / "folds.csv"
+        assert run(tmp_path, "cvfolds", "--config", write_config(tmp_path, data),
+                   "--n-folds", n_folds, "--out", str(out)) == 1
+        _one_line(capsys.readouterr().err,
+                  f"config error: the fold count must lie in [1, {n_rows}] (the data's "
+                  f"rows), got {n_folds}")
+        assert not out.exists()
+
+    def test_fold_count_key(self, tmp_path, grid, capsys):
+        data, n_rows = grid
+        out = tmp_path / "folds.csv"
+        cfg = write_config(tmp_path, data, extra="n_folds = 99999999999999999999")
+        assert run(tmp_path, "cvfolds", "--config", cfg, "--out", str(out)) == 1
+        _one_line(capsys.readouterr().err, f"config error: the fold count must lie in "
+                  f"[1, {n_rows}]")
+        assert not out.exists()
+
+    def test_one_fold_per_row_is_allowed(self, tmp_path, grid, capsys):
+        data, n_rows = grid
+        assert run(tmp_path, "cvfolds", "--config", write_config(tmp_path, data),
+                   "--n-folds", str(n_rows), "--out", str(tmp_path / "folds.csv")) == 0
+        assert f"n_folds={n_rows}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spacing", ["0", "nan", "inf", "-0.5"])
+    def test_spacing(self, tmp_path, grid, spacing, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[data]\ntrain = {grid[0]}\nspacing = {spacing}\n", encoding="utf-8")
+        out = tmp_path / "m.json"
+        assert run(tmp_path, "train", "--config", str(cfg), "--loss", "dgpd",
+                   "--out", str(out)) == 1
+        _one_line(capsys.readouterr().err, "config error: [data] spacing must be finite "
+                  "and > 0, got ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spacing", [0.0, np.nan, np.inf, -0.5])
+    def test_load_csv_spacing(self, grid, spacing):
+        with pytest.raises(DataError, match="grid spacing must be finite and > 0"):
+            D.load_csv(grid[0], spacing=spacing)
+
+    def test_n_classes_key_is_unknown(self, tmp_path, grid, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[data]\ntrain = {grid[0]}\n\n[loss]\nkind = cross_entropy\n"
+                       f"n_classes = 3\n", encoding="utf-8")
+        assert run(tmp_path, "train", "--config", str(cfg), "--out",
+                   str(tmp_path / "m.json")) == 1
+        _one_line(capsys.readouterr().err,
+                  "config error: unknown keys in [loss]: ['n_classes']")
+
+    @pytest.mark.parametrize("n_classes", [2, 5])
+    def test_predict_other_class_count(self, tmp_path, sizes_csv, n_classes, capsys):
+        ds = D.load_csv(sizes_csv)
+        X, names = ds.feature_matrix()
+        labels = np.arange(ds.n_rows) % n_classes
+        model, out = tmp_path / "cls.json", tmp_path / "p.csv"
+        booster.save(booster.fit(X, labels,
+                                 losses.LossSpec(kind="cross_entropy", n_classes=n_classes),
+                                 booster.TrainParams(n_trees=1, max_leaves=2),
+                                 feature_names=names), model)
+        capsys.readouterr()
+        assert run(tmp_path, "predict", "--model", str(model), "--data", sizes_csv,
+                   "--out", str(out)) == 2
+        _one_line(capsys.readouterr().err, f"data error: cross_entropy model has "
+                  f"{n_classes} classes; predict writes the 3 size classes")
+        assert not out.exists()

@@ -175,6 +175,47 @@ class TestSampleAgainstCdf:
             assert emp == pytest.approx(mixture.cdf(m, X1, b)[0], abs=0.005)
 
 
+def _reference_sample(m, x, n_draws, seed, names=None):
+    """``mixture.sample`` with its bulk and tail draws written out inline, as
+    before it used :mod:`synth`'s samplers."""
+    from scipy import special
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    rng = np.random.default_rng(seed)
+    p = mixture.component_probs(m, x, names)[0]
+    comp = rng.choice(3, size=n_draws, p=p)
+    out = np.zeros(n_draws)
+    n_bulk = int((comp == 1).sum())
+    if n_bulk:
+        theta = float(booster.predict_raw(m.bulk, x)[0])
+        k = m.k_shape
+        s_trunc = k * np.log1p(m.u) * np.exp(-theta)
+        urand = rng.uniform(size=n_bulk)
+        z = special.gammaincinv(k, urand * special.gammainc(k, s_trunc)) * np.exp(theta) / k
+        out[comp == 1] = np.expm1(z)
+    n_tail = int((comp == 2).sum())
+    if n_tail:
+        sigma = float(mixture.tail_sigma(m, booster.predict_raw(m.tail, x))[0])
+        urand = rng.uniform(size=n_tail)
+        out[comp == 2] = m.u + sigma * np.expm1(-m.xi * np.log1p(-urand)) / m.xi
+    return out
+
+
+class TestSampleBitEqual:
+    @pytest.mark.parametrize("seed", [0, 7, 123, 2 ** 31])
+    def test_toy_mixture(self, seed):
+        m = toy_mixture(p=(0.55, 0.3, 0.15), theta_bulk=1.5, theta_tail=4.5, k_shape=1.3)
+        draws = mixture.sample(m, X1, n_draws=2_000, seed=seed)
+        expected = _reference_sample(m, X1, 2_000, seed)
+        assert [v.hex() for v in draws.tolist()] == [v.hex() for v in expected.tolist()]
+
+    @pytest.mark.parametrize("row", [0, 5, 17])
+    def test_fitted_mixture(self, row):
+        m, X = _fitted_mixture()
+        draws = mixture.sample(m, X[row], n_draws=500, seed=row)
+        expected = _reference_sample(m, X[row], 500, row)
+        assert [v.hex() for v in draws.tolist()] == [v.hex() for v in expected.tolist()]
+
+
 class TestFitMixture:
     def test_fit_and_validate(self, rng):
         ds = synth_dataset("sizes", n_years=2, nx=5, ny=5, seed=3)

@@ -54,38 +54,6 @@ class TestCountThresholdProbs:
         assert np.all(np.diff(probs, axis=1) >= 0)
 
 
-class TestEnrichers:
-    def test_cnt_imputation_round_trip(self):
-        ds = masked_counts(seed=3)
-        enr = recipes.CntImputationEnricher(
-            alpha=5.0, params=booster.TrainParams(n_trees=3, max_leaves=4, seed=0))
-        enr.fit(ds)
-        out = enr.transform(ds)
-        assert "cnt_cov" in out.covariate_names
-        j = out.covariate_names.index("cnt_cov")
-        obs = ~np.isnan(ds.cnt)
-        np.testing.assert_array_equal(out.covariates[obs, j], ds.cnt[obs])
-        assert not np.isnan(out.covariates[:, j]).any()
-
-    def test_ba_class_imputation(self):
-        ds = synth_dataset("sizes", n_years=1, nx=5, ny=5, seed=4, mask_rate=0.2)
-        enr = recipes.BaClassImputationEnricher(
-            u=200.0, params=booster.TrainParams(n_trees=3, max_leaves=4, seed=0))
-        enr.fit(ds)
-        out = enr.transform(ds)
-        cols = [out.covariate_names.index(n) for n in ("p_zero", "p_med", "p_large")]
-        np.testing.assert_allclose(out.covariates[:, cols].sum(axis=1), 1.0,
-                                   atol=1e-9)
-
-
-class TestBalancedWeights:
-    def test_inverse_frequency(self):
-        labels = np.array([0, 0, 0, 1])
-        w = recipes.balanced_weights(labels, 2)
-        np.testing.assert_allclose(w, [4 / 6, 4 / 6, 4 / 6, 4 / 2])
-        assert w.sum() == pytest.approx(4.0)
-
-
 class TestMixtureRecipeCv:
     def test_cv_over_classifier_rounds(self):
         ds = synth_dataset("sizes", n_years=2, nx=5, ny=5, seed=5, mask_rate=0.15)

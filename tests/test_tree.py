@@ -68,7 +68,7 @@ def _exhaustive_best_split(X, g, h, lam, eta):
 class TestGrow:
     def test_all_zero_gradients_single_leaf(self, rng):
         X = rng.normal(size=(25, 2))
-        t = tree.grow(X, np.zeros(25), np.ones(25), max_leaves=4)
+        t = tree.grow(tree.bin_features(X, 32), np.zeros(25), np.ones(25), max_leaves=4)
         assert len(t.nodes) == 1
         assert t.nodes[0].weight == 0.0
 
@@ -78,7 +78,7 @@ class TestGrow:
         # squared-loss gradients at the mean prediction
         g = y.mean() - y
         h = np.ones(20)
-        t = tree.grow(X, g, h, max_leaves=2, lambda_reg=0.0)
+        t = tree.grow(tree.bin_features(X, 32), g, h, max_leaves=2, lambda_reg=0.0)
         oracle = _exhaustive_best_split(X, g, h, 0.0, 0.0)
         root = t.nodes[0]
         assert root.feature == oracle[1] == 0
@@ -90,7 +90,7 @@ class TestGrow:
             X = rng.normal(size=(50, 3))
             g = rng.normal(size=50)
             h = rng.uniform(0.5, 2.0, size=50)
-            t = tree.grow(X, g, h, max_leaves=2, lambda_reg=1.0, n_quantile_bins=64)
+            t = tree.grow(tree.bin_features(X, 64), g, h, max_leaves=2, lambda_reg=1.0)
             oracle = _exhaustive_best_split(X, g, h, 1.0, 0.0)
             assert not t.nodes[0].is_leaf
             assert t.nodes[0].gain == pytest.approx(oracle[0], rel=1e-9)
@@ -100,12 +100,13 @@ class TestGrow:
         g = rng.normal(size=100)
         h = np.ones(100)
         for L in (2, 4, 7):
-            t = tree.grow(X, g, h, max_leaves=L, lambda_reg=1.0)
+            t = tree.grow(tree.bin_features(X, 32), g, h, max_leaves=L, lambda_reg=1.0)
             assert t.n_leaves <= L
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError):
-            tree.grow(np.empty((0, 2)), np.empty(0), np.empty(0), max_leaves=2)
+            tree.grow(tree.bin_features(np.empty((0, 2)), 32), np.empty(0), np.empty(0),
+                      max_leaves=2)
 
     def test_monotone_transformation_invariance(self, rng):
         # order statistics as thresholds make routing invariant under
@@ -113,11 +114,11 @@ class TestGrow:
         X = rng.normal(size=(40, 2))
         g = rng.normal(size=40)
         h = np.ones(40)
-        t1 = tree.grow(X, g, h, max_leaves=4, lambda_reg=1.0)
+        t1 = tree.grow(tree.bin_features(X, 32), g, h, max_leaves=4, lambda_reg=1.0)
 
         Xt = X.copy()
         Xt[:, 0] = np.exp(X[:, 0])
-        t2 = tree.grow(Xt, g, h, max_leaves=4, lambda_reg=1.0)
+        t2 = tree.grow(tree.bin_features(Xt, 32), g, h, max_leaves=4, lambda_reg=1.0)
 
         queries = rng.normal(size=(200, 2))
         queries_t = queries.copy()
@@ -133,7 +134,7 @@ class TestGrow:
         X_missing = X.copy()
         hot = y == 1
         X_missing[np.flatnonzero(hot)[:10], 0] = np.nan
-        t = tree.grow(X_missing, g, h, max_leaves=2, lambda_reg=0.0)
+        t = tree.grow(tree.bin_features(X_missing, 32), g, h, max_leaves=2, lambda_reg=0.0)
         root = t.nodes[0]
         assert not root.is_leaf
         # the ten missing rows had y=1, so the default side must be the high side
@@ -170,7 +171,8 @@ class TestPredict:
 class TestSerialization:
     def test_round_trip(self, rng):
         X = rng.normal(size=(50, 3))
-        t = tree.grow(X, rng.normal(size=50), np.ones(50), max_leaves=5, lambda_reg=1.0)
+        t = tree.grow(tree.bin_features(X, 32), rng.normal(size=50), np.ones(50), max_leaves=5,
+                      lambda_reg=1.0)
         t2 = tree.Tree.from_doc(t.to_doc())
         np.testing.assert_array_equal(t.predict(X), t2.predict(X))
 
@@ -335,11 +337,11 @@ class TestBinnedEngine:
         subset = None
         if colsample < 1.0:
             subset = np.sort(rng.choice(p, size=max(1, round(colsample * p)), replace=False))
-        args = (g, h, max_leaves, lambda_reg, eta, n_bins, subset)
-        expected = _outcome(lambda: _reference_grow(X, *args))
+        args = (g, h, max_leaves, lambda_reg, eta)
+        expected = _outcome(lambda: _reference_grow(X, *args, n_bins, subset))
         with mock.patch.object(tree, "_HIST_BLOCK_CELLS", block_cells):
-            assert _outcome(lambda: tree.grow(X, *args)) == expected
-            assert _outcome(lambda: tree.grow(tree.bin_features(X, n_bins), *args)) == expected
+            assert _outcome(lambda: tree.grow(tree.bin_features(X, n_bins), *args,
+                                              subset)) == expected
 
     def test_too_few_bins_rejected(self):
         with pytest.raises(DataError, match="n_quantile_bins"):
