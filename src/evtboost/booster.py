@@ -48,8 +48,8 @@ class TrainParams:
             raise DataError("learning_rate must lie in (0, 1]")
         if self.lambda_reg < 0 or self.eta < 0:
             raise DataError("lambda_reg and eta must be >= 0")
-        if self.n_quantile_bins < 2:
-            raise DataError("n_quantile_bins must be >= 2")
+        if not 2 <= self.n_quantile_bins <= 255:
+            raise DataError("n_quantile_bins must lie in [2, 255]")
 
 
 @dataclass

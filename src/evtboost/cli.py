@@ -36,8 +36,7 @@ EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 _SECTION_KEYS = {
     "data": {"train", "spacing", "missing", "season"},
     "schema": {"lon", "lat", "year", "month", "cnt", "ba", "covariates"},
-    "loss": {"kind", "alpha", "xi", "kappa", "k_shape", "u", "raw_pmf_loss",
-             "response"},
+    "loss": {"kind", "alpha", "xi", "kappa", "k_shape", "u"},
     "train": {"n_trees", "learning_rate", "max_leaves", "lambda_reg", "eta",
               "colsample", "n_quantile_bins", "seed"},
     "cv": {"n_folds", "seed", "beta0_cnt", "beta0_ba", "beta", "range",
@@ -46,9 +45,6 @@ _SECTION_KEYS = {
     "tune": {"learning_rate", "max_leaves", "lambda_reg", "eta", "colsample",
              "alpha", "xi", "k_shape"},
 }
-
-_BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
-             **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
 def _seed(text: str) -> int:
@@ -92,12 +88,11 @@ class RunConfig:
             return default
         try:
             return parse(val)
-        except (KeyError, ValueError):
+        except ValueError:
             raise ConfigError(f"[{section}] {key} must be {what}, got {val!r}") from None
 
     getfloat = partialmethod(_get_as, float, "a number")
     getint = partialmethod(_get_as, int, "an integer")
-    getbool = partialmethod(_get_as, lambda text: _BOOLEANS[text.lower()], "a boolean")
     getseed = partialmethod(_get_as, _seed, "an integer >= 0")
 
     # -- builders ----------------------------------------------------------
@@ -118,17 +113,18 @@ class RunConfig:
         season_text = self.get("data", "season", "3-9")
         try:
             lo, hi = (int(t) for t in season_text.split("-"))
-            season = tuple(range(lo, hi + 1))
+            if not 1 <= lo <= hi <= 12:
+                raise ValueError
         except ValueError:
-            raise ConfigError(f"[data] season must look like '3-9', got {season_text!r}") \
-                from None
+            raise ConfigError(f"[data] season must be 'lo-hi' months with "
+                              f"1 <= lo <= hi <= 12, got {season_text!r}") from None
         cov_text = self.get("schema", "covariates")
         covs = [t.strip() for t in cov_text.split(",")] if cov_text else None
         return D.load_csv(
             path,
             schema=schema,
             missing_marker=self.get("data", "missing", "NA"),
-            season=season,
+            season=tuple(range(lo, hi + 1)),
             spacing=spacing,
             covariate_columns=covs,
         )
@@ -145,7 +141,6 @@ class RunConfig:
             kappa=self.getfloat("loss", "kappa", 0.5),
             k_shape=self.getfloat("loss", "k_shape", 1.0),
             u_trunc=float(np.log1p(self.threshold_u())),
-            raw_pmf_loss=self.getbool("loss", "raw_pmf_loss", False),
         )
 
     def threshold_u(self) -> float:
@@ -212,23 +207,20 @@ def _read_numbers(path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _training_setup(args):
-    """(config, train params, cross-filled dataset, loss, response) for train, cv and tune."""
+    """(config, train params, cross-filled dataset, loss) for train, cv and tune."""
     cfg = RunConfig(args.config)
     params = cfg.train_params()
     ds = D.cross_fill_zeros(cfg.load_dataset())
-    loss = cfg.loss_spec(args.loss)
-    response = (args.response or cfg.get("loss", "response")
-                or ("cnt" if loss.kind in ("poisson", "dgpd") else "ba"))
-    return cfg, params, ds, loss, response
+    return cfg, params, ds, cfg.loss_spec(args.loss)
 
 
 def cmd_train(args) -> int:
-    cfg, params, ds, loss, response = _training_setup(args)
+    cfg, params, ds, loss = _training_setup(args)
     if args.seed is not None:
         params = replace(params, seed=args.seed)
-    rows, y = R.response_rows(ds, loss.kind, response, cfg.threshold_u())
+    rows, y = R.response_rows(ds, loss.kind, cfg.threshold_u())
     if not rows.any():
-        raise DataError("no trainable rows for this loss/response")
+        raise DataError("no trainable rows for this loss")
     X, names = ds.feature_matrix()
     model = B.fit(X[rows], y, loss, params, feature_names=names)
     B.save(model, args.out)
@@ -242,19 +234,23 @@ def cmd_predict(args) -> int:
     ds = RunConfig(args.config).load_dataset(args.data)
     X, names = ds.feature_matrix()
     model = M.load(args.model)
-    if isinstance(model, M.MixtureModel):
-        thresholds = _read_numbers(args.thresholds) if args.thresholds \
-            else E.default_score_spec("ba").thresholds
+    thresholds = _read_numbers(args.thresholds) if args.thresholds else None
+    if isinstance(model, M.MixtureModel) and thresholds is None:
+        thresholds = E.default_score_spec("ba").thresholds
+    if thresholds is not None:
         if np.any(np.diff(thresholds) < 0):
             raise DataError("thresholds must be sorted ascending")
         header = [f"p_le_{float(t)!r}" for t in thresholds]
+    if isinstance(model, M.MixtureModel):
         values = M.threshold_probs(model, X, thresholds, names=names)
     else:
         if model.loss.multiclass and model.loss.n_classes != 3:
             raise DataError(f"cross_entropy model has {model.loss.n_classes} classes; "
                             f"predict writes the 3 size classes")
         raw = B.predict_raw(model, D.align_features(X, names, model.feature_names))
-        if model.loss.multiclass:
+        if thresholds is not None:
+            values = R.count_threshold_probs(model.loss, raw, thresholds)
+        elif model.loss.multiclass:
             header, values = ["p_zero", "p_med", "p_large"], L.softmax(raw)
         elif model.loss.kind == "dgpd" and model.loss.alpha > 1.0:
             header = ["raw", "mean"]
@@ -288,7 +284,7 @@ def cmd_cvfolds(args) -> int:
 def cmd_tune(args) -> int:
     if args.max_iters < 1:
         raise ConfigError("--max-iters must be at least 1")
-    cfg, base_params, ds, loss, response = _training_setup(args)
+    cfg, base_params, ds, loss = _training_setup(args)
     seed = args.seed if args.seed is not None else base_params.seed
 
     box: dict[str, tuple[float, float]] = {}
@@ -330,9 +326,8 @@ def cmd_tune(args) -> int:
 
     def objective(point: dict) -> float:
         params, spec = setup(point)
-        recipe = R.BoosterRecipe(loss=spec, params=params, response=response,
-                                 u=cfg.threshold_u())
-        cv = E.run_cv(ds, folds, recipe, response, checkpoints=[params.n_trees])
+        recipe = R.BoosterRecipe(loss=spec, params=params, u=cfg.threshold_u())
+        cv = E.run_cv(ds, folds, recipe, checkpoints=[params.n_trees])
         return float(cv.mean[0])
 
     history = E.tune_loop(objective, box, n_iters=args.max_iters, seed=seed)
@@ -356,12 +351,11 @@ def cmd_cv(args) -> int:
     except ValueError:
         raise ConfigError(f"--checkpoints must be comma-separated integers >= 0, "
                           f"got {args.checkpoints!r}") from None
-    cfg, params, ds, loss, response = _training_setup(args)
+    cfg, params, ds, loss = _training_setup(args)
     folds = S.load_folds(args.folds, ds)
     params = _build(replace, params, n_trees=max(checkpoints))
-    recipe = R.BoosterRecipe(loss=loss, params=params, response=response,
-                             u=cfg.threshold_u())
-    cv = E.run_cv(ds, folds, recipe, response, checkpoints=checkpoints)
+    recipe = R.BoosterRecipe(loss=loss, params=params, u=cfg.threshold_u())
+    cv = E.run_cv(ds, folds, recipe, checkpoints=checkpoints)
     E.save_cv_report(cv, args.out)
     selected = E.one_se_select(cv, direction=args.direction)
     print(f"selected_n_trees={selected}")
@@ -507,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a single-loss model")
     p.add_argument("--config", required=True)
     p.add_argument("--loss", default=None, choices=list(L.LOSS_KINDS))
-    p.add_argument("--response", default=None, choices=["cnt", "ba"])
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
@@ -531,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--folds", required=True)
     p.add_argument("--loss", default=None, choices=list(L.LOSS_KINDS))
-    p.add_argument("--response", default=None, choices=["cnt", "ba"])
     p.add_argument("--checkpoints", default="25,50,100,200",
                    help="comma-separated tree counts to score")
     p.add_argument("--direction", default="largest", choices=["largest", "smallest"])
@@ -542,7 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--folds", required=True)
     p.add_argument("--loss", default=None, choices=list(L.LOSS_KINDS))
-    p.add_argument("--response", default=None, choices=["cnt", "ba"])
     p.add_argument("--max-iters", type=int, default=10)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)

@@ -5,8 +5,9 @@ on a regular lon/lat grid.  Cells are rows of a sorted (lon, lat) array and
 an observation is identified by its row index; :func:`match_rows` maps key
 columns such as (cell, year, month) back to rows.  Masked responses and
 missing covariates are NaN internally and a configurable marker (default
-``"NA"``) on disk.  Enrichment operations (zero cross-filling, model
-imputation) return new datasets; nothing mutates in place.
+``"NA"``) on disk.  Enrichment (zero cross-filling between the two
+responses) returns a new dataset; nothing mutates in place.  The module
+sits below the model layer: it imports no booster, tree or loss code.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import booster as B
-from . import losses as L
 from .errors import DataError, open_text
 
 DEFAULT_SCHEMA = {"lon": "lon", "lat": "lat", "year": "year", "month": "month",
@@ -80,14 +79,6 @@ class GridDataset:
         X = np.column_stack([lons, lats, self.year.astype(float), self.month.astype(float),
                              self.covariates])
         return X, ["lon", "lat", "year", "month"] + self.covariate_names
-
-    def with_covariate(self, name: str, values: np.ndarray) -> "GridDataset":
-        if name in self.covariate_names:
-            raise DataError(f"covariate {name!r} already exists")
-        out = self.copy()
-        out.covariates = np.column_stack([out.covariates, np.asarray(values, dtype=float)])
-        out.covariate_names.append(name)
-        return out
 
 
 def match_rows(keys, queries) -> np.ndarray:
@@ -446,59 +437,9 @@ def cross_fill_zeros(ds: GridDataset) -> GridDataset:
     return out
 
 
-def impute_cnt_covariate(ds: GridDataset, aux: B.BoostedModel) -> GridDataset:
-    """Append ``cnt_cov``: the observed count where present, else the
-    predicted mean count from a dGPD model ``aux`` (requires alpha > 1).
-
-    ``aux`` must not use burned-area-derived covariates, or the imputed
-    column would leak the other response."""
-    if aux.loss.kind != "dgpd":
-        raise DataError("imputation model must use the dgpd loss")
-    if aux.loss.alpha <= 1.0:
-        raise DataError("mean does not exist for dgpd with alpha <= 1")
-    leaky = {"p_zero", "p_med", "p_large"} & set(aux.feature_names)
-    if leaky:
-        raise DataError(f"count imputation model uses burned-area-derived "
-                        f"covariates: {sorted(leaky)}")
-    X, names = ds.feature_matrix()
-    X = align_features(X, names, aux.feature_names)
-    masked = np.isnan(ds.cnt)
-    vals = ds.cnt.copy()
-    if masked.any():
-        theta = B.predict_raw(aux, X[masked])
-        vals[masked] = L.dgpd_mean(theta, aux.loss.alpha)
-    return ds.with_covariate("cnt_cov", vals)
-
-
 def ba_class_labels(ba: np.ndarray, u: float) -> np.ndarray:
     """Size-component labels: 0 for no fire, 1 for (0, u], 2 for > u."""
     return np.where(ba == 0, 0, np.where(ba <= u, 1, 2)).astype(int)
-
-
-def impute_ba_class_covariates(ds: GridDataset, aux: B.BoostedModel,
-                               u: float = 200.0) -> GridDataset:
-    """Append p_zero/p_med/p_large: the observed one-hot size-component
-    indicators where BA is observed, else softmax probabilities from the
-    3-class classifier ``aux`` (which must not use count-derived covariates)."""
-    if aux.loss.kind != "cross_entropy":
-        raise DataError("imputation model must use the cross_entropy loss")
-    if aux.loss.n_classes != 3:
-        raise DataError("size-component classifier must have 3 classes")
-    if "cnt_cov" in aux.feature_names:
-        raise DataError("size classifier for imputation uses a count-derived covariate")
-    X, names = ds.feature_matrix()
-    X = align_features(X, names, aux.feature_names)
-    probs = np.zeros((ds.n_rows, 3))
-    observed = ~np.isnan(ds.ba)
-    labels = ba_class_labels(ds.ba[observed], u)
-    probs[np.flatnonzero(observed), labels] = 1.0
-    if (~observed).any():
-        raw = B.predict_raw(aux, X[~observed])
-        probs[~observed] = L.softmax(raw)
-    out = ds
-    for name, col in zip(("p_zero", "p_med", "p_large"), probs.T):
-        out = out.with_covariate(name, col)
-    return out
 
 
 def align_features(X: np.ndarray, names: list[str] | None,

@@ -88,20 +88,19 @@ class CvResult:
             self.se = np.zeros_like(self.mean)
 
 
-def run_cv(ds: GridDataset, folds: FoldSet, recipe, response: str,
-           checkpoints) -> CvResult:
+def run_cv(ds: GridDataset, folds: FoldSet, recipe, checkpoints) -> CvResult:
     """Train the recipe once per fold and score tree-count prefixes.
 
-    The recipe sees only non-validation rows at fit time, then scores the
-    fold's validation rows at every checkpoint from one staged prediction
-    of its tree list.
+    The recipe sees only rows outside the fold's validation mask for its
+    ``response`` at fit time, then scores the fold's validation rows at
+    every checkpoint from one staged prediction of its tree list.
     """
     checkpoints = np.asarray(checkpoints, dtype=int)
     if checkpoints.size == 0:
         raise DataError("at least one tree-count checkpoint is required")
     scores = np.empty((folds.n_folds, checkpoints.size))
     for f in range(folds.n_folds):
-        valid_rows = folds.validation_rows(ds, f, response)
+        valid_rows = folds.validation_rows(ds, f, recipe.response)
         if not valid_rows.any():
             raise DataError(f"fold {f} has an empty validation set")
         train = ds.subset(np.flatnonzero(~valid_rows))

@@ -43,9 +43,8 @@ class LossSpec:
     tail parameter (alpha = 1/xi of the underlying GPD), ``xi`` the GPD
     shape, ``kappa`` the quantile level of the GPD reparameterization,
     ``k_shape`` the gamma shape, ``u_trunc`` the gamma right-truncation
-    point and ``n_classes`` the number of classes.  ``raw_pmf_loss``
-    switches the dGPD objective from the negative log pmf (default) to the
-    raw pmf.
+    point and ``n_classes`` the number of classes.  The kind also fixes
+    the response: poisson and dgpd model counts, the others burned areas.
     """
 
     kind: str
@@ -55,7 +54,6 @@ class LossSpec:
     k_shape: float = 1.0
     u_trunc: float = 1.0
     n_classes: int = 3
-    raw_pmf_loss: bool = False
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
@@ -78,8 +76,6 @@ class LossSpec:
         out: dict = {"kind": self.kind}
         if self.kind == "dgpd":
             out["alpha"] = self.alpha
-            if self.raw_pmf_loss:
-                out["raw_pmf_loss"] = True
         elif self.kind == "trgamma":
             out["k_shape"] = self.k_shape
             out["u_trunc"] = self.u_trunc
@@ -93,8 +89,7 @@ class LossSpec:
 
 def loss_spec_from_dict(doc: dict) -> LossSpec:
     """Rebuild a LossSpec from its serialized hyperparameter dict."""
-    known = {"kind", "alpha", "xi", "kappa", "k_shape", "u_trunc", "n_classes",
-             "raw_pmf_loss"}
+    known = {"kind", "alpha", "xi", "kappa", "k_shape", "u_trunc", "n_classes"}
     unknown = set(doc) - known
     if unknown:
         raise DataError(f"unknown loss fields: {sorted(unknown)}")
@@ -125,7 +120,7 @@ def poisson_eval(y, theta):
 def _dgpd_pieces(y, theta, alpha):
     """Stable building blocks for the dGPD pmf at integers y and y+1.
 
-    Returns (log_s_y, w_y, E, D) where s_k = (1 + e^theta k)^(-alpha),
+    Returns (log_s_y, w_y, w_y1, E, D) where s_k = (1 + e^theta k)^(-alpha),
     w_k = e^theta k / (1 + e^theta k), E = s_{y+1}/s_y and D = 1 - E, so
     that pmf = s_y * D.
     """
@@ -145,12 +140,8 @@ def _dgpd_pieces(y, theta, alpha):
     return log_s_y, w_y, w_y1, E, D
 
 
-def dgpd_eval(y, theta, alpha, raw_pmf_loss=False):
-    """Discrete GPD loss, gradient and hessian w.r.t. theta.
-
-    Default is the negative log pmf; ``raw_pmf_loss`` evaluates the pmf
-    itself with its raw derivatives instead.
-    """
+def dgpd_eval(y, theta, alpha):
+    """Discrete GPD negative log pmf, gradient and hessian w.r.t. theta."""
     y = np.asarray(y, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if alpha <= 0:
@@ -159,14 +150,6 @@ def dgpd_eval(y, theta, alpha, raw_pmf_loss=False):
         raise DataError("dgpd loss requires integer y >= 0")
 
     log_s_y, w_y, w_y1, E, D = _dgpd_pieces(y, theta, alpha)
-
-    if raw_pmf_loss:
-        s_y = np.exp(log_s_y)
-        pmf = s_y * D
-        g = -alpha * s_y * (w_y - E * w_y1)
-        h = alpha * (alpha + 1.0) * s_y * (w_y * w_y - E * w_y1 * w_y1) + g
-        return pmf, g, h
-
     log_pmf = log_s_y + np.log(D, out=np.full_like(D, -np.inf), where=D > 0)
     bad = ~np.isfinite(log_pmf)
     if np.any(bad):
@@ -384,7 +367,7 @@ def evaluate_loss(spec: LossSpec, y, theta):
     if spec.kind == "poisson":
         return poisson_eval(y, theta)
     if spec.kind == "dgpd":
-        return dgpd_eval(y, theta, spec.alpha, raw_pmf_loss=spec.raw_pmf_loss)
+        return dgpd_eval(y, theta, spec.alpha)
     if spec.kind == "trgamma":
         return trgamma_eval(y, theta, spec.k_shape, spec.u_trunc)
     if spec.kind == "gpd":

@@ -1,8 +1,9 @@
 """Concrete train-and-score recipes for cross-validation and tuning.
 
 A recipe owns the mapping from a GridDataset split to model inputs: which
-rows are in the loss's domain, which response/transform to use, and how to
-turn raw scores into the quantities being scored.
+rows are in the loss's domain, the transform of the response (which the
+loss kind fixes, see :func:`response_of`), and how to turn raw scores into
+the quantities being scored.
 """
 
 from __future__ import annotations
@@ -19,15 +20,17 @@ from .errors import DataError
 from .evaluate import ThresholdScoreSpec, default_score_spec, threshold_score
 
 
-def response_rows(ds: D.GridDataset, loss_kind: str, response: str, u: float):
+def response_of(kind: str) -> str:
+    """The response a loss kind models: ``"cnt"`` for the count losses,
+    ``"ba"`` for the size losses."""
+    return "cnt" if kind in ("poisson", "dgpd") else "ba"
+
+
+def response_rows(ds: D.GridDataset, loss_kind: str, u: float):
     """(row mask, y) of the observations a loss kind can train on."""
-    if response == "cnt":
+    if response_of(loss_kind) == "cnt":
         obs = ~np.isnan(ds.cnt)
-        if loss_kind not in ("poisson", "dgpd"):
-            raise DataError(f"loss {loss_kind!r} does not model counts")
         return obs, ds.cnt[obs]
-    if response != "ba":
-        raise DataError(f"unknown response {response!r}")
     obs = ~np.isnan(ds.ba)
     ba = ds.ba
     if loss_kind == "squared_log":
@@ -38,17 +41,18 @@ def response_rows(ds: D.GridDataset, loss_kind: str, response: str, u: float):
     if loss_kind == "gpd":
         rows = obs & (ba > u)
         return rows, ba[rows] - u
-    if loss_kind == "cross_entropy":
-        return obs, D.ba_class_labels(ba[obs], u)
-    raise DataError(f"loss {loss_kind!r} does not model burned areas")
+    return obs, D.ba_class_labels(ba[obs], u)  # cross_entropy
 
 
 def count_threshold_probs(loss: L.LossSpec, theta, thresholds) -> np.ndarray:
     """Matrix of P(Y <= u_j) from the raw scores ``theta`` of a count model
-    (dgpd or poisson)."""
+    (dgpd or poisson); ``thresholds`` is a 1-d array of u >= 0."""
     from scipy import special
+    thresholds = np.asarray(thresholds, dtype=float)
+    if np.any(thresholds < 0):
+        raise DataError("count threshold must be >= 0")
     theta = np.asarray(theta, dtype=float)[:, None]
-    ks = np.floor(np.asarray(thresholds, dtype=float))[None, :]
+    ks = np.floor(thresholds)[None, :]
     if loss.kind == "dgpd":
         return 1.0 - L.dgpd_survival(ks + 1.0, theta, loss.alpha)
     if loss.kind == "poisson":
@@ -71,11 +75,14 @@ class BoosterRecipe:
 
     loss: L.LossSpec
     params: B.TrainParams
-    response: str = "cnt"
     u: float = 200.0
 
+    @property
+    def response(self) -> str:
+        return response_of(self.loss.kind)
+
     def fit(self, train: D.GridDataset) -> Fitted:
-        rows, y = response_rows(train, self.loss.kind, self.response, self.u)
+        rows, y = response_rows(train, self.loss.kind, self.u)
         if not rows.any():
             raise DataError("no trainable rows for this loss")
         X, names = train.feature_matrix()
@@ -83,7 +90,7 @@ class BoosterRecipe:
 
     def score(self, fitted: Fitted, valid: D.GridDataset, checkpoints) -> np.ndarray:
         """Validation score after each checkpointed number of rounds."""
-        rows, y = response_rows(valid, self.loss.kind, self.response, self.u)
+        rows, y = response_rows(valid, self.loss.kind, self.u)
         if not rows.any():
             raise DataError("no scorable validation rows")
         X, _ = valid.feature_matrix()
@@ -102,6 +109,7 @@ class MixtureRecipe:
     the CV checkpoints stage the classifier's rounds (the bulk and tail
     models keep their full tree lists)."""
 
+    response = "ba"  # a class attribute, not a field
     classifier_params: B.TrainParams
     bulk_params: B.TrainParams
     tail_params: B.TrainParams

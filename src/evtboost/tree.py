@@ -210,14 +210,14 @@ class BinnedFeatures:
 
 
 def bin_features(X, n_bins: int) -> BinnedFeatures:
-    """Quantile candidates and codes of every column of ``X``, stored in the
-    smallest unsigned dtype that holds the missing code ``n_bins``."""
+    """Quantile candidates and one-byte codes of every column of ``X``; the
+    bound on ``n_bins`` keeps the missing code ``n_bins`` within a byte."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise DataError("feature matrix must be 2-dimensional")
-    if n_bins < 2:
-        raise DataError("n_quantile_bins must be >= 2")
-    codes = np.empty(X.shape, dtype=np.min_scalar_type(n_bins))
+    if not 2 <= n_bins <= 255:
+        raise DataError("n_quantile_bins must lie in [2, 255]")
+    codes = np.empty(X.shape, dtype=np.uint8)
     candidates = []
     for j in range(X.shape[1]):
         x = X[:, j]

@@ -106,6 +106,11 @@ class TestFit:
         with pytest.raises(DataError, match="n_quantile_bins"):
             booster.TrainParams(n_quantile_bins=n_bins)
 
+    @pytest.mark.parametrize("n_bins", [256, 10 ** 12])
+    def test_too_many_quantile_bins_rejected(self, n_bins):
+        with pytest.raises(DataError, match=r"n_quantile_bins must lie in \[2, 255\]"):
+            booster.TrainParams(n_quantile_bins=n_bins)
+
     def test_features_binned_once_per_fit(self, rng, monkeypatch):
         # 3 classes x 4 rounds = 12 trees on half the features each, but the
         # candidates of every feature are computed once

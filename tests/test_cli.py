@@ -1,7 +1,9 @@
 import csv
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -970,3 +972,143 @@ class TestFoldCountSpacingAndClasses:
         _one_line(capsys.readouterr().err, f"data error: cross_entropy model has "
                   f"{n_classes} classes; predict writes the 3 size classes")
         assert not out.exists()
+
+
+class TestResponseFollowsLoss:
+    """The loss kind fixes the response, so ``train``, ``cv`` and ``tune``
+    take no response flag or key, and ``raw_pmf_loss`` is gone."""
+
+    @pytest.fixture
+    def setup(self, tmp_path, counts_csv):
+        cfg = write_config(tmp_path, counts_csv)
+        folds = tmp_path / "folds.csv"
+        assert run(tmp_path, "cvfolds", "--config", cfg, "--n-folds", "2",
+                   "--out", str(folds)) == 0
+        return cfg, str(folds)
+
+    @pytest.mark.parametrize("command", ["train", "cv", "tune"])
+    def test_response_flag_is_exit_1(self, tmp_path, setup, command, capsys):
+        cfg, folds = setup
+        argv = [command, "--config", cfg, "--response", "cnt", "--out", str(tmp_path / "o")]
+        if command != "train":
+            argv += ["--folds", folds]
+        assert run(tmp_path, *argv) == 1
+        assert "--response" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value", [("response", "cnt"), ("raw_pmf_loss", "true")])
+    def test_removed_loss_keys_are_unknown(self, tmp_path, counts_csv, key, value, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[data]\ntrain = {counts_csv}\n\n[loss]\nkind = dgpd\n"
+                       f"{key} = {value}\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(tmp_path, "train", "--config", str(cfg), "--out",
+                   str(tmp_path / "m.json")) == 1
+        _one_line(capsys.readouterr().err, f"config error: unknown keys in [loss]: ['{key}']")
+
+    def test_raw_pmf_model_document_is_exit_2(self, tmp_path, counts_csv, capsys):
+        cfg = write_config(tmp_path, counts_csv)
+        model = tmp_path / "m.json"
+        assert run(tmp_path, "train", "--config", cfg, "--out", str(model)) == 0
+        doc = json.loads(model.read_text())
+        doc["loss"]["raw_pmf_loss"] = True
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert run(tmp_path, "predict", "--model", str(model), "--data", counts_csv,
+                   "--out", str(tmp_path / "p.csv")) == 2
+        _one_line(capsys.readouterr().err, "data error: unknown loss fields: ['raw_pmf_loss']")
+
+
+class TestCountThresholdPredict:
+    """``predict --thresholds`` writes P(CNT <= t) for a count model, which
+    ``score --response cnt`` accepts; other single models are rejected."""
+
+    def _model(self, tmp_path, data, kind):
+        cfg = write_config(tmp_path, data)
+        model = tmp_path / f"{kind}.json"
+        assert run(tmp_path, "train", "--config", cfg, "--loss", kind,
+                   "--out", str(model)) == 0
+        return str(model)
+
+    @pytest.mark.parametrize("kind", ["poisson", "dgpd"])
+    def test_probability_columns_score(self, tmp_path, counts_csv, kind, capsys):
+        model = self._model(tmp_path, counts_csv, kind)
+        thresholds, preds = tmp_path / "t.txt", tmp_path / "p.csv"
+        thresholds.write_text("0\n2\n7.5\n", encoding="utf-8")
+        assert run(tmp_path, "predict", "--model", model, "--data", counts_csv,
+                   "--thresholds", str(thresholds), "--out", str(preds)) == 0
+        with open(preds) as fh:
+            header = next(csv.reader(fh))
+        assert header == ["cell", "year", "month", "p_le_0.0", "p_le_2.0", "p_le_7.5"]
+        probs = np.loadtxt(preds, delimiter=",", skiprows=1)[:, 3:]
+        assert np.all((probs >= 0) & (probs <= 1)) and np.all(np.diff(probs, axis=1) >= 0)
+        capsys.readouterr()
+        assert run(tmp_path, "score", "--pred", str(preds), "--data", counts_csv,
+                   "--response", "cnt") == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("score=") and captured.err == ""
+
+    @pytest.mark.parametrize("text, message", [
+        ("-1\n2\n", "data error: count threshold must be >= 0"),
+        ("2\n1\n", "data error: thresholds must be sorted ascending"),
+    ], ids=["negative", "unsorted"])
+    def test_bad_thresholds_exit_2(self, tmp_path, counts_csv, text, message, capsys):
+        model = self._model(tmp_path, counts_csv, "poisson")
+        thresholds, preds = tmp_path / "t.txt", tmp_path / "p.csv"
+        thresholds.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert run(tmp_path, "predict", "--model", model, "--data", counts_csv,
+                   "--thresholds", str(thresholds), "--out", str(preds)) == 2
+        _one_line(capsys.readouterr().err, message)
+        assert not preds.exists()
+
+    def test_size_model_exit_2(self, tmp_path, sizes_csv, capsys):
+        model = self._model(tmp_path, sizes_csv, "gpd")
+        thresholds, preds = tmp_path / "t.txt", tmp_path / "p.csv"
+        thresholds.write_text("0\n100\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(tmp_path, "predict", "--model", model, "--data", sizes_csv,
+                   "--thresholds", str(thresholds), "--out", str(preds)) == 2
+        _one_line(capsys.readouterr().err, "data error: loss 'gpd' has no count CDF")
+        assert not preds.exists()
+
+
+class TestBinsAndSeasonBounds:
+    @pytest.mark.parametrize("n_bins", ["256", "1000000000000"])
+    def test_quantile_bins_outside_one_byte(self, tmp_path, counts_csv, n_bins, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[data]\ntrain = {counts_csv}\n\n[train]\nn_quantile_bins = {n_bins}\n",
+                       encoding="utf-8")
+        assert run(tmp_path, "train", "--config", str(cfg), "--loss", "dgpd",
+                   "--out", str(tmp_path / "m.json")) == 1
+        _one_line(capsys.readouterr().err,
+                  "config error: n_quantile_bins must lie in [2, 255]")
+
+    @pytest.mark.parametrize("season", ["9-3", "0-5", "3-13", "3"])
+    def test_season_outside_the_year(self, tmp_path, counts_csv, season, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[data]\ntrain = {counts_csv}\nseason = {season}\n", encoding="utf-8")
+        assert run(tmp_path, "train", "--config", str(cfg), "--loss", "dgpd",
+                   "--out", str(tmp_path / "m.json")) == 1
+        _one_line(capsys.readouterr().err, "config error: [data] season must be 'lo-hi' "
+                  f"months with 1 <= lo <= hi <= 12, got '{season}'")
+
+
+class TestReadmeConfig:
+    def test_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        assert len(blocks) == 1
+        path = tmp_path / "readme.ini"
+        path.write_text(blocks[0], encoding="utf-8")
+        cfg = cli.RunConfig(str(path))
+        for section in cfg.cp.sections():
+            for key, value in cfg.cp[section].items():
+                assert ";" not in value, f"[{section}] {key} = {value!r}"
+        assert cfg.loss_spec() == losses.LossSpec(kind="dgpd", alpha=5.0, xi=0.8,
+                                                  u_trunc=float(np.log1p(200.0)))
+        assert cfg.train_params() == booster.TrainParams(seed=7)
+        assert cfg.getint("cv", "n_folds") == 5
+        assert [cfg.getfloat("cv", key) for key in ("beta", "range", "sigma_gp", "phi")] \
+            == [0.42, 2.0, 1.0, 0.25]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from evtboost import booster, cli, dataset, losses
+from evtboost import cli, dataset
 from evtboost.errors import DataError
 
 
@@ -271,10 +271,13 @@ class TestLoadCsvEquivalence:
             return
         monkeypatch.setattr(dataset, "_BLOCK_BYTES", block)
         lines = text.splitlines()
+        clean = list(lines)
         col = {name.strip(): k for k, name in enumerate(lines[0].split(","))}
         for at, which in faults:
             at = 1 + at % len(rows)
-            bad = FAULTS[which](next(csv.reader([lines[at]])), col)
+            # fault a clean row: "a field over" on a row already "a field
+            # short" would give a valid row and a file with no fault in it
+            bad = FAULTS[which](next(csv.reader([clean[at]])), col)
             if data.draw(st.booleans()):
                 lines.insert(at, bad)
             else:
@@ -427,74 +430,3 @@ class TestCrossFillZeros:
         np.testing.assert_array_equal(out.cnt[obs], ds.cnt[obs])
         obs = ~np.isnan(ds.ba)
         np.testing.assert_array_equal(out.ba[obs], ds.ba[obs])
-
-
-def _count_model(alpha=2.0, constant=0.0):
-    """Intercept-only dGPD model with raw score ``constant`` everywhere."""
-    return booster.BoostedModel(
-        loss=losses.LossSpec(kind="dgpd", alpha=alpha),
-        base_score=constant,
-        trees=[],
-        params=booster.TrainParams(n_trees=0),
-        feature_names=["lon", "lat", "year", "month", "v"],
-    )
-
-
-class TestImputeCnt:
-    def test_observed_passthrough_and_mean_fill(self):
-        ds = grid_dataset(np.zeros(9))
-        ds.cnt[3] = 7.0
-        ds.cnt[5] = np.nan
-        out = dataset.impute_cnt_covariate(ds, _count_model(alpha=2.0, constant=0.0))
-        j = out.covariate_names.index("cnt_cov")
-        assert out.covariates[3, j] == 7.0
-        # theta = 0, alpha = 2: mean is pi^2/6 - 1
-        assert out.covariates[5, j] == pytest.approx(math.pi ** 2 / 6 - 1, abs=1e-7)
-
-    def test_alpha_at_most_one_rejected(self):
-        ds = grid_dataset(np.zeros(9))
-        ds.cnt[0] = np.nan
-        with pytest.raises(DataError, match="does not exist"):
-            dataset.impute_cnt_covariate(ds, _count_model(alpha=1.0))
-
-
-class TestImputeBaClasses:
-    def _classifier(self):
-        return booster.BoostedModel(
-            loss=losses.LossSpec(kind="cross_entropy", n_classes=3),
-            base_score=np.zeros(3),
-            trees=[],
-            params=booster.TrainParams(n_trees=0),
-            feature_names=["lon", "lat", "year", "month", "v"],
-        )
-
-    def test_observed_one_hot(self):
-        ds = grid_dataset(np.zeros(9))
-        ds.ba = np.array([0.0, 50.0, 350.0, 0.0, np.nan, 10.0, 0.0, 200.0, 1000.0])
-        out = dataset.impute_ba_class_covariates(ds, self._classifier(), u=200.0)
-        cols = [out.covariate_names.index(n) for n in ("p_zero", "p_med", "p_large")]
-        np.testing.assert_allclose(out.covariates[0, cols], [1, 0, 0])
-        np.testing.assert_allclose(out.covariates[1, cols], [0, 1, 0])
-        np.testing.assert_allclose(out.covariates[2, cols], [0, 0, 1])
-        np.testing.assert_allclose(out.covariates[7, cols], [0, 1, 0])  # ba = u is medium
-        # masked row gets the uniform softmax of all-zero raw scores
-        np.testing.assert_allclose(out.covariates[4, cols], [1 / 3] * 3)
-
-    def test_wrong_class_count_rejected(self):
-        ds = grid_dataset(np.zeros(9))
-        clf = self._classifier()
-        clf.loss = losses.LossSpec(kind="cross_entropy", n_classes=4)
-        clf.base_score = np.zeros(4)
-        with pytest.raises(DataError, match="3 classes"):
-            dataset.impute_ba_class_covariates(ds, clf)
-
-
-class TestImputedMatchesObserved:
-    def test_equal_wherever_source_observed(self, rng):
-        ds = grid_dataset(rng.normal(size=9))
-        ds.cnt = rng.integers(0, 5, size=9).astype(float)
-        ds.cnt[rng.uniform(size=9) < 0.3] = np.nan
-        out = dataset.impute_cnt_covariate(ds, _count_model())
-        j = out.covariate_names.index("cnt_cov")
-        obs = ~np.isnan(ds.cnt)
-        np.testing.assert_array_equal(out.covariates[obs, j], ds.cnt[obs])

@@ -98,9 +98,8 @@ class TestRunCv:
         ds, folds = _folds_and_data()
         recipe = recipes.BoosterRecipe(
             loss=losses.LossSpec(kind="dgpd", alpha=5.0),
-            params=booster.TrainParams(n_trees=30, max_leaves=4, seed=3),
-            response="cnt")
-        cv = evaluate.run_cv(ds, folds, recipe, "cnt", checkpoints=[0, 10, 30])
+            params=booster.TrainParams(n_trees=30, max_leaves=4, seed=3))
+        cv = evaluate.run_cv(ds, folds, recipe, checkpoints=[0, 10, 30])
         assert cv.scores.shape == (3, 3)
         # fitting should help relative to the intercept-only prefix
         assert cv.mean[1] < cv.mean[0]
@@ -109,8 +108,7 @@ class TestRunCv:
         ds, folds = _folds_and_data(seed=5)
         recipe = recipes.BoosterRecipe(
             loss=losses.LossSpec(kind="dgpd", alpha=5.0),
-            params=booster.TrainParams(n_trees=5, max_leaves=4, seed=3),
-            response="cnt")
+            params=booster.TrainParams(n_trees=5, max_leaves=4, seed=3))
         valid0 = folds.validation_rows(ds, 0, "cnt")
         train = ds.subset(np.flatnonzero(~valid0))
         m1 = recipe.fit(train).model
@@ -126,8 +124,8 @@ class TestRunCv:
         # zero rounds: the fitted model is the intercept-only constant
         recipe = recipes.BoosterRecipe(
             loss=losses.LossSpec(kind="poisson"),
-            params=booster.TrainParams(n_trees=0), response="cnt")
-        cv = evaluate.run_cv(ds, folds, recipe, "cnt", checkpoints=[0])
+            params=booster.TrainParams(n_trees=0))
+        cv = evaluate.run_cv(ds, folds, recipe, checkpoints=[0])
         for f in range(folds.n_folds):
             valid = folds.validation_rows(ds, f, "cnt")
             train_cnt = ds.cnt[~valid]
@@ -143,9 +141,9 @@ class TestRunCv:
         folds = spatialcv.FoldSet(np.zeros((1, 2, ds.n_rows), dtype=bool))
         recipe = recipes.BoosterRecipe(
             loss=losses.LossSpec(kind="poisson"),
-            params=booster.TrainParams(n_trees=1), response="cnt")
+            params=booster.TrainParams(n_trees=1))
         with pytest.raises(DataError, match="empty validation"):
-            evaluate.run_cv(ds, folds, recipe, "cnt", checkpoints=[1])
+            evaluate.run_cv(ds, folds, recipe, checkpoints=[1])
 
 
 class TestBoSuggest:

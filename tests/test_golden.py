@@ -22,14 +22,19 @@ import contextlib
 import io
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from evtboost import booster, cli, dataset, losses, spatialcv, synth
+from evtboost import booster, cli, dataset, losses, recipes, spatialcv, synth
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# count thresholds for ``predict --thresholds`` on the CLI dgpd model; 2.5
+# pins the floor to the integer below
+COUNT_THRESHOLDS_TEXT = "0\n1\n2.5\n5\n10\n"
 
 SPECS = {
     "poisson": losses.LossSpec("poisson"),
@@ -95,7 +100,8 @@ def golden_dataset_text() -> str:
     k[::5] = np.nan
     frac = np.linspace(-1.0, 1.0, ds.n_rows)
     frac[1::4] = np.nan
-    ds = ds.with_covariate("k,int", k).with_covariate("frac", frac)
+    ds = replace(ds, covariates=np.column_stack([ds.covariates, k, frac]),
+                 covariate_names=ds.covariate_names + ["k,int", "frac"])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.csv"
         dataset.save_csv(ds, path)
@@ -104,7 +110,8 @@ def golden_dataset_text() -> str:
 
 def golden_cli_texts() -> dict[str, str]:
     """Files written by the CLI: a dgpd ``train`` on a count grid with
-    masked responses, ``predict`` with that model (raw and mean), ``cv``,
+    masked responses, ``predict`` with that model (raw and mean, and
+    P(CNT <= t) at a few thresholds), ``cv``,
     ``tune``, a two-feature ``pdp`` and ``importance`` on the same grid, and
     ``predict`` with a mixture of three CLI-trained components at a few
     thresholds."""
@@ -127,6 +134,9 @@ def golden_cli_texts() -> dict[str, str]:
         run("train", "--config", counts_ini, "--out", str(tmp / "dgpd.json"))
         run("predict", "--model", str(tmp / "dgpd.json"), "--data", str(tmp / "counts.csv"),
             "--out", str(tmp / "dgpd.csv"))
+        (tmp / "counts_t.txt").write_text(COUNT_THRESHOLDS_TEXT, encoding="utf-8")
+        run("predict", "--model", str(tmp / "dgpd.json"), "--data", str(tmp / "counts.csv"),
+            "--thresholds", str(tmp / "counts_t.txt"), "--out", str(tmp / "dgpd_t.csv"))
         run("cvfolds", "--config", counts_ini, "--n-folds", "2", "--seed", "3",
             "--out", str(tmp / "folds.csv"))
         run("cv", "--config", counts_ini, "--folds", str(tmp / "folds.csv"),
@@ -155,6 +165,7 @@ def golden_cli_texts() -> dict[str, str]:
 
         return {golden: (tmp / made).read_text(encoding="utf-8") for golden, made in
                 (("cli_dgpd.json", "dgpd.json"), ("cli_dgpd_predict.csv", "dgpd.csv"),
+                 ("cli_dgpd_threshold_predict.csv", "dgpd_t.csv"),
                  ("cli_mixture_predict.csv", "mix.csv"), ("cli_cv.csv", "cv.csv"),
                  ("cli_tune.csv", "tune.csv"), ("cli_pdp.csv", "pdp.csv"),
                  ("cli_importance.csv", "imp.csv"))}
@@ -179,6 +190,23 @@ def test_saved_dataset_matches_golden_file():
 def test_cli_outputs_match_golden_files():
     for name, text in golden_cli_texts().items():
         assert text == (GOLDEN / name).read_text(encoding="utf-8"), name
+
+
+def test_cli_count_thresholds_match_library(tmp_path):
+    """The golden count-threshold export is the library's CDF of the golden
+    model's raw scores on the grid ``synth`` wrote, bit for bit."""
+    ds = synth.synth_dataset("counts", n_years=2, nx=4, ny=4, seed=23, mask_rate=0.2)
+    model = booster.load(GOLDEN / "cli_dgpd.json")
+    X, names = ds.feature_matrix()
+    raw = booster.predict_raw(model, dataset.align_features(X, names, model.feature_names))
+    thresholds = [float(t) for t in COUNT_THRESHOLDS_TEXT.split()]
+    probs = recipes.count_threshold_probs(model.loss, raw, thresholds)
+    dataset.write_csv(tmp_path / "p.csv",
+                      ["cell", "year", "month"] + [f"p_le_{t!r}" for t in thresholds],
+                      [ds.cell_index.tolist(), ds.year.tolist(), ds.month.tolist(),
+                       *probs.T.tolist()])
+    expected = (GOLDEN / "cli_dgpd_threshold_predict.csv").read_text(encoding="utf-8")
+    assert (tmp_path / "p.csv").read_text(encoding="utf-8") == expected
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""Each command loads only the scipy submodules its work calls.
+"""Each command loads only the scipy submodules its work calls, and the
+data layer loads none of the model layer.
 
 ``scipy.special`` and ``scipy.optimize`` are slow and large to import, so
 the package imports ``scipy.special`` inside the functions that need it
@@ -31,14 +32,19 @@ print(" ".join(m for m in sorted(sys.modules) if m.split(".")[0] == "scipy"))
 """
 
 
-def scipy_modules_after(workdir, *argv) -> set[str]:
-    """scipy modules loaded by ``import evtboost.cli`` and, given ``argv``,
-    one run of that command in ``workdir``; the command must exit 0."""
+def run_child(workdir, code, *argv) -> subprocess.CompletedProcess:
+    """``python -c code *argv`` in ``workdir``, importing this package."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [_PACKAGE_ROOT] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], cwd=workdir, env=env,
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=workdir, env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+def scipy_modules_after(workdir, *argv) -> set[str]:
+    """scipy modules loaded by ``import evtboost.cli`` and, given ``argv``,
+    one run of that command in ``workdir``; the command must exit 0."""
+    proc = run_child(workdir, _PROBE, *argv)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.split("\n")
     if argv:
@@ -66,6 +72,14 @@ def workdir(tmp_path_factory):
 
 def test_cli_import_loads_no_scipy(workdir):
     assert scipy_modules_after(workdir) == set()
+
+
+def test_dataset_import_loads_no_model_layer(workdir):
+    proc = run_child(workdir, "import sys, evtboost.dataset; print(' '.join(sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "evtboost.dataset" in loaded
+    assert not loaded & {"evtboost.booster", "evtboost.tree", "evtboost.losses"}
 
 
 @pytest.mark.parametrize("argv", [

@@ -87,13 +87,6 @@ class TestDgpd:
         with pytest.raises(NumericalError):
             losses.dgpd_eval(5, -800.0, 1.0)
 
-    def test_raw_pmf_switch(self):
-        v, g, h = losses.dgpd_eval(2, 0.1, 1.5, raw_pmf_loss=True)
-        assert v == pytest.approx(float(losses.dgpd_pmf(2, 0.1, 1.5)))
-        f = lambda t: float(losses.dgpd_eval(2, t, 1.5, raw_pmf_loss=True)[0])
-        assert rel_err(float(g), fd_grad(f, 0.1)) < 1e-6
-        assert rel_err(float(h), fd_hess(f, 0.1)) < 1e-4
-
 
 class TestDgpdMean:
     def test_basel_series(self):

@@ -10,20 +10,33 @@ def masked_counts(seed=0):
     return synth_dataset("counts", n_years=2, nx=5, ny=5, seed=seed, mask_rate=0.15)
 
 
+class TestResponseOf:
+    def test_count_losses_model_cnt_and_the_rest_ba(self):
+        assert {k: recipes.response_of(k) for k in losses.LOSS_KINDS} == {
+            "poisson": "cnt", "dgpd": "cnt", "trgamma": "ba", "gpd": "ba",
+            "cross_entropy": "ba", "squared_log": "ba"}
+
+    def test_recipes_carry_their_response(self):
+        tp = booster.TrainParams(n_trees=1)
+        for kind in losses.LOSS_KINDS:
+            recipe = recipes.BoosterRecipe(loss=losses.LossSpec(kind=kind), params=tp)
+            assert recipe.response == recipes.response_of(kind)
+        mix = recipes.MixtureRecipe(classifier_params=tp, bulk_params=tp, tail_params=tp)
+        assert mix.response == "ba"
+
+
 class TestResponseRows:
     def test_count_losses_need_cnt(self):
         ds = masked_counts()
-        rows, y = recipes.response_rows(ds, "dgpd", "cnt", 200.0)
+        rows, y = recipes.response_rows(ds, "dgpd", 200.0)
         assert rows.sum() == y.size
         assert not np.isnan(y).any()
-        with pytest.raises(DataError):
-            recipes.response_rows(ds, "dgpd", "ba", 200.0)
 
     def test_ba_subsets_partition(self):
         ds = synth_dataset("sizes", n_years=2, nx=5, ny=5, seed=1)
-        bulk_rows, z = recipes.response_rows(ds, "trgamma", "ba", 200.0)
-        tail_rows, exc = recipes.response_rows(ds, "gpd", "ba", 200.0)
-        cls_rows, labels = recipes.response_rows(ds, "cross_entropy", "ba", 200.0)
+        bulk_rows, z = recipes.response_rows(ds, "trgamma", 200.0)
+        tail_rows, exc = recipes.response_rows(ds, "gpd", 200.0)
+        cls_rows, labels = recipes.response_rows(ds, "cross_entropy", 200.0)
         assert not (bulk_rows & tail_rows).any()
         assert np.all(z > 0) and np.all(z <= np.log1p(200.0))
         assert np.all(exc > 0)
@@ -53,6 +66,14 @@ class TestCountThresholdProbs:
         assert np.all((probs >= 0) & (probs <= 1))
         assert np.all(np.diff(probs, axis=1) >= 0)
 
+    def test_negative_threshold_rejected(self):
+        with pytest.raises(DataError, match="must be >= 0"):
+            recipes.count_threshold_probs(losses.LossSpec(kind="poisson"), [0.0], [-1.0, 2.0])
+
+    def test_size_loss_rejected(self):
+        with pytest.raises(DataError, match="no count CDF"):
+            recipes.count_threshold_probs(losses.LossSpec(kind="gpd"), [0.0], [1.0])
+
 
 class TestMixtureRecipeCv:
     def test_cv_over_classifier_rounds(self):
@@ -65,7 +86,7 @@ class TestMixtureRecipeCv:
             np.concatenate([[0.0], np.geomspace(1, 3000, 9)]))
         recipe = recipes.MixtureRecipe(classifier_params=tp, bulk_params=tp,
                                        tail_params=tp, score_spec=spec)
-        cv = evaluate.run_cv(ds, folds, recipe, "ba", checkpoints=[1, 8])
+        cv = evaluate.run_cv(ds, folds, recipe, checkpoints=[1, 8])
         assert cv.scores.shape == (2, 2)
         assert np.isfinite(cv.scores).all()
         pick = evaluate.one_se_select(cv)

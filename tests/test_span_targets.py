@@ -42,10 +42,8 @@ def test_every_target_resolves(spans):
 @pytest.mark.parametrize("kind, trees_per_round", [("dgpd", 1), ("cross_entropy", 3)])
 def test_recipe_fit_size_is_the_tree_count(spans, kind, trees_per_round):
     ds = synth_dataset("sizes", n_years=1, nx=4, ny=4, seed=3)
-    response = "cnt" if kind == "dgpd" else "ba"
     recipe = recipes.BoosterRecipe(loss=losses.LossSpec(kind=kind, alpha=5.0),
-                                   params=booster.TrainParams(n_trees=3, max_leaves=2),
-                                   response=response)
+                                   params=booster.TrainParams(n_trees=3, max_leaves=2))
     fitted = recipe.fit(ds)
     size = _size_of(spans, "recipes.fit", "BoosterRecipe.fit")
     assert size((recipe, ds), {}, fitted) == len(fitted.model.trees) == 3 * trees_per_round

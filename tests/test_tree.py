@@ -346,3 +346,15 @@ class TestBinnedEngine:
     def test_too_few_bins_rejected(self):
         with pytest.raises(DataError, match="n_quantile_bins"):
             tree.bin_features(np.zeros((3, 1)), 1)
+
+    def test_too_many_bins_rejected(self):
+        with pytest.raises(DataError, match="n_quantile_bins"):
+            tree.bin_features(np.zeros((3, 1)), 256)
+
+    def test_most_bins_fit_one_byte(self, rng):
+        X = rng.normal(size=(600, 2))
+        X[::7, 1] = np.nan
+        binned = tree.bin_features(X, 255)
+        assert binned.codes.dtype == np.uint8
+        np.testing.assert_array_equal(binned.codes[:, 1] == 255, np.isnan(X[:, 1]))
+        assert binned.codes[:, 0].max() == binned.candidates[0].size
