@@ -160,19 +160,21 @@ class RunConfig:
         )
 
     def mask_params(self, ds: D.GridDataset) -> S.MaskModelParams:
+        given = {key: self.getfloat("cv", key) for key in ("beta0_cnt", "beta0_ba")
+                 if self.get("cv", key) is not None}
         params = _build(
             S.MaskModelParams,
-            beta0_cnt=self.getfloat("cv", "beta0_cnt", 0.0),
-            beta0_ba=self.getfloat("cv", "beta0_ba", 0.0),
+            **given,
             beta=self.getfloat("cv", "beta", 0.42),
             r=self.getfloat("cv", "range", 2.0),
             sigma_gp=self.getfloat("cv", "sigma_gp", 1.0),
             nu=self.getfloat("cv", "nu", 1.0),
             phi=self.getfloat("cv", "phi", 0.25),
         )
-        # default intercepts: calibrate to the dataset's observed masking rate
-        if self.get("cv", "beta0_cnt") is None and self.get("cv", "beta0_ba") is None:
-            params = S.calibrate_intercepts(ds, params)
+        # each intercept the config leaves unset is calibrated to the
+        # dataset's observed masking rate
+        if len(given) < 2:
+            params = replace(S.calibrate_intercepts(ds, params), **given)
         return params
 
 
@@ -218,7 +220,7 @@ def cmd_train(args) -> int:
     cfg, params, ds, loss = _training_setup(args)
     if args.seed is not None:
         params = replace(params, seed=args.seed)
-    rows, y = R.response_rows(ds, loss.kind, cfg.threshold_u())
+    rows, y = L.training_rows(loss.kind, getattr(ds, loss.response), cfg.threshold_u())
     if not rows.any():
         raise DataError("no trainable rows for this loss")
     X, names = ds.feature_matrix()
@@ -236,7 +238,7 @@ def cmd_predict(args) -> int:
     model = M.load(args.model)
     thresholds = _read_numbers(args.thresholds) if args.thresholds else None
     if isinstance(model, M.MixtureModel) and thresholds is None:
-        thresholds = E.default_score_spec("ba").thresholds
+        thresholds = E.BA_THRESHOLDS
     if thresholds is not None:
         if np.any(np.diff(thresholds) < 0):
             raise DataError("thresholds must be sorted ascending")
@@ -422,10 +424,18 @@ def _read_predictions(path, ds: D.GridDataset):
     return header[3:], rows, probs
 
 
+def _single_model(args) -> B.BoostedModel:
+    """The model at ``--model``, which must not be a mixture manifest."""
+    model = M.load(args.model)
+    if isinstance(model, M.MixtureModel):
+        raise DataError(f"{args.command} needs a single model, got the mixture {args.model}")
+    return model
+
+
 def cmd_pdp(args) -> int:
     if args.points < 1 or args.n_sub < 1:
         raise ConfigError("--points and --n-sub must be at least 1")
-    model = B.load(args.model)
+    model = _single_model(args)
     ds = RunConfig(None).load_dataset(args.data)
     if args.points > ds.n_rows:
         raise ConfigError(f"--points must be at most the {ds.n_rows} rows of --data")
@@ -462,7 +472,7 @@ def cmd_pdp(args) -> int:
 
 
 def cmd_importance(args) -> int:
-    model = B.load(args.model)
+    model = _single_model(args)
     imp = I.importance(model, metric=args.metric)
     D.write_csv(args.out, ["feature", "proportion"],
                 [list(imp), [float(v) for v in imp.values()]])

@@ -7,7 +7,8 @@ columns such as (cell, year, month) back to rows.  Masked responses and
 missing covariates are NaN internally and a configurable marker (default
 ``"NA"``) on disk.  Enrichment (zero cross-filling between the two
 responses) returns a new dataset; nothing mutates in place.  The module
-sits below the model layer: it imports no booster, tree or loss code.
+sits below the model layer: it imports no booster, tree or loss code, and
+the rows each loss trains on are picked in :func:`losses.training_rows`.
 """
 
 from __future__ import annotations
@@ -435,11 +436,6 @@ def cross_fill_zeros(ds: GridDataset) -> GridDataset:
     out.cnt[fill_cnt] = 0.0
     out.ba[fill_ba] = 0.0
     return out
-
-
-def ba_class_labels(ba: np.ndarray, u: float) -> np.ndarray:
-    """Size-component labels: 0 for no fire, 1 for (0, u], 2 for > u."""
-    return np.where(ba == 0, 0, np.where(ba <= u, 1, 2)).astype(int)
 
 
 def align_features(X: np.ndarray, names: list[str] | None,

@@ -40,15 +40,9 @@ class ThresholdScoreSpec:
             raise DataError("weights must be >= 0")
 
 
-def default_score_spec(response: str) -> ThresholdScoreSpec:
-    """28-threshold default ladders (documented stand-ins, configurable)."""
-    if response == "cnt":
-        return ThresholdScoreSpec(np.arange(28, dtype=float))
-    if response == "ba":
-        return ThresholdScoreSpec(
-            np.concatenate([[0.0], np.geomspace(1.0, 50000.0, 27)])
-        )
-    raise DataError(f"unknown response {response!r}")
+# the default 28-threshold burned-area ladder (a documented stand-in)
+BA_THRESHOLDS = np.concatenate([[0.0], np.geomspace(1.0, 50000.0, 27)])
+BA_THRESHOLDS.flags.writeable = False
 
 
 def threshold_score(probs, ys, spec: ThresholdScoreSpec) -> float:

@@ -16,9 +16,11 @@ distribution:
 * ``squared_log``   -- squared error on log(1 + y), i.e. theta predicts
                        log(1 + y).
 
-Each loss is a vectorized function ``<name>_eval`` returning per-row
-``(value, grad, hess)`` arrays; :func:`evaluate_loss` dispatches on a
-:class:`LossSpec`.  All powers of the form (1+x)^(-a) go through
+The kind fixes what a loss trains on: :attr:`LossSpec.response` names the
+response column and :func:`training_rows` picks each kind's rows and target
+from it.  Each loss is a vectorized function ``<name>_eval`` returning
+per-row ``(value, grad, hess)`` arrays; :func:`evaluate_loss` dispatches on
+a :class:`LossSpec`.  All powers of the form (1+x)^(-a) go through
 log1p/expm1-style identities so that values stay finite far into the tails;
 genuine underflow (a pmf that rounds to zero) raises
 :class:`~evtboost.errors.NumericalError` instead of being clamped.
@@ -43,8 +45,7 @@ class LossSpec:
     tail parameter (alpha = 1/xi of the underlying GPD), ``xi`` the GPD
     shape, ``kappa`` the quantile level of the GPD reparameterization,
     ``k_shape`` the gamma shape, ``u_trunc`` the gamma right-truncation
-    point and ``n_classes`` the number of classes.  The kind also fixes
-    the response: poisson and dgpd model counts, the others burned areas.
+    point and ``n_classes`` the number of classes.
     """
 
     kind: str
@@ -71,6 +72,12 @@ class LossSpec:
     def multiclass(self) -> bool:
         return self.kind == "cross_entropy"
 
+    @property
+    def response(self) -> str:
+        """The response this kind models: ``"cnt"`` for the count losses,
+        ``"ba"`` for the size losses."""
+        return "cnt" if self.kind in ("poisson", "dgpd") else "ba"
+
     def hyperparams(self) -> dict:
         """The hyperparameters actually read by this loss kind (for serialization)."""
         out: dict = {"kind": self.kind}
@@ -94,6 +101,28 @@ def loss_spec_from_dict(doc: dict) -> LossSpec:
     if unknown:
         raise DataError(f"unknown loss fields: {sorted(unknown)}")
     return LossSpec(**doc)
+
+
+def size_class(ba, u: float) -> np.ndarray:
+    """Size-component labels: 0 for no fire, 1 for (0, u], 2 for > u."""
+    return np.where(ba == 0, 0, np.where(ba <= u, 1, 2)).astype(int)
+
+
+def training_rows(kind: str, y, u: float):
+    """(row mask, target) of the observations a loss kind trains on, from its
+    response column ``y`` (NaN = masked): trgamma takes log(1+y) for
+    0 < y <= u, gpd the excesses y - u above u, cross_entropy the
+    :func:`size_class` of every observed size, the others every observed y."""
+    obs = ~np.isnan(y)
+    if kind == "trgamma":
+        rows = obs & (y > 0) & (y <= u)
+        return rows, np.log1p(y[rows])
+    if kind == "gpd":
+        rows = obs & (y > u)
+        return rows, y[rows] - u
+    if kind == "cross_entropy":
+        return obs, size_class(y[obs], u)
+    return obs, y[obs]
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,10 @@ from . import booster as B
 from . import losses as L
 from . import synth
 from .errors import DataError, open_text
-from .dataset import align_features, ba_class_labels
+from .dataset import align_features
 
 MANIFEST_VERSION = 1
+COMPONENTS = ("classifier", "bulk", "tail")  # the MixtureModel fields a manifest names
 
 
 @dataclass
@@ -160,35 +161,24 @@ def fit_mixture(
     tail_params: B.TrainParams,
     feature_names=None,
 ) -> MixtureModel:
-    """Fit the three components on observed burned areas.
-
-    All rows train the classifier; rows with 0 < ba <= u train the bulk
-    model on log(1+ba); rows with ba > u train the tail model on the
-    excesses.
+    """Fit the three components on the observed burned areas (NaN sizes are
+    skipped), each on the rows and target :func:`losses.training_rows` gives
+    its kind: every size trains the classifier on its size class, the sizes
+    in (0, u] train the bulk model on log(1+ba), and the sizes above u train
+    the tail model on the excesses.
     """
     X = np.asarray(X, dtype=float)
     ba = np.asarray(ba, dtype=float)
-    if np.any(np.isnan(ba)):
-        raise DataError("fit_mixture requires observed burned areas")
-    labels = ba_class_labels(ba, u)
-    cls_loss = L.LossSpec(kind="cross_entropy", n_classes=3)
-    classifier = B.fit(X, labels, cls_loss, classifier_params,
-                       feature_names=feature_names)
-
-    bulk_rows = labels == 1
-    if not bulk_rows.any():
-        raise DataError("no observations in (0, u] to fit the bulk model")
-    bulk_loss = L.LossSpec(kind="trgamma", k_shape=k_shape, u_trunc=float(np.log1p(u)))
-    bulk = B.fit(X[bulk_rows], np.log1p(ba[bulk_rows]), bulk_loss, bulk_params,
-                 feature_names=feature_names)
-
-    tail_rows = labels == 2
-    if not tail_rows.any():
-        raise DataError("no observations above u to fit the tail model")
-    tail_loss = L.LossSpec(kind="gpd", xi=xi, kappa=kappa)
-    tail = B.fit(X[tail_rows], ba[tail_rows] - u, tail_loss, tail_params,
-                 feature_names=feature_names)
-    return MixtureModel(classifier=classifier, bulk=bulk, tail=tail, u=u)
+    parts = []
+    for loss, params in ((L.LossSpec(kind="cross_entropy", n_classes=3), classifier_params),
+                         (L.LossSpec(kind="trgamma", k_shape=k_shape,
+                                     u_trunc=float(np.log1p(u))), bulk_params),
+                         (L.LossSpec(kind="gpd", xi=xi, kappa=kappa), tail_params)):
+        rows, y = L.training_rows(loss.kind, ba, u)
+        if not rows.any():
+            raise DataError(f"no observed sizes in the {loss.kind} domain to fit the mixture")
+        parts.append(B.fit(X[rows], y, loss, params, feature_names=feature_names))
+    return MixtureModel(*parts, u=u)
 
 
 # ---------------------------------------------------------------------------
@@ -196,22 +186,14 @@ def fit_mixture(
 # ---------------------------------------------------------------------------
 
 def save(m: MixtureModel, path) -> None:
-    """Write the manifest plus the three component model files beside it."""
+    """Write the three component model files and, beside them, the manifest
+    a hand-written one would be: version, kind, threshold and file names."""
     base = os.path.splitext(os.path.basename(path))[0]
     outdir = os.path.dirname(path) or "."
-    parts = {"classifier": m.classifier, "bulk": m.bulk, "tail": m.tail}
-    manifest = {
-        "format_version": MANIFEST_VERSION,
-        "kind": "mixture",
-        "threshold": m.u,
-        "xi": m.xi,
-        "kappa": m.kappa,
-        "k_shape": m.k_shape,
-    }
-    for name, model in parts.items():
-        fname = f"{base}.{name}.json"
-        B.save(model, os.path.join(outdir, fname))
-        manifest[name] = fname
+    manifest = {"format_version": MANIFEST_VERSION, "kind": "mixture", "threshold": m.u}
+    for name in COMPONENTS:
+        manifest[name] = f"{base}.{name}.json"
+        B.save(getattr(m, name), os.path.join(outdir, manifest[name]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n")
 
@@ -227,13 +209,14 @@ def load(path) -> MixtureModel | B.BoostedModel:
         raise DataError(f"unsupported manifest version {manifest.get('format_version')!r}")
     outdir = os.path.dirname(path) or "."
     parts = {}
-    for name in ("classifier", "bulk", "tail"):
+    for name in COMPONENTS:
         if name not in manifest:
             raise DataError(f"manifest missing component {name!r}")
         if not isinstance(manifest[name], str):
             raise DataError(f"manifest component {name!r} must be a file name")
         parts[name] = B.load(os.path.join(outdir, manifest[name]))
     m = MixtureModel(u=_manifest_number(manifest, "threshold"), **parts)
+    # a hand-written manifest may also repeat these component parameters
     for key, val in (("xi", m.xi), ("kappa", m.kappa), ("k_shape", m.k_shape)):
         if key in manifest and abs(_manifest_number(manifest, key) - val) > 1e-12:
             raise DataError(f"manifest {key} disagrees with component model")

@@ -1,8 +1,8 @@
 """Concrete train-and-score recipes for cross-validation and tuning.
 
-A recipe owns the mapping from a GridDataset split to model inputs: which
-rows are in the loss's domain, the transform of the response (which the
-loss kind fixes, see :func:`response_of`), and how to turn raw scores into
+A recipe owns the mapping from a GridDataset split to model inputs: the
+rows and target each loss trains and is scored on (the loss kind fixes
+both, see :func:`losses.training_rows`), and how to turn raw scores into
 the quantities being scored.
 """
 
@@ -17,31 +17,7 @@ from . import dataset as D
 from . import losses as L
 from . import mixture as M
 from .errors import DataError
-from .evaluate import ThresholdScoreSpec, default_score_spec, threshold_score
-
-
-def response_of(kind: str) -> str:
-    """The response a loss kind models: ``"cnt"`` for the count losses,
-    ``"ba"`` for the size losses."""
-    return "cnt" if kind in ("poisson", "dgpd") else "ba"
-
-
-def response_rows(ds: D.GridDataset, loss_kind: str, u: float):
-    """(row mask, y) of the observations a loss kind can train on."""
-    if response_of(loss_kind) == "cnt":
-        obs = ~np.isnan(ds.cnt)
-        return obs, ds.cnt[obs]
-    obs = ~np.isnan(ds.ba)
-    ba = ds.ba
-    if loss_kind == "squared_log":
-        return obs, ba[obs]
-    if loss_kind == "trgamma":
-        rows = obs & (ba > 0) & (ba <= u)
-        return rows, np.log1p(ba[rows])
-    if loss_kind == "gpd":
-        rows = obs & (ba > u)
-        return rows, ba[rows] - u
-    return obs, D.ba_class_labels(ba[obs], u)  # cross_entropy
+from .evaluate import BA_THRESHOLDS, ThresholdScoreSpec, threshold_score
 
 
 def count_threshold_probs(loss: L.LossSpec, theta, thresholds) -> np.ndarray:
@@ -79,10 +55,10 @@ class BoosterRecipe:
 
     @property
     def response(self) -> str:
-        return response_of(self.loss.kind)
+        return self.loss.response
 
     def fit(self, train: D.GridDataset) -> Fitted:
-        rows, y = response_rows(train, self.loss.kind, self.u)
+        rows, y = L.training_rows(self.loss.kind, getattr(train, self.response), self.u)
         if not rows.any():
             raise DataError("no trainable rows for this loss")
         X, names = train.feature_matrix()
@@ -90,7 +66,7 @@ class BoosterRecipe:
 
     def score(self, fitted: Fitted, valid: D.GridDataset, checkpoints) -> np.ndarray:
         """Validation score after each checkpointed number of rounds."""
-        rows, y = response_rows(valid, self.loss.kind, self.u)
+        rows, y = L.training_rows(self.loss.kind, getattr(valid, self.response), self.u)
         if not rows.any():
             raise DataError("no scorable validation rows")
         X, _ = valid.feature_matrix()
@@ -120,10 +96,9 @@ class MixtureRecipe:
     score_spec: ThresholdScoreSpec | None = None
 
     def fit(self, train: D.GridDataset) -> Fitted:
-        rows = ~np.isnan(train.ba)
         X, names = train.feature_matrix()
         return Fitted(M.fit_mixture(
-            X[rows], train.ba[rows], u=self.u, xi=self.xi, kappa=self.kappa,
+            X, train.ba, u=self.u, xi=self.xi, kappa=self.kappa,
             k_shape=self.k_shape, classifier_params=self.classifier_params,
             bulk_params=self.bulk_params, tail_params=self.tail_params,
             feature_names=names,
@@ -132,7 +107,7 @@ class MixtureRecipe:
     def score(self, fitted: Fitted, valid: D.GridDataset, checkpoints) -> np.ndarray:
         """Validation threshold score after each checkpointed number of
         classifier rounds."""
-        spec = self.score_spec or default_score_spec("ba")
+        spec = self.score_spec or ThresholdScoreSpec(BA_THRESHOLDS)
         rows = ~np.isnan(valid.ba)
         if not rows.any():
             raise DataError("no scorable validation rows")

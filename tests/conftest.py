@@ -1,8 +1,26 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import evtboost
 from evtboost.dataset import GridDataset
+
+# the absolute directory holding the package this process imported
+_PACKAGE_ROOT = str(Path(evtboost.__file__).resolve().parent.parent)
+
+
+def child_env() -> dict:
+    """This process's environment with the package root first on PYTHONPATH,
+    so a child ``python`` in any working directory runs the same code (a
+    relative entry such as ``src``, or pytest's own ``pythonpath``, would not
+    reach it)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [_PACKAGE_ROOT] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return env
 
 
 def fd_grad(f, theta: float, h: float = 1e-5) -> float:

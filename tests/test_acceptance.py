@@ -7,23 +7,20 @@ are independent of the code paths they check.
 """
 
 import math
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
-import evtboost
 from evtboost import booster, evaluate, interpret, losses, mixture, spatialcv, tree
 from evtboost.dataset import GridDataset
 from evtboost.errors import DataError
 from evtboost.synth import sample_dgpd, sample_gpd, sample_trgamma
 
-from conftest import fd_grad, fd_hess, rel_err
+from conftest import child_env, fd_grad, fd_hess, rel_err
 
 SEED = 20240817
 
@@ -439,19 +436,10 @@ def test_criterion_09_one_se_rule_and_pdp():
 # 10. CLI determinism
 # ---------------------------------------------------------------------------
 
-# The child runs in ``workdir``, where a relative PYTHONPATH entry (such as
-# ``src``) no longer resolves; put the absolute directory holding the package
-# this process imported in front, so the child runs the same code.
-_PACKAGE_ROOT = str(Path(evtboost.__file__).resolve().parent.parent)
-
-
 def _run_cli(workdir, *argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [_PACKAGE_ROOT] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     proc = subprocess.run(
         [sys.executable, "-m", "evtboost.cli", "--runlog", "runs.log", *argv],
-        cwd=workdir, env=env, capture_output=True, text=True, timeout=600)
+        cwd=workdir, env=child_env(), capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

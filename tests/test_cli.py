@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evtboost import booster, cli, losses, mixture
+from conftest import child_env
+from evtboost import booster, cli, losses, mixture, spatialcv
 from evtboost.errors import DataError
 from evtboost.synth import synth_dataset
 from evtboost import dataset as D
@@ -79,11 +80,15 @@ class TestTrain:
         assert run(tmp_path, "train", "--config", str(tmp_path / "nope.ini"),
                    "--out", str(tmp_path / "m.json")) == 1
 
-    def test_unknown_config_key_is_exit_1(self, tmp_path, counts_csv):
-        cfg = write_config(tmp_path, counts_csv, extra="\n[data]\nbogus = 1\n")
-        # configparser merges duplicate sections, so bogus lands in [data]
+    def test_unknown_config_key_is_exit_1(self, tmp_path, counts_csv, capsys):
+        cfg = write_config(tmp_path, counts_csv)
+        # inside the one [data] section: a repeated section fails parsing first
+        text = Path(cfg).read_text(encoding="utf-8")
+        Path(cfg).write_text(text.replace("[data]\n", "[data]\nbogus = 1\n"), encoding="utf-8")
+        capsys.readouterr()
         assert run(tmp_path, "train", "--config", cfg,
                    "--out", str(tmp_path / "m.json")) == 1
+        _one_line(capsys.readouterr().err, "config error: unknown keys in [data]: ['bogus']")
 
     def test_domain_violation_is_exit_2(self, tmp_path, counts_csv):
         # gpd on counts data: no burned areas above the threshold
@@ -208,6 +213,7 @@ MALFORMED_MANIFEST = {
     "threshold_not_numeric": lambda doc: doc.update(threshold="abc"),
     "threshold_not_finite": lambda doc: doc.update(threshold=float("nan")),
     "component_not_string": lambda doc: doc.update(tail=7),
+    "xi_disagrees_with_tail": lambda doc: doc.update(xi=0.9),
 }
 
 
@@ -232,6 +238,14 @@ class TestMalformedManifest:
                    "--out", str(tmp_path / "p.csv")) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
+
+    def test_component_parameters_that_agree_are_accepted(self, tmp_path, sizes_csv):
+        manifest = _mixture_manifest(tmp_path, sizes_csv)
+        doc = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**doc, "xi": 0.8, "kappa": 0.5, "k_shape": 1.0}),
+                            encoding="utf-8")
+        assert run(tmp_path, "predict", "--model", str(manifest), "--data", sizes_csv,
+                   "--out", str(tmp_path / "p.csv")) == 0
 
 
 def _first_branch(nodes, above=-1):
@@ -302,12 +316,11 @@ class TestMalformedModel:
                              ids=["self_loop", "back_edge"])
     def test_cycle_is_exit_2_not_a_hang(self, tmp_path, counts_csv, model_doc, edit):
         bad = self._write(tmp_path, model_doc, edit)
-        # the child inherits this process's cwd and PYTHONPATH
         proc = subprocess.run(
             [sys.executable, "-m", "evtboost.cli", "--runlog", str(tmp_path / "runs.log"),
              "predict", "--model", str(bad), "--data", counts_csv,
              "--out", str(tmp_path / "p.csv")],
-            capture_output=True, text=True, timeout=60)
+            env=child_env(), capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2, proc.stderr
         assert "child id" in proc.stderr and "Traceback" not in proc.stderr
 
@@ -409,6 +422,29 @@ class TestCvFolds:
         run(tmp_path, "cvfolds", "--config", cfg, "--seed", "4", "--out", str(f2))
         assert f1.read_bytes() == f2.read_bytes()
 
+    @pytest.mark.parametrize("given, unset", [("beta0_cnt", "beta0_ba"),
+                                              ("beta0_ba", "beta0_cnt")])
+    def test_each_unset_intercept_is_calibrated(self, tmp_path, given, unset):
+        data = tmp_path / "sizes.csv"
+        D.save_csv(synth_dataset("sizes", n_years=2, nx=6, ny=6, seed=1, mask_rate=0.1), data)
+
+        def config(name, body):
+            (tmp_path / name).write_text(f"[data]\ntrain = {data}\n\n[cv]\n{body}",
+                                         encoding="utf-8")
+            return str(tmp_path / name)
+
+        ds = cli.RunConfig(config("none.ini", "")).load_dataset()
+        calibrated = getattr(spatialcv.calibrate_intercepts(ds, spatialcv.MaskModelParams()),
+                             unset)
+        one = config("one.ini", f"{given} = -2.0\n")
+        both = config("both.ini", f"{given} = -2.0\n{unset} = {calibrated!r}\n")
+        params = cli.RunConfig(one).mask_params(ds)
+        assert (getattr(params, given), getattr(params, unset)) == (-2.0, calibrated)
+        for cfg in (one, both):
+            assert run(tmp_path, "cvfolds", "--config", cfg, "--seed", "4",
+                       "--out", cfg + ".folds") == 0
+        assert Path(one + ".folds").read_bytes() == Path(both + ".folds").read_bytes()
+
     def test_no_collision_with_premasked(self, tmp_path):
         masked = tmp_path / "masked.csv"
         ds = synth_dataset("counts", n_years=1, nx=5, ny=5, seed=6, mask_rate=0.3)
@@ -417,7 +453,6 @@ class TestCvFolds:
         out = tmp_path / "folds.csv"
         run(tmp_path, "cvfolds", "--config", cfg, "--n-folds", "3", "--seed", "1",
             "--out", str(out))
-        from evtboost import spatialcv
         ds2 = D.load_csv(str(masked))
         folds = spatialcv.load_folds(out, ds2)
         masked_cnt = np.isnan(ds2.cnt)
@@ -541,6 +576,18 @@ class TestPdpImportance:
             rows = list(csv.reader(fh))
         assert rows[0] == ["x1", "estimate", "lo", "hi"]
         assert len(rows) > 2
+
+    @pytest.mark.parametrize("command", ["pdp", "importance"])
+    def test_mixture_manifest_is_exit_2(self, tmp_path, sizes_csv, command, capsys):
+        manifest = _mixture_manifest(tmp_path, sizes_csv)
+        argv = ["--data", sizes_csv, "--features", "x1"] if command == "pdp" else []
+        out = tmp_path / "out.csv"
+        capsys.readouterr()
+        assert run(tmp_path, command, "--model", str(manifest), *argv,
+                   "--out", str(out)) == 2
+        _one_line(capsys.readouterr().err,
+                  f"data error: {command} needs a single model, got the mixture {manifest}")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--n-sub", "0"), ("--points", "0"),
                                              ("--n-sub", "-3")])

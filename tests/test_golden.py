@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evtboost import booster, cli, dataset, losses, recipes, spatialcv, synth
+from evtboost import booster, cli, dataset, losses, mixture, recipes, spatialcv, synth
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -44,6 +44,13 @@ SPECS = {
     "cross_entropy": losses.LossSpec("cross_entropy", n_classes=3),
     "squared_log": losses.LossSpec("squared_log"),
 }
+
+# the sizes grid, its config and the mixture parts of the CLI mixture golden
+SIZES_SYNTH = ["synth", "--kind", "sizes", "--nx", "4", "--ny", "4", "--years", "2",
+               "--mask-rate", "0.1", "--seed", "29"]
+SIZES_INI = ("[loss]\nu = 200.0\nxi = 0.8\nkappa = 0.5\nk_shape = 1.2\n\n"
+             "[train]\nn_trees = 3\nmax_leaves = 4\nseed = 7\n")
+MIXTURE_PARTS = {"classifier": "cross_entropy", "bulk": "trgamma", "tail": "gpd"}
 
 PARAMS = booster.TrainParams(n_trees=5, learning_rate=0.3, max_leaves=6, lambda_reg=1.0,
                              colsample=0.7, n_quantile_bins=16, seed=11)
@@ -148,17 +155,13 @@ def golden_cli_texts() -> dict[str, str]:
             "--out", str(tmp / "pdp.csv"))
         run("importance", "--model", str(tmp / "dgpd.json"), "--out", str(tmp / "imp.csv"))
 
-        run("synth", "--kind", "sizes", "--nx", "4", "--ny", "4", "--years", "2",
-            "--mask-rate", "0.1", "--seed", "29", "--out", str(tmp / "sizes.csv"))
-        sizes_ini = config("sizes.ini", "sizes.csv", "[loss]\nu = 200.0\nxi = 0.8\n"
-                           "kappa = 0.5\nk_shape = 1.2\n\n"
-                           "[train]\nn_trees = 3\nmax_leaves = 4\nseed = 7\n")
-        parts = {"classifier": "cross_entropy", "bulk": "trgamma", "tail": "gpd"}
-        for part, kind in parts.items():
+        run(*SIZES_SYNTH, "--out", str(tmp / "sizes.csv"))
+        sizes_ini = config("sizes.ini", "sizes.csv", SIZES_INI)
+        for part, kind in MIXTURE_PARTS.items():
             run("train", "--config", sizes_ini, "--loss", kind, "--out", str(tmp / f"{part}.json"))
         (tmp / "mix.json").write_text(json.dumps(
             {"format_version": 1, "kind": "mixture", "threshold": 200.0,
-             **{part: f"{part}.json" for part in parts}}), encoding="utf-8")
+             **{part: f"{part}.json" for part in MIXTURE_PARTS}}), encoding="utf-8")
         (tmp / "thresholds.txt").write_text("0\n25\n200\n1000\n", encoding="utf-8")
         run("predict", "--model", str(tmp / "mix.json"), "--data", str(tmp / "sizes.csv"),
             "--thresholds", str(tmp / "thresholds.txt"), "--out", str(tmp / "mix.csv"))
@@ -190,6 +193,33 @@ def test_saved_dataset_matches_golden_file():
 def test_cli_outputs_match_golden_files():
     for name, text in golden_cli_texts().items():
         assert text == (GOLDEN / name).read_text(encoding="utf-8"), name
+
+
+def test_library_mixture_matches_cli_components(tmp_path):
+    """``fit_mixture`` on the golden sizes grid, masked rows passed in, plus
+    ``mixture.save`` write the bytes of the three CLI ``train`` runs."""
+    def run(*argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["--runlog", str(tmp_path / "runs.log"), *argv]) == 0
+
+    data, ini = tmp_path / "sizes.csv", tmp_path / "sizes.ini"
+    run(*SIZES_SYNTH, "--out", str(data))
+    ini.write_text(f"[data]\ntrain = {data}\n\n{SIZES_INI}", encoding="utf-8")
+    for part, kind in MIXTURE_PARTS.items():
+        run("train", "--config", str(ini), "--loss", kind, "--out", str(tmp_path / f"{part}.json"))
+
+    cfg = cli.RunConfig(str(ini))
+    ds = dataset.cross_fill_zeros(cfg.load_dataset())  # the rows ``train`` reads
+    assert np.isnan(ds.ba).any()
+    X, names = ds.feature_matrix()
+    params = cfg.train_params()
+    m = mixture.fit_mixture(X, ds.ba, u=200.0, xi=0.8, kappa=0.5, k_shape=1.2,
+                            classifier_params=params, bulk_params=params,
+                            tail_params=params, feature_names=names)
+    mixture.save(m, tmp_path / "lib.json")
+    for part in MIXTURE_PARTS:
+        assert (tmp_path / f"lib.{part}.json").read_bytes() == \
+            (tmp_path / f"{part}.json").read_bytes(), part
 
 
 def test_cli_count_thresholds_match_library(tmp_path):

@@ -8,20 +8,15 @@ interpreter on input files written here, and reads which scipy modules the
 command left in ``sys.modules``.
 """
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import evtboost
+from conftest import child_env
 from evtboost import dataset as D
 from evtboost.synth import synth_dataset
-
-# the child runs in a temporary directory; give it the absolute package path
-_PACKAGE_ROOT = str(Path(evtboost.__file__).resolve().parent.parent)
 
 _PROBE = """
 import sys
@@ -34,10 +29,7 @@ print(" ".join(m for m in sorted(sys.modules) if m.split(".")[0] == "scipy"))
 
 def run_child(workdir, code, *argv) -> subprocess.CompletedProcess:
     """``python -c code *argv`` in ``workdir``, importing this package."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [_PACKAGE_ROOT] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    return subprocess.run([sys.executable, "-c", code, *argv], cwd=workdir, env=env,
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=workdir, env=child_env(),
                           capture_output=True, text=True, timeout=300)
 
 

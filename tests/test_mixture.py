@@ -1,5 +1,8 @@
 import functools
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,6 +219,13 @@ class TestSampleBitEqual:
         assert [v.hex() for v in draws.tolist()] == [v.hex() for v in expected.tolist()]
 
 
+def _readme_manifest() -> dict:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"cat > mix\.json <<'EOF'\n(.*?)\nEOF", readme, flags=re.S)
+    assert len(blocks) == 1
+    return json.loads(blocks[0])
+
+
 class TestFitMixture:
     def test_fit_and_validate(self, rng):
         ds = synth_dataset("sizes", n_years=2, nx=5, ny=5, seed=3)
@@ -250,3 +260,20 @@ class TestFitMixture:
         booster.save(m.classifier, tmp_path / "single.json")
         assert not isinstance(mixture.load(tmp_path / "single.json"), mixture.MixtureModel)
 
+    def test_saved_manifest_is_the_readme_format(self, tmp_path):
+        path = tmp_path / "mix.json"
+        mixture.save(toy_mixture(), path)
+        doc, readme = json.loads(path.read_text(encoding="utf-8")), _readme_manifest()
+        assert set(doc) == set(readme)
+        assert {k: doc[k] for k in ("format_version", "kind", "threshold")} == \
+            {k: readme[k] for k in ("format_version", "kind", "threshold")}
+        assert [doc[k] for k in mixture.COMPONENTS] == \
+            [f"mix.{k}.json" for k in mixture.COMPONENTS]
+
+    def test_empty_component_slice_is_a_data_error(self):
+        X = np.zeros((4, 1))
+        params = booster.TrainParams(n_trees=1)
+        with pytest.raises(DataError, match="gpd"):
+            mixture.fit_mixture(X, np.array([0.0, 5.0, 50.0, np.nan]), u=200.0, xi=0.8,
+                                kappa=0.5, k_shape=1.0, classifier_params=params,
+                                bulk_params=params, tail_params=params)

@@ -12,7 +12,7 @@ def masked_counts(seed=0):
 
 class TestResponseOf:
     def test_count_losses_model_cnt_and_the_rest_ba(self):
-        assert {k: recipes.response_of(k) for k in losses.LOSS_KINDS} == {
+        assert {k: losses.LossSpec(kind=k).response for k in losses.LOSS_KINDS} == {
             "poisson": "cnt", "dgpd": "cnt", "trgamma": "ba", "gpd": "ba",
             "cross_entropy": "ba", "squared_log": "ba"}
 
@@ -20,7 +20,7 @@ class TestResponseOf:
         tp = booster.TrainParams(n_trees=1)
         for kind in losses.LOSS_KINDS:
             recipe = recipes.BoosterRecipe(loss=losses.LossSpec(kind=kind), params=tp)
-            assert recipe.response == recipes.response_of(kind)
+            assert recipe.response == losses.LossSpec(kind=kind).response
         mix = recipes.MixtureRecipe(classifier_params=tp, bulk_params=tp, tail_params=tp)
         assert mix.response == "ba"
 
@@ -28,15 +28,15 @@ class TestResponseOf:
 class TestResponseRows:
     def test_count_losses_need_cnt(self):
         ds = masked_counts()
-        rows, y = recipes.response_rows(ds, "dgpd", 200.0)
+        rows, y = losses.training_rows("dgpd", ds.cnt, 200.0)
         assert rows.sum() == y.size
         assert not np.isnan(y).any()
 
     def test_ba_subsets_partition(self):
         ds = synth_dataset("sizes", n_years=2, nx=5, ny=5, seed=1)
-        bulk_rows, z = recipes.response_rows(ds, "trgamma", 200.0)
-        tail_rows, exc = recipes.response_rows(ds, "gpd", 200.0)
-        cls_rows, labels = recipes.response_rows(ds, "cross_entropy", 200.0)
+        bulk_rows, z = losses.training_rows("trgamma", ds.ba, 200.0)
+        tail_rows, exc = losses.training_rows("gpd", ds.ba, 200.0)
+        cls_rows, labels = losses.training_rows("cross_entropy", ds.ba, 200.0)
         assert not (bulk_rows & tail_rows).any()
         assert np.all(z > 0) and np.all(z <= np.log1p(200.0))
         assert np.all(exc > 0)
