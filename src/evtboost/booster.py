@@ -175,6 +175,18 @@ def initial_estimate(ys, loss: L.LossSpec, tol: float = 1e-10, max_iter: int = 1
     raise NumericalError("initial estimate did not converge")
 
 
+def _grow_step(binned, g, h, theta, params: TrainParams, subset) -> Tree:
+    """Grow one tree and add its shrunken leaf weights to ``theta`` (a view
+    it updates in place) over the rows ``grow`` sent to each leaf, the rows
+    ``Tree.predict`` routes there, so the sums equal ``lr * t.predict(X)``."""
+    leaves = {}
+    t = grow(binned, g, h, params.max_leaves, params.lambda_reg, params.eta,
+             feature_subset=subset, leaf_rows=leaves)
+    for nid, rows in leaves.items():
+        theta[rows] += params.learning_rate * t.nodes[nid].weight
+    return t
+
+
 def fit(X, ys, loss: L.LossSpec, params: TrainParams, feature_names=None) -> BoostedModel:
     """Train a boosted model on a feature matrix and responses.
 
@@ -201,7 +213,6 @@ def fit(X, ys, loss: L.LossSpec, params: TrainParams, feature_names=None) -> Boo
 
     model = BoostedModel(loss=loss, base_score=base, trees=[], params=params,
                          feature_names=list(feature_names))
-    lr = params.learning_rate
     binned = bin_features(X, params.n_quantile_bins)  # once per fit, for every tree
     for round_idx in range(params.n_trees):
         subset = _round_feature_subset(params.seed, round_idx, p, params.colsample)
@@ -210,15 +221,10 @@ def fit(X, ys, loss: L.LossSpec, params: TrainParams, feature_names=None) -> Boo
         h = np.maximum(h, HESS_FLOOR)
         if loss.multiclass:
             for c in range(loss.n_classes):
-                t = grow(binned, g[:, c], h[:, c], params.max_leaves, params.lambda_reg,
-                         params.eta, feature_subset=subset)
-                theta[:, c] += lr * t.predict(X)
-                model.trees.append(t)
+                model.trees.append(_grow_step(binned, g[:, c], h[:, c], theta[:, c],
+                                              params, subset))
         else:
-            t = grow(binned, g, h, params.max_leaves, params.lambda_reg,
-                     params.eta, feature_subset=subset)
-            theta += lr * t.predict(X)
-            model.trees.append(t)
+            model.trees.append(_grow_step(binned, g, h, theta, params, subset))
     v, _, _ = L.evaluate_loss(loss, y, theta)
     model.train_losses.append(float(v.sum()))
     return model

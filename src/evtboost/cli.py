@@ -220,11 +220,9 @@ def cmd_train(args) -> int:
     cfg, params, ds, loss = _training_setup(args)
     if args.seed is not None:
         params = replace(params, seed=args.seed)
-    rows, y = L.training_rows(loss.kind, getattr(ds, loss.response), cfg.threshold_u())
-    if not rows.any():
-        raise DataError("no trainable rows for this loss")
-    X, names = ds.feature_matrix()
-    model = B.fit(X[rows], y, loss, params, feature_names=names)
+    X, y, names = R.training_matrix(ds, loss, cfg.threshold_u())
+    del ds  # the fit keeps only the training rows' features alive
+    model = B.fit(X, y, loss, params, feature_names=names)
     B.save(model, args.out)
     print(f"rounds={model.n_rounds}")
     print(f"train_loss={model.train_losses[-1]!r}")
@@ -260,8 +258,7 @@ def cmd_predict(args) -> int:
         else:
             header, values = ["raw"], raw[:, None]
     D.write_csv(args.out, ["cell", "year", "month"] + header,
-                [ds.cell_index.tolist(), ds.year.tolist(), ds.month.tolist(),
-                 *values.T.tolist()])
+                [ds.cell_index, ds.year, ds.month, *values.T])
     return EXIT_OK
 
 

@@ -52,18 +52,19 @@ class GridDataset:
         return self.year.size
 
     def copy(self) -> "GridDataset":
-        return self.subset(slice(None))
+        return self.subset(np.arange(self.n_rows))
 
     def subset(self, rows: np.ndarray) -> "GridDataset":
-        """Row subset (copied arrays); every cell is kept."""
+        """Row subset at an index array (numpy copies every array it indexes
+        with one, so nothing is copied twice); every cell is kept."""
         return GridDataset(
             cells=self.cells.copy(),
-            cell_index=self.cell_index[rows].copy(),
-            year=self.year[rows].copy(),
-            month=self.month[rows].copy(),
-            cnt=self.cnt[rows].copy(),
-            ba=self.ba[rows].copy(),
-            covariates=self.covariates[rows].copy(),
+            cell_index=self.cell_index[rows],
+            year=self.year[rows],
+            month=self.month[rows],
+            cnt=self.cnt[rows],
+            ba=self.ba[rows],
+            covariates=self.covariates[rows],
             covariate_names=list(self.covariate_names),
         )
 
@@ -401,14 +402,24 @@ def load_csv(path, schema: dict | None = None, missing_marker: str = "NA",
     return ds
 
 
+# write_csv turns numpy columns into Python numbers this many rows at a time.
+_WRITE_BLOCK_ROWS = 4096
+
+
 def write_csv(path, header, columns) -> None:
     """Write ``header``, then one row per index of the equal-length
-    ``columns``.  ``csv`` writes a float (``np.float64`` too) by
-    ``float.__repr__``, the shortest text that reads back to it."""
+    ``columns`` (lists or 1-d numpy arrays).  ``csv`` writes a float
+    (``np.float64`` too) by ``float.__repr__``, the shortest text that reads
+    back to it.  Array columns become Python numbers one block of rows at a
+    time, so only a block's objects are alive at once."""
+    n_rows = len(columns[0])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(zip(*columns))
+        for lo in range(0, n_rows, _WRITE_BLOCK_ROWS):
+            block = (c[lo:lo + _WRITE_BLOCK_ROWS] for c in columns)
+            writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                                   for c in block)))
 
 
 def save_csv(ds: GridDataset, path, missing_marker: str = "NA") -> None:

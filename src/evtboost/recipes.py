@@ -36,6 +36,16 @@ def count_threshold_probs(loss: L.LossSpec, theta, thresholds) -> np.ndarray:
     raise DataError(f"loss {loss.kind!r} has no count CDF")
 
 
+def training_matrix(ds: D.GridDataset, loss: L.LossSpec, u: float):
+    """(X, y, names): the feature rows and target ``loss`` trains on in
+    ``ds``; the full feature matrix is dropped before this returns."""
+    rows, y = L.training_rows(loss.kind, getattr(ds, loss.response), u)
+    if not rows.any():
+        raise DataError("no trainable rows for this loss")
+    X, names = ds.feature_matrix()
+    return X[rows], y, names
+
+
 @dataclass
 class Fitted:
     """What a recipe's ``fit`` hands to its ``score``; the traced benchmark
@@ -58,11 +68,8 @@ class BoosterRecipe:
         return self.loss.response
 
     def fit(self, train: D.GridDataset) -> Fitted:
-        rows, y = L.training_rows(self.loss.kind, getattr(train, self.response), self.u)
-        if not rows.any():
-            raise DataError("no trainable rows for this loss")
-        X, names = train.feature_matrix()
-        return Fitted(B.fit(X[rows], y, self.loss, self.params, feature_names=names))
+        X, y, names = training_matrix(train, self.loss, self.u)
+        return Fitted(B.fit(X, y, self.loss, self.params, feature_names=names))
 
     def score(self, fitted: Fitted, valid: D.GridDataset, checkpoints) -> np.ndarray:
         """Validation score after each checkpointed number of rounds."""

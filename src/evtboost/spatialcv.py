@@ -101,15 +101,29 @@ def matern_cov(d, r: float, sigma_gp: float, nu: float = 1.0):
     return float(out) if np.isscalar(d) or d.ndim == 0 else out
 
 
+# The correlation matrix is filled in blocks of rows holding about this many
+# cell pairs, so the distance temporaries stay near 1 MB beside the n x n
+# matrix and its factor.
+_FACTOR_BLOCK_CELLS = 1 << 15
+
+
 def field_factor(cells, params: MaskModelParams) -> np.ndarray:
     """Cholesky factor of the unit-variance Matern correlation (+ jitter)
-    between the (lon, lat) rows of ``cells``, evaluated once per distinct
-    distance (a lattice has few)."""
+    between the (lon, lat) rows of ``cells``.
+
+    The matrix is filled a block of rows at a time, with the covariance
+    evaluated once per distinct distance of the block (a lattice has few);
+    ``matern_cov`` is elementwise, so the blocks do not change a bit."""
     coords = np.asarray(cells, dtype=float)
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=-1))
-    distinct, where = np.unique(dist, return_inverse=True)
-    corr = matern_cov(distinct, params.r, 1.0, params.nu)[where].reshape(dist.shape)
+    n = len(coords)
+    corr = np.empty((n, n))
+    step = max(1, _FACTOR_BLOCK_CELLS // max(n, 1))
+    for lo in range(0, n, step):
+        diff = coords[lo:lo + step, None, :] - coords[None, :, :]
+        dist = np.sqrt((diff ** 2).sum(axis=-1))
+        distinct, where = np.unique(dist, return_inverse=True)
+        block = matern_cov(distinct, params.r, 1.0, params.nu)[where]
+        corr[lo:lo + step] = block.reshape(dist.shape)
     corr[np.diag_indices_from(corr)] += JITTER
     try:
         return np.linalg.cholesky(corr)

@@ -183,8 +183,12 @@ def quantile_candidates(x: np.ndarray, n_bins: int) -> np.ndarray:
 
 # Node histograms are built for blocks of features holding about this many
 # (row, feature) cells, so a block's int64 index and float64 weight
-# temporaries stay near 16 MB even at the root of a 560k-row fit.
-_HIST_BLOCK_CELLS = 1 << 20
+# temporaries (512 KB each) stay in cache.
+_HIST_BLOCK_CELLS = 1 << 16
+
+# numpy's ``.sum()`` adds fewer values than this left to right, from 0.0, as
+# ``bincount`` does; it sums longer arrays pairwise.
+_PAIRWISE_MIN = 8
 
 
 @dataclass
@@ -193,12 +197,14 @@ class BinnedFeatures:
 
     ``codes[i, j]`` is ``searchsorted(candidates[j], X[i, j], side="left")``,
     so ``codes[:, j] <= t`` routes exactly as ``X[:, j] <= candidates[j][t]``.
-    Missing values get the code ``n_bins``, above every candidate index.
+    Missing values get the code ``n_bins``, above every candidate index, and
+    ``missing[j]`` lists the rows missing feature ``j`` in ascending order.
     """
 
     codes: np.ndarray
     candidates: list[np.ndarray]
     n_bins: int
+    missing: list[np.ndarray]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -218,13 +224,15 @@ def bin_features(X, n_bins: int) -> BinnedFeatures:
     if not 2 <= n_bins <= 255:
         raise DataError("n_quantile_bins must lie in [2, 255]")
     codes = np.empty(X.shape, dtype=np.uint8)
-    candidates = []
+    candidates, missing = [], []
     for j in range(X.shape[1]):
         x = X[:, j]
         cand = quantile_candidates(x, n_bins)
-        codes[:, j] = np.where(np.isnan(x), n_bins, np.searchsorted(cand, x, side="left"))
+        nan = np.isnan(x)
+        codes[:, j] = np.where(nan, n_bins, np.searchsorted(cand, x, side="left"))
         candidates.append(cand)
-    return BinnedFeatures(codes, candidates, n_bins)
+        missing.append(np.flatnonzero(nan))
+    return BinnedFeatures(codes, candidates, n_bins, missing)
 
 
 @dataclass
@@ -236,30 +244,24 @@ class _Split:
     bin: int
 
 
-def _best_split_for_node(binned, g, h, rows, features, lambda_reg, eta):
-    """Scan the sampled features with histogram prefix sums; return the
-    best _Split or None.  Ties break on lowest feature index then lowest
-    threshold (then default_left=True).
+def _node_histograms(binned, g, h, rows, features):
+    """g, h and count histograms, (features x slots), of the node's ``rows``
+    (ascending) over the sampled ``features``; slot ``n_bins`` holds the
+    missing rows.
 
     One bincount per feature block over the node's flattened (row, feature)
-    codes fills every feature's g, h and count histograms; each bin adds its
-    rows in ascending row order, as a per-feature bincount would.  Missing
-    rows are summed pairwise (``.sum()``), and the scan over (features x
-    thresholds) is vectorised for each default direction.
+    codes fills every feature's histograms; each bin adds its rows in
+    ascending row order, as a per-feature bincount would.  The missing slot
+    holds the missing rows' sums as ``.sum()`` takes them: bincount's own
+    below ``_PAIRWISE_MIN`` rows, and a pairwise sum of the rows gathered
+    from ``binned.missing`` for a longer run.
     """
-    gn, hn = g[rows], h[rows]
-    g_total = gn.sum()
-    h_total = hn.sum()
     codes = binned.codes[rows]
     if features.size < codes.shape[1]:
         codes = codes[:, features]
     n_node, n_feat = codes.shape
-    n_cand = binned.n_candidates[features]
-    n_thr = int(n_cand.max(initial=0))
-    if n_thr == 0:
-        return None
-
     n_slots = binned.n_bins + 1  # observed codes 0..n_bins-1, missing n_bins
+    gn, hn = g[rows], h[rows]
     g_hist = np.empty((n_feat, n_slots))
     h_hist = np.empty((n_feat, n_slots))
     n_hist = np.empty((n_feat, n_slots), dtype=np.intp)
@@ -273,40 +275,55 @@ def _best_split_for_node(binned, g, h, rows, features, lambda_reg, eta):
         h_hist[lo:lo + nb] = np.bincount(flat, np.repeat(hn, nb), size).reshape(nb, n_slots)
         n_hist[lo:lo + nb] = np.bincount(flat, minlength=size).reshape(nb, n_slots)
 
-    n_miss = n_hist[:, binned.n_bins]
-    g_miss = np.zeros(n_feat)
-    h_miss = np.zeros(n_feat)
-    for k in np.flatnonzero(n_miss):
-        missing = codes[:, k] == binned.n_bins
-        g_miss[k] = gn[missing].sum()
-        h_miss[k] = hn[missing].sum()
+    long_runs = np.flatnonzero(n_hist[:, binned.n_bins] >= _PAIRWISE_MIN)
+    if long_runs.size:
+        in_node = np.zeros(g.size, dtype=bool)
+        in_node[rows] = True
+        for k in long_runs:
+            missing = binned.missing[features[k]]
+            missing = missing[in_node[missing]]
+            g_hist[k, binned.n_bins] = np.add.reduce(g[missing])
+            h_hist[k, binned.n_bins] = np.add.reduce(h[missing])
+    return g_hist, h_hist, n_hist
+
+
+def _best_split_for_node(binned, g, h, rows, features, lambda_reg, eta):
+    """Scan the sampled features with histogram prefix sums; return the
+    best _Split or None.  ``rows`` is ascending.  Ties break on lowest
+    feature index then lowest threshold (then default_left=True).
+
+    Both default directions are scanned in one vectorised pass over
+    (direction x features x thresholds).
+    """
+    n_cand = binned.n_candidates[features]
+    n_thr = int(n_cand.max(initial=0))
+    if n_thr == 0:
+        return None
+    g_total = g[rows].sum()
+    h_total = h[rows].sum()
+    g_hist, h_hist, n_hist = _node_histograms(binned, g, h, rows, features)
+    g_miss, h_miss, n_miss = (a[:, binned.n_bins] for a in (g_hist, h_hist, n_hist))
 
     g_left = np.cumsum(g_hist[:, :n_thr], axis=1)
     h_left = np.cumsum(h_hist[:, :n_thr], axis=1)
     n_left = np.cumsum(n_hist[:, :n_thr], axis=1)
-    in_range = np.arange(n_thr) < n_cand[:, None]
-    rows_idx = np.arange(n_feat)
-    bins, best_gains = [], []
-    # try routing missing rows left, then right
-    for default_left in (True, False):
-        gl = g_left + g_miss[:, None] if default_left else g_left
-        hl = h_left + h_miss[:, None] if default_left else h_left
-        nl = n_left + n_miss[:, None] if default_left else n_left
-        valid = in_range & (nl > 0) & (nl < n_node)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gains = split_gain(gl, hl, g_total - gl, h_total - hl, lambda_reg, eta)
-        gains = np.where(valid, gains, -np.inf)
-        t = np.argmax(gains, axis=1)
-        bins.append(t)
-        best_gains.append(gains[rows_idx, t])
+    # axis 0 routes the missing rows left, then right
+    gl = np.stack([g_left + g_miss[:, None], g_left])
+    hl = np.stack([h_left + h_miss[:, None], h_left])
+    nl = np.stack([n_left + n_miss[:, None], n_left])
+    valid = (np.arange(n_thr) < n_cand[:, None]) & (nl > 0) & (nl < rows.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = split_gain(gl, hl, g_total - gl, h_total - hl, lambda_reg, eta)
+    gains = np.where(valid, gains, -np.inf)
+    bins = np.argmax(gains, axis=2)
     # (feature, direction) in scan order; the first finite maximum wins
-    best_gains = np.column_stack(best_gains)
+    best_gains = np.take_along_axis(gains, bins[:, :, None], axis=2)[:, :, 0].T
     finite = np.isfinite(best_gains)
     if not finite.any():
         return None
     top = best_gains[finite].max()
     k, d = divmod(int(np.flatnonzero(finite & (best_gains == top))[0]), 2)
-    j, t = int(features[k]), int(bins[d][k])
+    j, t = int(features[k]), int(bins[d, k])
     return _Split(float(best_gains[k, d]), j, float(binned.candidates[j][t]), d == 0, t)
 
 
@@ -318,6 +335,7 @@ def grow(
     lambda_reg: float = 1.0,
     eta: float = 0.0,
     feature_subset: np.ndarray | None = None,
+    leaf_rows: dict | None = None,
 ) -> Tree:
     """Grow one tree best-first on the given gradient pairs.
 
@@ -325,6 +343,8 @@ def grow(
     ``feature_subset`` restricts candidate features (the booster draws it
     per iteration); None means all features.  Growth stops when the best
     candidate gain is <= 0 or the leaf count reaches ``max_leaves``.
+    A ``leaf_rows`` dict receives each leaf's node id and its training rows,
+    which are the rows ``Tree.predict`` sends to that leaf.
     """
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -389,4 +409,6 @@ def grow(
         if n_leaves < max_leaves:
             consider(node.left)
             consider(node.right)
+    if leaf_rows is not None:
+        leaf_rows.update(node_rows)
     return tree

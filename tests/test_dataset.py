@@ -430,3 +430,38 @@ class TestCrossFillZeros:
         np.testing.assert_array_equal(out.cnt[obs], ds.cnt[obs])
         obs = ~np.isnan(ds.ba)
         np.testing.assert_array_equal(out.ba[obs], ds.ba[obs])
+
+
+class TestSubset:
+    @pytest.mark.parametrize("take", ["copy", "rows", "mask"])
+    def test_arrays_are_copies(self, take):
+        ds = grid_dataset(np.arange(9.0))
+        out = {"copy": lambda: ds.copy(), "rows": lambda: ds.subset(np.array([4, 0, 7])),
+               "mask": lambda: ds.subset(np.arange(9) % 2 == 0)}[take]()
+        for name in ("cells", "cell_index", "year", "month", "cnt", "ba", "covariates"):
+            assert not np.shares_memory(getattr(out, name), getattr(ds, name)), name
+        np.testing.assert_array_equal(out.covariates[:, 0], ds.covariates[out.cell_index, 0])
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("block_rows", [1, 3, 4096])
+    def test_array_columns_write_what_their_lists_write(self, tmp_path, monkeypatch, block_rows):
+        """Array columns are turned into Python numbers a block at a time;
+        the bytes equal one csv pass over the whole ``.tolist()`` columns."""
+        monkeypatch.setattr(dataset, "_WRITE_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(5)
+        ints = rng.integers(-5, 10 ** 12, size=10)
+        floats = np.array([1 / 3, -0.0, 1e-300, 1e16, np.nan, np.inf, 0.1, 2.5, -7.0, 1e22])
+        words = [f"w{i}" for i in range(10)]
+        table = rng.normal(size=(10, 3))
+        dataset.write_csv(tmp_path / "a.csv", ["i", "f", "w", "t0", "t1", "t2"],
+                          [ints, floats, words, *table.T])
+        with open(tmp_path / "b.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["i", "f", "w", "t0", "t1", "t2"])
+            writer.writerows(zip(ints.tolist(), floats.tolist(), words, *table.T.tolist()))
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_header_only(self, tmp_path):
+        dataset.write_csv(tmp_path / "a.csv", ["x"], [np.empty(0)])
+        assert (tmp_path / "a.csv").read_bytes() == b"x\r\n"

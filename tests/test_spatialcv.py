@@ -1,4 +1,9 @@
 import math
+import resource
+import subprocess
+import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import special
 from scipy.optimize import brentq
 
-from conftest import sparse_grids
+from conftest import child_env, sparse_grids
 from evtboost import spatialcv
 from evtboost.dataset import GridDataset
 from evtboost.errors import DataError, NumericalError
@@ -259,16 +264,56 @@ def reference_field_factor(cells, params):
 
 class TestFieldFactorOnDistinctDistances:
     @settings(max_examples=60, deadline=None)
-    @given(ds=sparse_grids(), r=st.floats(0.1, 5.0), nu=st.sampled_from([0.5, 1.0, 1.5, 2.5]))
-    def test_factor_matches_all_pairs_reference(self, ds, r, nu):
+    @given(ds=sparse_grids(), r=st.floats(0.1, 5.0), nu=st.sampled_from([0.5, 1.0, 1.5, 2.5]),
+           block_cells=st.sampled_from([1, 7, 40, spatialcv._FACTOR_BLOCK_CELLS]))
+    def test_factor_matches_all_pairs_reference(self, ds, r, nu, block_cells):
         params = spatialcv.MaskModelParams(r=r, nu=nu)
+        with mock.patch.object(spatialcv, "_FACTOR_BLOCK_CELLS", block_cells):
+            try:
+                expect = reference_field_factor(ds.cells, params)
+            except np.linalg.LinAlgError:
+                with pytest.raises(NumericalError):
+                    spatialcv.field_factor(ds.cells, params)
+                return
+            assert spatialcv.field_factor(ds.cells, params).tobytes() == expect.tobytes()
+
+
+def lattice(nx, ny, spacing=0.25):
+    return np.array([(-110.25 + i * spacing, 35.25 + j * spacing)
+                     for i in range(nx) for j in range(ny)])
+
+
+class TestFieldFactorMemory:
+    def test_working_memory_is_near_the_matrix_and_its_factor(self):
+        """Row blocks keep the distance temporaries small: the peak is the
+        correlation matrix, its factor and little more (the all-pairs
+        (n, n, 2) tensor and full-matrix sort took about 8 n x n arrays)."""
+        cells = lattice(30, 30, spacing=0.5)
+        params = spatialcv.MaskModelParams()
+        spatialcv.matern_cov(1.0, params.r, 1.0)  # import scipy.special outside the trace
+        tracemalloc.start()
         try:
-            expect = reference_field_factor(ds.cells, params)
-        except np.linalg.LinAlgError:
-            with pytest.raises(NumericalError):
-                spatialcv.field_factor(ds.cells, params)
-            return
-        assert spatialcv.field_factor(ds.cells, params).tobytes() == expect.tobytes()
+            spatialcv.field_factor(cells, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len(cells) ** 2 * 8
+
+    def test_paper_grid_factor_fits_a_640_mib_address_space(self):
+        """3,500 cells, the paper's grid, under ``RLIMIT_AS`` set in a child.
+        One BLAS thread keeps the thread pool's reservations out of the bound."""
+        limit = 640 << 20
+        code = ("import numpy as np\n"
+                "from evtboost import spatialcv\n"
+                "cells = np.array([(i * 0.25, j * 0.25) for i in range(70) for j in range(50)])\n"
+                "print(spatialcv.field_factor(cells, spatialcv.MaskModelParams()).shape)\n")
+        env = dict(child_env(), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert proc.returncode == 0, proc.stderr[-500:]
+        assert proc.stdout.strip() == "(3500, 3500)"
 
 
 class TestFoldIo:

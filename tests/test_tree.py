@@ -1,4 +1,5 @@
 import heapq
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -324,7 +325,7 @@ class TestBinnedEngine:
            eta=st.sampled_from([0.0, 0.05]),
            colsample=st.sampled_from([0.4, 0.7, 1.0]),
            zero_hessians=st.booleans(),
-           block_cells=st.sampled_from([5, 64, tree._HIST_BLOCK_CELLS]))
+           block_cells=st.sampled_from([5, 64, tree._HIST_BLOCK_CELLS, 1 << 20]))
     def test_matches_per_feature_scan(self, data, n_bins, max_leaves, lambda_reg, eta,
                                       colsample, zero_hessians, block_cells):
         X, seed = data
@@ -358,3 +359,110 @@ class TestBinnedEngine:
         assert binned.codes.dtype == np.uint8
         np.testing.assert_array_equal(binned.codes[:, 1] == 255, np.isnan(X[:, 1]))
         assert binned.codes[:, 0].max() == binned.candidates[0].size
+
+
+class TestMissingRowSums:
+    """A node's missing-row g and h sums equal the per-feature scan's
+    ``.sum()`` bit for bit: read from the histogram's missing slot below
+    ``_PAIRWISE_MIN`` rows, gathered from ``BinnedFeatures.missing`` and
+    summed pairwise from there on (numpy's pairwise blocks hold 128)."""
+
+    COUNTS = (0, 1, 7, 8, 9, 128, 129, 300)
+    N_BINS = 32
+
+    def _data(self, negative_zero):
+        """Feature j misses ``COUNTS[j]`` of the even rows (the tested node)
+        and as many odd rows; g and h have full mantissas over 16 decades,
+        so the order of a sum shows in its bits."""
+        rng = np.random.default_rng(7)
+        n, p = 2400, len(self.COUNTS)
+        X = rng.normal(size=(n, p))
+        start = 0
+        for j, m in enumerate(self.COUNTS):
+            block = 2 * np.arange(start, start + m)
+            X[block, j] = np.nan
+            X[block + 1, j] = np.nan
+            start += m
+        g = rng.uniform(-1.0, 1.0, size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+        h = rng.uniform(0.1, 2.0, size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+        if negative_zero:
+            g[np.isnan(X).any(axis=1)] = -0.0
+        return X, g, h
+
+    @staticmethod
+    def _rows(node, n):
+        return np.arange(n) if node == "root" else np.arange(0, n, 2)
+
+    @pytest.mark.parametrize("negative_zero", [False, True])
+    @pytest.mark.parametrize("node", ["root", "even rows"])
+    @pytest.mark.parametrize("features", [None, [1, 4, 5, 7]])
+    def test_missing_slot_is_the_sum_of_the_missing_rows(self, negative_zero, node,
+                                                         features):
+        X, g, h = self._data(negative_zero)
+        rows = self._rows(node, X.shape[0])
+        features = np.arange(X.shape[1]) if features is None else np.array(features)
+        binned = tree.bin_features(X, self.N_BINS)
+        hists = tree._node_histograms(binned, g, h, rows, features)
+        order_shows = False
+        for k, j in enumerate(features):
+            missing = np.isnan(X[rows, j])
+            assert hists[2][k, self.N_BINS] == missing.sum()
+            for hist, w in zip(hists, (g, h)):
+                expect = w[rows][missing].sum()
+                assert hist[k, self.N_BINS].tobytes() == expect.tobytes(), (j, missing.sum())
+                left_to_right = np.bincount(np.zeros(missing.sum(), dtype=int),
+                                            w[rows][missing], 1)[0]
+                order_shows |= left_to_right != expect
+        # the data tells a pairwise sum from a left-to-right one
+        assert order_shows
+
+    @pytest.mark.parametrize("negative_zero", [False, True])
+    @pytest.mark.parametrize("node", ["root", "even rows"])
+    def test_best_split_matches_the_reference_scan(self, negative_zero, node):
+        X, g, h = self._data(negative_zero)
+        rows = self._rows(node, X.shape[0])
+        binned = tree.bin_features(X, self.N_BINS)
+        candidates = dict(enumerate(binned.candidates))
+        for features in [np.array([j]) for j in range(X.shape[1])] + [np.arange(X.shape[1])]:
+            split = tree._best_split_for_node(binned, g, h, rows, features, 1.0, 0.0)
+            expect = _reference_best_split(X, g, h, rows, features, candidates, 1.0, 0.0)
+            assert (split.gain, split.feature, split.threshold, split.default_left) == expect
+
+    def test_missing_index_lists_each_features_rows(self):
+        X, _, _ = self._data(False)
+        binned = tree.bin_features(X, self.N_BINS)
+        for j in range(X.shape[1]):
+            np.testing.assert_array_equal(binned.missing[j], np.flatnonzero(np.isnan(X[:, j])))
+
+
+class TestLeafRows:
+    def test_leaf_rows_partition_the_rows_as_predict_routes_them(self, rng):
+        X = rng.normal(size=(300, 4))
+        X[rng.uniform(size=X.shape) < 0.1] = np.nan
+        leaves = {}
+        t = tree.grow(tree.bin_features(X, 16), rng.normal(size=300), np.ones(300),
+                      max_leaves=6, leaf_rows=leaves)
+        assert sorted(leaves) == [n.id for n in t.nodes if n.is_leaf]
+        np.testing.assert_array_equal(np.sort(np.concatenate(list(leaves.values()))),
+                                      np.arange(300))
+        pred = t.predict(X)
+        for nid, rows in leaves.items():
+            assert (pred[rows] == t.nodes[nid].weight).all()
+
+
+def test_grow_working_memory_is_below_one_copy_of_the_matrix():
+    """Split search fills histograms in blocks of ``_HIST_BLOCK_CELLS`` and
+    gathers missing rows from the per-fit index, so growing a tree needs less
+    memory than one float64 copy of the feature matrix."""
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(20_000, 39))
+    X[rng.uniform(size=X.shape) < 0.05] = np.nan
+    binned = tree.bin_features(X, 32)
+    g, h = rng.normal(size=20_000), rng.uniform(0.5, 2.0, size=20_000)
+    tracemalloc.start()
+    try:
+        tree.grow(binned, g, h, max_leaves=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes
