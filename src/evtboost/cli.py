@@ -233,13 +233,15 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     ds = RunConfig(args.config).load_dataset(args.data)
     X, names = ds.feature_matrix()
+    keys = [ds.cell_index, ds.year, ds.month]
+    del ds   # its covariates are copied into X
     model = M.load(args.model)
     thresholds = _read_numbers(args.thresholds) if args.thresholds else None
     if isinstance(model, M.MixtureModel) and thresholds is None:
         thresholds = E.BA_THRESHOLDS
     if thresholds is not None:
-        if np.any(np.diff(thresholds) < 0):
-            raise DataError("thresholds must be sorted ascending")
+        # the rule score applies to the columns this writes
+        thresholds = E.ThresholdScoreSpec(thresholds).thresholds
         header = [f"p_le_{float(t)!r}" for t in thresholds]
     if isinstance(model, M.MixtureModel):
         values = M.threshold_probs(model, X, thresholds, names=names)
@@ -257,8 +259,7 @@ def cmd_predict(args) -> int:
             values = np.column_stack([raw, L.dgpd_mean(raw, model.loss.alpha)])
         else:
             header, values = ["raw"], raw[:, None]
-    D.write_csv(args.out, ["cell", "year", "month"] + header,
-                [ds.cell_index, ds.year, ds.month, *values.T])
+    D.write_csv(args.out, ["cell", "year", "month"] + header, [*keys, *values.T])
     return EXIT_OK
 
 

@@ -402,8 +402,16 @@ def load_csv(path, schema: dict | None = None, missing_marker: str = "NA",
     return ds
 
 
-# write_csv turns numpy columns into Python numbers this many rows at a time.
-_WRITE_BLOCK_ROWS = 4096
+# Work that runs row by row over a wide array -- writing numpy columns as
+# CSV, and the (rows x thresholds) grids of the threshold CDFs and scores --
+# is done this many rows at a time, so its temporaries stay a block's size.
+_BLOCK_ROWS = 4096
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Slices of ``_BLOCK_ROWS`` consecutive rows covering rows 0..n-1."""
+    step = _BLOCK_ROWS
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def write_csv(path, header, columns) -> None:
@@ -416,8 +424,8 @@ def write_csv(path, header, columns) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for lo in range(0, n_rows, _WRITE_BLOCK_ROWS):
-            block = (c[lo:lo + _WRITE_BLOCK_ROWS] for c in columns)
+        for rows in row_blocks(n_rows):
+            block = (c[rows] for c in columns)
             writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
                                    for c in block)))
 
@@ -452,10 +460,14 @@ def cross_fill_zeros(ds: GridDataset) -> GridDataset:
 def align_features(X: np.ndarray, names: list[str] | None,
                    wanted: list[str]) -> np.ndarray:
     """The columns of ``X`` (named ``names``) that a model wants, in its
-    order; without names, ``X`` must already have the model's columns."""
+    order; without names, ``X`` must already have the model's columns.
+    ``X`` itself is returned, not a copy, when its columns are already the
+    model's."""
     if names is None:
         if X.shape[1] != len(wanted):
             raise DataError("feature count mismatch; pass feature names to align")
+        return X
+    if names == wanted and X.shape[1] == len(wanted):
         return X
     missing = [w for w in wanted if w not in names]
     if missing:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DataError
 from .spatialcv import FoldSet
-from .dataset import GridDataset, write_csv
+from .dataset import GridDataset, row_blocks, write_csv
 
 
 @dataclass
@@ -47,7 +47,12 @@ BA_THRESHOLDS.flags.writeable = False
 
 def threshold_score(probs, ys, spec: ThresholdScoreSpec) -> float:
     """Mean weighted Brier sum over thresholds:
-    sum_i sum_j w_j (1{y_i <= u_j} - p_ij)^2 / n."""
+    sum_i sum_j w_j (1{y_i <= u_j} - p_ij)^2 / n.
+
+    The weighted squared errors are computed one block of rows at a time
+    into one (n, J) array, which is summed once: a sum per block would
+    round differently.
+    """
     probs = np.asarray(probs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if probs.ndim != 2 or probs.shape != (ys.size, spec.thresholds.size):
@@ -55,11 +60,14 @@ def threshold_score(probs, ys, spec: ThresholdScoreSpec) -> float:
             f"probs shape {probs.shape} does not match "
             f"(n={ys.size}, J={spec.thresholds.size})"
         )
-    if np.any(probs < 0) or np.any(probs > 1):
-        raise DataError("probabilities must lie in [0, 1]")
-    indicator = (ys[:, None] <= spec.thresholds[None, :]).astype(float)
-    sq = (indicator - probs) ** 2
-    return float((sq * spec.weights[None, :]).sum() / ys.size)
+    sq = np.empty(probs.shape)
+    for rows in row_blocks(ys.size):
+        p = probs[rows]
+        if np.any(p < 0) or np.any(p > 1):
+            raise DataError("probabilities must lie in [0, 1]")
+        indicator = (ys[rows, None] <= spec.thresholds[None, :]).astype(float)
+        np.multiply((indicator - p) ** 2, spec.weights[None, :], out=sq[rows])
+    return float(sq.sum() / ys.size)
 
 
 @dataclass

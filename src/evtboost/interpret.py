@@ -68,7 +68,7 @@ def partial_dependence(
     estimates = np.empty(grid.shape[0])
     lo = np.empty(grid.shape[0])
     hi = np.empty(grid.shape[0])
-    work = X[sub].copy()
+    work = X[sub]   # indexing with an array copies
     for gi in range(grid.shape[0]):
         work[:, features] = grid[gi]
         raw = B.predict_raw(model, work)

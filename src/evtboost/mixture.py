@@ -25,7 +25,7 @@ from . import booster as B
 from . import losses as L
 from . import synth
 from .errors import DataError, open_text
-from .dataset import align_features
+from .dataset import align_features, row_blocks
 
 MANIFEST_VERSION = 1
 COMPONENTS = ("classifier", "bulk", "tail")  # the MixtureModel fields a manifest names
@@ -87,20 +87,23 @@ def cdf_from_raw(m: MixtureModel, raw, thresholds) -> np.ndarray:
     """Matrix of P(BA <= b_j | x_i) from the (classifier, bulk, tail) raw
     scores of :func:`raw_scores`; ``thresholds`` is a 1-d array of b >= 0.
 
-    Every term is evaluated on the (n, J) grid: below ``u`` the tail CDF is
-    exactly 0, and at b = 0 so is the bulk CDF.
+    Every term is evaluated on the (n, J) grid, one block of rows at a time:
+    below ``u`` the tail CDF is exactly 0, and at b = 0 so is the bulk CDF.
     """
     thresholds = np.asarray(thresholds, dtype=float)
     if np.any(thresholds < 0):
         raise DataError("cdf threshold must be >= 0")
     cls, bulk, tail = raw
-    p = L.softmax(cls)
     b = thresholds[None, :]
-    f_bulk = L.trgamma_cdf(np.log1p(np.minimum(b, m.u)), bulk[:, None], m.k_shape,
-                           np.log1p(m.u))
-    f_tail = L.gpd_cdf_excess(b - m.u, tail_sigma(m, tail)[:, None], m.xi)
-    # rounding can lift the sum of the three terms a bit above 1
-    return np.minimum(p[:, :1] + p[:, 1:2] * f_bulk + p[:, 2:] * f_tail, 1.0)
+    y_bulk = np.log1p(np.minimum(b, m.u))
+    out = np.empty((cls.shape[0], thresholds.size))
+    for rows in row_blocks(cls.shape[0]):
+        p = L.softmax(cls[rows])
+        f_bulk = L.trgamma_cdf(y_bulk, bulk[rows, None], m.k_shape, np.log1p(m.u))
+        f_tail = L.gpd_cdf_excess(b - m.u, tail_sigma(m, tail[rows])[:, None], m.xi)
+        # rounding can lift the sum of the three terms a bit above 1
+        np.minimum(p[:, :1] + p[:, 1:2] * f_bulk + p[:, 2:] * f_tail, 1.0, out=out[rows])
+    return out
 
 
 def cdf(m: MixtureModel, X, b, names=None) -> np.ndarray:

@@ -22,18 +22,22 @@ from .evaluate import BA_THRESHOLDS, ThresholdScoreSpec, threshold_score
 
 def count_threshold_probs(loss: L.LossSpec, theta, thresholds) -> np.ndarray:
     """Matrix of P(Y <= u_j) from the raw scores ``theta`` of a count model
-    (dgpd or poisson); ``thresholds`` is a 1-d array of u >= 0."""
+    (dgpd or poisson); ``thresholds`` is a 1-d array of u >= 0.  The (n, J)
+    grid is evaluated one block of rows at a time."""
     from scipy import special
     thresholds = np.asarray(thresholds, dtype=float)
     if np.any(thresholds < 0):
         raise DataError("count threshold must be >= 0")
-    theta = np.asarray(theta, dtype=float)[:, None]
+    if loss.kind not in ("dgpd", "poisson"):
+        raise DataError(f"loss {loss.kind!r} has no count CDF")
+    theta = np.asarray(theta, dtype=float)
     ks = np.floor(thresholds)[None, :]
-    if loss.kind == "dgpd":
-        return 1.0 - L.dgpd_survival(ks + 1.0, theta, loss.alpha)
-    if loss.kind == "poisson":
-        return special.pdtr(ks, np.exp(theta))
-    raise DataError(f"loss {loss.kind!r} has no count CDF")
+    out = np.empty((theta.size, ks.size))
+    for rows in D.row_blocks(theta.size):
+        t = theta[rows, None]
+        out[rows] = (1.0 - L.dgpd_survival(ks + 1.0, t, loss.alpha) if loss.kind == "dgpd"
+                     else special.pdtr(ks, np.exp(t)))
+    return out
 
 
 def training_matrix(ds: D.GridDataset, loss: L.LossSpec, u: float):

@@ -268,29 +268,35 @@ def save_folds(folds: FoldSet, ds: GridDataset, path) -> None:
 
 
 def load_folds(path, ds: GridDataset) -> FoldSet:
-    """Read a :func:`save_folds` export as row masks over ``ds``."""
+    """Read a :func:`save_folds` export as row masks over ``ds``.
+
+    One pass counts the fold rows and a second parses them as they are
+    read, so no Python object outlives its row."""
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != FOLD_HEADER:
             raise DataError(f"{path}: not a fold export")
-        lines = list(reader)
-    fold, resp, lon, lat, year, month = (np.empty(len(lines), dtype=t)
-                                         for t in (int, int, float, float, int, int))
-    for i, row in enumerate(lines):
-        lineno = i + 2
-        try:
-            f, name = int(row[0]), row[1]
-            lon[i], lat[i] = float(row[2]), float(row[3])
-            year[i], month[i] = int(row[4]), int(row[5])
-        except (ValueError, IndexError, OverflowError) as exc:
-            raise DataError(f"{path}:{lineno}: malformed fold row ({exc})") from None
-        if name not in RESPONSES:
-            raise DataError(f"{path}:{lineno}: unknown response {name!r}")
-        if not 0 <= f < len(lines):
-            raise DataError(f"{path}:{lineno}: fold index {f} must lie in "
-                            f"[0, {len(lines)}), the number of fold rows")
-        fold[i], resp[i] = f, RESPONSES.index(name)
-    if not lines:
+        n = sum(1 for _ in reader)
+        fh.seek(0)
+        reader = csv.reader(fh)
+        next(reader)
+        fold, resp, lon, lat, year, month = (np.empty(n, dtype=t)
+                                             for t in (int, int, float, float, int, int))
+        for i, row in enumerate(reader):
+            lineno = i + 2
+            try:
+                f, name = int(row[0]), row[1]
+                lon[i], lat[i] = float(row[2]), float(row[3])
+                year[i], month[i] = int(row[4]), int(row[5])
+            except (ValueError, IndexError, OverflowError) as exc:
+                raise DataError(f"{path}:{lineno}: malformed fold row ({exc})") from None
+            if name not in RESPONSES:
+                raise DataError(f"{path}:{lineno}: unknown response {name!r}")
+            if not 0 <= f < n:
+                raise DataError(f"{path}:{lineno}: fold index {f} must lie in "
+                                f"[0, {n}), the number of fold rows")
+            fold[i], resp[i] = f, RESPONSES.index(name)
+    if not n:
         raise DataError(f"{path}: no folds found")
     cell = match_rows(ds.cells.T, (lon, lat))
     rows = ds.rows_of(cell, year, month)

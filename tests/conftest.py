@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,26 @@ def child_env() -> dict:
     env["PYTHONPATH"] = os.pathsep.join(
         [_PACKAGE_ROOT] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     return env
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(result, peak): what ``fn(*args, **kwargs)`` returns, and the most
+    bytes tracemalloc saw allocated during the call (the result included,
+    what was alive before the call not)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def block_boundary_cases(block_sizes=(1, 5, 64)):
+    """(block, n) pairs: for each patched row-block size B, the row counts
+    0, 1, B - 1, B, B + 1 and 3B + 7 around its block boundaries."""
+    return [(b, n) for b in block_sizes
+            for n in sorted({0, 1, b - 1, b, b + 1, 3 * b + 7})]
 
 
 def fd_grad(f, theta: float, h: float = 1e-5) -> float:

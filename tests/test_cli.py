@@ -1097,8 +1097,9 @@ class TestCountThresholdPredict:
 
     @pytest.mark.parametrize("text, message", [
         ("-1\n2\n", "data error: count threshold must be >= 0"),
-        ("2\n1\n", "data error: thresholds must be sorted ascending"),
-    ], ids=["negative", "unsorted"])
+        ("2\n1\n", "data error: thresholds must be strictly ascending"),
+        ("0\n1\n1\n5\n", "data error: thresholds must be strictly ascending"),
+    ], ids=["negative", "unsorted", "repeated"])
     def test_bad_thresholds_exit_2(self, tmp_path, counts_csv, text, message, capsys):
         model = self._model(tmp_path, counts_csv, "poisson")
         thresholds, preds = tmp_path / "t.txt", tmp_path / "p.csv"

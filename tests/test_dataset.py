@@ -443,12 +443,29 @@ class TestSubset:
         np.testing.assert_array_equal(out.covariates[:, 0], ds.covariates[out.cell_index, 0])
 
 
+class TestAlignFeatures:
+    def test_columns_in_the_model_order_are_not_copied(self, rng):
+        X = rng.normal(size=(6, 3))
+        assert dataset.align_features(X, ["a", "b", "c"], ["a", "b", "c"]) is X
+
+    def test_other_orders_and_subsets_are_gathered(self, rng):
+        X = rng.normal(size=(6, 3))
+        np.testing.assert_array_equal(dataset.align_features(X, ["a", "b", "c"], ["c", "a"]),
+                                      X[:, [2, 0]])
+        np.testing.assert_array_equal(dataset.align_features(X, ["a", "b", "c"], ["a", "b"]),
+                                      X[:, :2])
+
+    def test_missing_feature_is_a_data_error(self, rng):
+        with pytest.raises(DataError, match=r"lacks features required by the model: \['d'\]"):
+            dataset.align_features(rng.normal(size=(2, 3)), ["a", "b", "c"], ["a", "d"])
+
+
 class TestWriteCsv:
     @pytest.mark.parametrize("block_rows", [1, 3, 4096])
     def test_array_columns_write_what_their_lists_write(self, tmp_path, monkeypatch, block_rows):
         """Array columns are turned into Python numbers a block at a time;
         the bytes equal one csv pass over the whole ``.tolist()`` columns."""
-        monkeypatch.setattr(dataset, "_WRITE_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(dataset, "_BLOCK_ROWS", block_rows)
         rng = np.random.default_rng(5)
         ints = rng.integers(-5, 10 ** 12, size=10)
         floats = np.array([1 / 3, -0.0, 1e-300, 1e16, np.nan, np.inf, 0.1, 2.5, -7.0, 1e22])

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from evtboost import booster, evaluate, losses, recipes, spatialcv
+from conftest import block_boundary_cases, traced_peak
+from evtboost import booster, dataset, evaluate, losses, recipes, spatialcv
 from evtboost.errors import DataError
 from evtboost.synth import synth_dataset
 
@@ -44,6 +45,35 @@ class TestThresholdScore:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DataError):
             evaluate.threshold_score(np.zeros((3, 2)), np.zeros(3), self.spec28())
+
+    @pytest.mark.parametrize("block, n", block_boundary_cases())
+    def test_blocks_give_the_bits_of_one_block(self, monkeypatch, block, n):
+        """The weighted errors of every block are summed once, in one array:
+        the sum of per-block sums would round differently."""
+        rng = np.random.default_rng(n)
+        spec = evaluate.ThresholdScoreSpec(evaluate.BA_THRESHOLDS, rng.uniform(0, 2, size=28))
+        ys, probs = rng.uniform(0, 300, size=n), rng.uniform(size=(n, 28))
+        with np.errstate(invalid="ignore"):   # n = 0 scores 0 / 0
+            whole = evaluate.threshold_score(probs, ys, spec)
+            monkeypatch.setattr(dataset, "_BLOCK_ROWS", block)
+            blocked = evaluate.threshold_score(probs, ys, spec)
+        assert np.float64(blocked).tobytes() == np.float64(whole).tobytes()
+
+    @pytest.mark.parametrize("bad", [-1e-9, 1.5])
+    def test_probability_outside_unit_interval_in_a_later_block(self, monkeypatch, bad):
+        monkeypatch.setattr(dataset, "_BLOCK_ROWS", 4)
+        probs = np.full((10, 28), 0.5)
+        probs[9, 27] = bad
+        with pytest.raises(DataError, match=r"probabilities must lie in \[0, 1\]"):
+            evaluate.threshold_score(probs, np.zeros(10), self.spec28())
+
+    def test_working_memory_is_below_two_inputs(self, rng):
+        """One (n, J) array of weighted errors and a block's temporaries (the
+        grid-wide indicator and squares took about three inputs)."""
+        probs = rng.uniform(size=(40_000, 28))
+        ys = rng.uniform(0, 30, size=40_000)
+        _, peak = traced_peak(evaluate.threshold_score, probs, ys, self.spec28())
+        assert peak < 2 * probs.nbytes
 
 
 class TestCvResult:

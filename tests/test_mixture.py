@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evtboost import booster, losses, mixture
+from conftest import block_boundary_cases, traced_peak
+from evtboost import booster, dataset, evaluate, losses, mixture
 from evtboost.errors import DataError
 from evtboost.synth import synth_dataset
 
@@ -166,6 +167,32 @@ class TestThresholdProbs:
         for j, b in enumerate(thresholds):
             np.testing.assert_array_equal(probs[:, j], mixture.cdf(m, X, b))
             np.testing.assert_array_equal(probs[:, j], _termwise_cdf(m, X, b))
+
+
+def _raw(n, seed=0):
+    """Classifier, bulk and tail raw scores for ``n`` rows."""
+    rng = np.random.default_rng(seed)
+    return (rng.normal(0.0, 2.0, size=(n, 3)), rng.normal(1.0, 1.0, size=n),
+            rng.normal(4.0, 1.0, size=n))
+
+
+class TestCdfFromRawBlocks:
+    @pytest.mark.parametrize("block, n", block_boundary_cases())
+    def test_blocks_give_the_bytes_of_one_block(self, monkeypatch, block, n):
+        m, raw = toy_mixture(k_shape=1.3), _raw(n, seed=n)
+        whole = mixture.cdf_from_raw(m, raw, evaluate.BA_THRESHOLDS)
+        monkeypatch.setattr(dataset, "_BLOCK_ROWS", block)
+        blocked = mixture.cdf_from_raw(m, raw, evaluate.BA_THRESHOLDS)
+        assert blocked.shape == (n, 28)
+        assert blocked.tobytes() == whole.tobytes()
+
+    def test_working_memory_is_below_two_outputs(self):
+        """40,000 rows x 28 thresholds: the (n, J) result and a block's
+        temporaries (the grid-wide terms took about four results)."""
+        m, raw = toy_mixture(), _raw(40_000)
+        mixture.cdf_from_raw(m, _raw(2), evaluate.BA_THRESHOLDS)  # imports outside the trace
+        out, peak = traced_peak(mixture.cdf_from_raw, m, raw, evaluate.BA_THRESHOLDS)
+        assert peak < 2 * out.nbytes
 
 
 class TestSampleAgainstCdf:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from evtboost import booster, evaluate, losses, recipes, spatialcv
+from conftest import block_boundary_cases
+from evtboost import booster, dataset, evaluate, losses, recipes, spatialcv
 from evtboost.errors import DataError
 from evtboost.synth import synth_dataset
 
@@ -65,6 +66,18 @@ class TestCountThresholdProbs:
                                               np.arange(12, dtype=float))
         assert np.all((probs >= 0) & (probs <= 1))
         assert np.all(np.diff(probs, axis=1) >= 0)
+
+    @pytest.mark.parametrize("loss", [losses.LossSpec(kind="dgpd", alpha=4.0),
+                                      losses.LossSpec(kind="poisson")], ids=["dgpd", "poisson"])
+    @pytest.mark.parametrize("block, n", block_boundary_cases())
+    def test_blocks_give_the_bytes_of_one_block(self, monkeypatch, loss, block, n):
+        theta = np.random.default_rng(n).normal(0.5, 1.5, size=n)
+        thresholds = [0.0, 1.0, 2.5, 7.0, 30.0, 1e4]
+        whole = recipes.count_threshold_probs(loss, theta, thresholds)
+        monkeypatch.setattr(dataset, "_BLOCK_ROWS", block)
+        blocked = recipes.count_threshold_probs(loss, theta, thresholds)
+        assert blocked.shape == (n, len(thresholds))
+        assert blocked.tobytes() == whole.tobytes()
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(DataError, match="must be >= 0"):

@@ -2,7 +2,6 @@ import math
 import resource
 import subprocess
 import sys
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import special
 from scipy.optimize import brentq
 
-from conftest import child_env, sparse_grids
+from conftest import child_env, sparse_grids, traced_peak
 from evtboost import spatialcv
 from evtboost.dataset import GridDataset
 from evtboost.errors import DataError, NumericalError
@@ -291,12 +290,7 @@ class TestFieldFactorMemory:
         cells = lattice(30, 30, spacing=0.5)
         params = spatialcv.MaskModelParams()
         spatialcv.matern_cov(1.0, params.r, 1.0)  # import scipy.special outside the trace
-        tracemalloc.start()
-        try:
-            spatialcv.field_factor(cells, params)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(spatialcv.field_factor, cells, params)
         assert peak < 3 * len(cells) ** 2 * 8
 
     def test_paper_grid_factor_fits_a_640_mib_address_space(self):
@@ -367,6 +361,35 @@ class TestFoldIo:
                                          seed=3)
         with pytest.raises(DataError, match="rows"):
             folds.validation_rows(ds.subset(np.arange(5)), 0, "cnt")
+
+    def test_row_count_is_counted_in_csv_rows(self, tmp_path):
+        """The fold-index bound is the number of fold rows, counted before
+        they are parsed: a quoted line break makes fewer rows than lines."""
+        ds, path = self._edited_export(tmp_path, 0, lambda n: '"0\n"')
+        lines = path.read_text(encoding="utf-8").splitlines()
+        n_rows = len(lines) - 2   # the header, and one row over two lines
+        last = lines[-1].split(",")
+        lines[-1] = ",".join([str(n_rows)] + last[1:])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        message = (f"{path}:{n_rows + 1}: fold index {n_rows} must lie in [0, {n_rows}), "
+                   f"the number of fold rows")
+        with pytest.raises(DataError) as info:
+            spatialcv.load_folds(path, ds)
+        assert str(info.value) == message
+
+    def test_working_memory_is_a_few_arrays_per_line(self, tmp_path):
+        """Rows are parsed as they are read: the peak is the parsed columns
+        and the key lookup's arrays (about 100 bytes a line), not a list of
+        Python rows (about 440)."""
+        ds = small_grid(nx=20, ny=20, n_months=12)
+        masks = np.zeros((3, 2, ds.n_rows), dtype=bool)
+        masks[np.random.default_rng(0).integers(0, 3, size=ds.n_rows), :,
+              np.arange(ds.n_rows)] = True
+        path = tmp_path / "folds.csv"
+        spatialcv.save_folds(spatialcv.FoldSet(masks), ds, path)
+        folds, peak = traced_peak(spatialcv.load_folds, path, ds)
+        np.testing.assert_array_equal(folds.masks, masks)
+        assert peak < 200 * 2 * ds.n_rows
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,11 +1,11 @@
 import heapq
-import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import traced_peak
 from evtboost import tree
 from evtboost.errors import DataError, NumericalError
 
@@ -459,10 +459,5 @@ def test_grow_working_memory_is_below_one_copy_of_the_matrix():
     X[rng.uniform(size=X.shape) < 0.05] = np.nan
     binned = tree.bin_features(X, 32)
     g, h = rng.normal(size=20_000), rng.uniform(0.5, 2.0, size=20_000)
-    tracemalloc.start()
-    try:
-        tree.grow(binned, g, h, max_leaves=8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(tree.grow, binned, g, h, max_leaves=8)
     assert peak < X.nbytes
