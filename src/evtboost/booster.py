@@ -50,6 +50,8 @@ class TrainParams:
             raise DataError("lambda_reg and eta must be >= 0")
         if not 2 <= self.n_quantile_bins <= 255:
             raise DataError("n_quantile_bins must lie in [2, 255]")
+        if not 0 <= self.seed < 2 ** 64:  # one 64-bit word of the Philox key
+            raise DataError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass
@@ -319,7 +321,7 @@ def from_doc(doc: dict) -> BoostedModel:
         base = np.asarray(base, dtype=float)
     try:
         params = TrainParams(**doc["params"])
-    except TypeError as exc:
+    except (TypeError, DataError) as exc:
         raise DataError(f"bad training params in model document: {exc}") from exc
     if not isinstance(doc["trees"], list) or not isinstance(doc["feature_names"], list):
         raise DataError("trees and feature_names must be lists")

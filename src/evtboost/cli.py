@@ -219,7 +219,7 @@ def _training_setup(args):
 def cmd_train(args) -> int:
     cfg, params, ds, loss = _training_setup(args)
     if args.seed is not None:
-        params = replace(params, seed=args.seed)
+        params = _build(replace, params, seed=args.seed)
     X, y, names = R.training_matrix(ds, loss, cfg.threshold_u())
     del ds  # the fit keeps only the training rows' features alive
     model = B.fit(X, y, loss, params, feature_names=names)
@@ -382,9 +382,7 @@ def cmd_score(args) -> int:
     spec = E.ThresholdScoreSpec(thresholds, weights)
     if spec.thresholds.size != len(prob_cols):
         raise DataError("threshold count does not match prediction columns")
-    resp = (ds.cnt if response == "cnt" else ds.ba)[rows]
-    observed = ~np.isnan(resp)
-    score = E.threshold_score(probs[observed], resp[observed], spec)
+    score = E.threshold_score(probs, (ds.cnt if response == "cnt" else ds.ba)[rows], spec)
     print(f"score={score!r}")
     return EXIT_OK
 
@@ -438,6 +436,7 @@ def cmd_pdp(args) -> int:
     if args.points > ds.n_rows:
         raise ConfigError(f"--points must be at most the {ds.n_rows} rows of --data")
     X, names = ds.feature_matrix()
+    del ds   # its covariates are copied into X
     Xa = D.align_features(X, names, model.feature_names)
     feats = [f.strip() for f in args.features.split(",")]
     idx = []

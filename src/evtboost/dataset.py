@@ -404,13 +404,16 @@ def load_csv(path, schema: dict | None = None, missing_marker: str = "NA",
 
 # Work that runs row by row over a wide array -- writing numpy columns as
 # CSV, and the (rows x thresholds) grids of the threshold CDFs and scores --
-# is done this many rows at a time, so its temporaries stay a block's size.
-_BLOCK_ROWS = 4096
+# is done a block of rows at a time.  A block holds about this many cells
+# (rows x width), so its temporaries and Python row objects stay the same
+# size whatever the array's width.
+_BLOCK_CELLS = 1 << 14
 
 
-def row_blocks(n: int) -> list[slice]:
-    """Slices of ``_BLOCK_ROWS`` consecutive rows covering rows 0..n-1."""
-    step = _BLOCK_ROWS
+def row_blocks(n: int, width: int) -> list[slice]:
+    """Slices of consecutive rows covering rows 0..n-1, each of
+    ``_BLOCK_CELLS // width`` rows (at least one) of a ``width``-wide array."""
+    step = max(1, _BLOCK_CELLS // max(1, width))
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
@@ -418,13 +421,14 @@ def write_csv(path, header, columns) -> None:
     """Write ``header``, then one row per index of the equal-length
     ``columns`` (lists or 1-d numpy arrays).  ``csv`` writes a float
     (``np.float64`` too) by ``float.__repr__``, the shortest text that reads
-    back to it.  Array columns become Python numbers one block of rows at a
-    time, so only a block's objects are alive at once."""
+    back to it.  Array columns become Python numbers one block of rows (of
+    :func:`row_blocks` at the column count) at a time, so only a block's
+    objects are alive at once."""
     n_rows = len(columns[0])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for rows in row_blocks(n_rows):
+        for rows in row_blocks(n_rows, len(columns)):
             block = (c[rows] for c in columns)
             writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
                                    for c in block)))

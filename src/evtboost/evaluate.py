@@ -46,12 +46,13 @@ BA_THRESHOLDS.flags.writeable = False
 
 
 def threshold_score(probs, ys, spec: ThresholdScoreSpec) -> float:
-    """Mean weighted Brier sum over thresholds:
-    sum_i sum_j w_j (1{y_i <= u_j} - p_ij)^2 / n.
+    """Mean weighted Brier sum over the rows whose response is observed
+    (a NaN in ``ys`` marks a masked row, which is not scored):
+    sum_i sum_j w_j (1{y_i <= u_j} - p_ij)^2 / n_observed.
 
-    The weighted squared errors are computed one block of rows at a time
-    into one (n, J) array, which is summed once: a sum per block would
-    round differently.
+    The observed rows' weighted squared errors are computed one block of
+    rows at a time into one (n_observed, J) array, which is summed once: a
+    sum per block would round differently.
     """
     probs = np.asarray(probs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -60,14 +61,21 @@ def threshold_score(probs, ys, spec: ThresholdScoreSpec) -> float:
             f"probs shape {probs.shape} does not match "
             f"(n={ys.size}, J={spec.thresholds.size})"
         )
-    sq = np.empty(probs.shape)
-    for rows in row_blocks(ys.size):
-        p = probs[rows]
+    observed = ~np.isnan(ys)
+    n_observed = int(observed.sum())
+    if n_observed == 0:
+        raise DataError("no observed response to score")
+    sq = np.empty((n_observed, spec.thresholds.size))
+    at = 0
+    for rows in row_blocks(ys.size, spec.thresholds.size):
+        keep = observed[rows]
+        p, y = probs[rows][keep], ys[rows][keep]
         if np.any(p < 0) or np.any(p > 1):
             raise DataError("probabilities must lie in [0, 1]")
-        indicator = (ys[rows, None] <= spec.thresholds[None, :]).astype(float)
-        np.multiply((indicator - p) ** 2, spec.weights[None, :], out=sq[rows])
-    return float(sq.sum() / ys.size)
+        indicator = (y[:, None] <= spec.thresholds[None, :]).astype(float)
+        np.multiply((indicator - p) ** 2, spec.weights[None, :], out=sq[at:at + y.size])
+        at += y.size
+    return float(sq.sum() / n_observed)
 
 
 @dataclass

@@ -97,7 +97,7 @@ def cdf_from_raw(m: MixtureModel, raw, thresholds) -> np.ndarray:
     b = thresholds[None, :]
     y_bulk = np.log1p(np.minimum(b, m.u))
     out = np.empty((cls.shape[0], thresholds.size))
-    for rows in row_blocks(cls.shape[0]):
+    for rows in row_blocks(cls.shape[0], thresholds.size):
         p = L.softmax(cls[rows])
         f_bulk = L.trgamma_cdf(y_bulk, bulk[rows, None], m.k_shape, np.log1p(m.u))
         f_tail = L.gpd_cdf_excess(b - m.u, tail_sigma(m, tail[rows])[:, None], m.xi)

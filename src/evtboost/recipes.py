@@ -33,7 +33,7 @@ def count_threshold_probs(loss: L.LossSpec, theta, thresholds) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     ks = np.floor(thresholds)[None, :]
     out = np.empty((theta.size, ks.size))
-    for rows in D.row_blocks(theta.size):
+    for rows in D.row_blocks(theta.size, ks.size):
         t = theta[rows, None]
         out[rows] = (1.0 - L.dgpd_survival(ks + 1.0, t, loss.alpha) if loss.kind == "dgpd"
                      else special.pdtr(ks, np.exp(t)))

@@ -111,6 +111,18 @@ class TestFit:
         with pytest.raises(DataError, match=r"n_quantile_bins must lie in \[2, 255\]"):
             booster.TrainParams(n_quantile_bins=n_bins)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1180591620717411303424])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(DataError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            booster.TrainParams(colsample=0.5, seed=seed)
+
+    def test_largest_seed_subsamples(self, rng):
+        X, y = rng.normal(size=(40, 4)), rng.poisson(2.0, size=40).astype(float)
+        m = booster.fit(X, y, _spec("poisson"),
+                        booster.TrainParams(n_trees=2, max_leaves=2, colsample=0.5,
+                                            seed=2 ** 64 - 1))
+        assert len(m.trees) == 2
+
     def test_features_binned_once_per_fit(self, rng, monkeypatch):
         # 3 classes x 4 rounds = 12 trees on half the features each, but the
         # candidates of every feature are computed once

@@ -893,6 +893,47 @@ class TestSeedsAlphaPointsAndRoots:
                   f"config error: [{section}] seed must be an integer >= 0, got '-3'")
         assert not out.exists()
 
+    def test_training_seed_beyond_64_bits_flag(self, tmp_path, tiny, capsys):
+        """The seed is one 64-bit word of the column-sampling key."""
+        cfg = tmp_path / "seed.ini"
+        cfg.write_text(f"[data]\ntrain = {tiny[0]}\n\n[loss]\nkind = poisson\n\n"
+                       f"[train]\nn_trees = 2\ncolsample = 0.5\n",
+                       encoding="utf-8")
+        out = tmp_path / "seeded.json"
+        capsys.readouterr()
+        assert run(tmp_path, "train", "--config", str(cfg), "--seed", str(2 ** 64),
+                   "--out", str(out)) == 1
+        _one_line(capsys.readouterr().err,
+                  f"config error: seed must lie in [0, 2**64), got {2 ** 64}")
+        assert not out.exists()
+        assert run(tmp_path, "train", "--config", str(cfg), "--seed", str(2 ** 64 - 1),
+                   "--out", str(out)) == 0
+
+    def test_training_seed_beyond_64_bits_key(self, tmp_path, tiny, capsys):
+        cfg = tmp_path / "seed.ini"
+        cfg.write_text(f"[data]\ntrain = {tiny[0]}\n\n[loss]\nkind = poisson\n\n"
+                       f"[train]\nn_trees = 2\ncolsample = 0.5\n"
+                       f"seed = 1180591620717411303424\n", encoding="utf-8")
+        out = tmp_path / "seeded.json"
+        capsys.readouterr()
+        assert run(tmp_path, "train", "--config", str(cfg), "--out", str(out)) == 1
+        _one_line(capsys.readouterr().err,
+                  "config error: seed must lie in [0, 2**64), got 1180591620717411303424")
+        assert not out.exists()
+
+    def test_training_seed_beyond_64_bits_in_model_document(self, tmp_path, tiny, capsys):
+        data, _, _, model = tiny
+        doc = json.loads(Path(model).read_text(encoding="utf-8"))
+        doc["params"]["seed"] = 2 ** 64
+        bad, out = tmp_path / "bad.json", tmp_path / "p.csv"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert run(tmp_path, "predict", "--model", str(bad), "--data", data,
+                   "--out", str(out)) == 2
+        _one_line(capsys.readouterr().err, "data error: bad training params in model "
+                  "document: seed must lie in [0, 2**64)")
+        assert not out.exists()
+
     @pytest.mark.parametrize("alpha", ["0", "-1", "inf", "nan"])
     def test_synth_alpha(self, tmp_path, alpha, capsys):
         out = tmp_path / "d.csv"
@@ -1109,6 +1150,25 @@ class TestCountThresholdPredict:
                    "--thresholds", str(thresholds), "--out", str(preds)) == 2
         _one_line(capsys.readouterr().err, message)
         assert not preds.exists()
+
+    def test_no_observed_response_exit_2(self, tmp_path, counts_csv, capsys):
+        """Scoring skips masked responses; with every one masked there is
+        nothing to score."""
+        model = self._model(tmp_path, counts_csv, "poisson")
+        thresholds, preds = tmp_path / "t.txt", tmp_path / "p.csv"
+        thresholds.write_text("0\n2\n7.5\n", encoding="utf-8")
+        assert run(tmp_path, "predict", "--model", model, "--data", counts_csv,
+                   "--thresholds", str(thresholds), "--out", str(preds)) == 0
+        ds = D.load_csv(counts_csv)
+        ds.cnt[:] = np.nan
+        masked = tmp_path / "masked.csv"
+        D.save_csv(ds, masked)
+        capsys.readouterr()
+        assert run(tmp_path, "score", "--pred", str(preds), "--data", str(masked),
+                   "--response", "cnt") == 2
+        captured = capsys.readouterr()
+        _one_line(captured.err, "data error: no observed response to score")
+        assert captured.out == ""
 
     def test_size_model_exit_2(self, tmp_path, sizes_csv, capsys):
         model = self._model(tmp_path, sizes_csv, "gpd")

@@ -460,12 +460,30 @@ class TestAlignFeatures:
             dataset.align_features(rng.normal(size=(2, 3)), ["a", "b", "c"], ["a", "d"])
 
 
+class TestRowBlocks:
+    @pytest.mark.parametrize("n", [0, 1, 24, 25, 26, 1000])
+    @pytest.mark.parametrize("width", [1, 4, 7, 100, 101, 5000])
+    def test_blocks_cover_the_rows_in_order_within_the_budget(self, monkeypatch, n, width):
+        """Rows 0..n-1 in order, each block of budget // width rows (the last
+        may be shorter), or one row when a row alone exceeds the budget."""
+        monkeypatch.setattr(dataset, "_BLOCK_CELLS", 100)
+        blocks = dataset.row_blocks(n, width)
+        assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+        sizes = [b.stop - b.start for b in blocks]
+        assert all(s >= 1 for s in sizes)
+        assert all(s == max(1, 100 // width) for s in sizes[:-1])
+        if width <= 100:
+            assert all(s * width <= 100 for s in sizes)
+        else:
+            assert all(s == 1 for s in sizes)
+
+
 class TestWriteCsv:
     @pytest.mark.parametrize("block_rows", [1, 3, 4096])
     def test_array_columns_write_what_their_lists_write(self, tmp_path, monkeypatch, block_rows):
         """Array columns are turned into Python numbers a block at a time;
         the bytes equal one csv pass over the whole ``.tolist()`` columns."""
-        monkeypatch.setattr(dataset, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(dataset, "_BLOCK_CELLS", block_rows * 6)
         rng = np.random.default_rng(5)
         ints = rng.integers(-5, 10 ** 12, size=10)
         floats = np.array([1 / 3, -0.0, 1e-300, 1e16, np.nan, np.inf, 0.1, 2.5, -7.0, 1e22])

@@ -49,19 +49,43 @@ class TestThresholdScore:
     @pytest.mark.parametrize("block, n", block_boundary_cases())
     def test_blocks_give_the_bits_of_one_block(self, monkeypatch, block, n):
         """The weighted errors of every block are summed once, in one array:
-        the sum of per-block sums would round differently."""
+        the sum of per-block sums would round differently.  With no rows
+        there is nothing to score, blocked or not."""
         rng = np.random.default_rng(n)
         spec = evaluate.ThresholdScoreSpec(evaluate.BA_THRESHOLDS, rng.uniform(0, 2, size=28))
         ys, probs = rng.uniform(0, 300, size=n), rng.uniform(size=(n, 28))
-        with np.errstate(invalid="ignore"):   # n = 0 scores 0 / 0
-            whole = evaluate.threshold_score(probs, ys, spec)
-            monkeypatch.setattr(dataset, "_BLOCK_ROWS", block)
-            blocked = evaluate.threshold_score(probs, ys, spec)
+        if n == 0:
+            for cells in (dataset._BLOCK_CELLS, block * 28):
+                monkeypatch.setattr(dataset, "_BLOCK_CELLS", cells)
+                with pytest.raises(DataError, match="no observed response"):
+                    evaluate.threshold_score(probs, ys, spec)
+            return
+        whole = evaluate.threshold_score(probs, ys, spec)
+        monkeypatch.setattr(dataset, "_BLOCK_CELLS", block * 28)
+        blocked = evaluate.threshold_score(probs, ys, spec)
         assert np.float64(blocked).tobytes() == np.float64(whole).tobytes()
+
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    def test_masked_rows_are_not_scored(self, monkeypatch, block):
+        """NaN responses are skipped: the score has the bits of scoring the
+        observed rows alone, in any block size."""
+        rng = np.random.default_rng(block)
+        spec = evaluate.ThresholdScoreSpec(evaluate.BA_THRESHOLDS, rng.uniform(0, 2, size=28))
+        ys, probs = rng.uniform(0, 300, size=200), rng.uniform(size=(200, 28))
+        ys[rng.uniform(size=200) < 0.3] = np.nan
+        observed = ~np.isnan(ys)
+        alone = evaluate.threshold_score(probs[observed], ys[observed], spec)
+        monkeypatch.setattr(dataset, "_BLOCK_CELLS", block * 28)
+        masked = evaluate.threshold_score(probs, ys, spec)
+        assert np.float64(masked).tobytes() == np.float64(alone).tobytes()
+
+    def test_no_observed_response_is_a_data_error(self):
+        with pytest.raises(DataError, match="no observed response to score"):
+            evaluate.threshold_score(np.full((3, 28), 0.5), np.full(3, np.nan), self.spec28())
 
     @pytest.mark.parametrize("bad", [-1e-9, 1.5])
     def test_probability_outside_unit_interval_in_a_later_block(self, monkeypatch, bad):
-        monkeypatch.setattr(dataset, "_BLOCK_ROWS", 4)
+        monkeypatch.setattr(dataset, "_BLOCK_CELLS", 4 * 28)
         probs = np.full((10, 28), 0.5)
         probs[9, 27] = bad
         with pytest.raises(DataError, match=r"probabilities must lie in \[0, 1\]"):

@@ -181,7 +181,7 @@ class TestCdfFromRawBlocks:
     def test_blocks_give_the_bytes_of_one_block(self, monkeypatch, block, n):
         m, raw = toy_mixture(k_shape=1.3), _raw(n, seed=n)
         whole = mixture.cdf_from_raw(m, raw, evaluate.BA_THRESHOLDS)
-        monkeypatch.setattr(dataset, "_BLOCK_ROWS", block)
+        monkeypatch.setattr(dataset, "_BLOCK_CELLS", block * 28)
         blocked = mixture.cdf_from_raw(m, raw, evaluate.BA_THRESHOLDS)
         assert blocked.shape == (n, 28)
         assert blocked.tobytes() == whole.tobytes()
@@ -193,6 +193,16 @@ class TestCdfFromRawBlocks:
         mixture.cdf_from_raw(m, _raw(2), evaluate.BA_THRESHOLDS)  # imports outside the trace
         out, peak = traced_peak(mixture.cdf_from_raw, m, raw, evaluate.BA_THRESHOLDS)
         assert peak < 2 * out.nbytes
+
+    def test_wide_grid_working_memory_is_set_by_the_cell_budget(self):
+        """5,000 rows x 200 thresholds: beyond the result, a few blocks of
+        about ``_BLOCK_CELLS`` float64 cells (4,096-row blocks took about four
+        times 4,096 x 200 cells)."""
+        m, raw = toy_mixture(), _raw(5_000)
+        thresholds = np.geomspace(0.5, 1e5, 200)
+        mixture.cdf_from_raw(m, _raw(2), thresholds)  # imports outside the trace
+        out, peak = traced_peak(mixture.cdf_from_raw, m, raw, thresholds)
+        assert peak - out.nbytes < 8 * 8 * dataset._BLOCK_CELLS
 
 
 class TestSampleAgainstCdf:

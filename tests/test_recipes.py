@@ -74,7 +74,7 @@ class TestCountThresholdProbs:
         theta = np.random.default_rng(n).normal(0.5, 1.5, size=n)
         thresholds = [0.0, 1.0, 2.5, 7.0, 30.0, 1e4]
         whole = recipes.count_threshold_probs(loss, theta, thresholds)
-        monkeypatch.setattr(dataset, "_BLOCK_ROWS", block)
+        monkeypatch.setattr(dataset, "_BLOCK_CELLS", block * len(thresholds))
         blocked = recipes.count_threshold_probs(loss, theta, thresholds)
         assert blocked.shape == (n, len(thresholds))
         assert blocked.tobytes() == whole.tobytes()
