@@ -97,9 +97,10 @@ class RunConfig:
 
     # -- builders ----------------------------------------------------------
 
-    def load_dataset(self, path: str | None = None) -> D.GridDataset:
+    def load_dataset(self, path: str | None = None, covariates: bool = True) -> D.GridDataset:
         """The data CSV at ``path`` (default: ``[data] train``), read with
-        this config's schema, marker, season and grid spacing."""
+        this config's schema, marker, season and grid spacing; without
+        ``covariates``, no covariate column is read."""
         spacing = self.getfloat("data", "spacing", 0.5)
         if not 0.0 < spacing < np.inf:
             raise ConfigError(f"[data] spacing must be finite and > 0, got {spacing!r}")
@@ -126,7 +127,7 @@ class RunConfig:
             missing_marker=self.get("data", "missing", "NA"),
             season=tuple(range(lo, hi + 1)),
             spacing=spacing,
-            covariate_columns=covs,
+            covariate_columns=covs if covariates else [],
         )
 
     def loss_spec(self, kind: str | None = None) -> L.LossSpec:
@@ -220,7 +221,8 @@ def cmd_train(args) -> int:
     cfg, params, ds, loss = _training_setup(args)
     if args.seed is not None:
         params = _build(replace, params, seed=args.seed)
-    X, y, names = R.training_matrix(ds, loss, cfg.threshold_u())
+    X, names = ds.feature_matrix()
+    X, y = R.training_matrix(X, getattr(ds, loss.response), loss, cfg.threshold_u())
     del ds  # the fit keeps only the training rows' features alive
     model = B.fit(X, y, loss, params, feature_names=names)
     B.save(model, args.out)
@@ -267,7 +269,7 @@ def cmd_cvfolds(args) -> int:
     cfg = RunConfig(args.config)
     n_folds = args.n_folds if args.n_folds is not None else cfg.getint("cv", "n_folds", 5)
     seed = args.seed if args.seed is not None else cfg.getseed("cv", "seed", 0)
-    ds = cfg.load_dataset()
+    ds = cfg.load_dataset(covariates=False)
     if not 1 <= n_folds <= ds.n_rows:
         raise ConfigError(f"the fold count must lie in [1, {ds.n_rows}] (the data's rows), "
                           f"got {n_folds}")
@@ -367,7 +369,9 @@ def cmd_cv(args) -> int:
 def cmd_score(args) -> int:
     cfg = RunConfig(args.config)
     response = args.response or cfg.get("score", "response", "ba")
-    ds = cfg.load_dataset(args.data)
+    if response not in S.RESPONSES:
+        raise ConfigError(f"[score] response must be 'cnt' or 'ba', got {response!r}")
+    ds = cfg.load_dataset(args.data, covariates=False)
     prob_cols, rows, probs = _read_predictions(args.pred, ds)
     if args.thresholds:
         thresholds = _read_numbers(args.thresholds)
@@ -382,7 +386,7 @@ def cmd_score(args) -> int:
     spec = E.ThresholdScoreSpec(thresholds, weights)
     if spec.thresholds.size != len(prob_cols):
         raise DataError("threshold count does not match prediction columns")
-    score = E.threshold_score(probs, (ds.cnt if response == "cnt" else ds.ba)[rows], spec)
+    score = E.threshold_score(probs, getattr(ds, response)[rows], spec)
     print(f"score={score!r}")
     return EXIT_OK
 
@@ -445,9 +449,11 @@ def cmd_pdp(args) -> int:
             raise DataError(f"model has no feature {f!r}")
         idx.append(model.feature_names.index(f))
     grids = []
-    for j in idx:
+    for f, j in zip(feats, idx):
         col = Xa[:, j]
         col = col[~np.isnan(col)]
+        if col.size == 0:
+            raise DataError(f"feature {f!r} has no observed value in {args.data}")
         grids.append(np.unique(np.quantile(col, np.linspace(0.0, 1.0, args.points))))
     mesh = np.stack([g.ravel() for g in np.meshgrid(*grids, indexing="ij")], axis=-1)
 

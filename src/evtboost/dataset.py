@@ -18,7 +18,7 @@ import io
 import math
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,7 +35,8 @@ class GridDataset:
     """Columnar store of observations over a regular grid.
 
     ``cnt``/``ba``/``covariates`` use NaN for masked or missing entries.
-    Instances are read-only by convention; enrichment returns copies.
+    Instances are read-only by convention; enrichment returns a new
+    dataset, which shares the arrays it leaves unchanged.
     """
 
     cells: np.ndarray               # (n_cells, 2) float (lon, lat), sorted
@@ -50,9 +51,6 @@ class GridDataset:
     @property
     def n_rows(self) -> int:
         return self.year.size
-
-    def copy(self) -> "GridDataset":
-        return self.subset(np.arange(self.n_rows))
 
     def subset(self, rows: np.ndarray) -> "GridDataset":
         """Row subset at an index array (numpy copies every array it indexes
@@ -451,14 +449,12 @@ def save_csv(ds: GridDataset, path, missing_marker: str = "NA") -> None:
 # ---------------------------------------------------------------------------
 
 def cross_fill_zeros(ds: GridDataset) -> GridDataset:
-    """Set masked CNT to 0 where BA is observed 0, and masked BA to 0 where
-    CNT is observed 0; every other entry is untouched."""
-    out = ds.copy()
-    fill_cnt = np.isnan(out.cnt) & (out.ba == 0)
-    fill_ba = np.isnan(out.ba) & (out.cnt == 0)
-    out.cnt[fill_cnt] = 0.0
-    out.ba[fill_ba] = 0.0
-    return out
+    """A dataset with masked CNT set to 0 where BA is observed 0, and masked
+    BA set to 0 where CNT is observed 0; every other entry is untouched.
+    Its ``cnt`` and ``ba`` are new arrays, and it shares every other array
+    with ``ds``."""
+    return replace(ds, cnt=np.where(np.isnan(ds.cnt) & (ds.ba == 0), 0.0, ds.cnt),
+                   ba=np.where(np.isnan(ds.ba) & (ds.cnt == 0), 0.0, ds.ba))
 
 
 def align_features(X: np.ndarray, names: list[str] | None,

@@ -101,22 +101,22 @@ class CvResult:
 def run_cv(ds: GridDataset, folds: FoldSet, recipe, checkpoints) -> CvResult:
     """Train the recipe once per fold and score tree-count prefixes.
 
-    The recipe sees only rows outside the fold's validation mask for its
-    ``response`` at fit time, then scores the fold's validation rows at
-    every checkpoint from one staged prediction of its tree list.
+    Every fold shares one feature matrix: the recipe fits its ``response``
+    with the fold's validation rows masked (NaN), then scores the fit with
+    the other rows masked, at every checkpoint from one staged prediction.
     """
     checkpoints = np.asarray(checkpoints, dtype=int)
     if checkpoints.size == 0:
         raise DataError("at least one tree-count checkpoint is required")
+    X, names = ds.feature_matrix()
+    y = getattr(ds, recipe.response)
     scores = np.empty((folds.n_folds, checkpoints.size))
     for f in range(folds.n_folds):
-        valid_rows = folds.validation_rows(ds, f, recipe.response)
-        if not valid_rows.any():
+        valid = folds.validation_rows(ds, f, recipe.response)
+        if not valid.any():
             raise DataError(f"fold {f} has an empty validation set")
-        train = ds.subset(np.flatnonzero(~valid_rows))
-        valid = ds.subset(np.flatnonzero(valid_rows))
-        fitted = recipe.fit(train)
-        scores[f] = recipe.score(fitted, valid, checkpoints)
+        fitted = recipe.fit(X, np.where(valid, np.nan, y), names)
+        scores[f] = recipe.score(fitted, X, np.where(valid, y, np.nan), checkpoints)
     return CvResult(checkpoints=checkpoints, scores=scores)
 
 

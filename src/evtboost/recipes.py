@@ -1,9 +1,9 @@
 """Concrete train-and-score recipes for cross-validation and tuning.
 
-A recipe owns the mapping from a GridDataset split to model inputs: the
-rows and target each loss trains and is scored on (the loss kind fixes
-both, see :func:`losses.training_rows`), and how to turn raw scores into
-the quantities being scored.
+A recipe takes a feature matrix and a response column (NaN = masked), as
+:func:`booster.fit` does, and owns the rows and target each loss trains and
+is scored on (the loss kind fixes both, see :func:`losses.training_rows`)
+and how to turn raw scores into the quantities being scored.
 """
 
 from __future__ import annotations
@@ -40,14 +40,13 @@ def count_threshold_probs(loss: L.LossSpec, theta, thresholds) -> np.ndarray:
     return out
 
 
-def training_matrix(ds: D.GridDataset, loss: L.LossSpec, u: float):
-    """(X, y, names): the feature rows and target ``loss`` trains on in
-    ``ds``; the full feature matrix is dropped before this returns."""
-    rows, y = L.training_rows(loss.kind, getattr(ds, loss.response), u)
+def training_matrix(X, y, loss: L.LossSpec, u: float):
+    """(X, y): the rows of the feature matrix ``X`` and the target that
+    ``loss`` trains on, from its response column ``y`` (NaN = masked)."""
+    rows, y = L.training_rows(loss.kind, y, u)
     if not rows.any():
         raise DataError("no trainable rows for this loss")
-    X, names = ds.feature_matrix()
-    return X[rows], y, names
+    return X[rows], y
 
 
 @dataclass
@@ -71,16 +70,15 @@ class BoosterRecipe:
     def response(self) -> str:
         return self.loss.response
 
-    def fit(self, train: D.GridDataset) -> Fitted:
-        X, y, names = training_matrix(train, self.loss, self.u)
+    def fit(self, X, y, names) -> Fitted:
+        X, y = training_matrix(X, y, self.loss, self.u)
         return Fitted(B.fit(X, y, self.loss, self.params, feature_names=names))
 
-    def score(self, fitted: Fitted, valid: D.GridDataset, checkpoints) -> np.ndarray:
+    def score(self, fitted: Fitted, X, y, checkpoints) -> np.ndarray:
         """Validation score after each checkpointed number of rounds."""
-        rows, y = L.training_rows(self.loss.kind, getattr(valid, self.response), self.u)
+        rows, y = L.training_rows(self.loss.kind, y, self.u)
         if not rows.any():
             raise DataError("no scorable validation rows")
-        X, _ = valid.feature_matrix()
         if self.loss.multiclass:
             y = B._one_hot(y, self.loss.n_classes)
         scores = []
@@ -106,28 +104,26 @@ class MixtureRecipe:
     k_shape: float = 1.0
     score_spec: ThresholdScoreSpec | None = None
 
-    def fit(self, train: D.GridDataset) -> Fitted:
-        X, names = train.feature_matrix()
+    def fit(self, X, y, names) -> Fitted:
         return Fitted(M.fit_mixture(
-            X, train.ba, u=self.u, xi=self.xi, kappa=self.kappa,
+            X, y, u=self.u, xi=self.xi, kappa=self.kappa,
             k_shape=self.k_shape, classifier_params=self.classifier_params,
             bulk_params=self.bulk_params, tail_params=self.tail_params,
             feature_names=names,
         ))
 
-    def score(self, fitted: Fitted, valid: D.GridDataset, checkpoints) -> np.ndarray:
+    def score(self, fitted: Fitted, X, y, checkpoints) -> np.ndarray:
         """Validation threshold score after each checkpointed number of
         classifier rounds."""
         spec = self.score_spec or ThresholdScoreSpec(BA_THRESHOLDS)
-        rows = ~np.isnan(valid.ba)
+        rows = ~np.isnan(y)
         if not rows.any():
             raise DataError("no scorable validation rows")
-        X, _ = valid.feature_matrix()
         X = X[rows]
         m = fitted.model
         bulk, tail = B.predict_raw(m.bulk, X), B.predict_raw(m.tail, X)
         scores = []
         for cls in B.predict_raw_staged(m.classifier, X, checkpoints):
             probs = M.cdf_from_raw(m, (cls, bulk, tail), spec.thresholds)
-            scores.append(threshold_score(probs, valid.ba[rows], spec))
+            scores.append(threshold_score(probs, y[rows], spec))
         return np.array(scores)

@@ -176,6 +176,43 @@ class TestNonFiniteTokens:
         assert err.startswith("data error:") and ":2:" in err and "Traceback" not in err
 
 
+class TestCommandsWithoutCovariates:
+    """``cvfolds`` and ``score`` read no covariate column, so a malformed
+    covariate token does not fail them; ``train`` still rejects it."""
+
+    def test_malformed_covariate_token(self, tmp_path, counts_csv, capsys):
+        with open(counts_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[1][rows[0].index("x1")] = "abc"
+        bad = tmp_path / "bad.csv"
+        with open(bad, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        clean_cfg = write_config(tmp_path, counts_csv)
+        model, preds = tmp_path / "m.json", tmp_path / "p.csv"
+        (tmp_path / "t.txt").write_text("0\n2\n", encoding="utf-8")
+        assert run(tmp_path, "train", "--config", clean_cfg, "--loss", "poisson",
+                   "--out", str(model)) == 0
+        assert run(tmp_path, "predict", "--model", str(model), "--data", counts_csv,
+                   "--thresholds", str(tmp_path / "t.txt"), "--out", str(preds)) == 0
+        outputs = {}
+        for name, data in (("clean", counts_csv), ("bad", str(bad))):
+            cfg = tmp_path / f"{name}.ini"
+            cfg.write_text(Path(clean_cfg).read_text().replace(counts_csv, data))
+            folds = tmp_path / f"{name}_folds.csv"
+            capsys.readouterr()
+            assert run(tmp_path, "cvfolds", "--config", str(cfg), "--out", str(folds)) == 0
+            assert run(tmp_path, "score", "--pred", str(preds), "--data", data,
+                       "--response", "cnt") == 0
+            outputs[name] = capsys.readouterr(), folds.read_bytes()
+        assert outputs["bad"][0].err == ""
+        assert outputs["bad"][0].out.replace("bad_folds", "clean_folds") == \
+            outputs["clean"][0].out
+        assert outputs["bad"][1] == outputs["clean"][1]
+        assert run(tmp_path, "train", "--config", str(tmp_path / "bad.ini"),
+                   "--out", str(model)) == 2
+        assert "malformed row (could not convert string 'abc'" in capsys.readouterr().err
+
+
 class TestKeyTokens:
     @pytest.mark.parametrize("column, token", [("year", "99999999999999999999"),
                                                ("month", "3.5"), ("year", "1993.5")])
@@ -576,6 +613,21 @@ class TestPdpImportance:
             rows = list(csv.reader(fh))
         assert rows[0] == ["x1", "estimate", "lo", "hi"]
         assert len(rows) > 2
+
+    def test_pdp_on_an_all_missing_feature_is_exit_2(self, tmp_path, capsys):
+        ds = synth_dataset("counts", n_years=2, nx=5, ny=5, seed=1)
+        ds.covariates[:, ds.covariate_names.index("x1")] = np.nan
+        data = tmp_path / "no_x1.csv"
+        D.save_csv(ds, data)
+        model, out = tmp_path / "m.json", tmp_path / "pdp.csv"
+        assert run(tmp_path, "train", "--config", write_config(tmp_path, data),
+                   "--loss", "poisson", "--out", str(model)) == 0
+        capsys.readouterr()
+        assert run(tmp_path, "pdp", "--model", str(model), "--data", str(data),
+                   "--features", "x1", "--out", str(out)) == 2
+        _one_line(capsys.readouterr().err,
+                  f"data error: feature 'x1' has no observed value in {data}")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["pdp", "importance"])
     def test_mixture_manifest_is_exit_2(self, tmp_path, sizes_csv, command, capsys):
@@ -1169,6 +1221,29 @@ class TestCountThresholdPredict:
         captured = capsys.readouterr()
         _one_line(captured.err, "data error: no observed response to score")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("response", ["cnt", "CNT", "bogus"])
+    def test_score_response_key(self, tmp_path, counts_csv, response, capsys):
+        """``[score] response`` names ``cnt`` or ``ba``, as ``--response`` does."""
+        model = self._model(tmp_path, counts_csv, "poisson")
+        thresholds, preds = tmp_path / "t.txt", tmp_path / "p.csv"
+        thresholds.write_text("0\n2\n7.5\n", encoding="utf-8")
+        assert run(tmp_path, "predict", "--model", model, "--data", counts_csv,
+                   "--thresholds", str(thresholds), "--out", str(preds)) == 0
+        capsys.readouterr()
+        assert run(tmp_path, "score", "--pred", str(preds), "--data", counts_csv,
+                   "--response", "cnt") == 0
+        flag = capsys.readouterr().out
+        cfg = write_config(tmp_path, counts_csv, f"\n[score]\nresponse = {response}")
+        status = run(tmp_path, "score", "--pred", str(preds), "--data", counts_csv,
+                     "--config", cfg)
+        captured = capsys.readouterr()
+        if response == "cnt":
+            assert status == 0 and captured.out == flag
+        else:
+            assert status == 1 and captured.out == ""
+            _one_line(captured.err, f"config error: [score] response must be 'cnt' or "
+                                    f"'ba', got {response!r}")
 
     def test_size_model_exit_2(self, tmp_path, sizes_csv, capsys):
         model = self._model(tmp_path, sizes_csv, "gpd")

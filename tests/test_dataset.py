@@ -431,12 +431,22 @@ class TestCrossFillZeros:
         obs = ~np.isnan(ds.ba)
         np.testing.assert_array_equal(out.ba[obs], ds.ba[obs])
 
+    def test_input_is_untouched_and_its_other_arrays_shared(self):
+        ds = self._ds()
+        before = ds.cnt.copy(), ds.ba.copy()
+        out = dataset.cross_fill_zeros(ds)
+        np.testing.assert_array_equal(ds.cnt, before[0])
+        np.testing.assert_array_equal(ds.ba, before[1])
+        assert not np.shares_memory(out.cnt, ds.cnt) and not np.shares_memory(out.ba, ds.ba)
+        for name in ("cells", "cell_index", "year", "month", "covariates", "covariate_names"):
+            assert getattr(out, name) is getattr(ds, name), name
+
 
 class TestSubset:
-    @pytest.mark.parametrize("take", ["copy", "rows", "mask"])
+    @pytest.mark.parametrize("take", ["rows", "mask"])
     def test_arrays_are_copies(self, take):
         ds = grid_dataset(np.arange(9.0))
-        out = {"copy": lambda: ds.copy(), "rows": lambda: ds.subset(np.array([4, 0, 7])),
+        out = {"rows": lambda: ds.subset(np.array([4, 0, 7])),
                "mask": lambda: ds.subset(np.arange(9) % 2 == 0)}[take]()
         for name in ("cells", "cell_index", "year", "month", "cnt", "ba", "covariates"):
             assert not np.shares_memory(getattr(out, name), getattr(ds, name)), name

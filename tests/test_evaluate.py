@@ -1,8 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from conftest import block_boundary_cases, traced_peak
-from evtboost import booster, dataset, evaluate, losses, recipes, spatialcv
+from evtboost import booster, dataset, evaluate, losses, mixture, recipes, spatialcv
 from evtboost.errors import DataError
 from evtboost.synth import synth_dataset
 
@@ -147,6 +149,68 @@ def _folds_and_data(seed=0, mask_rate=0.15):
     return ds, folds
 
 
+def _cli_spec(kind: str, u: float) -> losses.LossSpec:
+    """The spec ``RunConfig.loss_spec`` builds (u_trunc = log1p(u))."""
+    return losses.LossSpec(kind=kind, alpha=5.0, xi=0.8, kappa=0.5, k_shape=1.2,
+                           u_trunc=float(np.log1p(u)))
+
+
+_TP = booster.TrainParams(n_trees=6, max_leaves=4, colsample=0.8, seed=3)
+_MIX = dict(classifier_params=_TP, bulk_params=_TP, tail_params=_TP, u=50.0, k_shape=1.2)
+_REFERENCE_RECIPES = (
+    [recipes.BoosterRecipe(loss=_cli_spec(kind, 50.0), params=_TP, u=50.0)
+     for kind in losses.LOSS_KINDS]
+    + [recipes.BoosterRecipe(loss=_cli_spec("gpd", 1e9), params=_TP, u=1e9),  # no tail rows
+       recipes.MixtureRecipe(**_MIX),
+       recipes.MixtureRecipe(**_MIX, score_spec=evaluate.ThresholdScoreSpec(
+           [0.0, 1.0, 10.0, 100.0], [1.0, 2.0, 1.0, 0.5]))])
+_REFERENCE_IDS = list(losses.LOSS_KINDS) + ["gpd-no-tail", "mixture", "mixture-spec"]
+
+
+def _reference_cv(ds, folds, recipe, checkpoints) -> evaluate.CvResult:
+    """Cross-validation as a copy of each fold's rows: the training and the
+    validation rows are taken into datasets of their own, each builds its
+    feature matrix, and the recipe's fit and score are spelled out."""
+    scores = []
+    for f in range(folds.n_folds):
+        held_out = folds.validation_rows(ds, f, recipe.response)
+        train = ds.subset(np.flatnonzero(~held_out))
+        valid = ds.subset(np.flatnonzero(held_out))
+        X, names = train.feature_matrix()
+        Xv, _ = valid.feature_matrix()
+        if isinstance(recipe, recipes.MixtureRecipe):
+            m = mixture.fit_mixture(
+                X, train.ba, u=recipe.u, xi=recipe.xi, kappa=recipe.kappa,
+                k_shape=recipe.k_shape, classifier_params=recipe.classifier_params,
+                bulk_params=recipe.bulk_params, tail_params=recipe.tail_params,
+                feature_names=names)
+            spec = recipe.score_spec or evaluate.ThresholdScoreSpec(evaluate.BA_THRESHOLDS)
+            rows = ~np.isnan(valid.ba)
+            if not rows.any():
+                raise DataError("no scorable validation rows")
+            Xv = Xv[rows]
+            bulk, tail = booster.predict_raw(m.bulk, Xv), booster.predict_raw(m.tail, Xv)
+            scores.append([
+                evaluate.threshold_score(mixture.cdf_from_raw(m, (cls, bulk, tail),
+                                                              spec.thresholds),
+                                         valid.ba[rows], spec)
+                for cls in booster.predict_raw_staged(m.classifier, Xv, checkpoints)])
+            continue
+        loss = recipe.loss
+        rows, y = losses.training_rows(loss.kind, getattr(train, loss.response), recipe.u)
+        if not rows.any():
+            raise DataError("no trainable rows for this loss")
+        model = booster.fit(X[rows], y, loss, recipe.params, feature_names=names)
+        rows, y = losses.training_rows(loss.kind, getattr(valid, loss.response), recipe.u)
+        if not rows.any():
+            raise DataError("no scorable validation rows")
+        if loss.multiclass:
+            y = booster._one_hot(y, loss.n_classes)
+        scores.append([float(losses.evaluate_loss(loss, y, theta)[0].mean())
+                       for theta in booster.predict_raw_staged(model, Xv[rows], checkpoints)])
+    return evaluate.CvResult(checkpoints=checkpoints, scores=scores)
+
+
 class TestRunCv:
     def test_prefix_scores_decrease_then_flatten(self):
         ds, folds = _folds_and_data()
@@ -160,17 +224,25 @@ class TestRunCv:
 
     def test_validation_rows_cannot_influence_training(self):
         ds, folds = _folds_and_data(seed=5)
-        recipe = recipes.BoosterRecipe(
+        models = []
+
+        class Recorded(recipes.BoosterRecipe):
+            def fit(self, X, y, names):
+                fitted = super().fit(X, y, names)
+                models.append(fitted.model)
+                return fitted
+
+        recipe = Recorded(
             loss=losses.LossSpec(kind="dgpd", alpha=5.0),
             params=booster.TrainParams(n_trees=5, max_leaves=4, seed=3))
         valid0 = folds.validation_rows(ds, 0, "cnt")
-        train = ds.subset(np.flatnonzero(~valid0))
-        m1 = recipe.fit(train).model
+        evaluate.run_cv(ds, folds, recipe, checkpoints=[5])
+        m1 = models[0]
 
-        poisoned = ds.copy()
+        poisoned = ds.subset(np.arange(ds.n_rows))
         poisoned.cnt[np.flatnonzero(valid0)[0]] = 10_000.0  # sentinel extreme
-        train2 = poisoned.subset(np.flatnonzero(~valid0))
-        m2 = recipe.fit(train2).model
+        evaluate.run_cv(poisoned, folds, recipe, checkpoints=[5])
+        m2 = models[folds.n_folds]
         assert booster.dumps(m1) == booster.dumps(m2)
 
     def test_covariate_free_recipe_reduces_to_constant_model(self):
@@ -189,6 +261,36 @@ class TestRunCv:
             y = y[~np.isnan(y)]
             expect, _, _ = losses.poisson_eval(y, np.full(y.size, const))
             assert cv.scores[f, 0] == pytest.approx(float(expect.mean()), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    @pytest.mark.parametrize("recipe", _REFERENCE_RECIPES, ids=_REFERENCE_IDS)
+    def test_fold_scores_have_the_bits_of_a_copy_per_fold(self, recipe, seed):
+        """Each fold's scores (or its error) equal those of fitting and
+        scoring a copy of the fold's training and validation rows, each with
+        its own feature matrix."""
+        ds = synth_dataset("sizes", n_years=2, nx=8, ny=8, seed=seed, mask_rate=0.15)
+        params = spatialcv.calibrate_intercepts(
+            ds, spatialcv.MaskModelParams(sigma_gp=1.0, phi=0.1))
+        folds = spatialcv.generate_folds(ds, params, n_folds=3, seed=seed + 1)
+        checkpoints = [0, 2, 6]
+        outcomes = []
+        for run in (evaluate.run_cv, _reference_cv):
+            try:
+                outcomes.append(np.asarray(run(ds, folds, recipe, checkpoints).scores).tobytes())
+            except DataError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+    def test_one_feature_matrix_per_call_and_no_row_copies(self):
+        ds, folds = _folds_and_data()
+        recipe = recipes.BoosterRecipe(loss=losses.LossSpec(kind="poisson"),
+                                       params=booster.TrainParams(n_trees=1))
+        cls = dataset.GridDataset
+        with mock.patch.object(cls, "feature_matrix", autospec=True,
+                               side_effect=cls.feature_matrix) as matrix, \
+                mock.patch.object(cls, "subset", autospec=True) as subset:
+            evaluate.run_cv(ds, folds, recipe, checkpoints=[1])
+        assert matrix.call_count == 1 and subset.call_count == 0
 
     def test_empty_validation_fold_rejected(self):
         ds, _ = _folds_and_data()
