@@ -58,7 +58,7 @@ class TrainParams:
 class BoostedModel:
     """Fitted boosting model: loss metadata, base score and trees.
 
-    For multiclass models ``trees`` is round-major with ``n_classes``
+    For multiclass models ``trees`` is round-major with ``L.N_CLASSES``
     consecutive trees per round.  ``train_losses`` holds the total training
     loss before each round plus after the last (length n_rounds + 1); it is
     not serialized.
@@ -74,7 +74,7 @@ class BoostedModel:
     @property
     def n_rounds(self) -> int:
         if self.loss.multiclass:
-            return len(self.trees) // self.loss.n_classes
+            return len(self.trees) // L.N_CLASSES
         return len(self.trees)
 
 
@@ -87,17 +87,18 @@ def _round_feature_subset(seed: int, round_idx: int, n_features: int, colsample:
     return np.sort(rng.choice(n_features, size=n_pick, replace=False))
 
 
-def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
+def _one_hot(labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.ndim == 2:
         return np.asarray(labels, dtype=float)
-    out = np.zeros((labels.size, n_classes))
+    out = np.zeros((labels.size, L.N_CLASSES))
     out[np.arange(labels.size), labels.astype(int)] = 1.0
     return out
 
 
-def initial_estimate(ys, loss: L.LossSpec, tol: float = 1e-10, max_iter: int = 100):
-    """Constant score minimizing the total loss (Newton with bisection).
+def initial_estimate(ys, loss: L.LossSpec):
+    """Constant score minimizing the total loss (Newton with bisection, to a
+    total gradient of 1e-10 per row within 100 steps).
 
     Returns a scalar, or a per-class vector for the cross-entropy loss
     (cyclic per-class Newton on the coupled softmax system).
@@ -107,15 +108,15 @@ def initial_estimate(ys, loss: L.LossSpec, tol: float = 1e-10, max_iter: int = 1
         raise DataError("initial estimate needs at least one response")
 
     if loss.multiclass:
-        y = _one_hot(ys, loss.n_classes)
+        y = _one_hot(ys)
         n_total = float(y.shape[0])
         mass = y.sum(axis=0)  # count per class
-        theta = np.zeros(loss.n_classes)
+        theta = np.zeros(L.N_CLASSES)
         scale = max(1.0, n_total)
-        for _ in range(max_iter):
+        for _ in range(100):
             # cyclic per-class updates; with the other scores fixed the
             # stationary point of one score solves softmax_c = mass_c / total
-            for c in range(loss.n_classes):
+            for c in range(L.N_CLASSES):
                 others = np.exp(np.delete(theta, c)).sum()
                 target = mass[c] / n_total
                 if target <= 0.0:
@@ -126,7 +127,7 @@ def initial_estimate(ys, loss: L.LossSpec, tol: float = 1e-10, max_iter: int = 1
                     theta[c] = np.clip(np.log(others * target / (1.0 - target)),
                                        -30.0, 30.0)
             g_tot = n_total * L.softmax(theta) - mass
-            if np.abs(g_tot).max() < tol * scale:
+            if np.abs(g_tot).max() < 1e-10 * scale:
                 return theta - theta.mean()  # pin the softmax shift invariance
         raise NumericalError("initial estimate did not converge (cross_entropy)")
 
@@ -157,9 +158,9 @@ def initial_estimate(ys, loss: L.LossSpec, tol: float = 1e-10, max_iter: int = 1
 
     theta = 0.5 * (lo + hi)
     scale = max(1.0, ys.size)
-    for _ in range(max_iter):
+    for _ in range(100):
         g, h = total_grad_hess(theta)
-        if abs(g) < tol * scale:
+        if abs(g) < 1e-10 * scale:
             return float(theta)
         if g > 0:
             hi = theta
@@ -203,7 +204,7 @@ def fit(X, ys, loss: L.LossSpec, params: TrainParams, feature_names=None) -> Boo
     if len(feature_names) != p:
         raise DataError("feature_names length must match column count")
 
-    y = _one_hot(ys, loss.n_classes) if loss.multiclass else np.asarray(ys, dtype=float)
+    y = _one_hot(ys) if loss.multiclass else np.asarray(ys, dtype=float)
     if y.shape[0] != n:
         raise DataError("response length must match row count")
 
@@ -222,7 +223,7 @@ def fit(X, ys, loss: L.LossSpec, params: TrainParams, feature_names=None) -> Boo
         model.train_losses.append(float(v.sum()))
         h = np.maximum(h, HESS_FLOOR)
         if loss.multiclass:
-            for c in range(loss.n_classes):
+            for c in range(L.N_CLASSES):
                 model.trees.append(_grow_step(binned, g[:, c], h[:, c], theta[:, c],
                                               params, subset))
         else:
@@ -253,7 +254,7 @@ def predict_raw_staged(model: BoostedModel, X, checkpoints) -> list[np.ndarray]:
         raise DataError(f"checkpoints must be >= 0, got {min(stops)}")
     lr = model.params.learning_rate
     if model.loss.multiclass:
-        C = model.loss.n_classes
+        C = L.N_CLASSES
         out = np.tile(np.asarray(model.base_score, dtype=float), (X.shape[0], 1))
     else:
         out = np.full(X.shape[0], float(model.base_score))
@@ -311,7 +312,7 @@ def from_doc(doc: dict) -> BoostedModel:
     loss = L.loss_spec_from_dict(doc["loss"])
     base = doc["base_score"]
     if loss.multiclass:
-        ok = isinstance(base, list) and len(base) == loss.n_classes \
+        ok = isinstance(base, list) and len(base) == L.N_CLASSES \
             and all(map(is_finite_number, base))
     else:
         ok = is_finite_number(base)
@@ -325,6 +326,13 @@ def from_doc(doc: dict) -> BoostedModel:
         raise DataError(f"bad training params in model document: {exc}") from exc
     if not isinstance(doc["trees"], list) or not isinstance(doc["feature_names"], list):
         raise DataError("trees and feature_names must be lists")
+    seen = set()
+    for name in doc["feature_names"]:
+        if not isinstance(name, str):
+            raise DataError(f"feature name {name!r} is not a string")
+        if name in seen:
+            raise DataError(f"feature_names repeats {name!r}")
+        seen.add(name)
     trees = [Tree.from_doc(t) for t in doc["trees"]]
     n_features = len(doc["feature_names"])
     for i, t in enumerate(trees):

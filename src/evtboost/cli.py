@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import math
 import os
 import sys
 import time
@@ -248,9 +249,6 @@ def cmd_predict(args) -> int:
     if isinstance(model, M.MixtureModel):
         values = M.threshold_probs(model, X, thresholds, names=names)
     else:
-        if model.loss.multiclass and model.loss.n_classes != 3:
-            raise DataError(f"cross_entropy model has {model.loss.n_classes} classes; "
-                            f"predict writes the 3 size classes")
         raw = B.predict_raw(model, D.align_features(X, names, model.feature_names))
         if thresholds is not None:
             values = R.count_threshold_probs(model.loss, raw, thresholds)
@@ -455,6 +453,10 @@ def cmd_pdp(args) -> int:
         if col.size == 0:
             raise DataError(f"feature {f!r} has no observed value in {args.data}")
         grids.append(np.unique(np.quantile(col, np.linspace(0.0, 1.0, args.points))))
+    n_grid = math.prod(g.size for g in grids)
+    if n_grid > len(Xa):
+        raise ConfigError(f"--points {args.points} over {len(grids)} features makes {n_grid} "
+                          f"grid points; at most the {len(Xa)} rows of --data")
     mesh = np.stack([g.ravel() for g in np.meshgrid(*grids, indexing="ij")], axis=-1)
 
     transform = None

@@ -28,6 +28,7 @@ DEFAULT_SCHEMA = {"lon": "lon", "lat": "lat", "year": "year", "month": "month",
                   "cnt": "cnt", "ba": "ba"}
 DEFAULT_SEASON = tuple(range(3, 10))  # March .. September
 GRID_TOL = 1e-6
+KEY_FEATURES = ["lon", "lat", "year", "month"]  # the features before the covariates
 
 
 @dataclass
@@ -78,7 +79,7 @@ class GridDataset:
         lons, lats = self.cells[self.cell_index].T
         X = np.column_stack([lons, lats, self.year.astype(float), self.month.astype(float),
                              self.covariates])
-        return X, ["lon", "lat", "year", "month"] + self.covariate_names
+        return X, KEY_FEATURES + self.covariate_names
 
 
 def match_rows(keys, queries) -> np.ndarray:
@@ -302,7 +303,10 @@ def load_csv(path, schema: dict | None = None, missing_marker: str = "NA",
 
     ``schema`` maps the roles lon/lat/year/month/cnt/ba to column names
     (defaults to those exact names); every other column is a covariate
-    unless ``covariate_columns`` restricts the list.  Fields are decimal
+    unless ``covariate_columns`` restricts the list.  Header names are
+    distinct, each role has its own column, and a covariate is listed once,
+    is no role's column and is not named lon, lat, year or month (the
+    feature names of the keys).  Fields are decimal
     numbers as ``np.loadtxt`` reads them, optionally quoted; ``cnt``, ``ba``
     and covariate fields may instead equal ``missing_marker`` (NaN).
     Malformed rows, duplicate (cell, year, month) keys, off-season months
@@ -326,16 +330,31 @@ def load_csv(path, schema: dict | None = None, missing_marker: str = "NA",
     with open_table(path) as (header, n, blocks):
         if header is None:
             raise DataError(f"{path}: empty file")
-        col_of = {name: i for i, name in enumerate(header)}
+        col_of = {}
+        for i, name in enumerate(header):
+            if name in col_of:
+                raise DataError(f"{path}: header repeats column {name!r}")
+            col_of[name] = i
+        role_of = {}
         for role, col in schema.items():
             if col not in col_of:
                 raise DataError(f"{path}: schema column {col!r} (role {role}) not in header")
+            if col in role_of:
+                raise DataError(f"{path}: column {col!r} has two roles, "
+                                f"{role_of[col]} and {role}")
+            role_of[col] = role
         lon, lat, year, month, cnt, ba = (col_of[schema[role]] for role in DEFAULT_SCHEMA)
         if covariate_columns is None:
-            covariate_columns = [c for c in header if c not in set(schema.values())]
+            covariate_columns = [c for c in header if c not in role_of]
+        features = set(KEY_FEATURES)
         for c in covariate_columns:
             if c not in col_of:
                 raise DataError(f"{path}: covariate column {c!r} not in header")
+            if c in role_of:
+                raise DataError(f"{path}: covariate column {c!r} is the {role_of[c]} column")
+            if c in features:
+                raise DataError(f"{path}: covariate column {c!r} repeats a feature name")
+            features.add(c)
         cov_idx = [col_of[c] for c in covariate_columns]
         keys = [lon, lat, year, month]
 
@@ -432,10 +451,10 @@ def write_csv(path, header, columns) -> None:
                                    for c in block)))
 
 
-def save_csv(ds: GridDataset, path, missing_marker: str = "NA") -> None:
-    """Write the dataset back out in the same CSV dialect."""
+def save_csv(ds: GridDataset, path) -> None:
+    """Write the dataset back out in the same CSV dialect, NaN as "NA"."""
     def column(values: np.ndarray) -> list:
-        return [missing_marker if math.isnan(v) else int(v) if v.is_integer() else v
+        return ["NA" if math.isnan(v) else int(v) if v.is_integer() else v
                 for v in values.tolist()]
 
     lon, lat = ds.cells[ds.cell_index].T.tolist()

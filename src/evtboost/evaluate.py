@@ -163,16 +163,16 @@ def expected_improvement(mu, sd, best):
     return np.where(pos, ei, out)
 
 
-def bo_suggest(history, box: dict, seed: int, n_candidates: int = 1024,
-               noise: float = 1e-6) -> dict:
+def bo_suggest(history, box: dict, seed: int) -> dict:
     """Next hyperparameter point by GP expected improvement.
 
     ``history`` is a list of (point dict, score) pairs; ``box`` maps each
     parameter to (lo, hi) bounds.  Inputs are min-max normalized; the GP is
     zero-mean on centred scores with a squared-exponential kernel of
-    length-scale 1/4 of each (normalized) box width and output scale equal
-    to the score variance.  With an empty history a seeded uniform draw is
-    returned.  Scores are minimized.
+    length-scale 1/4 of each (normalized) box width, output scale equal
+    to the score variance and noise variance 1e-6.  The next point is the
+    best of 1024 scrambled Sobol candidates.  With an empty history a seeded
+    uniform draw is returned.  Scores are minimized.
     """
     names = list(box)
     if not names:
@@ -198,7 +198,7 @@ def bo_suggest(history, box: dict, seed: int, n_candidates: int = 1024,
     if out_scale <= 0.0:
         out_scale = 1.0
 
-    K = out_scale * _sq_exp_kernel(Xn, Xn, 0.25) + noise * np.eye(len(ys))
+    K = out_scale * _sq_exp_kernel(Xn, Xn, 0.25) + 1e-6 * np.eye(len(ys))
     try:
         L_chol = np.linalg.cholesky(K)
     except np.linalg.LinAlgError:
@@ -208,7 +208,7 @@ def bo_suggest(history, box: dict, seed: int, n_candidates: int = 1024,
     from scipy.stats import qmc  # scipy.stats is slow to import; only tuning needs it
 
     sampler = qmc.Sobol(d=lo.size, scramble=True, seed=seed)
-    cand = sampler.random(n_candidates)
+    cand = sampler.random(1024)
     Kstar = out_scale * _sq_exp_kernel(cand, Xn, 0.25)
     mu = Kstar @ alpha + y_mean
     v = np.linalg.solve(L_chol, Kstar.T)

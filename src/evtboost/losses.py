@@ -35,6 +35,7 @@ import numpy as np
 from .errors import DataError, NumericalError
 
 LOSS_KINDS = ("poisson", "dgpd", "trgamma", "gpd", "cross_entropy", "squared_log")
+N_CLASSES = 3  # cross_entropy classes: the zero / bulk / tail size classes
 
 
 @dataclass
@@ -44,8 +45,8 @@ class LossSpec:
     Only the fields relevant to ``kind`` are read.  ``alpha`` is the dGPD
     tail parameter (alpha = 1/xi of the underlying GPD), ``xi`` the GPD
     shape, ``kappa`` the quantile level of the GPD reparameterization,
-    ``k_shape`` the gamma shape, ``u_trunc`` the gamma right-truncation
-    point and ``n_classes`` the number of classes.
+    ``k_shape`` the gamma shape and ``u_trunc`` the gamma right-truncation
+    point.  A ``cross_entropy`` loss has :data:`N_CLASSES` classes.
     """
 
     kind: str
@@ -54,7 +55,6 @@ class LossSpec:
     kappa: float = 0.5
     k_shape: float = 1.0
     u_trunc: float = 1.0
-    n_classes: int = 3
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
@@ -65,8 +65,6 @@ class LossSpec:
                 raise DataError(f"{name} must be finite and > 0")
         if not 0.0 < self.kappa < 1.0:
             raise DataError("kappa must lie in (0, 1)")
-        if not self.n_classes >= 2:
-            raise DataError("n_classes must be >= 2")
 
     @property
     def multiclass(self) -> bool:
@@ -90,16 +88,22 @@ class LossSpec:
             out["xi"] = self.xi
             out["kappa"] = self.kappa
         elif self.kind == "cross_entropy":
-            out["n_classes"] = self.n_classes
+            out["n_classes"] = N_CLASSES
         return out
 
 
 def loss_spec_from_dict(doc: dict) -> LossSpec:
-    """Rebuild a LossSpec from its serialized hyperparameter dict."""
+    """Rebuild a LossSpec from its serialized hyperparameter dict; a class
+    count other than :data:`N_CLASSES` is rejected."""
     known = {"kind", "alpha", "xi", "kappa", "k_shape", "u_trunc", "n_classes"}
     unknown = set(doc) - known
     if unknown:
         raise DataError(f"unknown loss fields: {sorted(unknown)}")
+    doc = dict(doc)
+    n_classes = doc.pop("n_classes", N_CLASSES)
+    if n_classes != N_CLASSES:
+        raise DataError(f"cross_entropy model has {n_classes!r} classes; "
+                        f"predict writes the {N_CLASSES} size classes")
     return LossSpec(**doc)
 
 
@@ -195,14 +199,6 @@ def dgpd_eval(y, theta, alpha):
     grad = ratio1
     hess = ratio1 * ratio1 - ratio2
     return value, grad, hess
-
-
-def dgpd_pmf(y, theta, alpha):
-    """Probability mass (1 + e^theta y)^(-alpha) - (1 + e^theta (y+1))^(-alpha)."""
-    y = np.asarray(y, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    log_s_y, _, _, _, D = _dgpd_pieces(y, theta, alpha)
-    return np.exp(log_s_y) * D
 
 
 def dgpd_survival(k, theta, alpha):

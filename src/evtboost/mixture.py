@@ -23,7 +23,6 @@ import numpy as np
 
 from . import booster as B
 from . import losses as L
-from . import synth
 from .errors import DataError, open_text
 from .dataset import align_features, row_blocks
 
@@ -39,7 +38,7 @@ class MixtureModel:
     u: float = 200.0
 
     def __post_init__(self):
-        if self.classifier.loss.kind != "cross_entropy" or self.classifier.loss.n_classes != 3:
+        if self.classifier.loss.kind != "cross_entropy":
             raise DataError("mixture classifier must be 3-class cross_entropy")
         if self.bulk.loss.kind != "trgamma":
             raise DataError("mixture bulk model must use the trgamma loss")
@@ -61,13 +60,6 @@ class MixtureModel:
     @property
     def k_shape(self) -> float:
         return self.bulk.loss.k_shape
-
-
-def component_probs(m: MixtureModel, X, names=None) -> np.ndarray:
-    """Softmax class probabilities (n, 3) of (zero, bulk, tail)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    raw = B.predict_raw(m.classifier, align_features(X, names, m.classifier.feature_names))
-    return L.softmax(raw)
 
 
 def tail_sigma(m: MixtureModel, theta) -> np.ndarray:
@@ -119,35 +111,6 @@ def threshold_probs(m: MixtureModel, X, thresholds, names=None) -> np.ndarray:
     return cdf_from_raw(m, raw_scores(m, X, names), thresholds)
 
 
-def sample(m: MixtureModel, x, n_draws: int, seed: int, names=None) -> np.ndarray:
-    """Monte Carlo draws of BA at a single covariate vector.
-
-    Components are drawn by inverse transform with :mod:`synth`'s samplers:
-    the bulk through the inverse regularized incomplete gamma on the
-    truncated range, the tail through the GPD quantile function.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[0] != 1:
-        raise DataError("sample draws at a single covariate vector")
-    rng = np.random.default_rng(seed)
-    p = component_probs(m, x, names)[0]
-    comp = rng.choice(3, size=n_draws, p=p)
-    out = np.zeros(n_draws)
-
-    n_bulk = int((comp == 1).sum())
-    if n_bulk:
-        theta = float(B.predict_raw(m.bulk, align_features(x, names, m.bulk.feature_names))[0])
-        out[comp == 1] = np.expm1(synth.sample_trgamma(theta, m.k_shape, np.log1p(m.u),
-                                                       n_bulk, rng))
-
-    n_tail = int((comp == 2).sum())
-    if n_tail:
-        theta = B.predict_raw(m.tail, align_features(x, names, m.tail.feature_names))
-        sigma = float(tail_sigma(m, theta)[0])
-        out[comp == 2] = m.u + synth.sample_gpd(sigma, m.xi, n_tail, rng)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Fitting
 # ---------------------------------------------------------------------------
@@ -173,7 +136,7 @@ def fit_mixture(
     X = np.asarray(X, dtype=float)
     ba = np.asarray(ba, dtype=float)
     parts = []
-    for loss, params in ((L.LossSpec(kind="cross_entropy", n_classes=3), classifier_params),
+    for loss, params in ((L.LossSpec(kind="cross_entropy"), classifier_params),
                          (L.LossSpec(kind="trgamma", k_shape=k_shape,
                                      u_trunc=float(np.log1p(u))), bulk_params),
                          (L.LossSpec(kind="gpd", xi=xi, kappa=kappa), tail_params)):

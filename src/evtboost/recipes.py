@@ -80,7 +80,7 @@ class BoosterRecipe:
         if not rows.any():
             raise DataError("no scorable validation rows")
         if self.loss.multiclass:
-            y = B._one_hot(y, self.loss.n_classes)
+            y = B._one_hot(y)
         scores = []
         for theta in B.predict_raw_staged(fitted.model, X[rows], checkpoints):
             v, _, _ = L.evaluate_loss(self.loss, y, theta)

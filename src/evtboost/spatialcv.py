@@ -179,12 +179,12 @@ def generate_folds(ds: GridDataset, params: MaskModelParams, n_folds: int = 5,
 _hermgauss = cache(np.polynomial.hermite.hermgauss)
 
 
-def mean_expit_gaussian(mu: float, var: float, n_quad: int = 64) -> float:
-    """E[expit(mu + Z)], Z ~ N(0, var), by Gauss-Hermite quadrature."""
+def mean_expit_gaussian(mu: float, var: float) -> float:
+    """E[expit(mu + Z)], Z ~ N(0, var), by 64-point Gauss-Hermite quadrature."""
     from scipy import special
     if var == 0.0:
         return float(special.expit(mu))
-    x, w = _hermgauss(n_quad)
+    x, w = _hermgauss(64)
     return float((w * special.expit(mu + np.sqrt(2.0 * var) * x)).sum() / np.sqrt(np.pi))
 
 

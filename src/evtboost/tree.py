@@ -127,10 +127,6 @@ class TreeNode:
 class Tree:
     nodes: list[TreeNode] = field(default_factory=list)
 
-    @property
-    def n_leaves(self) -> int:
-        return sum(1 for n in self.nodes if n.is_leaf)
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Leaf weight of the region each row falls into."""
         X = np.asarray(X, dtype=float)

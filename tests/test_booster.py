@@ -27,7 +27,7 @@ class TestInitialEstimate:
 
     def test_cross_entropy_uniform(self):
         labels = np.array([0, 1, 2, 0, 1, 2])
-        est = booster.initial_estimate(labels, _spec("cross_entropy", n_classes=3))
+        est = booster.initial_estimate(labels, _spec("cross_entropy"))
         np.testing.assert_allclose(losses.softmax(est), [1 / 3] * 3, atol=1e-9)
 
     def test_matches_grid_search(self, rng):
@@ -137,7 +137,7 @@ class TestFit:
             return original(x, n_bins)
 
         monkeypatch.setattr(tree, "quantile_candidates", counted)
-        m = booster.fit(X, labels, _spec("cross_entropy", n_classes=3),
+        m = booster.fit(X, labels, _spec("cross_entropy"),
                         booster.TrainParams(n_trees=4, max_leaves=4, colsample=0.5, seed=2))
         assert len(m.trees) == 12
         assert len(calls) == X.shape[1]
@@ -181,7 +181,7 @@ class TestPredictRaw:
     def test_multiclass_shift_invariance(self, rng):
         X = rng.normal(size=(80, 2))
         labels = rng.integers(0, 3, size=80)
-        m = booster.fit(X, labels, _spec("cross_entropy", n_classes=3),
+        m = booster.fit(X, labels, _spec("cross_entropy"),
                         booster.TrainParams(n_trees=5, seed=3))
         raw = booster.predict_raw(m, X)
         p1 = losses.softmax(raw)
@@ -198,13 +198,13 @@ def _staged_models():
     params = booster.TrainParams(n_trees=6, max_leaves=4, seed=3)
     return X, {
         "scalar": booster.fit(X, counts, _spec("poisson"), params),
-        "multiclass": booster.fit(X, labels, _spec("cross_entropy", n_classes=3), params),
+        "multiclass": booster.fit(X, labels, _spec("cross_entropy"), params),
     }
 
 
 def _prefix_sum(m, X, n_rounds):
     """Base score plus the trees of the first rounds, added one at a time."""
-    C = m.loss.n_classes if m.loss.multiclass else 1
+    C = losses.N_CLASSES if m.loss.multiclass else 1
     out = np.tile(np.asarray(m.base_score, dtype=float), (X.shape[0], 1))
     for i, t in enumerate(m.trees[: n_rounds * C]):
         out[:, i % C] += m.params.learning_rate * t.predict(X)

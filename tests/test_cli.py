@@ -324,6 +324,7 @@ MALFORMED = {
     "base_score_not_finite": lambda doc: doc.update(base_score=float("nan")),
     "loss_alpha_nan": lambda doc: doc["loss"].update(alpha=float("nan")),
     "loss_alpha_inf": lambda doc: doc["loss"].update(alpha=float("inf")),
+    "feature_name_not_string": lambda doc: doc["feature_names"].__setitem__(0, ["lon"]),
 }
 
 class TestMalformedModel:
@@ -1098,14 +1099,17 @@ class TestFoldCountSpacingAndClasses:
 
     @pytest.mark.parametrize("n_classes", [2, 5])
     def test_predict_other_class_count(self, tmp_path, sizes_csv, n_classes, capsys):
+        """The class count is fixed at 3, so an n-class model is a 3-class
+        model's document with its class count and base scores edited."""
         ds = D.load_csv(sizes_csv)
         X, names = ds.feature_matrix()
-        labels = np.arange(ds.n_rows) % n_classes
+        doc = booster.to_doc(booster.fit(X, np.arange(ds.n_rows) % 3,
+                                         losses.LossSpec(kind="cross_entropy"),
+                                         booster.TrainParams(n_trees=0),
+                                         feature_names=names))
+        doc["loss"]["n_classes"], doc["base_score"] = n_classes, [0.0] * n_classes
         model, out = tmp_path / "cls.json", tmp_path / "p.csv"
-        booster.save(booster.fit(X, labels,
-                                 losses.LossSpec(kind="cross_entropy", n_classes=n_classes),
-                                 booster.TrainParams(n_trees=1, max_leaves=2),
-                                 feature_names=names), model)
+        model.write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()
         assert run(tmp_path, "predict", "--model", str(model), "--data", sizes_csv,
                    "--out", str(out)) == 2
@@ -1295,3 +1299,89 @@ class TestReadmeConfig:
         assert cfg.getint("cv", "n_folds") == 5
         assert [cfg.getfloat("cv", key) for key in ("beta", "range", "sigma_gp", "phi")] \
             == [0.42, 2.0, 1.0, 0.25]
+
+
+class TestColumnNames:
+    """A header name appears once, each role has its own column, and a
+    covariate is listed once, is no role's column and does not take the
+    name of a key feature; a model's feature names are distinct."""
+
+    @pytest.fixture
+    def grid(self, tmp_path):
+        data = tmp_path / "grid.csv"
+        D.save_csv(synth_dataset("counts", n_years=1, nx=3, ny=3, seed=1), data)
+        return data
+
+    def _train(self, tmp_path, data, extra=""):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[data]\ntrain = {data}\n\n{extra}", encoding="utf-8")
+        out = tmp_path / "m.json"
+        status = run(tmp_path, "train", "--config", str(cfg), "--loss", "dgpd",
+                     "--out", str(out))
+        assert not out.exists()
+        return status
+
+    def _rename(self, data, renames):
+        header, rest = data.read_text(encoding="utf-8").split("\n", 1)
+        names = header.split(",")
+        for old, new in renames.items():
+            names[names.index(old)] = new
+        data.write_text(",".join(names) + "\n" + rest, encoding="utf-8")
+
+    def test_repeated_header_name(self, tmp_path, grid, capsys):
+        self._rename(grid, {"x2": "x1"})
+        assert self._train(tmp_path, grid) == 2
+        _one_line(capsys.readouterr().err, f"data error: {grid}: header repeats column 'x1'")
+
+    @pytest.mark.parametrize("schema, message", [
+        ("covariates = x1, x1", "covariate column 'x1' repeats a feature name"),
+        ("covariates = x2, cnt", "covariate column 'cnt' is the cnt column"),
+        ("ba = cnt", "column 'cnt' has two roles, cnt and ba"),
+    ])
+    def test_schema_collision(self, tmp_path, grid, schema, message, capsys):
+        assert self._train(tmp_path, grid, f"[schema]\n{schema}\n") == 2
+        _one_line(capsys.readouterr().err, f"data error: {grid}: {message}")
+
+    def test_covariate_named_as_a_key_feature(self, tmp_path, grid, capsys):
+        # lon is read from column "x", so column "lon" would be a second lon feature
+        self._rename(grid, {"lon": "x", "x1": "lon"})
+        assert self._train(tmp_path, grid, "[schema]\nlon = x\n") == 2
+        _one_line(capsys.readouterr().err,
+                  f"data error: {grid}: covariate column 'lon' repeats a feature name")
+
+    def test_model_with_repeated_feature_names(self, tmp_path, grid, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[data]\ntrain = {grid}\n\n[train]\nn_trees = 1\n", encoding="utf-8")
+        model, out = tmp_path / "m.json", tmp_path / "p.csv"
+        assert run(tmp_path, "train", "--config", str(cfg), "--loss", "dgpd",
+                   "--out", str(model)) == 0
+        doc = json.loads(model.read_text(encoding="utf-8"))
+        doc["feature_names"][-1] = doc["feature_names"][0]
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert run(tmp_path, "predict", "--model", str(model), "--data", str(grid),
+                   "--out", str(out)) == 2
+        _one_line(capsys.readouterr().err, "data error: feature_names repeats 'lon'")
+        assert not out.exists()
+
+
+class TestPdpGridBound:
+    """``pdp`` grids hold at most one point per row of ``--data``: the
+    product of the per-feature grid sizes, checked before the grid is built.
+    A feature's grid is its distinct quantiles, so lon (3 values) at 8
+    points adds 3 and not 8."""
+
+    def test_grid_beyond_the_rows_is_exit_1(self, tmp_path, capsys):
+        data, model, out = tmp_path / "grid.csv", tmp_path / "m.json", tmp_path / "pdp.csv"
+        D.save_csv(synth_dataset("counts", n_years=1, nx=3, ny=3, seed=1), data)
+        assert run(tmp_path, "train", "--config", write_config(tmp_path, data),
+                   "--out", str(model)) == 0
+        pdp = ["pdp", "--model", str(model), "--data", str(data), "--points", "8",
+               "--n-sub", "5", "--out", str(out)]
+        assert run(tmp_path, *pdp, "--features", "x1,lon") == 0
+        out.unlink()
+        capsys.readouterr()
+        assert run(tmp_path, *pdp, "--features", "x1,x2") == 1
+        _one_line(capsys.readouterr().err, "config error: --points 8 over 2 features makes "
+                  "64 grid points; at most the 63 rows of --data")
+        assert not out.exists()

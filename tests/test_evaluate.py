@@ -205,7 +205,7 @@ def _reference_cv(ds, folds, recipe, checkpoints) -> evaluate.CvResult:
         if not rows.any():
             raise DataError("no scorable validation rows")
         if loss.multiclass:
-            y = booster._one_hot(y, loss.n_classes)
+            y = booster._one_hot(y)
         scores.append([float(losses.evaluate_loss(loss, y, theta)[0].mean())
                        for theta in booster.predict_raw_staged(model, Xv[rows], checkpoints)])
     return evaluate.CvResult(checkpoints=checkpoints, scores=scores)

