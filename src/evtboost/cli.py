@@ -259,6 +259,7 @@ def cmd_predict(args) -> int:
             values = np.column_stack([raw, L.dgpd_mean(raw, model.loss.alpha)])
         else:
             header, values = ["raw"], raw[:, None]
+    del X   # freed before the rows' Python objects are made
     D.write_csv(args.out, ["cell", "year", "month"] + header, [*keys, *values.T])
     return EXIT_OK
 

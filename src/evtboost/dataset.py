@@ -160,14 +160,13 @@ def open_table(path):
     missing_marker=None, used=None)``, which parses the data lines in
     blocks of about ``_BLOCK_BYTES`` with one ``np.loadtxt`` pass each.
     ``blocks`` yields ``(offset, values)``: the block's first data row and
-    its float values, one column per header field.  A field that equals
-    ``missing_marker`` (bare or quoted) is NaN; any other field that is not
-    a finite number is a fault, in the columns ``used`` (default: all; the
-    others read as 0).  ``check(values, missing)`` sees each parsed block
-    with its marker mask, may fill in values, and returns the first faulty
-    ``(row, message)`` or None.  A fault raises :class:`DataError` naming
-    the path and line; the earliest faulty line is named, as a line-by-line
-    reader would.
+    the values of the columns ``used`` (default: all; in file order), the
+    others unparsed, though a record must hold one field per header field.
+    A field equal to ``missing_marker`` (bare or quoted) is NaN; any other
+    used field that is not a finite number is a fault.  ``check(values,
+    missing)`` gets a block and its marker mask, may fill in values, and
+    returns the first faulty ``(row, message)`` or None.  A fault raises
+    :class:`DataError` naming the path and the earliest faulty line.
     """
     n_lines = count_lines(path)
     with open_text(path) as fh:
@@ -175,12 +174,11 @@ def open_table(path):
         header = next(reader, None)
 
         def blocks(check, missing_marker=None, used=None):
-            used = range(len(header)) if used is None else sorted(set(used))
-            ignored = {j: _zero for j in range(len(header)) if j not in used}
+            used = range(len(header)) if used is None else used
             offset = 0
             while lines := fh.readlines(_BLOCK_BYTES):
                 try:
-                    values = _parse_block(lines, header, used, ignored, missing_marker, check)
+                    values = _parse_block(lines, header, used, missing_marker, check)
                 except _BadLine as bad:
                     k, message = bad.args
                     raise DataError(f"{path}:{reader.line_num + 1 + offset + k}: "
@@ -191,16 +189,15 @@ def open_table(path):
         yield header, n_lines - reader.line_num, blocks
 
 
-def _zero(token: str) -> float:
-    return 0.0
-
-
-def _parse_block(lines, header, used, ignored, marker, check) -> np.ndarray:
+def _parse_block(lines, header, used, marker, check) -> np.ndarray:
     n_fields = len(header)
     text = "\n" + "".join(lines)   # the leading newline gives line 0 a boundary
     if not text.endswith("\n"):
         text += "\n"
     faults = []
+    # np.loadtxt counts fields itself when it reads every column of a non-blank block
+    full, quoted = len(used) == n_fields and not text.isspace(), '"' in text
+    k, message = None if full else _first_wrong_count(lines, n_fields, quoted), None
     if marker is not None:
         # Marker fields become "-nan", which parses to NaN with its sign bit
         # set; every other NaN is a literal token, a fault.  A literal "-nan"
@@ -209,37 +206,30 @@ def _parse_block(lines, header, used, ignored, marker, check) -> np.ndarray:
         if "-n" in text or "-N" in text:
             faults += _negative_nan(lines, n_fields, used, marker)
         text = _mark_missing(text, marker)
-    if not faults:
-        k = message = None
-        if all(line == "\n" for line in lines):   # np.loadtxt would find no data
-            k = 0
-        else:
-            try:
-                values = np.loadtxt(io.StringIO(text), delimiter=",", quotechar='"',
-                                    comments=None, ndmin=2, converters=ignored)
-            except ValueError as exc:
-                k, message = _loadtxt_fault(str(exc), header)
-            else:
-                if values.shape[1] != n_fields:
-                    k = 0
-                elif values.shape[0] != len(lines):   # a blank line, or a quoted line break
-                    k = next((k for k, line in enumerate(lines) if line.count('"') % 2),
-                             len(lines) - 1)
-                    message = "malformed row (line break inside a quoted field)"
-        if k is not None:
-            # np.loadtxt skips blank lines and leaves them out of its row count
-            k = min(k, next((b for b, line in enumerate(lines) if line == "\n"), k))
-            got = len(next(csv.reader([lines[k]]), []))
-            faults.append((k, message if got == n_fields and message
-                           else f"expected {n_fields} fields, got {got}"))
+    if k is None and not faults:
+        try:
+            values = np.loadtxt(io.StringIO(text), delimiter=",", quotechar='"', comments=None,
+                                ndmin=2, usecols=None if full else used)
+        except ValueError as exc:
+            k, message = _loadtxt_fault(str(exc), header)
+        if k is None and values.shape != (len(lines), len(used)):   # lines joined or miscounted
+            k = next((k for k, line in enumerate(lines) if line.count('"') % 2), len(lines) - 1)
+            message = "malformed row (line break inside a quoted field)"
+        if full and k is not None:   # any wrong count is named; lines[:k] are parsed again
+            c = _first_wrong_count(lines, n_fields, quoted)
+            k, message = (k, message) if c is None else (c, None)
+    if k is not None:   # a wrong count, or a fault on a line that is no whole record
+        got = len(next(csv.reader([lines[k]]), []))
+        faults.append((k, message if got == n_fields and message
+                       else f"expected {n_fields} fields, got {got}"))
     if not faults:
         missing = np.isnan(values) & np.signbit(values) if marker is not None \
             else np.zeros(values.shape, dtype=bool)   # "-nan" stands for the marker
         np.abs(values, out=values, where=missing)   # NaN as np.nan has it
-        bad_token = ~np.isfinite(values) & ~missing   # the ignored columns hold 0
+        bad_token = ~np.isfinite(values) & ~missing
         fault = first_fault([
             (bad_token.any(axis=1),
-             lambda i: f"malformed row (column {header[int(np.argmax(bad_token[i]))]!r}"
+             lambda i: f"malformed row (column {header[used[int(np.argmax(bad_token[i]))]]!r}"
                        f" is not a finite number)"),
         ]) or check(values, missing)
         if fault is None:
@@ -247,8 +237,21 @@ def _parse_block(lines, header, used, ignored, marker, check) -> np.ndarray:
         faults.append(fault)
     k, message = min(faults)
     if k:  # a fault on an earlier line of the block is named first
-        _parse_block(lines[:k], header, used, ignored, marker, check)
+        _parse_block(lines[:k], header, used, marker, check)
     raise _BadLine(k, message)
+
+
+def _first_wrong_count(lines, n_fields, quoted) -> int | None:
+    """First line of the first record without ``n_fields`` fields, or None: by
+    commas, or by csv records (split as np.loadtxt splits them) if ``quoted``."""
+    if not quoted:
+        return next((k for k, line in enumerate(lines) if line.count(",") != n_fields - 1), None)
+    reader, k = csv.reader(lines), 0
+    for fields in reader:   # k is the first line of the record
+        if len(fields) != n_fields:
+            return k
+        k = reader.line_num
+    return None
 
 
 def _mark_missing(text: str, marker: str) -> str:
@@ -282,11 +285,7 @@ def _reads_as_nan(token: str) -> bool:
 
 
 def _loadtxt_fault(message: str, header) -> tuple[int, str]:
-    """(line, message) from an ``np.loadtxt`` error, in this module's terms;
-    a wrong field count is reported from the line itself."""
-    m = re.search(r"columns changed from \d+ to \d+ at row (\d+)", message)
-    if m:  # rows counted from 1
-        return int(m[1]) - 1, ""
+    """(line, message) from an ``np.loadtxt`` error, in this module's terms."""
     m = re.search(r"(could not convert string .*) to float64 at row (\d+), column (\d+)",
                   message, re.DOTALL)
     if m:  # rows counted from 0, columns from 1
@@ -343,7 +342,6 @@ def load_csv(path, schema: dict | None = None, missing_marker: str = "NA",
                 raise DataError(f"{path}: column {col!r} has two roles, "
                                 f"{role_of[col]} and {role}")
             role_of[col] = role
-        lon, lat, year, month, cnt, ba = (col_of[schema[role]] for role in DEFAULT_SCHEMA)
         if covariate_columns is None:
             covariate_columns = [c for c in header if c not in role_of]
         features = set(KEY_FEATURES)
@@ -355,7 +353,9 @@ def load_csv(path, schema: dict | None = None, missing_marker: str = "NA",
             if c in features:
                 raise DataError(f"{path}: covariate column {c!r} repeats a feature name")
             features.add(c)
-        cov_idx = [col_of[c] for c in covariate_columns]
+        cols = [col_of[c] for c in [schema[r] for r in DEFAULT_SCHEMA] + list(covariate_columns)]
+        used = sorted(cols)   # in file order, so a row's leftmost bad field is named
+        lon, lat, year, month, cnt, ba, *cov_idx = map(used.index, cols)
         keys = [lon, lat, year, month]
 
         def check(v, missing):
@@ -365,7 +365,8 @@ def load_csv(path, schema: dict | None = None, missing_marker: str = "NA",
             fires, burnt = v[:, cnt], v[:, ba]
             return first_fault([
                 (bad_key.any(axis=1),
-                 lambda i: f"malformed row (column {header[keys[int(np.argmax(bad_key[i]))]]!r}"
+                 lambda i: f"malformed row (column "
+                           f"{header[used[keys[int(np.argmax(bad_key[i]))]]]!r}"
                            f" is not a finite number)"),
                 (not_integer(v[:, year]),
                  lambda i: f"malformed row (year {v[i, year]:g} is not an integer "
@@ -384,7 +385,7 @@ def load_csv(path, schema: dict | None = None, missing_marker: str = "NA",
         coords, covariates = np.empty((n, 2)), np.empty((n, len(cov_idx)))
         years, months = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
         counts, areas = np.empty(n), np.empty(n)
-        for o, v in blocks(check, missing_marker, used=keys + [cnt, ba] + cov_idx):
+        for o, v in blocks(check, missing_marker, used=used):
             rows = slice(o, o + v.shape[0])
             coords[rows], covariates[rows] = v[:, [lon, lat]], v[:, cov_idx]
             years[rows], months[rows] = v[:, year], v[:, month]
@@ -425,6 +426,7 @@ def load_csv(path, schema: dict | None = None, missing_marker: str = "NA",
 # (rows x width), so its temporaries and Python row objects stay the same
 # size whatever the array's width.
 _BLOCK_CELLS = 1 << 14
+_DISTINCT_PROBE = 256
 
 
 def row_blocks(n: int, width: int) -> list[slice]:
@@ -434,21 +436,46 @@ def row_blocks(n: int, width: int) -> list[slice]:
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
+def distinct_blocks(x: np.ndarray, width: int):
+    """``(rows, values, inverse)`` over :func:`row_blocks` (at ``width``) of
+    the sort order of the 1-d float64 ``x``: ``values`` are a block's
+    distinct bit patterns (-0.0 is not 0.0, nor one NaN payload another),
+    so a function of them indexed by ``inverse`` has its bits on ``x[rows]``.
+    Scores with no repeat among the first ``_DISTINCT_PROBE`` (a large
+    model's) take plain row blocks, where sorting would not pay for itself."""
+    bits = x.view(np.uint64)
+    if np.diff(np.sort(bits[:_DISTINCT_PROBE])).all():   # no repeat
+        yield from ((rows, x[rows], slice(None)) for rows in row_blocks(x.size, width))
+        return
+    order = np.argsort(bits)
+    for block in row_blocks(x.size, width):
+        rows = order[block]
+        b = bits[rows]
+        new = np.concatenate([[True], b[1:] != b[:-1]])
+        yield rows, b[new].view(np.float64), np.cumsum(new) - 1
+
+
 def write_csv(path, header, columns) -> None:
     """Write ``header``, then one row per index of the equal-length
     ``columns`` (lists or 1-d numpy arrays).  ``csv`` writes a float
     (``np.float64`` too) by ``float.__repr__``, the shortest text that reads
     back to it.  Array columns become Python numbers one block of rows (of
     :func:`row_blocks` at the column count) at a time, so only a block's
-    objects are alive at once."""
+    objects are alive at once.  Rows of numeric arrays are written as their
+    fields' ``repr`` joined by commas: ``csv``'s bytes without its dispatch."""
     n_rows = len(columns[0])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
+        if all(isinstance(c, np.ndarray) and c.dtype.kind in "fiu" for c in columns):
+            def write_rows(block):
+                fh.writelines(",".join(map(repr, row)) + "\r\n" for row in block)
+        else:
+            write_rows = writer.writerows
         for rows in row_blocks(n_rows, len(columns)):
-            block = (c[rows] for c in columns)
-            writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
-                                   for c in block)))
+            # no name holds a block, so the last one is freed before the next is made
+            write_rows(zip(*(c[rows].tolist() if isinstance(c, np.ndarray) else c[rows]
+                             for c in columns)))
 
 
 def save_csv(ds: GridDataset, path) -> None:

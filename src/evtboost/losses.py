@@ -32,7 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import distinct_blocks
 from .errors import DataError, NumericalError
+from .tree import is_finite_number
 
 LOSS_KINDS = ("poisson", "dgpd", "trgamma", "gpd", "cross_entropy", "squared_log")
 N_CLASSES = 3  # cross_entropy classes: the zero / bulk / tail size classes
@@ -93,8 +95,10 @@ class LossSpec:
 
 
 def loss_spec_from_dict(doc: dict) -> LossSpec:
-    """Rebuild a LossSpec from its serialized hyperparameter dict; a class
-    count other than :data:`N_CLASSES` is rejected."""
+    """Rebuild a LossSpec from its serialized object: a string ``kind`` and
+    finite numbers, with :data:`N_CLASSES` classes if any are given."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("kind"), str):
+        raise DataError(f"loss must be an object with a string kind, got {doc!r}")
     known = {"kind", "alpha", "xi", "kappa", "k_shape", "u_trunc", "n_classes"}
     unknown = set(doc) - known
     if unknown:
@@ -104,6 +108,9 @@ def loss_spec_from_dict(doc: dict) -> LossSpec:
     if n_classes != N_CLASSES:
         raise DataError(f"cross_entropy model has {n_classes!r} classes; "
                         f"predict writes the {N_CLASSES} size classes")
+    for key, val in doc.items():
+        if key != "kind" and not is_finite_number(val):
+            raise DataError(f"loss {key} must be a finite number, got {val!r}")
     return LossSpec(**doc)
 
 
@@ -216,15 +223,19 @@ def dgpd_mean(theta, alpha: float) -> float | np.ndarray:
 
     Closed form through the Hurwitz zeta function (DLMF 25.11):
     sum_{k>=1} (1 + c k)^(-alpha) = c^(-alpha) zeta(alpha, 1 + 1/c) with
-    c = e^theta.  A non-finite mean (a NaN score, or overflow of c^(-alpha)
-    at very negative theta) raises :class:`~evtboost.errors.NumericalError`.
+    c = e^theta, over :func:`dataset.distinct_blocks`.  A non-finite mean (a
+    NaN score, or overflow of c^(-alpha) at very negative theta) raises
+    :class:`~evtboost.errors.NumericalError`.
     """
     from scipy import special
     if alpha <= 1.0:
         raise DataError("dGPD mean does not exist for alpha <= 1")
     theta_arr = np.asarray(theta, dtype=float)
+    mean = np.empty(theta_arr.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = np.exp(-alpha * theta_arr) * special.zeta(alpha, 1.0 + np.exp(-theta_arr))
+        for rows, t, inverse in distinct_blocks(theta_arr.ravel(), 1):
+            mean[rows] = (np.exp(-alpha * t) * special.zeta(alpha, 1.0 + np.exp(-t)))[inverse]
+    mean = mean.reshape(theta_arr.shape)
     bad = ~np.isfinite(mean)
     if np.any(bad):
         i = int(np.argmax(bad))

@@ -15,7 +15,6 @@ F_bulk(u) = 1 by construction) and F_tail supported on (u, inf).
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
 
@@ -24,7 +23,7 @@ import numpy as np
 from . import booster as B
 from . import losses as L
 from .errors import DataError, open_text
-from .dataset import align_features, row_blocks
+from .dataset import align_features, distinct_blocks
 
 MANIFEST_VERSION = 1
 COMPONENTS = ("classifier", "bulk", "tail")  # the MixtureModel fields a manifest names
@@ -81,6 +80,7 @@ def cdf_from_raw(m: MixtureModel, raw, thresholds) -> np.ndarray:
 
     Every term is evaluated on the (n, J) grid, one block of rows at a time:
     below ``u`` the tail CDF is exactly 0, and at b = 0 so is the bulk CDF.
+    The blocks are the :func:`dataset.distinct_blocks` of the bulk scores.
     """
     thresholds = np.asarray(thresholds, dtype=float)
     if np.any(thresholds < 0):
@@ -89,12 +89,15 @@ def cdf_from_raw(m: MixtureModel, raw, thresholds) -> np.ndarray:
     b = thresholds[None, :]
     y_bulk = np.log1p(np.minimum(b, m.u))
     out = np.empty((cls.shape[0], thresholds.size))
-    for rows in row_blocks(cls.shape[0], thresholds.size):
+    for rows, t, inverse in distinct_blocks(bulk, thresholds.size):
         p = L.softmax(cls[rows])
-        f_bulk = L.trgamma_cdf(y_bulk, bulk[rows, None], m.k_shape, np.log1p(m.u))
-        f_tail = L.gpd_cdf_excess(b - m.u, tail_sigma(m, tail[rows])[:, None], m.xi)
+        cdf = L.trgamma_cdf(y_bulk, t[:, None], m.k_shape, np.log1p(m.u))[inverse]
+        # p0 + p1 * F_bulk + p2 * F_tail in place, in the same order of operations
+        cdf *= p[:, 1:2]
+        cdf += p[:, :1]
+        cdf += p[:, 2:] * L.gpd_cdf_excess(b - m.u, tail_sigma(m, tail[rows])[:, None], m.xi)
         # rounding can lift the sum of the three terms a bit above 1
-        np.minimum(p[:, :1] + p[:, 1:2] * f_bulk + p[:, 2:] * f_tail, 1.0, out=out[rows])
+        out[rows] = np.minimum(cdf, 1.0, out=cdf)
     return out
 
 
@@ -191,10 +194,7 @@ def load(path) -> MixtureModel | B.BoostedModel:
 
 def _manifest_number(manifest: dict, key: str) -> float:
     val = manifest.get(key)
-    try:
-        if type(val) in (int, float) and math.isfinite(val):
-            return float(val)
-    except OverflowError:  # an integer beyond the float range
-        pass
-    raise DataError(f"manifest {key} must be a finite number, got {val!r}")
+    if not B.is_finite_number(val):
+        raise DataError(f"manifest {key} must be a finite number, got {val!r}")
+    return float(val)
 

@@ -18,7 +18,7 @@ trees are bit-identical to it.
 from __future__ import annotations
 
 import heapq
-import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +32,8 @@ def is_number(value) -> bool:
 
 
 def is_finite_number(value) -> bool:
-    return is_number(value) and math.isfinite(value)
+    """A number within the float range; an int beyond it overflows math.isfinite."""
+    return is_number(value) and abs(value) <= sys.float_info.max
 
 
 def leaf_weight(g_sum: float, h_sum: float, lambda_reg: float) -> float:

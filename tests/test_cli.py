@@ -249,6 +249,7 @@ MALFORMED_MANIFEST = {
     "threshold_missing": lambda doc: doc.pop("threshold"),
     "threshold_not_numeric": lambda doc: doc.update(threshold="abc"),
     "threshold_not_finite": lambda doc: doc.update(threshold=float("nan")),
+    "threshold_beyond_float": lambda doc: doc.update(threshold=10 ** 400),
     "component_not_string": lambda doc: doc.update(tail=7),
     "xi_disagrees_with_tail": lambda doc: doc.update(xi=0.9),
 }
@@ -318,6 +319,7 @@ MALFORMED = {
     "feature_negative": _set("feature", -1),
     "threshold_missing": _drop("threshold"),
     "threshold_not_finite": _set("threshold", float("inf")),
+    "threshold_beyond_float": _set("threshold", 10 ** 400),
     "weight_missing": _drop("weight", _first_leaf),
     "weight_not_finite": _set("weight", float("nan"), _first_leaf),
     "default_left_not_bool": _set("default_left", "yes"),
@@ -325,6 +327,11 @@ MALFORMED = {
     "loss_alpha_nan": lambda doc: doc["loss"].update(alpha=float("nan")),
     "loss_alpha_inf": lambda doc: doc["loss"].update(alpha=float("inf")),
     "feature_name_not_string": lambda doc: doc["feature_names"].__setitem__(0, ["lon"]),
+    "loss_without_kind": lambda doc: doc["loss"].pop("kind"),
+    "loss_not_object": lambda doc: doc.update(loss=5),
+    "loss_alpha_string": lambda doc: doc["loss"].update(alpha="x"),
+    "loss_alpha_null": lambda doc: doc["loss"].update(alpha=None),
+    "loss_alpha_beyond_float": lambda doc: doc["loss"].update(alpha=10 ** 400),
 }
 
 class TestMalformedModel:
@@ -349,6 +356,7 @@ class TestMalformedModel:
                    "--out", str(tmp_path / "p.csv")) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("edit", [_set("left", 0), _back_edge],
                              ids=["self_loop", "back_edge"])

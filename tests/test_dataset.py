@@ -1,6 +1,8 @@
 import csv
+import inspect
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -240,6 +242,14 @@ FAULTS = [
 ]
 
 
+def covariate_subsets(text):
+    """The covariate lists a caller may pass for a ``csv_texts`` file: None
+    (every covariate), or any of its covariates in any order, [] too."""
+    names = [name for name in text.splitlines()[0].split(",") if name.startswith("x")]
+    return st.one_of(st.none(), st.lists(st.sampled_from(names), unique=True)
+                     if names else st.just([]))
+
+
 def line_of(exc) -> int:
     return int(re.search(r"\.csv:(\d+):", str(exc))[1])
 
@@ -250,14 +260,17 @@ class TestLoadCsvEquivalence:
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(case=csv_texts(), block=st.sampled_from([1, 100, 250, 600, 1 << 19]))
-    def test_arrays_equal_the_token_loop(self, tmp_path, monkeypatch, case, block):
+    @given(case=csv_texts(), block=st.sampled_from([1, 100, 250, 600, 1 << 19]),
+           data=st.data())
+    def test_arrays_equal_the_token_loop(self, tmp_path, monkeypatch, case, block, data):
         text, marker, _ = case
+        covariates = data.draw(covariate_subsets(text))
         monkeypatch.setattr(dataset, "_BLOCK_BYTES", block)
         path = tmp_path / "d.csv"
         path.write_bytes(text.encode())
-        assert_same_dataset(dataset.load_csv(path, missing_marker=marker),
-                            reference_load_csv(path, missing_marker=marker))
+        assert_same_dataset(
+            dataset.load_csv(path, missing_marker=marker, covariate_columns=covariates),
+            reference_load_csv(path, missing_marker=marker, covariate_columns=covariates))
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -282,15 +295,58 @@ class TestLoadCsvEquivalence:
                 lines.insert(at, bad)
             else:
                 lines[at] = bad
+        covariates = data.draw(covariate_subsets(text))
         path = tmp_path / "d.csv"
         path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
         with pytest.raises(DataError) as want:
-            reference_load_csv(path, missing_marker=marker)
+            reference_load_csv(path, missing_marker=marker, covariate_columns=covariates)
         with pytest.raises(DataError) as got:
-            dataset.load_csv(path, missing_marker=marker)
+            dataset.load_csv(path, missing_marker=marker, covariate_columns=covariates)
         assert line_of(got.value) == line_of(want.value)
         # a wrong field count (blank and "#" lines included) is reported as one
         assert ("fields" in str(got.value)) == ("fields" in str(want.value))
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=csv_texts(), block=st.sampled_from([1, 100, 600, 1 << 19]), data=st.data())
+    def test_unread_column_is_not_parsed(self, tmp_path, monkeypatch, case, block, data):
+        """A token no loader accepts as a number, in a column that is not
+        read, loads as the token loop loads it."""
+        text, marker, rows = case
+        lines = text.splitlines()
+        names = [name.strip() for name in lines[0].split(",")]
+        unread = [name for name in names if name.startswith("x")]
+        if not rows or not unread:
+            return
+        skipped = data.draw(st.sampled_from(unread))
+        j = names.index(skipped)
+        for at in data.draw(st.lists(st.integers(1, len(rows)), min_size=1, unique=True)):
+            fields = next(csv.reader([lines[at]]))
+            token = data.draw(st.sampled_from(["xx", "nan", "-nan", "inf", "1_0", '"a,b"']))
+            lines[at] = ",".join(fields[:j] + [token] + fields[j + 1:])
+        covariates = [name for name in unread if name != skipped]
+        monkeypatch.setattr(dataset, "_BLOCK_BYTES", block)
+        path = tmp_path / "d.csv"
+        path.write_bytes(("\n".join(lines) + "\n").encode())
+        assert_same_dataset(
+            dataset.load_csv(path, missing_marker=marker, covariate_columns=covariates),
+            reference_load_csv(path, missing_marker=marker, covariate_columns=covariates))
+
+    @pytest.mark.parametrize("covariates, message", [
+        ([], "malformed row (line break inside a quoted field)"),
+        (["x0"], "malformed row (line break inside a quoted field)"),
+        (None, "malformed row (could not convert string 'a\\nb' in column 'x1')")])
+    def test_quoted_line_break_is_named_where_it_opens(self, tmp_path, covariates, message):
+        """A quoted line break joins two lines into one record, read or not:
+        it is named at the line it opens on, whose fields are all there."""
+        path = tmp_path / "d.csv"
+        path.write_text("lon,lat,year,month,cnt,ba,x0,x1\n"
+                        "-100.0,37.5,1993,3,1,2.5,0.5,0.5\n"
+                        '-100.0,38.0,1993,3,1,2.5,0.5,"a\n'
+                        'b"\n', encoding="utf-8")
+        with pytest.raises(DataError) as got:
+            dataset.load_csv(path, covariate_columns=covariates)
+        assert str(got.value) == f"{path}:3: {message}"
 
     def test_values_read_by_both_are_bit_equal(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -372,6 +428,19 @@ class TestAcceptedSyntax:
             path.write_bytes(SYNTAX_BASE.rstrip("\n").replace("\n", eol).encode())
             assert dataset.count_lines(path) == 2
 
+
+    @pytest.mark.parametrize("block", [1, 1 << 19])
+    def test_blank_lines_are_a_field_count_without_a_warning(self, tmp_path, monkeypatch,
+                                                              block):
+        """Blank lines, a whole block of them too, are a wrong field count,
+        not np.loadtxt's "no data" warning."""
+        monkeypatch.setattr(dataset, "_BLOCK_BYTES", block)
+        path = tmp_path / "d.csv"
+        path.write_text(SYNTAX_BASE + "\n\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"d\.csv:3: expected 7 fields, got 0"):
+                dataset.load_csv(path)
 
 def grid_dataset(values, year=1993, month=3):
     """3x3 grid with one row per cell and the covariate 'v' set per cell."""
@@ -488,6 +557,31 @@ class TestRowBlocks:
             assert all(s == 1 for s in sizes)
 
 
+SPECIAL_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308]
+TEXTS = ["NA", "", "a,b", 'say "hi"', "two\r\nlines", "cr\r", "lf\n", " ", "plain"]
+
+
+@st.composite
+def csv_columns(draw):
+    """(header, columns): equal-length numeric arrays and lists mixing
+    floats, ints and strings that need quoting."""
+    n = draw(st.integers(0, 30))
+    floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=True))
+    ints = st.integers(-2 ** 63, 2 ** 63 - 1)
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["float", "int", "list"]))
+        if kind == "float":
+            columns.append(np.array(draw(st.lists(floats, min_size=n, max_size=n)), dtype=float))
+        elif kind == "int":
+            columns.append(np.array(draw(st.lists(ints, min_size=n, max_size=n)),
+                                    dtype=np.int64))
+        else:
+            cell = st.one_of(floats, ints, st.sampled_from(TEXTS), st.text(max_size=4))
+            columns.append(draw(st.lists(cell, min_size=n, max_size=n)))
+    return [f"c{j}" for j in range(len(columns))], columns
+
+
 class TestWriteCsv:
     @pytest.mark.parametrize("block_rows", [1, 3, 4096])
     def test_array_columns_write_what_their_lists_write(self, tmp_path, monkeypatch, block_rows):
@@ -510,3 +604,46 @@ class TestWriteCsv:
     def test_header_only(self, tmp_path):
         dataset.write_csv(tmp_path / "a.csv", ["x"], [np.empty(0)])
         assert (tmp_path / "a.csv").read_bytes() == b"x\r\n"
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(table=csv_columns(), block=st.sampled_from([1, 2, 5, 7, 64, 1 << 14]))
+    def test_bytes_equal_the_csv_module(self, tmp_path, monkeypatch, table, block):
+        header, columns = table
+        monkeypatch.setattr(dataset, "_BLOCK_CELLS", block)
+        dataset.write_csv(tmp_path / "a.csv", header, columns)
+        with open(tmp_path / "b.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                                   for c in columns)))
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+class TestNoPythonConverters:
+    def test_loadtxt_gets_no_converters(self, tmp_path, monkeypatch, capsys):
+        """``np.loadtxt`` parses every field it is given in C; a Python
+        converter would run once per field.  Every reader of a table, the
+        faulty ones too, calls it without one."""
+        real, calls = np.loadtxt, []
+
+        def spy(*args, **kwargs):
+            calls.append(inspect.signature(real).bind(*args, **kwargs).arguments)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        path = tmp_path / "d.csv"
+        path.write_text(BASIC.strip() + "\n", encoding="utf-8")
+        ds = dataset.load_csv(path)
+        dataset.load_csv(path, covariate_columns=[])
+        bad = tmp_path / "bad.csv"
+        bad.write_text(BASIC.strip().replace(",2.5\n", ",zz\n") + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match="zz"):
+            dataset.load_csv(bad)
+        pred = tmp_path / "pred.csv"
+        dataset.write_csv(pred, ["cell", "year", "month", "p_le_0.0"],
+                          [ds.cell_index, ds.year, ds.month, np.full(ds.n_rows, 0.5)])
+        assert cli.main(["--runlog", str(tmp_path / "runs.log"), "score", "--pred", str(pred),
+                         "--data", str(path)]) == 0
+        assert len(calls) >= 4
+        assert all(call.get("converters") is None for call in calls)
