@@ -211,7 +211,7 @@ def _parse_block(lines, header, used, marker, check) -> np.ndarray:
             values = np.loadtxt(io.StringIO(text), delimiter=",", quotechar='"', comments=None,
                                 ndmin=2, usecols=None if full else used)
         except ValueError as exc:
-            k, message = _loadtxt_fault(str(exc), header)
+            k, message = _loadtxt_fault(str(exc), header, lines)
         if k is None and values.shape != (len(lines), len(used)):   # lines joined or miscounted
             k = next((k for k, line in enumerate(lines) if line.count('"') % 2), len(lines) - 1)
             message = "malformed row (line break inside a quoted field)"
@@ -219,7 +219,7 @@ def _parse_block(lines, header, used, marker, check) -> np.ndarray:
             c = _first_wrong_count(lines, n_fields, quoted)
             k, message = (k, message) if c is None else (c, None)
     if k is not None:   # a wrong count, or a fault on a line that is no whole record
-        got = len(next(csv.reader([lines[k]]), []))
+        got = len(next(csv.reader(lines[k:]), []))   # the record that starts at line k
         faults.append((k, message if got == n_fields and message
                        else f"expected {n_fields} fields, got {got}"))
     if not faults:
@@ -284,14 +284,20 @@ def _reads_as_nan(token: str) -> bool:
         return False
 
 
-def _loadtxt_fault(message: str, header) -> tuple[int, str]:
-    """(line, message) from an ``np.loadtxt`` error, in this module's terms."""
+def _loadtxt_fault(message: str, header, lines) -> tuple[int, str]:
+    """(line, message) from an ``np.loadtxt`` error on ``lines``, in this
+    module's terms.  np.loadtxt numbers records, and a record spans lines
+    where a quoted field holds a line break, so the record's first line is
+    found by reading ``lines`` as csv records."""
     m = re.search(r"(could not convert string .*) to float64 at row (\d+), column (\d+)",
                   message, re.DOTALL)
     if m:  # rows counted from 0, columns from 1
         j = int(m[3]) - 1
         column = repr(header[j]) if j < len(header) else j + 1
-        return int(m[2]), f"malformed row ({m[1]} in column {column})"
+        reader = csv.reader(lines)
+        for _ in zip(range(int(m[2])), reader):   # the records before it
+            pass
+        return reader.line_num, f"malformed row ({m[1]} in column {column})"
     return 0, f"malformed row ({message})"
 
 
@@ -478,16 +484,60 @@ def write_csv(path, header, columns) -> None:
                              for c in columns)))
 
 
-def save_csv(ds: GridDataset, path) -> None:
-    """Write the dataset back out in the same CSV dialect, NaN as "NA"."""
-    def column(values: np.ndarray) -> list:
-        return ["NA" if math.isnan(v) else int(v) if v.is_integer() else v
-                for v in values.tolist()]
+def reprs(values: np.ndarray) -> list[str]:
+    """``repr`` of each value as a Python number: ``csv``'s text for an int
+    or a float (``-110.0`` stays ``-110.0``)."""
+    return list(map(repr, values.tolist()))
 
-    lon, lat = ds.cells[ds.cell_index].T.tolist()
-    write_csv(path, ["lon", "lat", "year", "month", "cnt", "ba"] + ds.covariate_names,
-              [lon, lat, ds.year.tolist(), ds.month.tolist(), column(ds.cnt), column(ds.ba),
-               *map(column, ds.covariates.T)])
+
+def value_texts(values: np.ndarray) -> np.ndarray:
+    """Texts of response and covariate values: "NA" for NaN, the exact
+    integer for a finite integral value (beyond 2^63 too) and ``repr``
+    otherwise, "inf" and "-inf" included."""
+    texts = np.full(values.size, "NA", dtype=object)
+    with np.errstate(invalid="ignore"):   # np.trunc of a signalling NaN
+        integral = np.isfinite(values) & (values == np.trunc(values))
+    other = ~integral & ~np.isnan(values)
+    texts[integral] = list(map(str, map(int, values[integral].tolist())))
+    texts[other] = reprs(values[other])
+    return texts
+
+
+def distinct_texts(values: np.ndarray, rule) -> np.ndarray:
+    """The texts of ``values`` as an object array of their shape.  ``rule``
+    maps a 1-d array of distinct values (floats distinct by bit pattern, so
+    -0.0 is not 0.0) to their texts, so each distinct value is formatted once."""
+    keys = values.view(f"u{values.itemsize}") if values.dtype.kind == "f" else values
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    texts = np.asarray(rule(distinct.view(values.dtype)), dtype=object)
+    return texts[inverse.reshape(values.shape)]
+
+
+def write_texts(path, header, n_rows: int, fields) -> None:
+    """Write ``header`` through ``csv``, then rows 0..n_rows-1 a
+    :func:`row_blocks` block (at the header's width) at a time:
+    ``fields(rows)`` gives the block's texts as object arrays, each
+    ``(len(rows),)`` or ``(len(rows), k)``, in column order.  Lines end in
+    "\\r\\n", as ``csv`` ends them."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        for rows in row_blocks(n_rows, len(header)):
+            # no name holds a block, so the last one is freed before the next is made
+            fh.write("\r\n".join(map(",".join, np.column_stack(fields(rows)).tolist())) + "\r\n")
+
+
+def save_csv(ds: GridDataset, path) -> None:
+    """Write the dataset in the CSV dialect :func:`load_csv` reads: lon and
+    lat by ``repr``, year and month as integers, and cnt, ba and the
+    covariates by :func:`value_texts`, NaN as "NA"."""
+    def fields(rows):
+        return [distinct_texts(ds.cells[ds.cell_index[rows]], reprs),
+                distinct_texts(ds.year[rows], reprs), distinct_texts(ds.month[rows], reprs),
+                distinct_texts(np.column_stack([ds.cnt[rows], ds.ba[rows], ds.covariates[rows]]),
+                               value_texts)]
+
+    write_texts(path, ["lon", "lat", "year", "month", "cnt", "ba"] + ds.covariate_names,
+                ds.n_rows, fields)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from functools import cache
 
 import numpy as np
 
-from .dataset import GridDataset, match_rows, write_csv
+from .dataset import GridDataset, distinct_texts, match_rows, reprs, write_texts
 from .errors import DataError, NumericalError, open_text
 
 RESPONSES = ("cnt", "ba")
@@ -261,10 +261,15 @@ def save_folds(folds: FoldSet, ds: GridDataset, path) -> None:
     _check_rows(folds, ds)
     order = np.lexsort((ds.month, ds.year, ds.cell_index))
     fold, resp, k = np.nonzero(folds.masks[:, :, order])
-    rows = order[k]
-    lon, lat = ds.cells[ds.cell_index[rows]].T.tolist()
-    write_csv(path, FOLD_HEADER, [fold.tolist(), np.asarray(RESPONSES)[resp].tolist(), lon, lat,
-                                  ds.year[rows].tolist(), ds.month[rows].tolist()])
+    rows, names = order[k], np.array(RESPONSES, dtype=object)
+
+    def fields(b):
+        r = rows[b]
+        return [distinct_texts(fold[b], reprs), names[resp[b]],
+                distinct_texts(ds.cells[ds.cell_index[r]], reprs),
+                distinct_texts(ds.year[r], reprs), distinct_texts(ds.month[r], reprs)]
+
+    write_texts(path, FOLD_HEADER, rows.size, fields)
 
 
 def load_folds(path, ds: GridDataset) -> FoldSet:

@@ -14,11 +14,20 @@ import numpy as np
 
 from . import losses as L
 from .dataset import GridDataset
+from .errors import ConfigError, NumericalError
 
 SEASON = tuple(range(3, 10))
 
 
 def _grid(nx: int, ny: int, lon0=-110.25, lat0=35.25, spacing=0.5):
+    """Sorted (lon, lat) centres of an nx x ny grid from (lon0, lat0).  A
+    grid whose cells would leave the globe (lon above 180, lat above 90) is
+    a :class:`ConfigError`, raised before any cell is built."""
+    nx_max, ny_max = int((180 - lon0) // spacing) + 1, int((90 - lat0) // spacing) + 1
+    if nx > nx_max or ny > ny_max:
+        raise ConfigError(f"a {nx} x {ny} grid from ({lon0}, {lat0}) at spacing {spacing} "
+                          f"leaves the globe: nx must be at most {nx_max} and ny at most "
+                          f"{ny_max}")
     cells = []
     for j in range(ny):
         for i in range(nx):
@@ -47,6 +56,7 @@ def sample_gpd(sigma, xi: float, n: int, rng) -> np.ndarray:
     return sigma * np.expm1(-xi * np.log1p(-urand)) / xi
 
 
+@np.errstate(over="ignore", invalid="ignore")   # an overflowed draw is rejected below
 def synth_dataset(
     kind: str,
     n_years: int = 2,
@@ -65,6 +75,8 @@ def synth_dataset(
     Both kinds carry covariates x1, x2 and coherent CNT; "sizes" adds BA
     composed from the count-zero indicator, a bulk and a tail component.
     ``mask_rate`` independently masks that fraction of each response.
+    Draws that are not finite (a tiny ``alpha`` overflows the counts) raise
+    :class:`NumericalError`.
     """
     from scipy import special
     if kind not in ("counts", "sizes"):
@@ -104,6 +116,10 @@ def synth_dataset(
         vals[~is_tail] = np.expm1(z)
         vals[is_tail] = u + exc
         ba[positive] = vals
+
+    if not (np.isfinite(cnt).all() and (kind == "counts" or np.isfinite(ba).all())):
+        raise NumericalError(f"synthetic {kind} draws are not all finite (alpha={alpha!r}, "
+                             f"u={u!r}, xi={xi!r}, kappa={kappa!r}, k_shape={k_shape!r})")
 
     if mask_rate > 0.0:
         cnt = np.where(rng.uniform(size=rows) < mask_rate, np.nan, cnt)

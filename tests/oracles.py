@@ -1,16 +1,20 @@
 """Reference functions that only tests call: Monte Carlo draws from a size
-mixture, its component probabilities, the dGPD pmf and a tree's leaf
-count.  The criteria that use them check the package's closed forms
-(mixture CDFs, dGPD survival, leaf caps) against these."""
+mixture, its component probabilities, the dGPD pmf, a tree's leaf count and
+the dataset and fold writers that turn every value into a Python object.
+The criteria that use them check the package's closed forms (mixture CDFs,
+dGPD survival, leaf caps) and its block writers against these."""
+
+import math
 
 import numpy as np
 
 from evtboost import booster as B
 from evtboost import losses as L
 from evtboost import synth
-from evtboost.dataset import align_features
+from evtboost.dataset import GridDataset, align_features, write_csv
 from evtboost.errors import DataError
 from evtboost.mixture import MixtureModel, tail_sigma
+from evtboost.spatialcv import FOLD_HEADER, RESPONSES, FoldSet, _check_rows
 
 
 def component_probs(m: MixtureModel, X, names=None) -> np.ndarray:
@@ -60,3 +64,27 @@ def dgpd_pmf(y, theta, alpha):
 def n_leaves(t) -> int:
     """Leaves of a :class:`~evtboost.tree.Tree`."""
     return sum(1 for n in t.nodes if n.is_leaf)
+
+
+def save_csv(ds: GridDataset, path) -> None:
+    """Write the dataset back out in the same CSV dialect, NaN as "NA"."""
+    def column(values: np.ndarray) -> list:
+        return ["NA" if math.isnan(v) else int(v) if v.is_integer() else v
+                for v in values.tolist()]
+
+    lon, lat = ds.cells[ds.cell_index].T.tolist()
+    write_csv(path, ["lon", "lat", "year", "month", "cnt", "ba"] + ds.covariate_names,
+              [lon, lat, ds.year.tolist(), ds.month.tolist(), column(ds.cnt), column(ds.ba),
+               *map(column, ds.covariates.T)])
+
+
+def save_folds(folds: FoldSet, ds: GridDataset, path) -> None:
+    """Export as fold,response,lon,lat,year,month rows, each fold's rows
+    sorted by (cell, year, month), with a header."""
+    _check_rows(folds, ds)
+    order = np.lexsort((ds.month, ds.year, ds.cell_index))
+    fold, resp, k = np.nonzero(folds.masks[:, :, order])
+    rows = order[k]
+    lon, lat = ds.cells[ds.cell_index[rows]].T.tolist()
+    write_csv(path, FOLD_HEADER, [fold.tolist(), np.asarray(RESPONSES)[resp].tolist(), lon, lat,
+                                  ds.year[rows].tolist(), ds.month[rows].tolist()])

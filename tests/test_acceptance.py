@@ -21,7 +21,7 @@ from evtboost.errors import DataError
 from evtboost.synth import sample_dgpd, sample_gpd, sample_trgamma
 
 import oracles
-from conftest import child_env, fd_grad, fd_hess, rel_err
+from helpers import child_env, fd_grad, fd_hess, rel_err
 
 SEED = 20240817
 

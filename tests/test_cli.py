@@ -3,14 +3,15 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import child_env
-from evtboost import booster, cli, losses, mixture, spatialcv
-from evtboost.errors import DataError
+from helpers import child_env, traced_peak
+from evtboost import booster, cli, losses, mixture, spatialcv, synth
+from evtboost.errors import ConfigError, DataError
 from evtboost.synth import synth_dataset
 from evtboost import dataset as D
 
@@ -1002,6 +1003,36 @@ class TestSeedsAlphaPointsAndRoots:
                    "--out", str(out)) == 1
         _one_line(capsys.readouterr().err, "config error: --alpha must be finite and > 0")
         assert not out.exists()
+
+    def test_synth_alpha_overflowing_the_draws(self, tmp_path, capsys):
+        """A tiny alpha overflows every count draw: one numerical line, no
+        warning and no file (the count column was all "inf")."""
+        out = tmp_path / "d.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(tmp_path, "synth", "--kind", "sizes", "--alpha", "1e-300",
+                       "--out", str(out)) == 3
+        _one_line(capsys.readouterr().err,
+                  "numerical failure: synthetic sizes draws are not all finite (alpha=1e-300,")
+        assert not out.exists()
+
+    def test_synth_grid_leaving_the_globe(self, tmp_path, capsys):
+        """The grid is checked before a cell of it is built."""
+        out = tmp_path / "d.csv"
+        status, peak = traced_peak(run, tmp_path, "synth", "--kind", "counts",
+                                   "--nx", "100000", "--ny", "100000", "--out", str(out))
+        assert status == 1 and peak < 1 << 20
+        _one_line(capsys.readouterr().err,
+                  "config error: a 100000 x 100000 grid from (-110.25, 35.25) at spacing 0.5 "
+                  "leaves the globe: nx must be at most 581 and ny at most 110")
+        assert not out.exists()
+
+    def test_synth_grid_on_the_globe_up_to_its_edge(self):
+        lon, lat = synth._grid(581, 110).max(axis=0)
+        assert (lon, lat) == (179.75, 89.75)
+        for nx, ny in ((582, 1), (1, 111)):
+            with pytest.raises(ConfigError, match="leaves the globe"):
+                synth._grid(nx, ny)
 
     def test_pdp_points_beyond_rows(self, tmp_path, tiny, capsys):
         data, n_rows, _, model = tiny

@@ -348,6 +348,25 @@ class TestLoadCsvEquivalence:
             dataset.load_csv(path, covariate_columns=covariates)
         assert str(got.value) == f"{path}:3: {message}"
 
+    @pytest.mark.parametrize("tail, covariates, message", [
+        ('b"\n-101.0,38.0,1993,3,xx,2.5,0.5,0.5\n', ["x0"],
+         "3: malformed row (line break inside a quoted field)"),
+        ('b",9\n', ["x0"], "3: expected 8 fields, got 9"),
+        ('b",9\n', None, "3: expected 8 fields, got 9")])
+    def test_faults_after_a_quoted_line_break_count_records(self, tmp_path, tail, covariates,
+                                                           message):
+        """np.loadtxt numbers records, and the record opened at line 3 ends
+        at line 4: a bad field on line 5 is record 2, which does not make
+        line 4 the faulty one, so line 3's own fault is still named first;
+        a field count is that of the whole record."""
+        path = tmp_path / "d.csv"
+        path.write_text("lon,lat,year,month,cnt,ba,x0,x1\n"
+                        "-100.0,37.5,1993,3,1,2.5,0.5,0.5\n"
+                        '-100.0,38.0,1993,3,1,2.5,0.5,"a\n' + tail, encoding="utf-8")
+        with pytest.raises(DataError) as got:
+            dataset.load_csv(path, covariate_columns=covariates)
+        assert str(got.value) == f"{path}:{message}"
+
     def test_values_read_by_both_are_bit_equal(self, tmp_path):
         rng = np.random.default_rng(5)
         scale = 10.0 ** rng.integers(-300, 300, 4000)

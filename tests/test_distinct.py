@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import special
 
-from conftest import block_boundary_cases
+from helpers import block_boundary_cases
 from evtboost import dataset, evaluate, losses, mixture, recipes
 from evtboost.errors import NumericalError
 from test_mixture import toy_mixture

@@ -3,7 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import block_boundary_cases, traced_peak
+from helpers import block_boundary_cases, traced_peak
 from evtboost import booster, dataset, evaluate, losses, mixture, recipes, spatialcv
 from evtboost.errors import DataError
 from evtboost.synth import synth_dataset

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import child_env
+from helpers import child_env
 from evtboost import dataset as D
 from evtboost.synth import synth_dataset
 

@@ -9,7 +9,7 @@ from evtboost import losses
 from evtboost.errors import DataError, NumericalError
 
 import oracles
-from conftest import fd_grad, fd_hess, rel_err
+from helpers import fd_grad, fd_hess, rel_err
 
 
 class TestLossSpec:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import block_boundary_cases, traced_peak
+from helpers import block_boundary_cases, traced_peak
 from evtboost import booster, dataset, evaluate, losses, mixture
 from evtboost.errors import DataError
 from evtboost.synth import synth_dataset

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import block_boundary_cases
+from helpers import block_boundary_cases
 from evtboost import booster, dataset, evaluate, losses, recipes, spatialcv
 from evtboost.errors import DataError
 from evtboost.synth import synth_dataset

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import special
 from scipy.optimize import brentq
 
-from conftest import child_env, sparse_grids, traced_peak
+from helpers import child_env, sparse_grids, traced_peak
 from evtboost import spatialcv
 from evtboost.dataset import GridDataset
 from evtboost.errors import DataError, NumericalError

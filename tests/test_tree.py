@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import traced_peak
+from helpers import traced_peak
 from evtboost import tree
 from evtboost.errors import DataError, NumericalError
 
