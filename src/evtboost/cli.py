@@ -259,8 +259,9 @@ def cmd_predict(args) -> int:
             values = np.column_stack([raw, L.dgpd_mean(raw, model.loss.alpha)])
         else:
             header, values = ["raw"], raw[:, None]
-    del X   # freed before the rows' Python objects are made
-    D.write_csv(args.out, ["cell", "year", "month"] + header, [*keys, *values.T])
+    del X   # freed before the rows' texts are made
+    D.write_csv(args.out, ["cell", "year", "month"] + header, len(values),
+                lambda rows: [*(D.reprs(k[rows]) for k in keys), D.reprs(values[rows])])
     return EXIT_OK
 
 
@@ -334,8 +335,8 @@ def cmd_tune(args) -> int:
     history = E.tune_loop(objective, box, n_iters=args.max_iters, seed=seed)
     names = list(box)
     table = np.array([[p[k] for k in names] + [s] for p, s in history])
-    D.write_csv(args.out, ["iteration"] + names + ["score"],
-                [range(len(history)), *table.T.tolist()])
+    D.write_csv(args.out, ["iteration"] + names + ["score"], len(table),
+                lambda rows: [D.reprs(np.arange(rows.start, rows.stop)), D.reprs(table[rows])])
     best = min(history, key=lambda hs: hs[1])
     for k in names:
         print(f"best_{k}={best[0][k]!r}")
@@ -470,8 +471,9 @@ def cmd_pdp(args) -> int:
 
     res = I.partial_dependence(model, Xa, idx, mesh, n_sub=args.n_sub,
                                transform=transform, seed=args.seed)
-    D.write_csv(args.out, feats + ["estimate", "lo", "hi"],
-                [*res.grid.T.tolist(), res.estimate.tolist(), res.lo.tolist(), res.hi.tolist()])
+    table = np.column_stack([res.grid, res.estimate, res.lo, res.hi])
+    D.write_csv(args.out, feats + ["estimate", "lo", "hi"], len(table),
+                lambda rows: [D.reprs(table[rows])])
     print(f"points={res.grid.shape[0]}")
     print(f"pdp={args.out}")
     return EXIT_OK
@@ -480,8 +482,9 @@ def cmd_pdp(args) -> int:
 def cmd_importance(args) -> int:
     model = _single_model(args)
     imp = I.importance(model, metric=args.metric)
-    D.write_csv(args.out, ["feature", "proportion"],
-                [list(imp), [float(v) for v in imp.values()]])
+    names, shares = list(imp), np.array(list(imp.values()), dtype=float)
+    D.write_csv(args.out, ["feature", "proportion"], len(names),
+                lambda rows: [D.quoted(names[rows]), D.reprs(shares[rows])])
     for k, v in imp.items():
         print(f"{k}={v!r}")
     print(f"importance={args.out}")

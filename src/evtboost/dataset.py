@@ -426,9 +426,9 @@ def load_csv(path, schema: dict | None = None, missing_marker: str = "NA",
     return ds
 
 
-# Work that runs row by row over a wide array -- writing numpy columns as
-# CSV, and the (rows x thresholds) grids of the threshold CDFs and scores --
-# is done a block of rows at a time.  A block holds about this many cells
+# Work that runs row by row over a wide array -- writing a table as CSV,
+# and the (rows x thresholds) grids of the threshold CDFs and scores -- is
+# done a block of rows at a time.  A block holds about this many cells
 # (rows x width), so its temporaries and Python row objects stay the same
 # size whatever the array's width.
 _BLOCK_CELLS = 1 << 14
@@ -461,33 +461,19 @@ def distinct_blocks(x: np.ndarray, width: int):
         yield rows, b[new].view(np.float64), np.cumsum(new) - 1
 
 
-def write_csv(path, header, columns) -> None:
-    """Write ``header``, then one row per index of the equal-length
-    ``columns`` (lists or 1-d numpy arrays).  ``csv`` writes a float
-    (``np.float64`` too) by ``float.__repr__``, the shortest text that reads
-    back to it.  Array columns become Python numbers one block of rows (of
-    :func:`row_blocks` at the column count) at a time, so only a block's
-    objects are alive at once.  Rows of numeric arrays are written as their
-    fields' ``repr`` joined by commas: ``csv``'s bytes without its dispatch."""
-    n_rows = len(columns[0])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        if all(isinstance(c, np.ndarray) and c.dtype.kind in "fiu" for c in columns):
-            def write_rows(block):
-                fh.writelines(",".join(map(repr, row)) + "\r\n" for row in block)
-        else:
-            write_rows = writer.writerows
-        for rows in row_blocks(n_rows, len(columns)):
-            # no name holds a block, so the last one is freed before the next is made
-            write_rows(zip(*(c[rows].tolist() if isinstance(c, np.ndarray) else c[rows]
-                             for c in columns)))
+def reprs(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each value as a Python number, as an object array of
+    ``values``' shape: ``csv``'s text for an int or a float (``-110.0``
+    stays ``-110.0``)."""
+    return np.array(list(map(repr, values.ravel().tolist())), dtype=object).reshape(values.shape)
 
 
-def reprs(values: np.ndarray) -> list[str]:
-    """``repr`` of each value as a Python number: ``csv``'s text for an int
-    or a float (``-110.0`` stays ``-110.0``)."""
-    return list(map(repr, values.tolist()))
+def quoted(texts) -> np.ndarray:
+    """The strings ``texts`` as ``csv`` writes them in a row of two or more
+    fields: one holding a comma, a quote or a line break is quoted, its
+    quotes doubled."""
+    return np.array(['"' + t.replace('"', '""') + '"' if any(c in t for c in ',"\r\n') else t
+                     for t in texts], dtype=object)
 
 
 def value_texts(values: np.ndarray) -> np.ndarray:
@@ -513,12 +499,14 @@ def distinct_texts(values: np.ndarray, rule) -> np.ndarray:
     return texts[inverse.reshape(values.shape)]
 
 
-def write_texts(path, header, n_rows: int, fields) -> None:
+def write_csv(path, header, n_rows: int, fields) -> None:
     """Write ``header`` through ``csv``, then rows 0..n_rows-1 a
     :func:`row_blocks` block (at the header's width) at a time:
     ``fields(rows)`` gives the block's texts as object arrays, each
-    ``(len(rows),)`` or ``(len(rows), k)``, in column order.  Lines end in
-    "\\r\\n", as ``csv`` ends them."""
+    ``(len(rows),)`` or ``(len(rows), k)``, in column order, made by a
+    column rule: :func:`reprs` for numbers, :func:`quoted` for strings, or
+    a rule applied to distinct values by :func:`distinct_texts`.  Lines end
+    in "\\r\\n", as ``csv`` ends them."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         for rows in row_blocks(n_rows, len(header)):
@@ -536,8 +524,8 @@ def save_csv(ds: GridDataset, path) -> None:
                 distinct_texts(np.column_stack([ds.cnt[rows], ds.ba[rows], ds.covariates[rows]]),
                                value_texts)]
 
-    write_texts(path, ["lon", "lat", "year", "month", "cnt", "ba"] + ds.covariate_names,
-                ds.n_rows, fields)
+    write_csv(path, ["lon", "lat", "year", "month", "cnt", "ba"] + ds.covariate_names,
+              ds.n_rows, fields)
 
 
 # ---------------------------------------------------------------------------

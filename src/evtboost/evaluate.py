@@ -17,12 +17,13 @@ import numpy as np
 
 from .errors import DataError
 from .spatialcv import FoldSet
-from .dataset import GridDataset, row_blocks, write_csv
+from .dataset import GridDataset, reprs, row_blocks, write_csv
 
 
 @dataclass
 class ThresholdScoreSpec:
-    """Score thresholds (strictly ascending) and nonnegative weights."""
+    """Score thresholds (at least one, strictly ascending) and nonnegative
+    weights."""
 
     thresholds: np.ndarray
     weights: np.ndarray | None = None
@@ -34,6 +35,8 @@ class ThresholdScoreSpec:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.thresholds.ndim != 1 or self.weights.shape != self.thresholds.shape:
             raise DataError("thresholds and weights must be 1-d and the same length")
+        if self.thresholds.size == 0:
+            raise DataError("the threshold ladder is empty")
         if np.any(np.diff(self.thresholds) <= 0):
             raise DataError("thresholds must be strictly ascending")
         if np.any(self.weights < 0):
@@ -220,9 +223,10 @@ def bo_suggest(history, box: dict, seed: int) -> dict:
 
 def save_cv_report(cv: CvResult, path) -> None:
     """CV report CSV: tree count, mean score, SE, then one column per fold."""
+    table = np.column_stack([cv.mean, cv.se, cv.scores.T])
     write_csv(path, ["n_trees", "mean_score", "se"]
-              + [f"fold{f}" for f in range(cv.scores.shape[0])],
-              [cv.checkpoints.tolist(), cv.mean.tolist(), cv.se.tolist(), *cv.scores.tolist()])
+              + [f"fold{f}" for f in range(cv.scores.shape[0])], len(table),
+              lambda rows: [reprs(cv.checkpoints[rows]), reprs(table[rows])])
 
 
 def tune_loop(objective, box: dict, n_iters: int, seed: int):

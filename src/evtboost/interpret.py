@@ -13,12 +13,13 @@ Both are normalized to proportions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import booster as B
-from .errors import DataError
+from .errors import DataError, NumericalError
 
 
 @dataclass
@@ -96,7 +97,9 @@ def importance(model: B.BoostedModel, metric: str = "gain") -> dict[str, float]:
     if not totals:
         return {}
     grand = sum(totals.values())
+    if not math.isfinite(grand):
+        raise NumericalError(f"the {metric} total over the model's splits is {grand!r}")
     if grand <= 0:
         # degenerate (all recorded amounts zero); spread uniformly
-        return {model.feature_names[j]: 1.0 / len(totals) for j in totals}
+        return {model.feature_names[j]: 1.0 / len(totals) for j in sorted(totals)}
     return {model.feature_names[j]: v / grand for j, v in sorted(totals.items())}

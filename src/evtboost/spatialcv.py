@@ -21,7 +21,7 @@ from functools import cache
 
 import numpy as np
 
-from .dataset import GridDataset, distinct_texts, match_rows, reprs, write_texts
+from .dataset import GridDataset, distinct_texts, match_rows, reprs, write_csv
 from .errors import DataError, NumericalError, open_text
 
 RESPONSES = ("cnt", "ba")
@@ -269,7 +269,7 @@ def save_folds(folds: FoldSet, ds: GridDataset, path) -> None:
                 distinct_texts(ds.cells[ds.cell_index[r]], reprs),
                 distinct_texts(ds.year[r], reprs), distinct_texts(ds.month[r], reprs)]
 
-    write_texts(path, FOLD_HEADER, rows.size, fields)
+    write_csv(path, FOLD_HEADER, rows.size, fields)
 
 
 def load_folds(path, ds: GridDataset) -> FoldSet:

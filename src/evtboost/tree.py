@@ -9,10 +9,10 @@ in the split feature follow a learned default direction.
 
 Features are binned once per fit: ``bin_features`` stores each value's
 candidate index as a small unsigned code, and every tree of the fit reuses
-it.  A node's split search builds the g, h and count histograms of all its
-features with one bincount over the flattened (row, feature) codes, and the
-sums add in the same order as a per-feature scan of raw values, so the
-trees are bit-identical to it.
+it.  A node's split search builds the g, h and count histograms of its
+features one block of features at a time, each with one bincount over the
+block's flattened (row, feature) codes, and the sums add in the same order
+as a per-feature scan of raw values, so the trees are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -26,14 +26,11 @@ import numpy as np
 from .errors import DataError, NumericalError
 
 
-def is_number(value) -> bool:
-    """A JSON number: an int or float, not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def is_finite_number(value) -> bool:
-    """A number within the float range; an int beyond it overflows math.isfinite."""
-    return is_number(value) and abs(value) <= sys.float_info.max
+    """A JSON number (an int or float, not a bool) within the float range;
+    an int beyond it overflows math.isfinite."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def leaf_weight(g_sum: float, h_sum: float, lambda_reg: float) -> float:
@@ -115,10 +112,10 @@ class TreeNode:
             problem = f"feature must be a non-negative integer, got {node.feature!r}"
         elif not is_finite_number(node.threshold):
             problem = f"threshold must be a finite number, got {node.threshold!r}"
-        elif not isinstance(node.default_left, bool) or not is_number(node.gain):
-            problem = "branch needs a boolean default_left and a numeric gain"
-        elif not is_number(node.cover):
-            problem = "cover must be a number"
+        elif not isinstance(node.default_left, bool) or not is_finite_number(node.gain):
+            problem = "branch needs a boolean default_left and a finite numeric gain"
+        if problem is None and not is_finite_number(node.cover):
+            problem = f"cover must be a finite number, got {node.cover!r}"
         if problem:
             raise DataError(f"tree node {node.id}: {problem}")
         return node

@@ -1,9 +1,11 @@
 """Reference functions that only tests call: Monte Carlo draws from a size
-mixture, its component probabilities, the dGPD pmf, a tree's leaf count and
-the dataset and fold writers that turn every value into a Python object.
-The criteria that use them check the package's closed forms (mixture CDFs,
-dGPD survival, leaf caps) and its block writers against these."""
+mixture, its component probabilities, the dGPD pmf, a tree's leaf count,
+and a CSV writer that turns every value into a Python object, with the
+dataset and fold writers built on it.  The criteria that use them check
+the package's closed forms (mixture CDFs, dGPD survival, leaf caps) and
+its block writer against these."""
 
+import csv
 import math
 
 import numpy as np
@@ -11,7 +13,7 @@ import numpy as np
 from evtboost import booster as B
 from evtboost import losses as L
 from evtboost import synth
-from evtboost.dataset import GridDataset, align_features, write_csv
+from evtboost.dataset import GridDataset, align_features, row_blocks
 from evtboost.errors import DataError
 from evtboost.mixture import MixtureModel, tail_sigma
 from evtboost.spatialcv import FOLD_HEADER, RESPONSES, FoldSet, _check_rows
@@ -64,6 +66,29 @@ def dgpd_pmf(y, theta, alpha):
 def n_leaves(t) -> int:
     """Leaves of a :class:`~evtboost.tree.Tree`."""
     return sum(1 for n in t.nodes if n.is_leaf)
+
+
+def write_csv(path, header, columns) -> None:
+    """Write ``header``, then one row per index of the equal-length
+    ``columns`` (lists or 1-d numpy arrays).  ``csv`` writes a float
+    (``np.float64`` too) by ``float.__repr__``, the shortest text that reads
+    back to it.  Array columns become Python numbers one block of rows (of
+    :func:`row_blocks` at the column count) at a time, so only a block's
+    objects are alive at once.  Rows of numeric arrays are written as their
+    fields' ``repr`` joined by commas: ``csv``'s bytes without its dispatch."""
+    n_rows = len(columns[0])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        if all(isinstance(c, np.ndarray) and c.dtype.kind in "fiu" for c in columns):
+            def write_rows(block):
+                fh.writelines(",".join(map(repr, row)) + "\r\n" for row in block)
+        else:
+            write_rows = writer.writerows
+        for rows in row_blocks(n_rows, len(columns)):
+            # no name holds a block, so the last one is freed before the next is made
+            write_rows(zip(*(c[rows].tolist() if isinstance(c, np.ndarray) else c[rows]
+                             for c in columns)))
 
 
 def save_csv(ds: GridDataset, path) -> None:

@@ -4,13 +4,14 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import child_env, traced_peak
-from evtboost import booster, cli, losses, mixture, spatialcv, synth
+from evtboost import booster, cli, interpret, losses, mixture, spatialcv, synth
 from evtboost.errors import ConfigError, DataError
 from evtboost.synth import synth_dataset
 from evtboost import dataset as D
@@ -324,6 +325,12 @@ MALFORMED = {
     "weight_missing": _drop("weight", _first_leaf),
     "weight_not_finite": _set("weight", float("nan"), _first_leaf),
     "default_left_not_bool": _set("default_left", "yes"),
+    "gain_nan": _set("gain", float("nan")),
+    "gain_not_finite": _set("gain", float("-inf")),
+    "gain_beyond_float": _set("gain", 10 ** 400),
+    "branch_cover_not_finite": _set("cover", float("inf")),
+    "leaf_cover_nan": _set("cover", float("nan"), _first_leaf),
+    "leaf_cover_beyond_float": _set("cover", -10 ** 400, _first_leaf),
     "base_score_not_finite": lambda doc: doc.update(base_score=float("nan")),
     "loss_alpha_nan": lambda doc: doc["loss"].update(alpha=float("nan")),
     "loss_alpha_inf": lambda doc: doc["loss"].update(alpha=float("inf")),
@@ -610,6 +617,60 @@ class TestPdpImportance:
         assert rows[0] == ["feature", "proportion"]
         assert len(rows) == 2
         assert float(rows[1][1]) == 1.0
+
+    @pytest.fixture
+    def model_doc(self, tmp_path, counts_csv):
+        cfg = write_config(tmp_path, counts_csv)
+        assert run(tmp_path, "train", "--config", cfg, "--out", str(tmp_path / "m.json")) == 0
+        return json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))
+
+    def _importance(self, tmp_path, doc, gain, capsys):
+        """Exit status and stderr of ``importance`` on ``doc`` with every
+        branch's gain set to ``gain``."""
+        for tree in doc["trees"]:
+            for node in tree["nodes"]:
+                if "left" in node:
+                    node["gain"] = gain
+        model = tmp_path / "edited.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")   # NaN/Infinity literals allowed
+        capsys.readouterr()
+        status = run(tmp_path, "importance", "--model", str(model),
+                     "--out", str(tmp_path / "imp.csv"))
+        return status, capsys.readouterr().err
+
+    def test_overflowing_gain_total_is_exit_3(self, tmp_path, model_doc, capsys):
+        status, err = self._importance(tmp_path, model_doc, 1e308, capsys)
+        assert status == 3
+        _one_line(err, "numerical failure: the gain total over the model's splits is inf")
+        assert not (tmp_path / "imp.csv").exists()
+
+    def test_non_positive_total_lists_features_in_index_order(self, tmp_path, model_doc, capsys):
+        split_on = {node["feature"] for tree in model_doc["trees"] for node in tree["nodes"]
+                    if "left" in node}
+        status, err = self._importance(tmp_path, model_doc, -1, capsys)
+        assert status == 0 and err == ""
+        with open(tmp_path / "imp.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [f for f, _ in rows] == [model_doc["feature_names"][j] for j in sorted(split_on)]
+        assert {float(p) for _, p in rows} == {1 / len(split_on)}
+
+    def test_feature_names_quoted_as_csv_quotes_them(self, tmp_path, counts_csv):
+        """A covariate named ``a,"b"`` is written as the csv module writes it."""
+        ds = D.load_csv(counts_csv)
+        signal = np.nan_to_num(np.log1p(ds.cnt))   # so a split takes the renamed covariate
+        data = tmp_path / "named.csv"
+        D.save_csv(replace(ds, covariates=np.column_stack([signal, ds.covariates]),
+                           covariate_names=['a,"b"'] + ds.covariate_names), data)
+        cfg, model, out = write_config(tmp_path, data), tmp_path / "m.json", tmp_path / "imp.csv"
+        assert run(tmp_path, "train", "--config", cfg, "--out", str(model)) == 0
+        assert run(tmp_path, "importance", "--model", str(model), "--out", str(out)) == 0
+        imp = interpret.importance(booster.load(model))
+        assert 'a,"b"' in imp
+        with open(tmp_path / "expected.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["feature", "proportion"])
+            writer.writerows(imp.items())
+        assert out.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     def test_pdp_export(self, tmp_path, counts_csv):
         cfg = write_config(tmp_path, counts_csv)
@@ -1245,6 +1306,27 @@ class TestCountThresholdPredict:
                    "--thresholds", str(thresholds), "--out", str(preds)) == 2
         _one_line(capsys.readouterr().err, message)
         assert not preds.exists()
+
+    @pytest.mark.parametrize("text", ["", "# no thresholds\n\n"], ids=["empty", "comment_only"])
+    def test_empty_ladder_exit_2(self, tmp_path, counts_csv, text, capsys):
+        """No threshold is no ladder: ``predict`` and ``score`` both reject it."""
+        model = self._model(tmp_path, counts_csv, "dgpd")
+        thresholds, preds = tmp_path / "t.txt", tmp_path / "p.csv"
+        thresholds.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert run(tmp_path, "predict", "--model", model, "--data", counts_csv,
+                   "--thresholds", str(thresholds), "--out", str(preds)) == 2
+        _one_line(capsys.readouterr().err, "data error: the threshold ladder is empty")
+        assert not preds.exists()
+        ds = D.load_csv(counts_csv)
+        with open(preds, "w", newline="", encoding="utf-8") as fh:   # keys, no probabilities
+            writer = csv.writer(fh)
+            writer.writerow(["cell", "year", "month"])
+            writer.writerows(zip(ds.cell_index.tolist(), ds.year.tolist(), ds.month.tolist()))
+        for flags in ([], ["--thresholds", str(thresholds)]):
+            assert run(tmp_path, "score", "--pred", str(preds), "--data", counts_csv,
+                       "--response", "cnt", *flags) == 2
+            _one_line(capsys.readouterr().err, "data error: the threshold ladder is empty")
 
     def test_no_observed_response_exit_2(self, tmp_path, counts_csv, capsys):
         """Scoring skips masked responses; with every one masked there is

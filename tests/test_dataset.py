@@ -576,67 +576,89 @@ class TestRowBlocks:
             assert all(s == 1 for s in sizes)
 
 
-SPECIAL_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308]
+SPECIAL_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072e-308,
+                  1.7976931348623157e308]
 TEXTS = ["NA", "", "a,b", 'say "hi"', "two\r\nlines", "cr\r", "lf\n", " ", "plain"]
+RULES = {"int": dataset.reprs, "float": dataset.reprs, "str": dataset.quoted}
 
 
 @st.composite
 def csv_columns(draw):
-    """(header, columns): equal-length numeric arrays and lists mixing
-    floats, ints and strings that need quoting."""
+    """(header, kinds, columns): equal-length int64 and float64 arrays (NaN,
+    +-inf, -0.0 and subnormals among the floats) and lists of strings that
+    need quoting.  The empty string is drawn when a row has two or more
+    fields: csv writes a lone empty field as '""'."""
     n = draw(st.integers(0, 30))
+    kinds = draw(st.lists(st.sampled_from(sorted(RULES)), min_size=1, max_size=6))
     floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=True))
     ints = st.integers(-2 ** 63, 2 ** 63 - 1)
+    texts = st.one_of(st.sampled_from(TEXTS), st.text(max_size=4))
+    if len(kinds) == 1:
+        texts = texts.filter(bool)
     columns = []
-    for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(["float", "int", "list"]))
+    for kind in kinds:
         if kind == "float":
             columns.append(np.array(draw(st.lists(floats, min_size=n, max_size=n)), dtype=float))
         elif kind == "int":
             columns.append(np.array(draw(st.lists(ints, min_size=n, max_size=n)),
                                     dtype=np.int64))
         else:
-            cell = st.one_of(floats, ints, st.sampled_from(TEXTS), st.text(max_size=4))
-            columns.append(draw(st.lists(cell, min_size=n, max_size=n)))
-    return [f"c{j}" for j in range(len(columns))], columns
+            columns.append(draw(st.lists(texts, min_size=n, max_size=n)))
+    return [f"c{j}" for j in range(len(columns))], kinds, columns
+
+
+def csv_module_bytes(path, header, columns) -> bytes:
+    """The bytes ``csv.writer`` writes for ``header`` and the rows of the
+    columns (arrays as their ``.tolist()``)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                               for c in columns)))
+    return path.read_bytes()
 
 
 class TestWriteCsv:
     @pytest.mark.parametrize("block_rows", [1, 3, 4096])
     def test_array_columns_write_what_their_lists_write(self, tmp_path, monkeypatch, block_rows):
-        """Array columns are turned into Python numbers a block at a time;
-        the bytes equal one csv pass over the whole ``.tolist()`` columns."""
+        """Columns are turned into texts a block at a time, a 2-d block by
+        one call of its rule; the bytes equal one csv pass over the whole
+        ``.tolist()`` columns."""
         monkeypatch.setattr(dataset, "_BLOCK_CELLS", block_rows * 6)
         rng = np.random.default_rng(5)
         ints = rng.integers(-5, 10 ** 12, size=10)
         floats = np.array([1 / 3, -0.0, 1e-300, 1e16, np.nan, np.inf, 0.1, 2.5, -7.0, 1e22])
-        words = [f"w{i}" for i in range(10)]
+        words = [f"w{i}" for i in range(9)] + ['a "b", c']
         table = rng.normal(size=(10, 3))
-        dataset.write_csv(tmp_path / "a.csv", ["i", "f", "w", "t0", "t1", "t2"],
-                          [ints, floats, words, *table.T])
-        with open(tmp_path / "b.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["i", "f", "w", "t0", "t1", "t2"])
-            writer.writerows(zip(ints.tolist(), floats.tolist(), words, *table.T.tolist()))
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        header = ["i", "f", "w", "t0", "t1", "t2"]
+        dataset.write_csv(tmp_path / "a.csv", header, 10,
+                          lambda rows: [dataset.reprs(ints[rows]), dataset.reprs(floats[rows]),
+                                        dataset.quoted(words[rows]), dataset.reprs(table[rows])])
+        assert (tmp_path / "a.csv").read_bytes() == \
+            csv_module_bytes(tmp_path / "b.csv", header, [ints, floats, words, *table.T])
 
     def test_header_only(self, tmp_path):
-        dataset.write_csv(tmp_path / "a.csv", ["x"], [np.empty(0)])
+        dataset.write_csv(tmp_path / "a.csv", ["x"], 0, lambda rows: [dataset.reprs(np.empty(0))])
         assert (tmp_path / "a.csv").read_bytes() == b"x\r\n"
+
+    @pytest.mark.parametrize("shape", [(0,), (4,), (0, 3), (4, 3)])
+    def test_reprs_keep_the_shape(self, shape):
+        values = np.arange(math.prod(shape), dtype=float).reshape(shape)
+        texts = dataset.reprs(values)
+        assert texts.shape == shape and texts.dtype == object
+        assert texts.ravel().tolist() == [repr(float(v)) for v in values.ravel()]
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(table=csv_columns(), block=st.sampled_from([1, 2, 5, 7, 64, 1 << 14]))
+    @given(table=csv_columns(),
+           block=st.one_of(st.sampled_from([1, 2, 5, 7, 64, 1 << 14]), st.integers(1, 1 << 14)))
     def test_bytes_equal_the_csv_module(self, tmp_path, monkeypatch, table, block):
-        header, columns = table
+        header, kinds, columns = table
         monkeypatch.setattr(dataset, "_BLOCK_CELLS", block)
-        dataset.write_csv(tmp_path / "a.csv", header, columns)
-        with open(tmp_path / "b.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
-                                   for c in columns)))
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        dataset.write_csv(tmp_path / "a.csv", header, len(columns[0]),
+                          lambda rows: [RULES[k](c[rows]) for k, c in zip(kinds, columns)])
+        assert (tmp_path / "a.csv").read_bytes() == \
+            csv_module_bytes(tmp_path / "b.csv", header, columns)
 
 
 class TestNoPythonConverters:
@@ -660,8 +682,9 @@ class TestNoPythonConverters:
         with pytest.raises(DataError, match="zz"):
             dataset.load_csv(bad)
         pred = tmp_path / "pred.csv"
-        dataset.write_csv(pred, ["cell", "year", "month", "p_le_0.0"],
-                          [ds.cell_index, ds.year, ds.month, np.full(ds.n_rows, 0.5)])
+        columns = [ds.cell_index, ds.year, ds.month, np.full(ds.n_rows, 0.5)]
+        dataset.write_csv(pred, ["cell", "year", "month", "p_le_0.0"], ds.n_rows,
+                          lambda rows: [dataset.reprs(c[rows]) for c in columns])
         assert cli.main(["--runlog", str(tmp_path / "runs.log"), "score", "--pred", str(pred),
                          "--data", str(path)]) == 0
         assert len(calls) >= 4

@@ -239,8 +239,10 @@ def test_cli_count_thresholds_match_library(tmp_path):
     probs = recipes.count_threshold_probs(model.loss, raw, thresholds)
     dataset.write_csv(tmp_path / "p.csv",
                       ["cell", "year", "month"] + [f"p_le_{t!r}" for t in thresholds],
-                      [ds.cell_index.tolist(), ds.year.tolist(), ds.month.tolist(),
-                       *probs.T.tolist()])
+                      ds.n_rows, lambda rows: [dataset.reprs(ds.cell_index[rows]),
+                                               dataset.reprs(ds.year[rows]),
+                                               dataset.reprs(ds.month[rows]),
+                                               dataset.reprs(probs[rows])])
     expected = (GOLDEN / "cli_dgpd_threshold_predict.csv").read_text(encoding="utf-8")
     assert (tmp_path / "p.csv").read_text(encoding="utf-8") == expected
 

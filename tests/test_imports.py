@@ -56,9 +56,9 @@ def workdir(tmp_path_factory):
                                   "[train]\nn_trees = 3\nmax_leaves = 4\n", encoding="utf-8")
     (path / "sizes.ini").write_text("[data]\ntrain = sizes.csv\n\n"
                                     "[train]\nn_trees = 3\nmax_leaves = 4\n", encoding="utf-8")
-    D.write_csv(path / "pred.csv", ["cell", "year", "month", "p_le_0.0"],
-                [sizes.cell_index.tolist(), sizes.year.tolist(), sizes.month.tolist(),
-                 np.full(sizes.n_rows, 0.5).tolist()])
+    columns = [sizes.cell_index, sizes.year, sizes.month, np.full(sizes.n_rows, 0.5)]
+    D.write_csv(path / "pred.csv", ["cell", "year", "month", "p_le_0.0"], sizes.n_rows,
+                lambda rows: [D.reprs(c[rows]) for c in columns])
     return path
 
 

@@ -5,7 +5,9 @@ responses and ``importance --metric coverage``), runs in-process under
 ``sys.setprofile``.  The package functions it never calls must be exactly
 :data:`UNREACHED`, so a new function that no command reaches fails here,
 and so does a listed one that a command starts to reach.  A change to the
-set is recorded in CHANGES.md."""
+set is recorded in CHANGES.md.  The package also writes CSV rows in one
+place: ``csv.writer`` appears once in its source, for the header line of
+``dataset.write_csv``."""
 
 import contextlib
 import importlib
@@ -13,6 +15,7 @@ import inspect
 import io
 import pkgutil
 import sys
+from pathlib import Path
 
 import evtboost
 from evtboost import cli
@@ -95,3 +98,8 @@ def test_unreached_functions_are_the_listed_ones(tmp_path):
     called = called_during(lambda: every_command(tmp_path))
     unreached = {name for code, name in functions.items() if code not in called}
     assert unreached == UNREACHED
+
+
+def test_one_csv_writer():
+    sources = Path(evtboost.__file__).parent.glob("*.py")
+    assert sum(p.read_text(encoding="utf-8").count("csv.writer") for p in sources) == 1
