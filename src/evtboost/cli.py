@@ -246,22 +246,28 @@ def cmd_predict(args) -> int:
         # the rule score applies to the columns this writes
         thresholds = E.ThresholdScoreSpec(thresholds).thresholds
         header = [f"p_le_{float(t)!r}" for t in thresholds]
+    # raw scores once for every row; ``values(rows)`` makes a written block's
+    # outputs from its scores, so no (rows x columns) output array is made
     if isinstance(model, M.MixtureModel):
-        values = M.threshold_probs(model, X, thresholds, names=names)
+        raw = M.raw_scores(model, X, names)
+        values = lambda rows: M.threshold_probs(model, [r[rows] for r in raw], thresholds)
     else:
         raw = B.predict_raw(model, D.align_features(X, names, model.feature_names))
         if thresholds is not None:
-            values = R.count_threshold_probs(model.loss, raw, thresholds)
+            values = lambda rows: R.count_threshold_probs(model.loss, raw[rows], thresholds)
         elif model.loss.multiclass:
-            header, values = ["p_zero", "p_med", "p_large"], L.softmax(raw)
+            header, values = ["p_zero", "p_med", "p_large"], lambda rows: L.softmax(raw[rows])
         elif model.loss.kind == "dgpd" and model.loss.alpha > 1.0:
             header = ["raw", "mean"]
-            values = np.column_stack([raw, L.dgpd_mean(raw, model.loss.alpha)])
+            values = lambda rows: np.column_stack([raw[rows],
+                                                   L.dgpd_mean(raw[rows], model.loss.alpha)])
         else:
-            header, values = ["raw"], raw[:, None]
-    del X   # freed before the rows' texts are made
-    D.write_csv(args.out, ["cell", "year", "month"] + header, len(values),
-                lambda rows: [*(D.reprs(k[rows]) for k in keys), D.reprs(values[rows])])
+            header, values = ["raw"], lambda rows: raw[rows, None]
+    del X   # freed before a block's special functions load scipy
+    values(slice(0, 0))   # checks the thresholds even when the data has no rows
+    D.write_csv(args.out, ["cell", "year", "month"] + header, len(keys[0]),
+                lambda rows: [*(D.distinct_texts(k[rows], D.reprs) for k in keys),
+                              D.reprs(values(rows))])
     return EXIT_OK
 
 
@@ -469,8 +475,12 @@ def cmd_pdp(args) -> int:
     elif args.transform != "none":
         raise ConfigError(f"unknown transform {args.transform!r}")
 
-    res = I.partial_dependence(model, Xa, idx, mesh, n_sub=args.n_sub,
-                               transform=transform, seed=args.seed)
+    # the sample is drawn here, so the feature matrix is freed before the
+    # transform loads scipy, and partial dependence works on it in place
+    sample = Xa[I.sample_rows(len(Xa), args.n_sub, args.seed)]
+    del X, Xa
+    res = I.partial_dependence(model, sample, idx, mesh, n_sub=len(sample),
+                               transform=transform)
     table = np.column_stack([res.grid, res.estimate, res.lo, res.hi])
     D.write_csv(args.out, feats + ["estimate", "lo", "hi"], len(table),
                 lambda rows: [D.reprs(table[rows])])

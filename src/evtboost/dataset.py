@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -506,12 +507,31 @@ def write_csv(path, header, n_rows: int, fields) -> None:
     ``(len(rows),)`` or ``(len(rows), k)``, in column order, made by a
     column rule: :func:`reprs` for numbers, :func:`quoted` for strings, or
     a rule applied to distinct values by :func:`distinct_texts`.  Lines end
-    in "\\r\\n", as ``csv`` ends them."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(header)
-        for rows in row_blocks(n_rows, len(header)):
-            # no name holds a block, so the last one is freed before the next is made
-            fh.write("\r\n".join(map(",".join, np.column_stack(fields(rows)).tolist())) + "\r\n")
+    in "\\r\\n", as ``csv`` ends them.
+
+    The output is published whole: the rows go to ``<path>.<pid>.tmp``
+    beside the target, which replaces the target once every block is
+    written and is removed if any block fails, so a failed write leaves no
+    file or the old one.  A target that exists and is not a regular file
+    (``/dev/stdout``, a FIFO) is written in place, never renamed over."""
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    if not in_place:
+        path = os.path.realpath(path)   # a symlink's file is replaced, not the link
+    target = path if in_place else f"{path}.{os.getpid()}.tmp"
+    fh = open(target, "w" if in_place else "x", newline="", encoding="utf-8")
+    try:
+        with fh:
+            csv.writer(fh).writerow(header)
+            for rows in row_blocks(n_rows, len(header)):
+                # no name holds a block, so the last one is freed before the next is made
+                fh.write("\r\n".join(map(",".join, np.column_stack(fields(rows)).tolist()))
+                         + "\r\n")
+        if not in_place:
+            os.replace(target, path)
+    except BaseException:
+        if not in_place:
+            os.remove(target)
+        raise
 
 
 def save_csv(ds: GridDataset, path) -> None:

@@ -30,6 +30,15 @@ class PdpResult:
     hi: np.ndarray          # (G,) empirical 95% quantile
 
 
+def sample_rows(n: int, n_sub: int, seed: int) -> np.ndarray:
+    """The rows partial dependence averages over: ``n_sub`` of the ``n``
+    rows, drawn without replacement by a generator seeded with ``seed``, or
+    every row in order when ``n_sub >= n``."""
+    if n_sub >= n:
+        return np.arange(n)
+    return np.random.default_rng(seed).choice(n, size=n_sub, replace=False)
+
+
 def partial_dependence(
     model: B.BoostedModel,
     X: np.ndarray,
@@ -44,7 +53,10 @@ def partial_dependence(
     ``grid`` has one row per evaluation point with one column per feature
     in ``features`` (a 1-d grid is accepted for a single feature).
     ``transform`` maps raw per-sample outputs before averaging (e.g. the
-    dGPD mean for count models); multiclass raw outputs require one.
+    dGPD mean for count models); multiclass raw outputs require one.  The
+    rows averaged over are :func:`sample_rows`; when they are every row of a
+    writable ``X``, its columns of interest are overwritten in place and
+    restored before the call returns.
     """
     X = np.asarray(X, dtype=float)
     features = [int(f) for f in np.atleast_1d(features)]
@@ -61,25 +73,27 @@ def partial_dependence(
     if grid.shape[1] != len(features):
         raise DataError("grid width must match the number of features of interest")
 
-    n = X.shape[0]
-    n_sub = min(n_sub, n)
-    rng = np.random.default_rng(seed)
-    sub = rng.choice(n, size=n_sub, replace=False) if n_sub < n else np.arange(n)
-
     estimates = np.empty(grid.shape[0])
     lo = np.empty(grid.shape[0])
     hi = np.empty(grid.shape[0])
-    work = X[sub]   # indexing with an array copies
-    for gi in range(grid.shape[0]):
-        work[:, features] = grid[gi]
-        raw = B.predict_raw(model, work)
-        vals = raw if transform is None else np.asarray(transform(raw), dtype=float)
-        if vals.ndim != 1:
-            raise DataError("model output is multi-dimensional; supply a transform "
-                            "reducing it to one value per sample")
-        estimates[gi] = vals.mean()
-        lo[gi] = np.quantile(vals, 0.05)
-        hi[gi] = np.quantile(vals, 0.95)
+    rows = sample_rows(X.shape[0], n_sub, seed)
+    # a sample of every row is X itself, so a caller that drew its own
+    # sample does not hold the rows twice
+    work = X if rows.size == X.shape[0] and X.flags.writeable else X[rows]
+    saved = work[:, features]   # indexing with a list copies
+    try:
+        for gi in range(grid.shape[0]):
+            work[:, features] = grid[gi]
+            raw = B.predict_raw(model, work)
+            vals = raw if transform is None else np.asarray(transform(raw), dtype=float)
+            if vals.ndim != 1:
+                raise DataError("model output is multi-dimensional; supply a transform "
+                                "reducing it to one value per sample")
+            estimates[gi] = vals.mean()
+            lo[gi] = np.quantile(vals, 0.05)
+            hi[gi] = np.quantile(vals, 0.95)
+    finally:
+        work[:, features] = saved
     return PdpResult(grid=grid, estimate=estimates, lo=lo, hi=hi)
 
 

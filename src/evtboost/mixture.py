@@ -74,24 +74,33 @@ def raw_scores(m: MixtureModel, X, names=None) -> tuple[np.ndarray, ...]:
                  for part in (m.classifier, m.bulk, m.tail))
 
 
-def cdf_from_raw(m: MixtureModel, raw, thresholds) -> np.ndarray:
+def threshold_probs(m: MixtureModel, raw, thresholds) -> np.ndarray:
     """Matrix of P(BA <= b_j | x_i) from the (classifier, bulk, tail) raw
-    scores of :func:`raw_scores`; ``thresholds`` is a 1-d array of b >= 0.
+    scores of :func:`raw_scores`, or of a block of their rows;
+    ``thresholds`` is a 1-d array of b >= 0, sorted ascending.
 
     Every term is evaluated on the (n, J) grid, one block of rows at a time:
-    below ``u`` the tail CDF is exactly 0, and at b = 0 so is the bulk CDF.
-    The blocks are the :func:`dataset.distinct_blocks` of the bulk scores.
+    below ``u`` the tail CDF is exactly 0, and the bulk CDF is exactly 0 at
+    b = 0 and 1 from ``u`` on, so the incomplete gamma runs only at the
+    thresholds strictly inside (0, u).  The blocks are the
+    :func:`dataset.distinct_blocks` of the bulk scores.
     """
     thresholds = np.asarray(thresholds, dtype=float)
-    if np.any(thresholds < 0):
+    if not np.all(thresholds >= 0):
         raise DataError("cdf threshold must be >= 0")
+    if np.any(np.diff(thresholds) < 0):
+        raise DataError("thresholds must be sorted ascending")
     cls, bulk, tail = raw
     b = thresholds[None, :]
-    y_bulk = np.log1p(np.minimum(b, m.u))
+    inside = (thresholds > 0) & (thresholds < m.u)
+    y_inside = np.log1p(thresholds[inside])[None, :]
     out = np.empty((cls.shape[0], thresholds.size))
     for rows, t, inverse in distinct_blocks(bulk, thresholds.size):
         p = L.softmax(cls[rows])
-        cdf = L.trgamma_cdf(y_bulk, t[:, None], m.k_shape, np.log1p(m.u))[inverse]
+        cdf = np.empty((len(p), thresholds.size))
+        # the normalizer's underflow check runs even with no threshold inside
+        cdf[:, inside] = L.trgamma_cdf(y_inside, t[:, None], m.k_shape, np.log1p(m.u))[inverse]
+        cdf[:, ~inside] = thresholds[~inside] > 0   # 0 at b = 0, 1 from u on
         # p0 + p1 * F_bulk + p2 * F_tail in place, in the same order of operations
         cdf *= p[:, 1:2]
         cdf += p[:, :1]
@@ -103,15 +112,7 @@ def cdf_from_raw(m: MixtureModel, raw, thresholds) -> np.ndarray:
 
 def cdf(m: MixtureModel, X, b, names=None) -> np.ndarray:
     """P(BA <= b | x) for each row; ``b`` is a scalar threshold >= 0."""
-    return cdf_from_raw(m, raw_scores(m, X, names), [float(b)])[:, 0]
-
-
-def threshold_probs(m: MixtureModel, X, thresholds, names=None) -> np.ndarray:
-    """Matrix of P(BA <= u_j | x_i); thresholds must be sorted ascending."""
-    thresholds = np.asarray(thresholds, dtype=float)
-    if np.any(np.diff(thresholds) < 0):
-        raise DataError("thresholds must be sorted ascending")
-    return cdf_from_raw(m, raw_scores(m, X, names), thresholds)
+    return threshold_probs(m, raw_scores(m, X, names), [float(b)])[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,6 @@ class MixtureRecipe:
         bulk, tail = B.predict_raw(m.bulk, X), B.predict_raw(m.tail, X)
         scores = []
         for cls in B.predict_raw_staged(m.classifier, X, checkpoints):
-            probs = M.cdf_from_raw(m, (cls, bulk, tail), spec.thresholds)
+            probs = M.threshold_probs(m, (cls, bulk, tail), spec.thresholds)
             scores.append(threshold_score(probs, y[rows], spec))
         return np.array(scores)

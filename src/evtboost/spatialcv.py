@@ -176,7 +176,11 @@ def generate_folds(ds: GridDataset, params: MaskModelParams, n_folds: int = 5,
 # Intercept calibration
 # ---------------------------------------------------------------------------
 
-_hermgauss = cache(np.polynomial.hermite.hermgauss)
+@cache
+def _hermgauss(deg: int):
+    """Gauss-Hermite nodes and weights; numpy.polynomial loads on first use."""
+    from numpy.polynomial.hermite import hermgauss
+    return hermgauss(deg)
 
 
 def mean_expit_gaussian(mu: float, var: float) -> float:

@@ -76,7 +76,8 @@ def synth_dataset(
     composed from the count-zero indicator, a bulk and a tail component.
     ``mask_rate`` independently masks that fraction of each response.
     Draws that are not finite (a tiny ``alpha`` overflows the counts) raise
-    :class:`NumericalError`.
+    :class:`NumericalError`, and a row count whose arrays cannot be
+    allocated raises :class:`ConfigError`.
     """
     from scipy import special
     if kind not in ("counts", "sizes"):
@@ -86,9 +87,13 @@ def synth_dataset(
     n_cells = len(cells)
     rows = n_cells * n_years * len(SEASON)
 
-    cell_index = np.tile(np.arange(n_cells), n_years * len(SEASON))
-    year = np.repeat(np.arange(2001, 2001 + n_years), n_cells * len(SEASON))
-    month = np.tile(np.repeat(np.asarray(SEASON), n_cells), n_years)
+    try:   # the first allocations sized by the row count
+        cell_index = np.tile(np.arange(n_cells), n_years * len(SEASON))
+        year = np.repeat(np.arange(2001, 2001 + n_years), n_cells * len(SEASON))
+        month = np.tile(np.repeat(np.asarray(SEASON), n_cells), n_years)
+    except (MemoryError, OverflowError, ValueError):
+        raise ConfigError(f"--years {n_years} over {n_cells} cells makes {rows} rows, "
+                          f"more than memory holds") from None
 
     x1 = rng.uniform(-1.0, 1.0, size=rows)
     x2 = rng.uniform(-1.0, 1.0, size=rows)

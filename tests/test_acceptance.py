@@ -273,7 +273,7 @@ def test_criterion_06b_mixture_simulation_recovery():
         Xtr, btr = _generate_mixture_sizes(2000, rng)
         Xte, bte = _generate_mixture_sizes(2000, rng)
         m = _fit_mixture_on(Xtr, btr, seed)
-        probs = mixture.threshold_probs(m, Xte, spec.thresholds)
+        probs = mixture.threshold_probs(m, mixture.raw_scores(m, Xte), spec.thresholds)
         s_model = evaluate.threshold_score(probs, bte, spec)
         # unconditional baseline: empirical CDF of the training sizes
         base = (btr[:, None] <= spec.thresholds[None, :]).mean(axis=0)

@@ -160,6 +160,56 @@ class TestPredict:
                    str(stripped), "--out", str(tmp_path / "p.csv")) == 2
 
 
+class TestPredictStream:
+    """``predict`` makes each row block's values when the writer asks for
+    them, so a failure can come after the first blocks are written."""
+
+    @pytest.mark.parametrize("old", [None, b"cell,year,month,raw,mean\r\n"],
+                             ids=["new", "existing"])
+    def test_failing_later_block_leaves_no_output(self, tmp_path, counts_csv, monkeypatch,
+                                                  old, capsys):
+        cfg = write_config(tmp_path, counts_csv)
+        model = tmp_path / "m.json"
+        assert run(tmp_path, "train", "--config", cfg, "--out", str(model)) == 0
+        doc = json.loads(model.read_text(encoding="utf-8"))
+        # a stump sending 2002's rows, the last 175 of 350, to a score whose mean overflows
+        doc["trees"].append({"nodes": [
+            {"id": 0, "cover": 2.0, "feature": doc["feature_names"].index("year"),
+             "threshold": 2001.5, "default_left": True, "left": 1, "right": 2, "gain": 1.0},
+            {"id": 1, "cover": 1.0, "weight": 0.0},
+            {"id": 2, "cover": 1.0, "weight": -1e6}]})
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        preds = tmp_path / "p.csv"
+        if old is not None:
+            preds.write_bytes(old)
+        monkeypatch.setattr(D, "_BLOCK_CELLS", 5 * 50)   # three 50-row blocks pass first
+        capsys.readouterr()
+        assert run(tmp_path, "predict", "--model", str(model), "--data", counts_csv,
+                   "--out", str(preds)) == 3
+        _one_line(capsys.readouterr().err, "numerical failure: dGPD mean is not finite")
+        if old is None:
+            assert not preds.exists()
+        else:
+            assert preds.read_bytes() == old
+        assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+    def test_mixture_predict_makes_no_rows_by_thresholds_array(self, tmp_path):
+        """2,800 rows x 150 thresholds: the (n, J) probabilities would take
+        3.36 MB; each block's values take about ``_BLOCK_CELLS`` cells."""
+        data = tmp_path / "sizes.csv"
+        ds = synth_dataset("sizes", n_years=1, nx=20, ny=20, seed=2)
+        D.save_csv(ds, data)
+        manifest = _mixture_manifest(tmp_path, str(data))
+        thresholds = np.geomspace(0.5, 1e5, 150)
+        (tmp_path / "t.txt").write_text("\n".join(map(repr, thresholds.tolist())),
+                                        encoding="utf-8")
+        argv = ("predict", "--model", str(manifest), "--data", str(data),
+                "--thresholds", str(tmp_path / "t.txt"), "--out", str(tmp_path / "p.csv"))
+        assert run(tmp_path, *argv) == 0   # imports outside the trace
+        status, peak = traced_peak(run, tmp_path, *argv)
+        assert status == 0 and peak < ds.n_rows * thresholds.size * 8
+
+
 class TestNonFiniteTokens:
     @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
     @pytest.mark.parametrize("column", ["lon", "lat", "cnt", "ba", "x1"])
@@ -788,7 +838,7 @@ class TestPipelineRoundTrip:
                     if l.startswith("score=")][0]
 
         spec = evaluate.ThresholdScoreSpec(thresholds)
-        probs = mixture.threshold_probs(m, X, thresholds, names=names)
+        probs = mixture.threshold_probs(m, mixture.raw_scores(m, X, names), thresholds)
         expect = evaluate.threshold_score(probs[obs], ds.ba[obs], spec)
         assert cli_line == f"score={expect!r}"
 
@@ -1088,6 +1138,17 @@ class TestSeedsAlphaPointsAndRoots:
                   "leaves the globe: nx must be at most 581 and ny at most 110")
         assert not out.exists()
 
+    def test_synth_years_beyond_memory(self, tmp_path, capsys):
+        """252e12 rows: the first row-sized allocation (1.79 PiB) fails at
+        once, without touching memory."""
+        out = tmp_path / "d.csv"
+        assert run(tmp_path, "synth", "--kind", "counts", "--years", "1000000000000",
+                   "--out", str(out)) == 1
+        _one_line(capsys.readouterr().err,
+                  "config error: --years 1000000000000 over 36 cells makes 252000000000000 "
+                  "rows, more than memory holds")
+        assert not out.exists()
+
     def test_synth_grid_on_the_globe_up_to_its_edge(self):
         lon, lat = synth._grid(581, 110).max(axis=0)
         assert (lon, lat) == (179.75, 89.75)
@@ -1305,6 +1366,20 @@ class TestCountThresholdPredict:
         assert run(tmp_path, "predict", "--model", model, "--data", counts_csv,
                    "--thresholds", str(thresholds), "--out", str(preds)) == 2
         _one_line(capsys.readouterr().err, message)
+        assert not preds.exists()
+
+    def test_negative_threshold_without_data_rows_exit_2(self, tmp_path, counts_csv, capsys):
+        """The values of each block are made as it is written, and a file of
+        no rows has no block; the thresholds are checked all the same."""
+        model = self._model(tmp_path, counts_csv, "poisson")
+        empty, thresholds, preds = tmp_path / "e.csv", tmp_path / "t.txt", tmp_path / "p.csv"
+        with open(counts_csv, encoding="utf-8") as fh:
+            empty.write_text(fh.readline(), encoding="utf-8")
+        thresholds.write_text("-1\n2\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(tmp_path, "predict", "--model", model, "--data", str(empty),
+                   "--thresholds", str(thresholds), "--out", str(preds)) == 2
+        _one_line(capsys.readouterr().err, "data error: count threshold must be >= 0")
         assert not preds.exists()
 
     @pytest.mark.parametrize("text", ["", "# no thresholds\n\n"], ids=["empty", "comment_only"])

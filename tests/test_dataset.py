@@ -1,7 +1,9 @@
 import csv
 import inspect
 import math
+import os
 import re
+import stat
 import warnings
 
 import numpy as np
@@ -640,6 +642,20 @@ class TestWriteCsv:
     def test_header_only(self, tmp_path):
         dataset.write_csv(tmp_path / "a.csv", ["x"], 0, lambda rows: [dataset.reprs(np.empty(0))])
         assert (tmp_path / "a.csv").read_bytes() == b"x\r\n"
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        """A target that is not a regular file gets the rows and is not
+        renamed over."""
+        fifo = tmp_path / "out"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)   # so the writer's open returns
+        try:
+            dataset.write_csv(fifo, ["x"], 3, lambda rows: [dataset.reprs(np.arange(3)[rows])])
+            assert os.read(reader, 1 << 16) == b"x\r\n0\r\n1\r\n2\r\n"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["out"]
 
     @pytest.mark.parametrize("shape", [(0,), (4,), (0, 3), (4, 3)])
     def test_reprs_keep_the_shape(self, shape):

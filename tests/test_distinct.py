@@ -4,7 +4,7 @@ their row-by-row evaluation.
 ``dataset.distinct_blocks`` splits the rows into blocks of their sort order
 and gives each block's distinct bit patterns (or, for scores that do not
 repeat, plain row blocks); ``losses.dgpd_mean``,
-``mixture.cdf_from_raw`` and ``recipes.count_threshold_probs`` evaluate
+``mixture.threshold_probs`` and ``recipes.count_threshold_probs`` evaluate
 their special functions on those.  Each is compared here with its formula
 evaluated on every row at once, on scores with signed zeros, heavy repeats
 and none, at sizes around the row-block boundaries.
@@ -118,7 +118,7 @@ class TestBitEqualToRowwise:
         raw = (rng.normal(0.0, 2.0, size=(n, 3)), scores(kind, n, seed=n, centre=1.0),
                rng.normal(4.0, 1.0, size=n))
         monkeypatch.setattr(dataset, "_BLOCK_CELLS", block * 28)
-        got = mixture.cdf_from_raw(m, raw, evaluate.BA_THRESHOLDS)
+        got = mixture.threshold_probs(m, raw, evaluate.BA_THRESHOLDS)
         assert got.tobytes() == rowwise_cdf(m, raw, evaluate.BA_THRESHOLDS).tobytes()
 
     @pytest.mark.parametrize("loss", [losses.LossSpec(kind="dgpd", alpha=2.5),
@@ -155,5 +155,17 @@ class TestErrorsNameTheRowwiseRow:
         with pytest.raises(NumericalError) as want:
             rowwise_cdf(m, raw, evaluate.BA_THRESHOLDS)
         with pytest.raises(NumericalError) as got:
-            mixture.cdf_from_raw(m, raw, evaluate.BA_THRESHOLDS)
+            mixture.threshold_probs(m, raw, evaluate.BA_THRESHOLDS)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("thresholds", [[0.0], [200.0, 1e4], [0.0, 500.0]])
+    def test_mixture_cdf_normalizer_underflow_with_no_threshold_inside(self, thresholds):
+        """No threshold lies strictly inside (0, u), so no output needs the
+        incomplete gamma; the normalizer is checked all the same."""
+        m = toy_mixture()
+        raw = (np.zeros((6, 3)), np.array([1.0, 1.0, 1e3, 1.0, 1e3, -0.0]), np.full(6, 4.0))
+        with pytest.raises(NumericalError) as want:
+            rowwise_cdf(m, raw, thresholds)
+        with pytest.raises(NumericalError) as got:
+            mixture.threshold_probs(m, raw, thresholds)
         assert str(got.value) == str(want.value)

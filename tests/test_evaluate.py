@@ -191,8 +191,8 @@ def _reference_cv(ds, folds, recipe, checkpoints) -> evaluate.CvResult:
             Xv = Xv[rows]
             bulk, tail = booster.predict_raw(m.bulk, Xv), booster.predict_raw(m.tail, Xv)
             scores.append([
-                evaluate.threshold_score(mixture.cdf_from_raw(m, (cls, bulk, tail),
-                                                              spec.thresholds),
+                evaluate.threshold_score(mixture.threshold_probs(m, (cls, bulk, tail),
+                                                                spec.thresholds),
                                          valid.ba[rows], spec)
                 for cls in booster.predict_raw_staged(m.classifier, Xv, checkpoints)])
             continue

@@ -1,5 +1,6 @@
-"""Each command loads only the scipy submodules its work calls, and the
-data layer loads none of the model layer.
+"""Each command loads only the scipy submodules its work calls, the CLI
+loads no ``numpy.polynomial`` until fold calibration calls it, and the data
+layer loads none of the model layer.
 
 ``scipy.special`` and ``scipy.optimize`` are slow and large to import, so
 the package imports ``scipy.special`` inside the functions that need it
@@ -64,6 +65,12 @@ def workdir(tmp_path_factory):
 
 def test_cli_import_loads_no_scipy(workdir):
     assert scipy_modules_after(workdir) == set()
+
+
+def test_cli_import_loads_no_numpy_polynomial(workdir):
+    proc = run_child(workdir, "import sys, evtboost.cli; print(' '.join(sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    assert not any(m.startswith("numpy.polynomial") for m in proc.stdout.split())
 
 
 def test_dataset_import_loads_no_model_layer(workdir):

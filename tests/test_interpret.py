@@ -74,6 +74,28 @@ class TestPartialDependence:
         assert r1.estimate[0] == r2.estimate[0]
         assert r1.estimate[0] != r3.estimate[0]
 
+    def test_every_row_sample_leaves_x_as_it_came(self, rng):
+        """With every row sampled, X is worked on in place: it comes back
+        unchanged, after a failing transform too, and gives the estimates
+        of a read-only copy, which is sampled into a copy of its own."""
+        m = model_from_trees([stump(0, 0.0, -1.0, 1.0), stump(1, 0.5, 2.0, 5.0)])
+        X = rng.normal(size=(40, 2))
+        X[3, 0] = np.nan
+        frozen = X.copy()
+        frozen.flags.writeable = False
+        grid = np.linspace(-2, 2, 7)
+        res = interpret.partial_dependence(m, X, [0], grid)
+        assert X.tobytes() == frozen.tobytes()
+        want = interpret.partial_dependence(m, frozen, [0], grid)
+        for got, expect in ((res.estimate, want.estimate), (res.lo, want.lo), (res.hi, want.hi)):
+            assert got.tobytes() == expect.tobytes()
+
+        def failing(raw):
+            raise ValueError("transform failed")
+        with pytest.raises(ValueError):
+            interpret.partial_dependence(m, X, [0], grid, transform=failing)
+        assert X.tobytes() == frozen.tobytes()
+
     def test_band_ordering(self, rng):
         m = model_from_trees([stump(0, 0.0, -1.0, 1.0), stump(1, 0.5, 2.0, 5.0)])
         X = rng.normal(size=(300, 2))

@@ -137,32 +137,32 @@ class TestThresholdProbs:
         m = toy_mixture()
         X = np.array([[0.0], [1.0], [-1.0]])
         thresholds = np.concatenate([[0.0], np.geomspace(1, 3000, 27)])
-        probs = mixture.threshold_probs(m, X, thresholds)
+        probs = mixture.threshold_probs(m, mixture.raw_scores(m, X), thresholds)
         assert probs.shape == (3, 28)
         assert np.all(np.diff(probs, axis=1) >= -1e-12)
 
     def test_first_column_is_p1_and_far_column_one(self):
         m = toy_mixture()
-        probs = mixture.threshold_probs(m, X1, [0.0, 1e12])
+        probs = mixture.threshold_probs(m, mixture.raw_scores(m, X1), [0.0, 1e12])
         p = oracles.component_probs(m, X1)[0]
         assert probs[0, 0] == pytest.approx(p[0], abs=1e-12)
         assert probs[0, 1] == pytest.approx(1.0, abs=1e-9)
 
     def test_duplicated_threshold_duplicates_column(self):
         m = toy_mixture()
-        probs = mixture.threshold_probs(m, X1, [50.0, 50.0])
+        probs = mixture.threshold_probs(m, mixture.raw_scores(m, X1), [50.0, 50.0])
         assert probs[0, 0] == probs[0, 1]
 
     def test_unsorted_rejected(self):
         with pytest.raises(DataError):
-            mixture.threshold_probs(toy_mixture(), X1, [2.0, 1.0])
+            mixture.threshold_probs(toy_mixture(), _raw(1), [2.0, 1.0])
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.one_of(st.just(0.0), st.just(200.0), st.floats(0.0, 1e5)),
                     min_size=1, max_size=8).map(sorted))
     def test_columns_equal_cdf(self, thresholds):
         m, X = _fitted_mixture()
-        probs = mixture.threshold_probs(m, X, thresholds)
+        probs = mixture.threshold_probs(m, mixture.raw_scores(m, X), thresholds)
         assert probs.shape == (X.shape[0], len(thresholds))
         for j, b in enumerate(thresholds):
             np.testing.assert_array_equal(probs[:, j], mixture.cdf(m, X, b))
@@ -177,12 +177,14 @@ def _raw(n, seed=0):
 
 
 class TestCdfFromRawBlocks:
+    """``threshold_probs`` on raw scores, a block of rows at a time."""
+
     @pytest.mark.parametrize("block, n", block_boundary_cases())
     def test_blocks_give_the_bytes_of_one_block(self, monkeypatch, block, n):
         m, raw = toy_mixture(k_shape=1.3), _raw(n, seed=n)
-        whole = mixture.cdf_from_raw(m, raw, evaluate.BA_THRESHOLDS)
+        whole = mixture.threshold_probs(m, raw, evaluate.BA_THRESHOLDS)
         monkeypatch.setattr(dataset, "_BLOCK_CELLS", block * 28)
-        blocked = mixture.cdf_from_raw(m, raw, evaluate.BA_THRESHOLDS)
+        blocked = mixture.threshold_probs(m, raw, evaluate.BA_THRESHOLDS)
         assert blocked.shape == (n, 28)
         assert blocked.tobytes() == whole.tobytes()
 
@@ -190,8 +192,8 @@ class TestCdfFromRawBlocks:
         """40,000 rows x 28 thresholds: the (n, J) result and a block's
         temporaries (the grid-wide terms took about four results)."""
         m, raw = toy_mixture(), _raw(40_000)
-        mixture.cdf_from_raw(m, _raw(2), evaluate.BA_THRESHOLDS)  # imports outside the trace
-        out, peak = traced_peak(mixture.cdf_from_raw, m, raw, evaluate.BA_THRESHOLDS)
+        mixture.threshold_probs(m, _raw(2), evaluate.BA_THRESHOLDS)  # imports outside the trace
+        out, peak = traced_peak(mixture.threshold_probs, m, raw, evaluate.BA_THRESHOLDS)
         assert peak < 2 * out.nbytes
 
     def test_wide_grid_working_memory_is_set_by_the_cell_budget(self):
@@ -200,8 +202,8 @@ class TestCdfFromRawBlocks:
         times 4,096 x 200 cells)."""
         m, raw = toy_mixture(), _raw(5_000)
         thresholds = np.geomspace(0.5, 1e5, 200)
-        mixture.cdf_from_raw(m, _raw(2), thresholds)  # imports outside the trace
-        out, peak = traced_peak(mixture.cdf_from_raw, m, raw, thresholds)
+        mixture.threshold_probs(m, _raw(2), thresholds)  # imports outside the trace
+        out, peak = traced_peak(mixture.threshold_probs, m, raw, thresholds)
         assert peak - out.nbytes < 8 * 8 * dataset._BLOCK_CELLS
 
 
@@ -274,8 +276,8 @@ class TestFitMixture:
                                 bulk_params=params, tail_params=params,
                                 feature_names=names)
         assert m.xi == 0.8 and m.k_shape == 1.2
-        probs = mixture.threshold_probs(m, X[obs][:5], [0.0, 100.0, 1000.0],
-                                        names=names)
+        probs = mixture.threshold_probs(m, mixture.raw_scores(m, X[obs][:5], names),
+                                        [0.0, 100.0, 1000.0])
         assert np.all(np.diff(probs, axis=1) >= -1e-12)
 
     def test_manifest_round_trip(self, rng, tmp_path):
