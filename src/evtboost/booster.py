@@ -46,8 +46,9 @@ class TrainParams:
             raise DataError("colsample must lie in (0, 1]")
         if not 0.0 < self.learning_rate <= 1.0:
             raise DataError("learning_rate must lie in (0, 1]")
-        if self.lambda_reg < 0 or self.eta < 0:
-            raise DataError("lambda_reg and eta must be >= 0")
+        for name in ("lambda_reg", "eta"):   # written so that NaN fails it
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise DataError(f"{name} must be finite and >= 0")
         if not 2 <= self.n_quantile_bins <= 255:
             raise DataError("n_quantile_bins must lie in [2, 255]")
         if not 0 <= self.seed < 2 ** 64:  # one 64-bit word of the Philox key
@@ -272,13 +273,9 @@ def predict_raw_staged(model: BoostedModel, X, checkpoints) -> list[np.ndarray]:
     return [snapshots[stop] for stop in stops]
 
 
-def predict_raw(model: BoostedModel, X, n_trees: int | None = None) -> np.ndarray:
-    """Raw boosting estimate: base score plus the (prefix) sum of trees.
-
-    ``n_trees`` truncates to the first rounds (multiclass counts rounds,
-    not individual trees); None uses the full model.
-    """
-    return predict_raw_staged(model, X, [n_trees])[0]
+def predict_raw(model: BoostedModel, X) -> np.ndarray:
+    """Raw boosting estimate: base score plus the sum of every tree."""
+    return predict_raw_staged(model, X, [None])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,10 @@ class RunConfig:
         )
 
     def threshold_u(self) -> float:
-        return self.getfloat("loss", "u", 200.0)
+        u = self.getfloat("loss", "u", 200.0)
+        if not 0.0 < u < np.inf:
+            raise ConfigError(f"[loss] u must be finite and > 0, got {u!r}")
+        return u
 
     def train_params(self) -> B.TrainParams:
         return _build(
@@ -479,8 +482,7 @@ def cmd_pdp(args) -> int:
     # transform loads scipy, and partial dependence works on it in place
     sample = Xa[I.sample_rows(len(Xa), args.n_sub, args.seed)]
     del X, Xa
-    res = I.partial_dependence(model, sample, idx, mesh, n_sub=len(sample),
-                               transform=transform)
+    res = I.partial_dependence(model, sample, idx, mesh, transform=transform)
     table = np.column_stack([res.grid, res.estimate, res.lo, res.hi])
     D.write_csv(args.out, feats + ["estimate", "lo", "hi"], len(table),
                 lambda rows: [D.reprs(table[rows])])

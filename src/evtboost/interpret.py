@@ -1,10 +1,11 @@
 """Partial dependence and covariate importance for boosted models.
 
 Partial dependence marginalizes the model over the complement covariates
-by Monte Carlo: grid values are substituted into a seeded subsample of
-training rows and the per-sample evaluations are averaged.  Uncertainty
-bands are the empirical 5%/95% pointwise quantiles of those per-sample
-evaluations (after any output transform, which is applied per sample).
+by Monte Carlo: grid values are substituted into a seeded sample of
+training rows (:func:`sample_rows`) and the per-sample evaluations are
+averaged.  Uncertainty bands are the empirical 5%/95% pointwise quantiles
+of those per-sample evaluations (after any output transform, which is
+applied per sample).
 
 Importance metrics: ``gain`` sums the recorded split gains per feature;
 ``coverage`` sums the hessian mass of the nodes split on the feature.
@@ -31,7 +32,7 @@ class PdpResult:
 
 
 def sample_rows(n: int, n_sub: int, seed: int) -> np.ndarray:
-    """The rows partial dependence averages over: ``n_sub`` of the ``n``
+    """The rows to average partial dependence over: ``n_sub`` of the ``n``
     rows, drawn without replacement by a generator seeded with ``seed``, or
     every row in order when ``n_sub >= n``."""
     if n_sub >= n:
@@ -39,24 +40,17 @@ def sample_rows(n: int, n_sub: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).choice(n, size=n_sub, replace=False)
 
 
-def partial_dependence(
-    model: B.BoostedModel,
-    X: np.ndarray,
-    features,
-    grid,
-    n_sub: int = 10000,
-    transform=None,
-    seed: int = 0,
-) -> PdpResult:
-    """Monte Carlo partial dependence of the model on ``features``.
+def partial_dependence(model: B.BoostedModel, X: np.ndarray, features, grid,
+                       transform=None) -> PdpResult:
+    """Monte Carlo partial dependence of the model on ``features``, averaged
+    over every row of ``X`` (draw a subsample with :func:`sample_rows`).
 
     ``grid`` has one row per evaluation point with one column per feature
     in ``features`` (a 1-d grid is accepted for a single feature).
     ``transform`` maps raw per-sample outputs before averaging (e.g. the
     dGPD mean for count models); multiclass raw outputs require one.  The
-    rows averaged over are :func:`sample_rows`; when they are every row of a
-    writable ``X``, its columns of interest are overwritten in place and
-    restored before the call returns.
+    columns of interest of a writable ``X`` are overwritten in place and
+    restored before the call returns; a read-only ``X`` is copied.
     """
     X = np.asarray(X, dtype=float)
     features = [int(f) for f in np.atleast_1d(features)]
@@ -76,10 +70,7 @@ def partial_dependence(
     estimates = np.empty(grid.shape[0])
     lo = np.empty(grid.shape[0])
     hi = np.empty(grid.shape[0])
-    rows = sample_rows(X.shape[0], n_sub, seed)
-    # a sample of every row is X itself, so a caller that drew its own
-    # sample does not hold the rows twice
-    work = X if rows.size == X.shape[0] and X.flags.writeable else X[rows]
+    work = X if X.flags.writeable else X.copy()
     saved = work[:, features]   # indexing with a list copies
     try:
         for gi in range(grid.shape[0]):

@@ -12,7 +12,7 @@ distribution:
 * ``gpd``           -- theta is the log kappa-level quantile of generalized
                        Pareto excesses with fixed shape ``xi``.
 * ``cross_entropy`` -- theta is a vector of class scores mapped through
-                       softmax; supports per-observation weights.
+                       softmax.
 * ``squared_log``   -- squared error on log(1 + y), i.e. theta predicts
                        log(1 + y).
 
@@ -349,8 +349,8 @@ def softmax(scores):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy_eval(y, theta, w=1.0):
-    """Weighted multiclass cross-entropy on one-hot rows.
+def cross_entropy_eval(y, theta):
+    """Multiclass cross-entropy on one-hot rows.
 
     ``y`` and ``theta`` have shape (n, C); returns per-row value (n,), grad
     (n, C) and the diagonal hessian (n, C).
@@ -362,17 +362,11 @@ def cross_entropy_eval(y, theta, w=1.0):
     row_sums = y.sum(axis=-1)
     if np.any(row_sums != 1.0) or np.any((y != 0.0) & (y != 1.0)):
         raise DataError("cross_entropy requires one-hot rows")
-    w = np.asarray(w, dtype=float)
-    if np.any(w < 0):
-        raise DataError("cross_entropy weights must be >= 0")
     zmax = theta.max(axis=-1, keepdims=True)
     logsumexp = zmax[..., 0] + np.log(np.exp(theta - zmax).sum(axis=-1))
-    value = w * (logsumexp - (y * theta).sum(axis=-1))
+    value = logsumexp - (y * theta).sum(axis=-1)
     p = softmax(theta)
-    w_col = w[..., None] if w.ndim else w
-    grad = w_col * (p - y)
-    hess = w_col * p * (1.0 - p)
-    return value, grad, hess
+    return value, p - y, p * (1.0 - p)
 
 
 # ---------------------------------------------------------------------------

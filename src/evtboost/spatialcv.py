@@ -47,8 +47,12 @@ class MaskModelParams:
     phi: float = 0.25
 
     def __post_init__(self):
-        if self.r <= 0 or self.sigma_gp < 0 or self.nu <= 0 or self.phi < 0:
-            raise DataError("mask model requires r > 0, nu > 0, sigma_gp >= 0, phi >= 0")
+        # each test is written so that NaN fails it
+        if not all(-np.inf < v < np.inf for v in (self.beta0_cnt, self.beta0_ba, self.beta)):
+            raise DataError("mask model requires finite beta0_cnt, beta0_ba and beta")
+        if not (0.0 < self.r < np.inf and 0.0 < self.nu < np.inf
+                and 0.0 <= self.sigma_gp < np.inf and 0.0 <= self.phi < np.inf):
+            raise DataError("mask model requires finite r > 0, nu > 0, sigma_gp >= 0, phi >= 0")
 
 
 @dataclass
@@ -80,11 +84,11 @@ def _check_rows(folds: FoldSet, ds: GridDataset) -> None:
                         f"has {ds.n_rows}")
 
 
-def matern_cov(d, r: float, sigma_gp: float, nu: float = 1.0):
-    """Matern covariance at distance d with empirical range r.
+def matern_corr(d, r: float, nu: float = 1.0):
+    """Matern correlation at distance d with empirical range r.
 
-    sigma^2 * 2^(1-nu) (kappa d)^nu K_nu(kappa d) / Gamma(nu) with
-    kappa = sqrt(8 nu) / r, continuously extended to sigma^2 at d = 0.
+    2^(1-nu) (kappa d)^nu K_nu(kappa d) / Gamma(nu) with
+    kappa = sqrt(8 nu) / r, continuously extended to 1 at d = 0.
     """
     from scipy import special
     d = np.asarray(d, dtype=float)
@@ -97,8 +101,7 @@ def matern_cov(d, r: float, sigma_gp: float, nu: float = 1.0):
                 * scaled ** nu * special.kv(nu, scaled))
     corr = np.where(scaled == 0.0, 1.0, corr)
     corr = np.nan_to_num(corr, nan=0.0)  # kv underflow at huge distances
-    out = sigma_gp ** 2 * corr
-    return float(out) if np.isscalar(d) or d.ndim == 0 else out
+    return float(corr) if np.isscalar(d) or d.ndim == 0 else corr
 
 
 # The correlation matrix is filled in blocks of rows holding about this many
@@ -111,9 +114,9 @@ def field_factor(cells, params: MaskModelParams) -> np.ndarray:
     """Cholesky factor of the unit-variance Matern correlation (+ jitter)
     between the (lon, lat) rows of ``cells``.
 
-    The matrix is filled a block of rows at a time, with the covariance
+    The matrix is filled a block of rows at a time, with the correlation
     evaluated once per distinct distance of the block (a lattice has few);
-    ``matern_cov`` is elementwise, so the blocks do not change a bit."""
+    ``matern_corr`` is elementwise, so the blocks do not change a bit."""
     coords = np.asarray(cells, dtype=float)
     n = len(coords)
     corr = np.empty((n, n))
@@ -122,7 +125,7 @@ def field_factor(cells, params: MaskModelParams) -> np.ndarray:
         diff = coords[lo:lo + step, None, :] - coords[None, :, :]
         dist = np.sqrt((diff ** 2).sum(axis=-1))
         distinct, where = np.unique(dist, return_inverse=True)
-        block = matern_cov(distinct, params.r, 1.0, params.nu)[where]
+        block = matern_corr(distinct, params.r, params.nu)[where]
         corr[lo:lo + step] = block.reshape(dist.shape)
     corr[np.diag_indices_from(corr)] += JITTER
     try:
@@ -192,26 +195,29 @@ def mean_expit_gaussian(mu: float, var: float) -> float:
     return float((w * special.expit(mu + np.sqrt(2.0 * var) * x)).sum() / np.sqrt(np.pi))
 
 
-def _brent_root(f, xa: float, xb: float, xtol: float = 2e-12,
-                rtol: float = 4 * math.ulp(1.0), max_iter: int = 100):
+# scipy's ``brentq`` defaults: absolute and relative x tolerance, step cap
+_BRENT_XTOL, _BRENT_RTOL, _BRENT_MAX_ITER = 2e-12, 4 * math.ulp(1.0), 100
+
+
+def _brent_root(f, xa: float, xb: float):
     """Root of ``f`` bracketed by [xa, xb] by Brent's method (Brent 1973,
-    ch. 4), step for step as scipy's ``brentq``; None when f(xa) and f(xb)
-    have the same sign or the method has not converged after ``max_iter``
-    steps."""
+    ch. 4), step for step as scipy's ``brentq`` at its default tolerances;
+    None when f(xa) and f(xb) have the same sign or the method has not
+    converged after ``_BRENT_MAX_ITER`` steps."""
     xpre, xcur = xa, xb
     fpre, fcur = f(xpre), f(xcur)
     if fpre == 0 or fcur == 0:
         return xpre if fpre == 0 else xcur
     if math.copysign(1, fpre) == math.copysign(1, fcur):
         return None
-    for _ in range(max_iter):
+    for _ in range(_BRENT_MAX_ITER):
         if fpre != 0 and fcur != 0 and math.copysign(1, fpre) != math.copysign(1, fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur

@@ -17,6 +17,9 @@ from .dataset import GridDataset
 from .errors import ConfigError, NumericalError
 
 SEASON = tuple(range(3, 10))
+# the size model: threshold U between bulk and tail, tail GPD shape XI at
+# quantile level KAPPA, and bulk truncated-gamma shape K_SHAPE
+U, XI, KAPPA, K_SHAPE = 200.0, 0.8, 0.5, 1.2
 
 
 def _grid(nx: int, ny: int, lon0=-110.25, lat0=35.25, spacing=0.5):
@@ -64,10 +67,6 @@ def synth_dataset(
     ny: int = 6,
     seed: int = 0,
     alpha: float = 5.0,
-    u: float = 200.0,
-    xi: float = 0.8,
-    kappa: float = 0.5,
-    k_shape: float = 1.2,
     mask_rate: float = 0.0,
 ) -> GridDataset:
     """Synthetic dataset of the requested kind ("counts" or "sizes").
@@ -113,18 +112,18 @@ def synth_dataset(
         q_tail = special.expit(-1.2 + 1.5 * x1[positive])
         is_tail = rng.uniform(size=n_pos) < q_tail
         theta_bulk = 0.6 + 0.7 * x1[positive] - 0.4 * x2[positive]
-        z = sample_trgamma(theta_bulk[~is_tail], k_shape, np.log1p(u),
+        z = sample_trgamma(theta_bulk[~is_tail], K_SHAPE, np.log1p(U),
                            int((~is_tail).sum()), rng)
-        sigma = xi * np.exp(4.2 + 0.9 * x2[positive][is_tail]) / L.gpd_scale_factor(xi, kappa)
-        exc = sample_gpd(sigma, xi, int(is_tail.sum()), rng)
+        sigma = XI * np.exp(4.2 + 0.9 * x2[positive][is_tail]) / L.gpd_scale_factor(XI, KAPPA)
+        exc = sample_gpd(sigma, XI, int(is_tail.sum()), rng)
         vals = np.empty(n_pos)
         vals[~is_tail] = np.expm1(z)
-        vals[is_tail] = u + exc
+        vals[is_tail] = U + exc
         ba[positive] = vals
 
     if not (np.isfinite(cnt).all() and (kind == "counts" or np.isfinite(ba).all())):
         raise NumericalError(f"synthetic {kind} draws are not all finite (alpha={alpha!r}, "
-                             f"u={u!r}, xi={xi!r}, kappa={kappa!r}, k_shape={k_shape!r})")
+                             f"u={U!r}, xi={XI!r}, kappa={KAPPA!r}, k_shape={K_SHAPE!r})")
 
     if mask_rate > 0.0:
         cnt = np.where(rng.uniform(size=rows) < mask_rate, np.nan, cnt)

@@ -72,13 +72,12 @@ def test_criterion_01_gradient_hessian_correctness():
         C = int(rng.integers(2, 5))
         th = rng.normal(scale=1.5, size=C)
         yv = np.eye(C)[int(rng.integers(0, C))]
-        w = float(rng.uniform(0.2, 3.0))
-        _, grad, hess = losses.cross_entropy_eval(yv, th, w)
+        _, grad, hess = losses.cross_entropy_eval(yv, th)
         for c in range(C):
             def value_at(t, c=c):
                 t_full = th.copy()
                 t_full[c] = t
-                return losses.cross_entropy_eval(yv, t_full, w)[0]
+                return losses.cross_entropy_eval(yv, t_full)[0]
 
             assert rel_err(grad[c], fd_grad(value_at, th[c])) < 1e-6
             assert rel_err(hess[c], fd_hess(value_at, th[c])) < 1e-4
@@ -374,13 +373,13 @@ def test_criterion_08_fold_generator():
     b = next(i for i, c in enumerate(ds.cells)
              if tuple(c) == (ds.cells[0, 0], ds.cells[0, 1] + 0.5))
     emp = float(np.cov(draws[:, a], draws[:, b])[0, 1])
-    expect = spatialcv.matern_cov(0.5, 2.0, 1.2, 1.0)
     var = p.sigma_gp ** 2
+    expect = var * spatialcv.matern_corr(0.5, 2.0, 1.0)
     se = math.sqrt((var * var + expect ** 2) / (draws.shape[0] - 1))
     assert abs(emp - expect) < 3 * se
 
     # correlation at the empirical range is approximately 0.1
-    corr_at_range = spatialcv.matern_cov(2.0, 2.0, 1.0, 1.0)
+    corr_at_range = spatialcv.matern_corr(2.0, 2.0, 1.0)
     assert 0.05 < corr_at_range < 0.2
 
 
@@ -418,7 +417,7 @@ def test_criterion_09_one_se_rule_and_pdp():
     n, n_sub = 4000, 500
     X = rng.normal(size=(n, 2))
     grid = np.array([-1.0, 1.0])
-    res = interpret.partial_dependence(model, X, [0], grid, n_sub=n_sub, seed=3)
+    res = interpret.partial_dependence(model, X[interpret.sample_rows(n, n_sub, 3)], [0], grid)
     b_vals = np.where(X[:, 1] <= 0.5, 2.0, 5.0)
     closed = np.where(grid <= 0.0, -1.0, 1.0) + b_vals.mean()
     # subsampling without replacement: finite-population-corrected SE

@@ -166,7 +166,8 @@ class TestPredictRaw:
         y = rng.integers(0, 4, size=50).astype(float)
         m = booster.fit(X, y, _spec("poisson"), booster.TrainParams(n_trees=10, seed=2))
         full = booster.predict_raw(m, X)
-        prefix = booster.predict_raw(m, X, n_trees=4)
+        prefix = booster.predict_raw_staged(m, X, [4])[0]
+        np.testing.assert_array_equal(prefix, _prefix_sum(m, X, 4))
         m4 = booster.fit(X, y, _spec("poisson"), booster.TrainParams(n_trees=4, seed=2))
         np.testing.assert_allclose(prefix, booster.predict_raw(m4, X))
         assert not np.allclose(full, prefix)
@@ -222,9 +223,10 @@ class TestPredictRawStaged:
         snaps = booster.predict_raw_staged(m, X, checkpoints)
         assert len(snaps) == len(checkpoints)
         for k, snap in zip(checkpoints, snaps):
-            np.testing.assert_array_equal(snap, booster.predict_raw(m, X, n_trees=k))
             rounds = m.n_rounds if k is None else min(k, m.n_rounds)
             np.testing.assert_array_equal(snap, _prefix_sum(m, X, rounds))
+            if rounds == m.n_rounds:
+                np.testing.assert_array_equal(snap, booster.predict_raw(m, X))
 
     def test_negative_checkpoint_is_data_error(self):
         X, models = _staged_models()

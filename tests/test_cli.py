@@ -1581,3 +1581,45 @@ class TestPdpGridBound:
         _one_line(capsys.readouterr().err, "config error: --points 8 over 2 features makes "
                   "64 grid points; at most the 63 rows of --data")
         assert not out.exists()
+
+
+# the keys of [data], [loss], [train] and [cv] that are not read as numbers
+_NOT_FLOAT_KEYS = {"train", "missing", "season", "kind", "n_trees", "max_leaves",
+                   "n_quantile_bins", "seed", "n_folds"}
+_FLOAT_KEYS = sorted((section, key) for section in ("data", "loss", "train", "cv")
+                     for key in cli._SECTION_KEYS[section] - _NOT_FLOAT_KEYS)
+
+
+@pytest.fixture(scope="module")
+def tiny_sizes_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("config_values") / "sizes.csv"
+    D.save_csv(synth_dataset("sizes", n_years=1, nx=3, ny=3, seed=2), path)
+    return str(path)
+
+
+class TestNonFiniteConfigValues:
+    """Every number a config section holds is checked where it is read: a
+    value that is not finite, or outside its range, is one ``config error:``
+    line with exit 1, no warning and no output. ``train`` reads [data],
+    [loss] and [train]; ``cvfolds`` reads [cv]."""
+
+    @pytest.mark.parametrize("section, key, value",
+                             [(s, k, v) for s, k in _FLOAT_KEYS for v in ("nan", "inf", "-inf")]
+                             + [("loss", "u", "-5")])
+    def test_bad_value_is_one_config_error(self, tmp_path, tiny_sizes_csv, section, key,
+                                           value, capsys):
+        cfg = tmp_path / "run.ini"
+        body = {"data": f"train = {tiny_sizes_csv}\n", "loss": "kind = dgpd\n",
+                "train": "n_trees = 1\n", "cv": ""}
+        body[section] += f"{key} = {value}\n"
+        cfg.write_text("".join(f"[{s}]\n{text}\n" for s, text in body.items()), encoding="utf-8")
+        out = tmp_path / "out"
+        command = "cvfolds" if section == "cv" else "train"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status = run(tmp_path, command, "--config", str(cfg), "--out", str(out))
+        assert status == 1 and not caught and not out.exists()
+        err = capsys.readouterr().err
+        _one_line(err, "config error:")
+        assert ("[loss] u" if key == "u" else "r" if key == "range" else key) in err

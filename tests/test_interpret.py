@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evtboost import booster, interpret, losses, tree
+from evtboost import booster, cli, interpret, losses, tree
 from evtboost.errors import DataError
 
 
@@ -40,7 +40,7 @@ class TestPartialDependence:
         m = model_from_trees([a, b])
         X = rng.normal(size=(200, 2))
         grid = np.array([-2.0, -0.5, 0.5, 2.0])
-        res = interpret.partial_dependence(m, X, [0], grid, n_sub=200)
+        res = interpret.partial_dependence(m, X, [0], grid)
         b_mean = np.where(X[:, 1] <= 0.5, 2.0, 5.0).mean()
         expect = np.where(grid <= 0.0, -1.0, 1.0) + b_mean
         np.testing.assert_allclose(res.estimate, expect, rtol=1e-12)
@@ -65,19 +65,24 @@ class TestPartialDependence:
         assert res.estimate[0] != pytest.approx(np.exp(raw.mean()))
 
     def test_subsample_is_seeded(self, rng):
+        """``sample_rows`` draws distinct rows fixed by the seed, and every
+        row in order when asked for as many as there are."""
         m = model_from_trees([stump(0, 0.0, -1.0, 1.0), stump(1, 0.5, 2.0, 5.0)])
         X = rng.normal(size=(500, 2))
         grid = np.array([0.0])
-        r1 = interpret.partial_dependence(m, X, [0], grid, n_sub=50, seed=3)
-        r2 = interpret.partial_dependence(m, X, [0], grid, n_sub=50, seed=3)
-        r3 = interpret.partial_dependence(m, X, [0], grid, n_sub=50, seed=4)
+        rows = [interpret.sample_rows(500, 50, seed) for seed in (3, 3, 4)]
+        assert rows[0].tobytes() == rows[1].tobytes()
+        assert np.unique(rows[0]).size == 50 and 0 <= rows[0].min() <= rows[0].max() < 500
+        r1, r2, r3 = (interpret.partial_dependence(m, X[r], [0], grid) for r in rows)
         assert r1.estimate[0] == r2.estimate[0]
         assert r1.estimate[0] != r3.estimate[0]
+        np.testing.assert_array_equal(interpret.sample_rows(40, 40, 3), np.arange(40))
+        np.testing.assert_array_equal(interpret.sample_rows(40, 50, 3), np.arange(40))
 
     def test_every_row_sample_leaves_x_as_it_came(self, rng):
-        """With every row sampled, X is worked on in place: it comes back
-        unchanged, after a failing transform too, and gives the estimates
-        of a read-only copy, which is sampled into a copy of its own."""
+        """A writable X is worked on in place: it comes back unchanged,
+        after a failing transform too, and gives the estimates of a
+        read-only copy, which is worked on in a copy of its own."""
         m = model_from_trees([stump(0, 0.0, -1.0, 1.0), stump(1, 0.5, 2.0, 5.0)])
         X = rng.normal(size=(40, 2))
         X[3, 0] = np.nan
@@ -104,10 +109,9 @@ class TestPartialDependence:
         assert np.all(res.estimate <= res.hi + 1e-12)
 
     def test_default_subsample_size(self):
-        import inspect
-
-        sig = inspect.signature(interpret.partial_dependence)
-        assert sig.parameters["n_sub"].default == 10000
+        args = cli.build_parser().parse_args(["pdp", "--model", "m.json", "--data", "d.csv",
+                                              "--features", "x0", "--out", "p.csv"])
+        assert args.n_sub == 10000
 
     def test_empty_feature_set_rejected(self, rng):
         m = model_from_trees([stump(0, 0.0, -1.0, 1.0)])

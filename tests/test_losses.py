@@ -222,10 +222,6 @@ class TestCrossEntropy:
         value, _, _ = losses.cross_entropy_eval([1, 0, 0], [0.0, 0.0, 0.0])
         assert value == pytest.approx(math.log(3))
 
-    def test_weight_linearity(self):
-        value, _, _ = losses.cross_entropy_eval([1, 0, 0], [0.0, 0.0, 0.0], 2.0)
-        assert value == pytest.approx(2 * math.log(3))
-
     def test_confident_correct(self):
         # -log softmax(10)_1 with scores (0, 10, 0)
         expect = math.log(1 + 2 * math.exp(-10))
@@ -243,10 +239,10 @@ class TestCrossEntropy:
     def test_grad_hess_forms(self, rng):
         theta = rng.normal(size=3)
         y = np.eye(3)[0]
-        _, grad, hess = losses.cross_entropy_eval(y, theta, 1.7)
+        _, grad, hess = losses.cross_entropy_eval(y, theta)
         p = losses.softmax(theta)
-        np.testing.assert_allclose(grad, 1.7 * (p - y), rtol=1e-12)
-        np.testing.assert_allclose(hess, 1.7 * p * (1 - p), rtol=1e-12)
+        np.testing.assert_allclose(grad, p - y, rtol=1e-12)
+        np.testing.assert_allclose(hess, p * (1 - p), rtol=1e-12)
 
     def test_rejects_non_one_hot(self):
         with pytest.raises(DataError):
@@ -308,13 +304,12 @@ def test_cross_entropy_derivatives_match_finite_differences(rng):
         C = int(rng.integers(2, 5))
         theta = rng.normal(scale=1.5, size=C)
         y = np.eye(C)[int(rng.integers(0, C))]
-        w = float(rng.uniform(0.2, 3.0))
-        _, grad, hess = losses.cross_entropy_eval(y, theta, w)
+        _, grad, hess = losses.cross_entropy_eval(y, theta)
         for c in range(C):
             def value_at(t, c=c):
                 th = theta.copy()
                 th[c] = t
-                return losses.cross_entropy_eval(y, th, w)[0]
+                return losses.cross_entropy_eval(y, th)[0]
 
             assert rel_err(grad[c], fd_grad(value_at, theta[c])) < 1e-6
             assert rel_err(hess[c], fd_hess(value_at, theta[c])) < 1e-4

@@ -43,26 +43,28 @@ def small_grid(nx=4, ny=4, n_months=6, mask_cnt=None, mask_ba=None, seed=0):
 
 class TestMaternCov:
     def test_variance_at_zero_lag(self):
-        assert spatialcv.matern_cov(0.0, r=2.0, sigma_gp=1.7) == pytest.approx(1.7 ** 2)
+        """The correlation is continuously extended to the unit variance at d = 0."""
+        assert spatialcv.matern_corr(0.0, r=2.0) == 1.0
+        assert spatialcv.matern_corr(np.array([0.0, 0.0]), r=0.5, nu=2.5).tolist() == [1.0, 1.0]
 
     def test_correlation_near_tenth_at_range(self):
         # nu = 1: correlation at d = r is sqrt(8) K_1(sqrt(8)) ~ 0.14
-        corr = spatialcv.matern_cov(2.0, r=2.0, sigma_gp=1.0, nu=1.0)
+        corr = spatialcv.matern_corr(2.0, r=2.0, nu=1.0)
         assert 0.05 < corr < 0.2
         direct = np.sqrt(8.0) * special.kv(1, np.sqrt(8.0))
         assert corr == pytest.approx(float(direct), rel=1e-12)
 
     def test_monotone_decreasing(self):
         d = np.linspace(0.0, 6.0, 80)
-        vals = spatialcv.matern_cov(d, r=2.0, sigma_gp=1.0)
+        vals = spatialcv.matern_corr(d, r=2.0)
         assert np.all(np.diff(vals) < 0)
 
     def test_vanishes_far_away(self):
-        assert spatialcv.matern_cov(1e6, r=2.0, sigma_gp=1.0) == pytest.approx(0.0)
+        assert spatialcv.matern_corr(1e6, r=2.0) == pytest.approx(0.0)
 
     def test_negative_distance_rejected(self):
         with pytest.raises(DataError):
-            spatialcv.matern_cov(-1.0, r=2.0, sigma_gp=1.0)
+            spatialcv.matern_corr(-1.0, r=2.0)
 
 
 class TestSimulateField:
@@ -87,8 +89,8 @@ class TestSimulateField:
         a, b = 0, next(i for i, c in enumerate(ds.cells)
                        if tuple(c) == (ds.cells[0, 0], ds.cells[0, 1] + 0.5))
         emp = np.cov(draws[:, a], draws[:, b])
-        expect = spatialcv.matern_cov(0.5, 2.0, 1.2, 1.0)
         var = params.sigma_gp ** 2
+        expect = var * spatialcv.matern_corr(0.5, 2.0, 1.0)
         se = np.sqrt((var * var + expect ** 2) / (draws.shape[0] - 1))
         assert abs(emp[0, 1] - expect) < 3 * se
 
@@ -242,7 +244,8 @@ class TestBrentRoot:
 
     def test_no_sign_change_and_no_convergence_give_none(self):
         assert spatialcv._brent_root(lambda x: x * x + 1.0, -1.0, 2.0) is None
-        assert spatialcv._brent_root(math.atan, -30.0, 20.0, max_iter=2) is None
+        with mock.patch.object(spatialcv, "_BRENT_MAX_ITER", 2):
+            assert spatialcv._brent_root(math.atan, -30.0, 20.0) is None
         assert spatialcv._brent_root(math.atan, -30.0, 20.0) == brentq(math.atan, -30.0, 20.0)
 
     def test_unreachable_rate_is_a_numerical_failure(self):
@@ -256,7 +259,7 @@ def reference_field_factor(cells, params):
     """Cholesky factor with the covariance evaluated at every cell pair."""
     coords = np.asarray(cells, dtype=float)
     dist = np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=-1))
-    corr = spatialcv.matern_cov(dist, params.r, 1.0, params.nu)
+    corr = spatialcv.matern_corr(dist, params.r, params.nu)
     corr[np.diag_indices_from(corr)] += spatialcv.JITTER
     return np.linalg.cholesky(corr)
 
@@ -289,7 +292,7 @@ class TestFieldFactorMemory:
         (n, n, 2) tensor and full-matrix sort took about 8 n x n arrays)."""
         cells = lattice(30, 30, spacing=0.5)
         params = spatialcv.MaskModelParams()
-        spatialcv.matern_cov(1.0, params.r, 1.0)  # import scipy.special outside the trace
+        spatialcv.matern_corr(1.0, params.r)  # import scipy.special outside the trace
         _, peak = traced_peak(spatialcv.field_factor, cells, params)
         assert peak < 3 * len(cells) ** 2 * 8
 
