@@ -40,9 +40,8 @@ _SECTION_KEYS = {
     "loss": {"kind", "alpha", "xi", "kappa", "k_shape", "u"},
     "train": {"n_trees", "learning_rate", "max_leaves", "lambda_reg", "eta",
               "colsample", "n_quantile_bins", "seed"},
-    "cv": {"n_folds", "seed", "beta0_cnt", "beta0_ba", "beta", "range",
-           "sigma_gp", "nu", "phi"},
-    "score": {"weights", "response"},
+    "cv": {"beta0_cnt", "beta0_ba", "beta", "range", "sigma_gp", "nu", "phi"},
+    "score": {"weights"},
     "tune": {"learning_rate", "max_leaves", "lambda_reg", "eta", "colsample",
              "alpha", "xi", "k_shape"},
 }
@@ -223,8 +222,6 @@ def _training_setup(args):
 
 def cmd_train(args) -> int:
     cfg, params, ds, loss = _training_setup(args)
-    if args.seed is not None:
-        params = _build(replace, params, seed=args.seed)
     X, names = ds.feature_matrix()
     X, y = R.training_matrix(X, getattr(ds, loss.response), loss, cfg.threshold_u())
     del ds  # the fit keeps only the training rows' features alive
@@ -276,17 +273,15 @@ def cmd_predict(args) -> int:
 
 def cmd_cvfolds(args) -> int:
     cfg = RunConfig(args.config)
-    n_folds = args.n_folds if args.n_folds is not None else cfg.getint("cv", "n_folds", 5)
-    seed = args.seed if args.seed is not None else cfg.getseed("cv", "seed", 0)
     ds = cfg.load_dataset(covariates=False)
-    if not 1 <= n_folds <= ds.n_rows:
+    if not 1 <= args.n_folds <= ds.n_rows:
         raise ConfigError(f"the fold count must lie in [1, {ds.n_rows}] (the data's rows), "
-                          f"got {n_folds}")
+                          f"got {args.n_folds}")
     params = cfg.mask_params(ds)
-    folds = S.generate_folds(ds, params, n_folds=n_folds, seed=seed)
+    folds = S.generate_folds(ds, params, n_folds=args.n_folds, seed=args.seed)
     S.save_folds(folds, ds, args.out)
     total = int(folds.masks.sum())
-    print(f"n_folds={n_folds}")
+    print(f"n_folds={args.n_folds}")
     print(f"validation_keys={total}")
     print(f"folds={args.out}")
     return EXIT_OK
@@ -377,25 +372,19 @@ def cmd_cv(args) -> int:
 
 def cmd_score(args) -> int:
     cfg = RunConfig(args.config)
-    response = args.response or cfg.get("score", "response", "ba")
-    if response not in S.RESPONSES:
-        raise ConfigError(f"[score] response must be 'cnt' or 'ba', got {response!r}")
     ds = cfg.load_dataset(args.data, covariates=False)
     prob_cols, rows, probs = _read_predictions(args.pred, ds)
-    if args.thresholds:
-        thresholds = _read_numbers(args.thresholds)
-    else:
-        try:
-            thresholds = np.array([float(c.removeprefix("p_le_")) for c in prob_cols])
-        except ValueError:
-            raise DataError("cannot infer thresholds from prediction header; "
-                            "pass --thresholds") from None
+    try:
+        thresholds = np.array([float(c.removeprefix("p_le_")) for c in prob_cols])
+        if not np.isfinite(thresholds).all():
+            raise ValueError
+    except ValueError:
+        raise DataError("cannot infer thresholds from prediction header: each column "
+                        "after cell, year, month must be p_le_<finite threshold>") from None
     weights_path = cfg.get("score", "weights")
     weights = _read_numbers(weights_path) if weights_path else None
     spec = E.ThresholdScoreSpec(thresholds, weights)
-    if spec.thresholds.size != len(prob_cols):
-        raise DataError("threshold count does not match prediction columns")
-    score = E.threshold_score(probs, getattr(ds, response)[rows], spec)
+    score = E.threshold_score(probs, getattr(ds, args.response)[rows], spec)
     print(f"score={score!r}")
     return EXIT_OK
 
@@ -445,7 +434,7 @@ def cmd_pdp(args) -> int:
     if args.points < 1 or args.n_sub < 1:
         raise ConfigError("--points and --n-sub must be at least 1")
     model = _single_model(args)
-    ds = RunConfig(None).load_dataset(args.data)
+    ds = RunConfig(args.config).load_dataset(args.data)
     if args.points > ds.n_rows:
         raise ConfigError(f"--points must be at most the {ds.n_rows} rows of --data")
     X, names = ds.feature_matrix()
@@ -532,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a single-loss model")
     p.add_argument("--config", required=True)
     p.add_argument("--loss", default=None, choices=list(L.LOSS_KINDS))
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -546,8 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cvfolds", help="generate spatial validation folds")
     p.add_argument("--config", required=True)
-    p.add_argument("--n-folds", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--n-folds", type=int, default=5)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_cvfolds)
 
@@ -574,13 +562,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--response", default=None, choices=["cnt", "ba"])
-    p.add_argument("--thresholds", default=None)
+    p.add_argument("--response", required=True, choices=list(S.RESPONSES))
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("pdp", help="partial dependence export")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
+    p.add_argument("--config", default=None)
     p.add_argument("--features", required=True, help="comma-separated feature names")
     p.add_argument("--points", type=int, default=20)
     p.add_argument("--n-sub", type=int, default=10000)

@@ -26,6 +26,10 @@ from .errors import DataError, NumericalError, open_text
 
 RESPONSES = ("cnt", "ba")
 JITTER = 1e-8
+# Largest Matern smoothness accepted: up to it, the correlation is 1 or 0
+# to within 5e-12 wherever a factor of ``matern_corr``'s product overflows;
+# from about 108 on, factors overflow where it is neither.
+NU_MAX = 50.0
 
 
 @dataclass
@@ -50,9 +54,10 @@ class MaskModelParams:
         # each test is written so that NaN fails it
         if not all(-np.inf < v < np.inf for v in (self.beta0_cnt, self.beta0_ba, self.beta)):
             raise DataError("mask model requires finite beta0_cnt, beta0_ba and beta")
-        if not (0.0 < self.r < np.inf and 0.0 < self.nu < np.inf
+        if not (0.0 < self.r < np.inf and 0.0 < self.nu <= NU_MAX
                 and 0.0 <= self.sigma_gp < np.inf and 0.0 <= self.phi < np.inf):
-            raise DataError("mask model requires finite r > 0, nu > 0, sigma_gp >= 0, phi >= 0")
+            raise DataError(f"mask model requires finite r > 0, 0 < nu <= {NU_MAX:g}, "
+                            f"sigma_gp >= 0, phi >= 0")
 
 
 @dataclass
@@ -89,6 +94,13 @@ def matern_corr(d, r: float, nu: float = 1.0):
 
     2^(1-nu) (kappa d)^nu K_nu(kappa d) / Gamma(nu) with
     kappa = sqrt(8 nu) / r, continuously extended to 1 at d = 0.
+
+    Where this product is not a number, a factor has overflowed: K_nu near
+    d = 0, where for nu <= NU_MAX (kappa d < 3e-5) the correlation is 1
+    to within 5e-12, or (kappa d)^nu far away, where K_nu has underflowed
+    and so has the correlation.  It is taken as 1 below kappa d = 1 and 0
+    above.  Rounding can put the product a few ulps above 1 near d = 0;
+    it is capped there.
     """
     from scipy import special
     d = np.asarray(d, dtype=float)
@@ -99,8 +111,7 @@ def matern_corr(d, r: float, nu: float = 1.0):
     with np.errstate(invalid="ignore", over="ignore"):
         corr = (2.0 ** (1.0 - nu) / special.gamma(nu)
                 * scaled ** nu * special.kv(nu, scaled))
-    corr = np.where(scaled == 0.0, 1.0, corr)
-    corr = np.nan_to_num(corr, nan=0.0)  # kv underflow at huge distances
+    corr = np.minimum(np.where(np.isfinite(corr), corr, scaled < 1.0), 1.0)
     return float(corr) if np.isscalar(d) or d.ndim == 0 else corr
 
 
@@ -154,6 +165,7 @@ def generate_folds(ds: GridDataset, params: MaskModelParams, n_folds: int = 5,
     from scipy import special
     if n_folds < 1:
         raise DataError("n_folds must be >= 1")
+    _predictor_variances(params)
     months, month_of_row = np.unique(np.column_stack([ds.year, ds.month]), axis=0,
                                      return_inverse=True)
     month_of_row = month_of_row.reshape(-1)
@@ -240,13 +252,26 @@ def _brent_root(f, xa: float, xb: float):
     return None
 
 
+def _predictor_variances(params: MaskModelParams) -> tuple[float, float]:
+    """Variances of the CNT and BA masking predictors around their
+    intercepts, sigma_gp^2 + phi and beta^2 sigma_gp^2 + phi; a
+    :class:`NumericalError` when either overflows."""
+    try:
+        var = params.sigma_gp ** 2 + params.phi
+        var_ba = params.beta ** 2 * params.sigma_gp ** 2 + params.phi
+    except OverflowError:
+        var = var_ba = math.inf
+    if not math.isfinite(var + var_ba):
+        raise NumericalError(f"the masking predictor's variance overflows at sigma_gp "
+                             f"{params.sigma_gp:g}, beta {params.beta:g}, phi {params.phi:g}")
+    return var, var_ba
+
+
 def calibrate_intercepts(ds: GridDataset, params: MaskModelParams) -> MaskModelParams:
     """Set the intercepts so the expected masking rate matches the observed
     masked fraction of each response in ``ds``."""
-    var = params.sigma_gp ** 2 + params.phi
-    var_ba = params.beta ** 2 * params.sigma_gp ** 2 + params.phi
     out = params
-    for resp, v in (("cnt", var), ("ba", var_ba)):
+    for resp, v in zip(RESPONSES, _predictor_variances(params)):
         vals = ds.cnt if resp == "cnt" else ds.ba
         rate = float(np.isnan(vals).mean()) if vals.size else 0.5
         rate = min(max(rate, 1e-6), 1.0 - 1e-6)

@@ -1,6 +1,8 @@
+import configparser
 import csv
 import json
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -448,11 +450,10 @@ class TestNonUtf8Input:
                    data)
         cfg = write_config(tmp_path, str(data))
         model, folds = tmp_path / "m.json", tmp_path / "folds.csv"
-        pred, thresholds = tmp_path / "pred.csv", tmp_path / "t.txt"
+        thresholds = tmp_path / "t.txt"
         assert run(tmp_path, "train", "--config", cfg, "--out", str(model)) == 0
         assert run(tmp_path, "cvfolds", "--config", cfg, "--n-folds", "2",
                    "--out", str(folds)) == 0
-        _write_probabilities(pred, D.load_csv(data))
         thresholds.write_text("0\n", encoding="utf-8")
         out = str(tmp_path / "out.csv")
         spoiled, at, argv = {
@@ -464,8 +465,8 @@ class TestNonUtf8Input:
                                          "--data", str(data), "--out", out]),
             "importance_model": (model, 1, ["importance", "--model", str(model),
                                             "--out", out]),
-            "thresholds": (thresholds, 0, ["score", "--pred", str(pred), "--data", str(data),
-                                           "--thresholds", str(thresholds)]),
+            "thresholds": (thresholds, 0, ["predict", "--model", str(model), "--data", str(data),
+                                           "--thresholds", str(thresholds), "--out", out]),
         }[case]
         text = spoiled.read_bytes()
         spoiled.write_bytes(text[:at] + b"\xff" + text[at:])
@@ -492,14 +493,33 @@ class TestDataFlag:
                    "--config", cfg, "--out", str(configured)) == 0
         assert configured.read_bytes() == plain.read_bytes()
 
-        pred, thresholds = tmp_path / "pred.csv", tmp_path / "t.txt"
+        pred = tmp_path / "pred.csv"
         _write_probabilities(pred, D.load_csv(counts_csv))
-        thresholds.write_text("0\n", encoding="utf-8")
         capsys.readouterr()
         assert run(tmp_path, "score", "--pred", str(pred), "--data", counts_csv,
-                   "--config", cfg, "--thresholds", str(thresholds)) == 0
+                   "--config", cfg, "--response", "cnt") == 0
         captured = capsys.readouterr()
         assert captured.out.startswith("score=") and captured.err == ""
+
+    def test_pdp_reads_the_configured_schema(self, tmp_path, counts_csv, capsys):
+        """``pdp --config`` reads ``--data`` with the config's schema, as
+        ``predict`` does: a copy whose cnt column is named ``fires`` gives
+        the bytes the original gives without a config."""
+        model = tmp_path / "m.json"
+        assert run(tmp_path, "train", "--config", write_config(tmp_path, counts_csv),
+                   "--out", str(model)) == 0
+        renamed, cfg = tmp_path / "renamed.csv", tmp_path / "fires.ini"
+        header, rest = Path(counts_csv).read_text(encoding="utf-8").split("\n", 1)
+        renamed.write_text(header.replace("cnt", "fires") + "\n" + rest, encoding="utf-8")
+        cfg.write_text("[schema]\ncnt = fires\n", encoding="utf-8")
+        pdp = ["pdp", "--model", str(model), "--features", "x1", "--points", "5"]
+        assert run(tmp_path, *pdp, "--data", counts_csv, "--out", str(tmp_path / "a.csv")) == 0
+        assert run(tmp_path, *pdp, "--data", str(renamed), "--config", str(cfg),
+                   "--out", str(tmp_path / "b.csv")) == 0
+        assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+        capsys.readouterr()
+        assert run(tmp_path, *pdp, "--data", str(renamed), "--out", str(tmp_path / "c.csv")) == 2
+        _one_line(capsys.readouterr().err, "data error:")
 
     def test_missing_data_file_is_exit_1(self, tmp_path, counts_csv, capsys):
         cfg = write_config(tmp_path, counts_csv)
@@ -914,7 +934,8 @@ class TestMixtureProbabilityBound:
                    "--thresholds", str(thresholds), "--out", str(preds)) == 0
         assert np.loadtxt(preds, delimiter=",", skiprows=1)[:, 3:].max() == 1.0
         capsys.readouterr()
-        assert run(tmp_path, "score", "--pred", str(preds), "--data", sizes_csv) == 0
+        assert run(tmp_path, "score", "--pred", str(preds), "--data", sizes_csv,
+                   "--response", "ba") == 0
         captured = capsys.readouterr()
         assert captured.out.startswith("score=") and captured.err == ""
 
@@ -940,7 +961,7 @@ class TestNonFiniteNumbersFile:
         cfg = write_config(tmp_path, sizes_csv, extra=f"\n[score]\nweights = {weights}\n")
         capsys.readouterr()
         assert run(tmp_path, "score", "--pred", str(pred), "--data", sizes_csv,
-                   "--config", cfg) == 2
+                   "--config", cfg, "--response", "ba") == 2
         _one_line(capsys.readouterr().err,
                   f"data error: {weights}:2: not a finite number: {token!r}")
 
@@ -953,7 +974,7 @@ class TestScoreKeys:
                            extra=f"\n[score]\nthresholds = {tmp_path / 'absent.txt'}\n")
         capsys.readouterr()
         assert run(tmp_path, "score", "--pred", str(pred), "--data", sizes_csv,
-                   "--config", cfg) == 1
+                   "--config", cfg, "--response", "ba") == 1
         _one_line(capsys.readouterr().err,
                   "config error: unknown keys in [score]: ['thresholds']")
 
@@ -1040,12 +1061,11 @@ class TestSeedsAlphaPointsAndRoots:
                                  feature_names=names), model)
         return str(data), ds.n_rows, write_config(tmp_path, str(data)), str(model)
 
-    @pytest.mark.parametrize("command", ["train", "cvfolds", "synth", "pdp", "tune"])
+    @pytest.mark.parametrize("command", ["cvfolds", "synth", "pdp", "tune"])
     def test_negative_seed_flag(self, tmp_path, tiny, command, capsys):
         data, _, cfg, model = tiny
         out = tmp_path / "out.csv"
-        argv = {"train": ["--config", cfg],
-                "cvfolds": ["--config", cfg],
+        argv = {"cvfolds": ["--config", cfg],
                 "synth": ["--kind", "counts"],
                 "pdp": ["--model", model, "--data", data, "--features", "x1", "--points", "3"],
                 "tune": ["--config", cfg, "--folds", str(tmp_path / "absent.csv")]}[command]
@@ -1054,11 +1074,11 @@ class TestSeedsAlphaPointsAndRoots:
         _one_line(capsys.readouterr().err, "config error: --seed must be >= 0, got -1")
         assert not out.exists()
 
-    @pytest.mark.parametrize("section, command", [("train", "train"), ("cv", "cvfolds")])
+    @pytest.mark.parametrize("section, command", [("train", "train")])
     def test_negative_seed_key(self, tmp_path, tiny, section, command, capsys):
         cfg = tmp_path / "seed.ini"
-        keys = {"train": "n_trees = 2\ncolsample = 0.5\nseed = -3", "cv": "seed = -3"}[section]
-        cfg.write_text(f"[data]\ntrain = {tiny[0]}\n\n[{section}]\n{keys}\n", encoding="utf-8")
+        cfg.write_text(f"[data]\ntrain = {tiny[0]}\n\n[{section}]\n"
+                       f"n_trees = 2\ncolsample = 0.5\nseed = -3\n", encoding="utf-8")
         out = tmp_path / "out"
         capsys.readouterr()
         assert run(tmp_path, command, "--config", str(cfg), "--out", str(out)) == 1
@@ -1067,20 +1087,22 @@ class TestSeedsAlphaPointsAndRoots:
         assert not out.exists()
 
     def test_training_seed_beyond_64_bits_flag(self, tmp_path, tiny, capsys):
-        """The seed is one 64-bit word of the column-sampling key."""
-        cfg = tmp_path / "seed.ini"
-        cfg.write_text(f"[data]\ntrain = {tiny[0]}\n\n[loss]\nkind = poisson\n\n"
-                       f"[train]\nn_trees = 2\ncolsample = 0.5\n",
-                       encoding="utf-8")
-        out = tmp_path / "seeded.json"
+        """The seed is one 64-bit word of the column-sampling key: ``[train]
+        seed``, the one way to set it, takes 2**64 - 1 and not 2**64."""
+        cfg, out = tmp_path / "seed.ini", tmp_path / "seeded.json"
+
+        def train(seed):
+            cfg.write_text(f"[data]\ntrain = {tiny[0]}\n\n[loss]\nkind = poisson\n\n"
+                           f"[train]\nn_trees = 2\ncolsample = 0.5\nseed = {seed}\n",
+                           encoding="utf-8")
+            return run(tmp_path, "train", "--config", str(cfg), "--out", str(out))
+
         capsys.readouterr()
-        assert run(tmp_path, "train", "--config", str(cfg), "--seed", str(2 ** 64),
-                   "--out", str(out)) == 1
+        assert train(2 ** 64) == 1
         _one_line(capsys.readouterr().err,
                   f"config error: seed must lie in [0, 2**64), got {2 ** 64}")
         assert not out.exists()
-        assert run(tmp_path, "train", "--config", str(cfg), "--seed", str(2 ** 64 - 1),
-                   "--out", str(out)) == 0
+        assert train(2 ** 64 - 1) == 0
 
     def test_training_seed_beyond_64_bits_key(self, tmp_path, tiny, capsys):
         cfg = tmp_path / "seed.ini"
@@ -1218,15 +1240,6 @@ class TestFoldCountSpacingAndClasses:
                   f"rows), got {n_folds}")
         assert not out.exists()
 
-    def test_fold_count_key(self, tmp_path, grid, capsys):
-        data, n_rows = grid
-        out = tmp_path / "folds.csv"
-        cfg = write_config(tmp_path, data, extra="n_folds = 99999999999999999999")
-        assert run(tmp_path, "cvfolds", "--config", cfg, "--out", str(out)) == 1
-        _one_line(capsys.readouterr().err, f"config error: the fold count must lie in "
-                  f"[1, {n_rows}]")
-        assert not out.exists()
-
     def test_one_fold_per_row_is_allowed(self, tmp_path, grid, capsys):
         data, n_rows = grid
         assert run(tmp_path, "cvfolds", "--config", write_config(tmp_path, data),
@@ -1324,6 +1337,62 @@ class TestResponseFollowsLoss:
         _one_line(capsys.readouterr().err, "data error: unknown loss fields: ['raw_pmf_loss']")
 
 
+class TestOneWayIn:
+    """Each setting has one way in. ``cvfolds`` takes its fold count and
+    seed only as flags, ``score`` its response only as the required
+    ``--response`` and its thresholds only from the export's ``p_le_<t>``
+    header, and ``train`` its seed only from ``[train] seed``."""
+
+    @pytest.mark.parametrize("section, key", [("cv", "n_folds"), ("cv", "seed"),
+                                              ("score", "response")])
+    def test_removed_keys_are_unknown(self, tmp_path, counts_csv, section, key, capsys):
+        cfg, pred, out = tmp_path / "run.ini", tmp_path / "pred.csv", tmp_path / "folds.csv"
+        cfg.write_text(f"[data]\ntrain = {counts_csv}\n\n[{section}]\n{key} = 1\n",
+                       encoding="utf-8")
+        _write_probabilities(pred, D.load_csv(counts_csv))
+        argv = {"cv": ["cvfolds", "--config", str(cfg), "--out", str(out)],
+                "score": ["score", "--pred", str(pred), "--data", counts_csv,
+                          "--config", str(cfg), "--response", "cnt"]}[section]
+        capsys.readouterr()
+        assert run(tmp_path, *argv) == 1
+        captured = capsys.readouterr()
+        _one_line(captured.err, f"config error: unknown keys in [{section}]: ['{key}']")
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("column", ["raw", "p_le_nan", "p_le_inf"])
+    def test_score_header_names_finite_thresholds(self, tmp_path, counts_csv, column, capsys):
+        """The header is the one source of ``score``'s thresholds, so a
+        column that names no finite threshold is a data error."""
+        pred = tmp_path / "pred.csv"
+        _write_probabilities(pred, D.load_csv(counts_csv))
+        text = pred.read_text(encoding="utf-8")
+        pred.write_text(text.replace("p_le_0.0", column, 1), encoding="utf-8")
+        capsys.readouterr()
+        assert run(tmp_path, "score", "--pred", str(pred), "--data", counts_csv,
+                   "--response", "cnt") == 2
+        captured = capsys.readouterr()
+        _one_line(captured.err, "data error: cannot infer thresholds from prediction header")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("case", ["score_thresholds", "train_seed", "score_no_response"])
+    def test_removed_flags_exit_1(self, tmp_path, counts_csv, case, capsys):
+        pred, thresholds, out = tmp_path / "pred.csv", tmp_path / "t.txt", tmp_path / "m.json"
+        _write_probabilities(pred, D.load_csv(counts_csv))
+        thresholds.write_text("0\n", encoding="utf-8")
+        score = ["score", "--pred", str(pred), "--data", counts_csv]
+        argv, flag = {
+            "score_thresholds": (score + ["--response", "cnt", "--thresholds", str(thresholds)],
+                                 "--thresholds"),
+            "train_seed": (["train", "--config", write_config(tmp_path, counts_csv),
+                            "--seed", "3", "--out", str(out)], "--seed"),
+            "score_no_response": (score, "--response"),
+        }[case]
+        capsys.readouterr()
+        assert run(tmp_path, *argv) == 1
+        captured = capsys.readouterr()
+        assert flag in captured.err and captured.out == "" and not out.exists()
+
+
 class TestCountThresholdPredict:
     """``predict --thresholds`` writes P(CNT <= t) for a count model, which
     ``score --response cnt`` accepts; other single models are rejected."""
@@ -1398,10 +1467,9 @@ class TestCountThresholdPredict:
             writer = csv.writer(fh)
             writer.writerow(["cell", "year", "month"])
             writer.writerows(zip(ds.cell_index.tolist(), ds.year.tolist(), ds.month.tolist()))
-        for flags in ([], ["--thresholds", str(thresholds)]):
-            assert run(tmp_path, "score", "--pred", str(preds), "--data", counts_csv,
-                       "--response", "cnt", *flags) == 2
-            _one_line(capsys.readouterr().err, "data error: the threshold ladder is empty")
+        assert run(tmp_path, "score", "--pred", str(preds), "--data", counts_csv,
+                   "--response", "cnt") == 2
+        _one_line(capsys.readouterr().err, "data error: the threshold ladder is empty")
 
     def test_no_observed_response_exit_2(self, tmp_path, counts_csv, capsys):
         """Scoring skips masked responses; with every one masked there is
@@ -1421,29 +1489,6 @@ class TestCountThresholdPredict:
         captured = capsys.readouterr()
         _one_line(captured.err, "data error: no observed response to score")
         assert captured.out == ""
-
-    @pytest.mark.parametrize("response", ["cnt", "CNT", "bogus"])
-    def test_score_response_key(self, tmp_path, counts_csv, response, capsys):
-        """``[score] response`` names ``cnt`` or ``ba``, as ``--response`` does."""
-        model = self._model(tmp_path, counts_csv, "poisson")
-        thresholds, preds = tmp_path / "t.txt", tmp_path / "p.csv"
-        thresholds.write_text("0\n2\n7.5\n", encoding="utf-8")
-        assert run(tmp_path, "predict", "--model", model, "--data", counts_csv,
-                   "--thresholds", str(thresholds), "--out", str(preds)) == 0
-        capsys.readouterr()
-        assert run(tmp_path, "score", "--pred", str(preds), "--data", counts_csv,
-                   "--response", "cnt") == 0
-        flag = capsys.readouterr().out
-        cfg = write_config(tmp_path, counts_csv, f"\n[score]\nresponse = {response}")
-        status = run(tmp_path, "score", "--pred", str(preds), "--data", counts_csv,
-                     "--config", cfg)
-        captured = capsys.readouterr()
-        if response == "cnt":
-            assert status == 0 and captured.out == flag
-        else:
-            assert status == 1 and captured.out == ""
-            _one_line(captured.err, f"config error: [score] response must be 'cnt' or "
-                                    f"'ba', got {response!r}")
 
     def test_size_model_exit_2(self, tmp_path, sizes_csv, capsys):
         model = self._model(tmp_path, sizes_csv, "gpd")
@@ -1477,11 +1522,14 @@ class TestBinsAndSeasonBounds:
                   f"months with 1 <= lo <= hi <= 12, got '{season}'")
 
 
+def _readme_blocks(lang):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    return re.findall(rf"```{lang}\n(.*?)```", readme, flags=re.S)
+
+
 class TestReadmeConfig:
     def test_example_loads(self, tmp_path):
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
-            encoding="utf-8")
-        blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        blocks = _readme_blocks("ini")
         assert len(blocks) == 1
         path = tmp_path / "readme.ini"
         path.write_text(blocks[0], encoding="utf-8")
@@ -1492,9 +1540,26 @@ class TestReadmeConfig:
         assert cfg.loss_spec() == losses.LossSpec(kind="dgpd", alpha=5.0, xi=0.8,
                                                   u_trunc=float(np.log1p(200.0)))
         assert cfg.train_params() == booster.TrainParams(seed=7)
-        assert cfg.getint("cv", "n_folds") == 5
         assert [cfg.getfloat("cv", key) for key in ("beta", "range", "sigma_gp", "phi")] \
             == [0.42, 2.0, 1.0, 0.25]
+
+    def test_documented_flags_and_keys_exist(self):
+        """Every ``evtboost`` line of the README's ``sh`` blocks parses, and
+        every section and key of its INI example is one the config takes,
+        so a deleted flag or key does not linger in the docs."""
+        lines = [line for block in _readme_blocks("sh") for line in block.splitlines()
+                 if line.startswith("evtboost ")]
+        assert len(lines) >= 10
+        parser = cli.build_parser()
+        for line in lines:
+            try:
+                parser.parse_args(shlex.split(line)[1:])
+            except SystemExit:
+                pytest.fail(f"README line does not parse: {line}")
+        example = configparser.ConfigParser()
+        example.read_string(_readme_blocks("ini")[0])
+        for section in example.sections():
+            assert set(example[section]) <= cli._SECTION_KEYS.get(section, set()), section
 
 
 class TestColumnNames:
@@ -1585,7 +1650,7 @@ class TestPdpGridBound:
 
 # the keys of [data], [loss], [train] and [cv] that are not read as numbers
 _NOT_FLOAT_KEYS = {"train", "missing", "season", "kind", "n_trees", "max_leaves",
-                   "n_quantile_bins", "seed", "n_folds"}
+                   "n_quantile_bins", "seed"}
 _FLOAT_KEYS = sorted((section, key) for section in ("data", "loss", "train", "cv")
                      for key in cli._SECTION_KEYS[section] - _NOT_FLOAT_KEYS)
 
@@ -1605,7 +1670,8 @@ class TestNonFiniteConfigValues:
 
     @pytest.mark.parametrize("section, key, value",
                              [(s, k, v) for s, k in _FLOAT_KEYS for v in ("nan", "inf", "-inf")]
-                             + [("loss", "u", "-5")])
+                             + [("loss", "u", "-5")]
+                             + [("cv", "nu", v) for v in ("120", "150", "200")])
     def test_bad_value_is_one_config_error(self, tmp_path, tiny_sizes_csv, section, key,
                                            value, capsys):
         cfg = tmp_path / "run.ini"
@@ -1623,3 +1689,21 @@ class TestNonFiniteConfigValues:
         err = capsys.readouterr().err
         _one_line(err, "config error:")
         assert ("[loss] u" if key == "u" else "r" if key == "range" else key) in err
+
+    @pytest.mark.parametrize("intercepts", ["calibrated", "given"])
+    @pytest.mark.parametrize("key, value", [("sigma_gp", "1e200"), ("beta", "1e300")])
+    def test_overflowing_variance_is_one_numerical_failure(self, tmp_path, tiny_sizes_csv,
+                                                           key, value, intercepts, capsys):
+        """A finite ``sigma_gp`` or ``beta`` whose masking-predictor variance
+        overflows is exit 3, whether or not the intercepts are calibrated."""
+        given = "beta0_cnt = 0\nbeta0_ba = 0\n" if intercepts == "given" else ""
+        cfg, out = tmp_path / "run.ini", tmp_path / "folds.csv"
+        cfg.write_text(f"[data]\ntrain = {tiny_sizes_csv}\n\n[cv]\n{given}{key} = {value}\n",
+                       encoding="utf-8")
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status = run(tmp_path, "cvfolds", "--config", str(cfg), "--out", str(out))
+        assert status == 3 and not caught and not out.exists()
+        _one_line(capsys.readouterr().err,
+                  "numerical failure: the masking predictor's variance overflows")

@@ -702,6 +702,6 @@ class TestNoPythonConverters:
         dataset.write_csv(pred, ["cell", "year", "month", "p_le_0.0"], ds.n_rows,
                           lambda rows: [dataset.reprs(c[rows]) for c in columns])
         assert cli.main(["--runlog", str(tmp_path / "runs.log"), "score", "--pred", str(pred),
-                         "--data", str(path)]) == 0
+                         "--data", str(path), "--response", "ba"]) == 0
         assert len(calls) >= 4
         assert all(call.get("converters") is None for call in calls)

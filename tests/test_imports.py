@@ -82,7 +82,7 @@ def test_dataset_import_loads_no_model_layer(workdir):
 
 
 @pytest.mark.parametrize("argv", [
-    ("score", "--pred", "pred.csv", "--data", "sizes.csv"),
+    ("score", "--pred", "pred.csv", "--data", "sizes.csv", "--response", "ba"),
     ("train", "--config", "sizes.ini", "--loss", "cross_entropy", "--out", "ce.json"),
     ("train", "--config", "run.ini", "--loss", "poisson", "--out", "poisson.json"),
 ], ids=["score", "train_cross_entropy", "train_poisson"])

@@ -86,9 +86,10 @@ def every_command(tmp):
     for part in ("classifier", "bulk", "tail"):   # the mixture's components, one at a time
         run("predict", "--model", str(tmp / f"{part}.json"), "--data", str(tmp / "sizes.csv"),
             "--out", str(tmp / f"{part}.csv"))
-    run("score", "--pred", str(tmp / "mix.csv"), "--data", str(tmp / "sizes.csv"))
+    run("score", "--pred", str(tmp / "mix.csv"), "--data", str(tmp / "sizes.csv"),
+        "--response", "ba")
     run("score", "--pred", str(tmp / "dgpd_t.csv"), "--data", str(tmp / "counts.csv"),
-        "--response", "cnt", "--thresholds", str(tmp / "counts_t.txt"))
+        "--response", "cnt")
     run("importance", "--model", str(tmp / "dgpd.json"), "--metric", "coverage",
         "--out", str(tmp / "coverage.csv"))
 

@@ -66,6 +66,29 @@ class TestMaternCov:
         with pytest.raises(DataError):
             spatialcv.matern_corr(-1.0, r=2.0)
 
+    def test_every_accepted_nu_over_every_distance(self):
+        """The correlation depends on d / r alone, so d from 0 to 1e300 at
+        r = 2 reaches where K_nu overflows (near 0) and where
+        (kappa d)^nu does (far away). Every accepted nu gives a finite
+        correlation in [0, 1] that does not increase with d beyond
+        rounding, and that near 0 follows 1 - (kappa d)^2 / (4 (nu - 1))."""
+        d = np.concatenate([[0.0], np.geomspace(1e-300, 1e300, 3001)])
+        for nu in np.concatenate([np.geomspace(1e-3, spatialcv.NU_MAX, 40), [0.5, 1.5, 2.5]]):
+            corr = spatialcv.matern_corr(d, r=2.0, nu=nu)
+            assert np.isfinite(corr).all() and corr.min() >= 0.0 and corr.max() <= 1.0, nu
+            assert np.diff(corr).max() <= 1e-12, nu
+            if nu > 2:
+                scaled = np.sqrt(8.0 * nu) / 2.0 * d
+                near = scaled < 1e-4
+                series = 1 - scaled[near] ** 2 / (4 * (nu - 1))
+                assert np.abs(corr[near] - series).max() <= 5e-12, nu
+
+    def test_nu_beyond_its_bound_is_rejected(self):
+        spatialcv.MaskModelParams(nu=spatialcv.NU_MAX)
+        for nu in (np.nextafter(spatialcv.NU_MAX, np.inf), 120.0, 200.0, np.nan):
+            with pytest.raises(DataError, match="nu"):
+                spatialcv.MaskModelParams(nu=nu)
+
 
 class TestSimulateField:
     def test_zero_sigma_gives_zero_field(self):
