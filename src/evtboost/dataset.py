@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import os
 import re
 from contextlib import contextmanager
@@ -112,8 +111,8 @@ def match_rows(keys, queries) -> np.ndarray:
 
 
 # A data block is the whole lines in about this many bytes, parsed with one
-# np.loadtxt call: the text in flight (held as UCS-4 by io.StringIO) and the
-# parsed values stay a few MB whatever the file size and line width.
+# np.loadtxt call: its bytes, their field positions and the parsed values
+# stay a few MB whatever the file size and line width.
 _BLOCK_BYTES = 1 << 19
 _MAX_INT = 2.0 ** 53   # every integer up to this magnitude is exact in float64
 
@@ -163,14 +162,18 @@ def open_table(path):
     ``blocks`` yields ``(offset, values)``: the block's first data row and
     the values of the columns ``used`` (default: all; in file order), the
     others unparsed, though a record must hold one field per header field.
-    A field equal to ``missing_marker`` (bare or quoted) is NaN; any other
-    used field that is not a finite number is a fault.  ``check(values,
+    A used field equal to ``missing_marker`` (bare or quoted) is NaN; any
+    other used field that is not a finite number is a fault.  ``check(values,
     missing)`` gets a block and its marker mask, may fill in values, and
     returns the first faulty ``(row, message)`` or None.  A fault raises
-    :class:`DataError` naming the path and the earliest faulty line.
+    :class:`DataError` naming the path and the earliest faulty line.  A
+    UTF-8 byte-order mark at the start of the file (as spreadsheets save
+    "CSV UTF-8") is skipped.
     """
     n_lines = count_lines(path)
     with open_text(path) as fh:
+        if fh.read(1) != "\ufeff":
+            fh.seek(0)
         reader = csv.reader(fh)
         header = next(reader, None)
 
@@ -191,42 +194,36 @@ def open_table(path):
 
 
 def _parse_block(lines, header, used, marker, check) -> np.ndarray:
+    """The values of the ``used`` columns of the data lines ``lines``, as
+    :func:`open_table` describes them, or :class:`_BadLine` at the earliest
+    faulty line.
+
+    Both kinds of block give np.loadtxt UTF-8 bytes in which every field
+    equal to ``marker`` holds a numeric placeholder, and give the marker
+    mask from where those fields are.  A block without a double quote is
+    split by :func:`_scan`, one numpy pass over its bytes; a block with one
+    by :func:`_records`, as ``csv`` records, since a quote is special only
+    at the start of a field.
+    """
     n_fields = len(header)
-    text = "\n" + "".join(lines)   # the leading newline gives line 0 a boundary
-    if not text.endswith("\n"):
-        text += "\n"
-    faults = []
-    # np.loadtxt counts fields itself when it reads every column of a non-blank block
-    full, quoted = len(used) == n_fields and not text.isspace(), '"' in text
-    k, message = None if full else _first_wrong_count(lines, n_fields, quoted), None
-    if marker is not None:
-        # Marker fields become "-nan", which parses to NaN with its sign bit
-        # set; every other NaN is a literal token, a fault.  A literal "-nan"
-        # would pass for a marker, so lines that may hold one are checked
-        # token by token first.
-        if "-n" in text or "-N" in text:
-            faults += _negative_nan(lines, n_fields, used, marker)
-        text = _mark_missing(text, marker)
-    if k is None and not faults:
-        try:
-            values = np.loadtxt(io.StringIO(text), delimiter=",", quotechar='"', comments=None,
-                                ndmin=2, usecols=None if full else used)
+    data = "".join(lines).encode()
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    k, data, starts, missing = _records(lines, n_fields, used, marker) if b'"' in data \
+        else _scan(data, n_fields, used, marker)
+    message = None
+    if k is None:
+        try:   # bytes are read as latin-1 unless told, and a fault would quote that text
+            values = np.loadtxt(io.BytesIO(data), delimiter=",", quotechar='"', comments=None,
+                                ndmin=2, encoding="utf-8",
+                                usecols=None if len(used) == n_fields else used)
         except ValueError as exc:
-            k, message = _loadtxt_fault(str(exc), header, lines)
-        if k is None and values.shape != (len(lines), len(used)):   # lines joined or miscounted
-            k = next((k for k, line in enumerate(lines) if line.count('"') % 2), len(lines) - 1)
-            message = "malformed row (line break inside a quoted field)"
-        if full and k is not None:   # any wrong count is named; lines[:k] are parsed again
-            c = _first_wrong_count(lines, n_fields, quoted)
-            k, message = (k, message) if c is None else (c, None)
-    if k is not None:   # a wrong count, or a fault on a line that is no whole record
-        got = len(next(csv.reader(lines[k:]), []))   # the record that starts at line k
-        faults.append((k, message if got == n_fields and message
-                       else f"expected {n_fields} fields, got {got}"))
-    if not faults:
-        missing = np.isnan(values) & np.signbit(values) if marker is not None \
-            else np.zeros(values.shape, dtype=bool)   # "-nan" stands for the marker
-        np.abs(values, out=values, where=missing)   # NaN as np.nan has it
+            k, message = _loadtxt_fault(str(exc), header, starts)
+    if k is None and len(values) != len(lines):   # a quoted line break joined lines
+        k = next((k for k, line in enumerate(lines) if line.count('"') % 2), len(lines) - 1)
+        message = "malformed row (line break inside a quoted field)"
+    if k is None:
+        values[missing] = np.nan
         bad_token = ~np.isfinite(values) & ~missing
         fault = first_fault([
             (bad_token.any(axis=1),
@@ -235,70 +232,74 @@ def _parse_block(lines, header, used, marker, check) -> np.ndarray:
         ]) or check(values, missing)
         if fault is None:
             return values
-        faults.append(fault)
-    k, message = min(faults)
+        k, message = fault
+    else:   # a wrong count, or a fault on a line that is no whole record
+        got = len(next(csv.reader(lines[k:]), []))   # the record that starts at line k
+        if got != n_fields or message is None:
+            message = f"expected {n_fields} fields, got {got}"
     if k:  # a fault on an earlier line of the block is named first
         _parse_block(lines[:k], header, used, marker, check)
     raise _BadLine(k, message)
 
 
-def _first_wrong_count(lines, n_fields, quoted) -> int | None:
-    """First line of the first record without ``n_fields`` fields, or None: by
-    commas, or by csv records (split as np.loadtxt splits them) if ``quoted``."""
-    if not quoted:
-        return next((k for k, line in enumerate(lines) if line.count(",") != n_fields - 1), None)
-    reader, k = csv.reader(lines), 0
+def _scan(data, n_fields, used, marker):
+    """``(k, data, starts, missing)`` for a block without quotes, from its
+    UTF-8 bytes ``data`` (ending in a line break): ``k`` is the first line
+    without ``n_fields`` fields, or None; then ``data`` has each field equal
+    to ``marker`` overwritten by zeros of its width (a "0" inserted into an
+    empty one), ``starts`` is the first line of each record and ``missing``
+    the marker mask."""
+    b = np.frombuffer(data, dtype=np.uint8)
+    ends = b == ord(",")   # a mask made in place and dropped: a block's temporaries stay small
+    ends |= b == ord("\n")
+    ends = np.flatnonzero(ends)   # the comma or line break after each field
+    counts = np.diff(np.flatnonzero(b[ends] == ord("\n")), prepend=-1)   # fields per line
+    wrong = np.flatnonzero(counts != n_fields)
+    if wrong.size:
+        return int(wrong[0]), None, None, None
+    missing = np.zeros((counts.size, n_fields), dtype=bool)
+    if marker is not None:
+        token = marker.encode()
+        hit = np.flatnonzero(np.diff(ends, prepend=-1) == len(token) + 1)   # of its width
+        for i, byte in enumerate(token):
+            hit = hit[b[ends[hit] - len(token) + i] == byte]
+        missing.flat[hit] = True   # field hit is line hit // n_fields, column hit % n_fields
+        at = ends[hit] - len(token)   # each marker field's first byte
+        if token:
+            data = b.copy()
+            data[at[:, None] + np.arange(len(token))] = ord("0")
+        else:
+            data = np.insert(b, at, ord("0"))
+    return None, data, range(counts.size), missing[:, used]
+
+
+def _records(lines, n_fields, used, marker):
+    """:func:`_scan`'s ``(k, data, starts, missing)`` for a block with
+    quotes, split into ``csv`` records: ``data`` writes the records back,
+    the marker fields as "0" and any field holding a comma, quote or line
+    break quoted, one record to a line."""
+    reader, rows, starts, k = csv.reader(lines), [], [], 0
     for fields in reader:   # k is the first line of the record
         if len(fields) != n_fields:
-            return k
+            return k, None, None, None
+        rows.append(fields)
+        starts.append(k)
         k = reader.line_num
-    return None
+    missing = np.array([[f == marker for f in fields] for fields in rows], dtype=bool)
+    data = "".join(",".join(quoted(["0" if f == marker else f for f in fields])) + "\n"
+                   for fields in rows)
+    return None, data.encode(), starts, missing[:, used]
 
 
-def _mark_missing(text: str, marker: str) -> str:
-    """``text`` with every field equal to ``marker``, bare or quoted,
-    replaced by "-nan"; ``text`` starts and ends with a newline."""
-    for token in (marker, f'"{marker}"') if '"' in text else (marker,):
-        # a run ",M,M," needs two passes: the first takes every other field
-        for left, right in ((",", ","), (",", ","), ("\n", ","), (",", "\n")):
-            text = text.replace(f"{left}{token}{right}", f"{left}-nan{right}")
-    return text
-
-
-def _negative_nan(lines, n_fields, used, marker) -> list[tuple[int, str]]:
-    """The first line with a field other than the marker that reads as NaN,
-    and so could pass for a marker, as a one-item fault list, or []."""
-    for k, line in enumerate(lines):
-        fields = next(csv.reader([line]), []) if "-n" in line.lower() else []
-        if len(fields) != n_fields:   # none, or a field-count fault for np.loadtxt
-            continue
-        for j in used:
-            if fields[j] != marker and _reads_as_nan(fields[j]):
-                return [(k, f"malformed row (field {fields[j]!r} is not a finite number)")]
-    return []
-
-
-def _reads_as_nan(token: str) -> bool:
-    try:
-        return math.isnan(float(token))
-    except ValueError:
-        return False
-
-
-def _loadtxt_fault(message: str, header, lines) -> tuple[int, str]:
-    """(line, message) from an ``np.loadtxt`` error on ``lines``, in this
-    module's terms.  np.loadtxt numbers records, and a record spans lines
-    where a quoted field holds a line break, so the record's first line is
-    found by reading ``lines`` as csv records."""
+def _loadtxt_fault(message: str, header, starts) -> tuple[int, str]:
+    """(line, message) from an ``np.loadtxt`` error, in this module's terms;
+    ``starts`` maps np.loadtxt's record numbers to lines."""
     m = re.search(r"(could not convert string .*) to float64 at row (\d+), column (\d+)",
                   message, re.DOTALL)
     if m:  # rows counted from 0, columns from 1
         j = int(m[3]) - 1
         column = repr(header[j]) if j < len(header) else j + 1
-        reader = csv.reader(lines)
-        for _ in zip(range(int(m[2])), reader):   # the records before it
-            pass
-        return reader.line_num, f"malformed row ({m[1]} in column {column})"
+        return starts[int(m[2])], f"malformed row ({m[1]} in column {column})"
     return 0, f"malformed row ({message})"
 
 
@@ -406,10 +407,12 @@ def load_csv(path, schema: dict | None = None, missing_marker: str = "NA",
             raise DataError(f"{path}: {name}={coords[i, j]:g} does not lie on a regular "
                             f"grid with spacing {spacing:g}")
 
-    cells, cell_index = np.unique(coords, axis=0, return_inverse=True)
+    # (lon, lat) pairs as complex numbers sort as rows do, in one 1-d unique
+    cells, cell_index = np.unique(coords.view(np.complex128).ravel(), return_inverse=True)
+    cells = cells.view(np.float64).reshape(-1, 2)
     ds = GridDataset(
         cells=cells,
-        cell_index=cell_index.reshape(-1),
+        cell_index=cell_index,
         year=years,
         month=months,
         cnt=counts,

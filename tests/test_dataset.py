@@ -170,8 +170,9 @@ def assert_same_dataset(got, want):
 
 
 # Markers as a user may set them: a word, a number (also a value lon takes,
-# where it is read as that number), NaN, the empty field and a symbol.
-MARKERS = ["NA", "-999", "-100.0", "NaN", "", "?"]
+# where it is read as that number), NaN, the empty field, a symbol, a
+# symbol of several UTF-8 bytes and a number that starts many others.
+MARKERS = ["NA", "-999", "-100.0", "NaN", "", "?", "∅", "1"]
 
 
 @st.composite
@@ -463,6 +464,89 @@ class TestAcceptedSyntax:
             with pytest.raises(DataError, match=r"d\.csv:3: expected 7 fields, got 0"):
                 dataset.load_csv(path)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        """A file saved as spreadsheets save "CSV UTF-8", with a UTF-8
+        byte-order mark first, reads as the same file without it: a data
+        CSV loads the same arrays and names a fault at the same line, and a
+        prediction export scores the same."""
+        bom = b"\xef\xbb\xbf"
+        plain, marked = tmp_path / "d.csv", tmp_path / "bom.csv"
+        plain.write_text(BASIC.strip() + "\n", encoding="utf-8")
+        marked.write_bytes(bom + plain.read_bytes())
+        assert_same_dataset(dataset.load_csv(marked), dataset.load_csv(plain))
+        for path in (plain, marked):
+            path.write_bytes(path.read_bytes().replace(b",2.5\n", b",zz\n"))
+        with pytest.raises(DataError, match=r"bom\.csv:3: .*'zz'"):
+            dataset.load_csv(marked)
+        with pytest.raises(DataError, match=r"d\.csv:3: .*'zz'"):
+            dataset.load_csv(plain)
+        plain.write_text(BASIC.strip() + "\n", encoding="utf-8")
+        ds = dataset.load_csv(plain)
+        columns = [ds.cell_index, ds.year, ds.month, np.full(ds.n_rows, 0.5)]
+        pred = tmp_path / "pred.csv"
+        dataset.write_csv(pred, ["cell", "year", "month", "p_le_0.0"], ds.n_rows,
+                          lambda rows: [dataset.reprs(c[rows]) for c in columns])
+        (tmp_path / "bom_pred.csv").write_bytes(bom + pred.read_bytes())
+        scores = []
+        for name in ("pred.csv", "bom_pred.csv"):
+            assert cli.main(["--runlog", str(tmp_path / "runs.log"), "score", "--pred",
+                             str(tmp_path / name), "--data", str(plain),
+                             "--response", "ba"]) == 0
+            scores.append(capsys.readouterr().out)
+        assert scores[0] == scores[1] and scores[0].startswith("score=")
+
+
+# Bytes a fuzzed file is edited with; None stands for the marker's text.
+FUZZ_PIECES = [b",", b'"', b"\n", b"\r", b"\r\n", b"\x00", b"\xff", b"\xe2", b"\xef\xbb\xbf",
+               None, b"nan", b"-nan", b"1e999", b"#", b" ", b"  "]
+
+
+def fuzz_base(marker: str) -> bytes:
+    """A small valid data CSV with CRLF line endings, quoted fields and
+    ``marker`` in responses and covariates, bare and quoted."""
+    return ("lon,lat,year,month,cnt,ba,x0,x1\r\n"
+            f'-100.0,37.5,1993,3,1,2.5,"0.5",{marker}\r\n'
+            f'"-100.0",38.0,1993,4,{marker},"{marker}",0.25, 1.5 \r\n'
+            f'-99.5,37.5,1994,3,0,0,{marker},"1e2"\r\n').encode()
+
+
+class TestLoaderFuzz:
+    def test_unedited_file_loads(self, tmp_path):
+        path = tmp_path / "d.csv"
+        for marker in MARKERS:
+            path.write_bytes(fuzz_base(marker))
+            assert_same_dataset(dataset.load_csv(path, missing_marker=marker),
+                                reference_load_csv(path, missing_marker=marker))
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=st.lists(st.tuples(st.sampled_from(["insert", "delete", "replace"]),
+                                    st.integers(0, 400), st.integers(0, len(FUZZ_PIECES) - 1)),
+                          min_size=1, max_size=4))
+    def test_loads_or_raises_a_data_error(self, tmp_path, edits):
+        """One to four byte edits of a valid file: each inserts a piece,
+        deletes as many bytes as the piece has, or overwrites that many
+        with it.  Under every marker and covariate choice the file loads or
+        raises DataError, with no other exception and no warning."""
+        path = tmp_path / "d.csv"
+        for marker in MARKERS:
+            data = fuzz_base(marker)
+            for kind, at, which in edits:
+                piece = FUZZ_PIECES[which] or marker.encode()
+                at %= len(data) + 1
+                cut = at if kind == "insert" else at + len(piece)
+                data = data[:at] + (b"" if kind == "delete" else piece) + data[cut:]
+            path.write_bytes(data)
+            for covariates in (None, [], ["x1"]):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        dataset.load_csv(path, missing_marker=marker,
+                                         covariate_columns=covariates)
+                    except DataError:
+                        pass
+
+
 def grid_dataset(values, year=1993, month=3):
     """3x3 grid with one row per cell and the covariate 'v' set per cell."""
     cells = np.array(sorted((-100.0 + i * 0.5, 35.0 + j * 0.5)
@@ -705,3 +789,20 @@ class TestNoPythonConverters:
                          "--data", str(path), "--response", "ba"]) == 0
         assert len(calls) >= 4
         assert all(call.get("converters") is None for call in calls)
+
+    def test_unquoted_blocks_are_not_split_by_csv(self, tmp_path, monkeypatch):
+        """A file without quotes, markers in it, is split by a byte scan of
+        each block: csv.reader reads its header alone."""
+        real, calls = csv.reader, []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dataset, "_BLOCK_BYTES", 1)   # a block per line
+        monkeypatch.setattr(csv, "reader", spy)
+        path = tmp_path / "d.csv"
+        path.write_text(BASIC.strip() + "\n", encoding="utf-8")
+        ds = dataset.load_csv(path)
+        assert np.isnan(ds.cnt).sum() == 1 and np.isnan(ds.ba).sum() == 1
+        assert len(calls) == 1
