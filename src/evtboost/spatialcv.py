@@ -314,9 +314,12 @@ def load_folds(path, ds: GridDataset) -> FoldSet:
     read, so no Python object outlives its row."""
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
-        if next(reader, None) != FOLD_HEADER:
-            raise DataError(f"{path}: not a fold export")
-        n = sum(1 for _ in reader)
+        try:   # the count reads every record, so the parse below meets no csv.Error
+            if next(reader, None) != FOLD_HEADER:
+                raise DataError(f"{path}: not a fold export")
+            n = sum(1 for _ in reader)
+        except csv.Error as exc:   # a field beyond csv's size limit
+            raise DataError(f"{path}:{reader.line_num}: malformed fold row ({exc})") from None
         fh.seek(0)
         reader = csv.reader(fh)
         next(reader)

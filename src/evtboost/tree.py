@@ -8,11 +8,13 @@ is reached or no split improves the objective.  Rows with a missing value
 in the split feature follow a learned default direction.
 
 Features are binned once per fit: ``bin_features`` stores each value's
-candidate index as a small unsigned code, and every tree of the fit reuses
-it.  A node's split search builds the g, h and count histograms of its
-features one block of features at a time, each with one bincount over the
-block's flattened (row, feature) codes, and the sums add in the same order
-as a per-feature scan of raw values, so the trees are bit-identical to it.
+candidate index as a one-byte code, feature-major so that each feature's
+codes are one contiguous row, and every tree of the fit reuses them.  A
+node's split search builds the g, h and count histograms of its features
+with one bincount each per feature on a node of ``_PER_FEATURE_MIN_ROWS``
+rows or more, and one per block of features on a smaller node.  Either
+way the sums add in the same order as a per-feature scan of raw values,
+so the trees are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -166,18 +168,35 @@ class Tree:
 
 def quantile_candidates(x: np.ndarray, n_bins: int) -> np.ndarray:
     """Candidate thresholds: order-statistic quantiles of the non-missing
-    feature values, excluding the maximum (which cannot separate rows)."""
+    feature values, excluding the maximum (which cannot separate rows).
+
+    The values are ``np.quantile(x, levels, method="lower")``, read from one
+    sort at numpy's own index for that method.  Only the sign of a zero can
+    tell them apart, where the column holds both -0.0 and 0.0: np.quantile's
+    partition picks one, and np.sort may write either sign over both.  So
+    such a column with a zero among its candidates takes np.quantile itself.
+    """
     x = x[~np.isnan(x)]
     if x.size == 0:
         return np.empty(0)
     levels = np.arange(1, n_bins) / n_bins
-    cand = np.unique(np.quantile(x, levels, method="lower"))
-    return cand[cand < x.max()]
+    s = np.sort(x)
+    cand = np.unique(s[np.floor((s.size - 1) * levels).astype(np.intp)])
+    if (cand == 0.0).any():
+        zeros = np.signbit(x[x == 0.0])
+        if zeros.any() and not zeros.all():
+            cand = np.unique(np.quantile(x, levels, method="lower"))
+    return cand[cand < s[-1]]
 
 
-# Node histograms are built for blocks of features holding about this many
-# (row, feature) cells, so a block's int64 index and float64 weight
-# temporaries (512 KB each) stay in cache.
+# A node of at least this many rows builds each feature's histograms with
+# its own bincounts; a smaller one fills them a block of features at a time,
+# since there numpy's per-call cost outweighs the work of a call.
+_PER_FEATURE_MIN_ROWS = 1000
+
+# Small nodes' histograms are built for blocks of features holding about
+# this many (feature, row) cells, so a block's int64 index and float64
+# weight temporaries (512 KB each) stay in cache.
 _HIST_BLOCK_CELLS = 1 << 16
 
 # numpy's ``.sum()`` adds fewer values than this left to right, from 0.0, as
@@ -189,24 +208,25 @@ _PAIRWISE_MIN = 8
 class BinnedFeatures:
     """A feature matrix binned once against its quantile candidates.
 
-    ``codes[i, j]`` is ``searchsorted(candidates[j], X[i, j], side="left")``,
-    so ``codes[:, j] <= t`` routes exactly as ``X[:, j] <= candidates[j][t]``.
-    Missing values get the code ``n_bins``, above every candidate index, and
-    ``missing[j]`` lists the rows missing feature ``j`` in ascending order.
+    ``codes`` is feature-major, (features, rows), so that a feature's codes
+    are one contiguous row: ``codes[j, i]`` is ``searchsorted(candidates[j],
+    X[i, j], side="left")``, and ``codes[j] <= t`` routes exactly as
+    ``X[:, j] <= candidates[j][t]``.  Missing values get the code ``n_bins``,
+    above every candidate index, and ``missing[j]`` lists the rows missing
+    feature ``j`` in ascending order.  ``n_candidates[j]`` is the size of
+    ``candidates[j]``.
     """
 
     codes: np.ndarray
     candidates: list[np.ndarray]
     n_bins: int
     missing: list[np.ndarray]
+    n_candidates: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.codes.shape
-
-    @property
-    def n_candidates(self) -> np.ndarray:
-        return np.array([c.size for c in self.candidates], dtype=np.intp)
+        """(rows, features), the shape of the binned matrix."""
+        return self.codes.shape[::-1]
 
 
 def bin_features(X, n_bins: int) -> BinnedFeatures:
@@ -217,16 +237,17 @@ def bin_features(X, n_bins: int) -> BinnedFeatures:
         raise DataError("feature matrix must be 2-dimensional")
     if not 2 <= n_bins <= 255:
         raise DataError("n_quantile_bins must lie in [2, 255]")
-    codes = np.empty(X.shape, dtype=np.uint8)
+    codes = np.empty(X.shape[::-1], dtype=np.uint8)
     candidates, missing = [], []
     for j in range(X.shape[1]):
         x = X[:, j]
         cand = quantile_candidates(x, n_bins)
         nan = np.isnan(x)
-        codes[:, j] = np.where(nan, n_bins, np.searchsorted(cand, x, side="left"))
+        codes[j] = np.where(nan, n_bins, np.searchsorted(cand, x, side="left"))
         candidates.append(cand)
         missing.append(np.flatnonzero(nan))
-    return BinnedFeatures(codes, candidates, n_bins, missing)
+    n_candidates = np.array([c.size for c in candidates], dtype=np.intp)
+    return BinnedFeatures(codes, candidates, n_bins, missing, n_candidates)
 
 
 @dataclass
@@ -243,31 +264,39 @@ def _node_histograms(binned, g, h, rows, features):
     (ascending) over the sampled ``features``; slot ``n_bins`` holds the
     missing rows.
 
-    One bincount per feature block over the node's flattened (row, feature)
-    codes fills every feature's histograms; each bin adds its rows in
-    ascending row order, as a per-feature bincount would.  The missing slot
-    holds the missing rows' sums as ``.sum()`` takes them: bincount's own
-    below ``_PAIRWISE_MIN`` rows, and a pairwise sum of the rows gathered
-    from ``binned.missing`` for a longer run.
+    A node of ``_PER_FEATURE_MIN_ROWS`` rows or more runs the g, h and count
+    bincounts of each feature over its codes at the node's rows.  A smaller
+    node runs them once per block of features, over the block's flattened
+    (feature, row) codes, each feature's codes offset to its own slots.
+    Either way each bin adds its rows in ascending row order, as a
+    per-feature bincount would.  The missing slot holds the missing rows'
+    sums as ``.sum()`` takes them: bincount's own below ``_PAIRWISE_MIN``
+    rows, and a pairwise sum of the rows gathered from ``binned.missing``
+    for a longer run.
     """
-    codes = binned.codes[rows]
-    if features.size < codes.shape[1]:
-        codes = codes[:, features]
-    n_node, n_feat = codes.shape
+    n_feat = features.size
     n_slots = binned.n_bins + 1  # observed codes 0..n_bins-1, missing n_bins
     gn, hn = g[rows], h[rows]
     g_hist = np.empty((n_feat, n_slots))
     h_hist = np.empty((n_feat, n_slots))
     n_hist = np.empty((n_feat, n_slots), dtype=np.intp)
-    step = max(1, _HIST_BLOCK_CELLS // n_node)
-    for lo in range(0, n_feat, step):
-        block = codes[:, lo:lo + step]
-        nb = block.shape[1]
-        flat = (block + np.arange(0, nb * n_slots, n_slots)).ravel()
-        size = nb * n_slots
-        g_hist[lo:lo + nb] = np.bincount(flat, np.repeat(gn, nb), size).reshape(nb, n_slots)
-        h_hist[lo:lo + nb] = np.bincount(flat, np.repeat(hn, nb), size).reshape(nb, n_slots)
-        n_hist[lo:lo + nb] = np.bincount(flat, minlength=size).reshape(nb, n_slots)
+    if rows.size >= _PER_FEATURE_MIN_ROWS:
+        for k, j in enumerate(features):
+            codes = binned.codes[j][rows].astype(np.intp)
+            g_hist[k] = np.bincount(codes, gn, n_slots)
+            h_hist[k] = np.bincount(codes, hn, n_slots)
+            n_hist[k] = np.bincount(codes, minlength=n_slots)
+    else:
+        codes = binned.codes[:, rows][features]
+        step = max(1, _HIST_BLOCK_CELLS // rows.size)
+        for lo in range(0, n_feat, step):
+            block = codes[lo:lo + step]
+            nb = block.shape[0]
+            flat = (block + np.arange(0, nb * n_slots, n_slots)[:, None]).ravel()
+            size = nb * n_slots
+            g_hist[lo:lo + nb] = np.bincount(flat, np.tile(gn, nb), size).reshape(nb, n_slots)
+            h_hist[lo:lo + nb] = np.bincount(flat, np.tile(hn, nb), size).reshape(nb, n_slots)
+            n_hist[lo:lo + nb] = np.bincount(flat, minlength=size).reshape(nb, n_slots)
 
     long_runs = np.flatnonzero(n_hist[:, binned.n_bins] >= _PAIRWISE_MIN)
     if long_runs.size:
@@ -379,7 +408,7 @@ def grow(
             break
         split = pending.pop(nid)
         rows = node_rows.pop(nid)
-        code = X.codes[rows, split.feature]
+        code = X.codes[split.feature][rows]
         go_left = (code <= split.bin) | ((code == X.n_bins) & split.default_left)
         left_rows, right_rows = rows[go_left], rows[~go_left]
 

@@ -230,6 +230,26 @@ class TestNonFiniteTokens:
         assert err.startswith("data error:") and ":2:" in err and "Traceback" not in err
 
 
+class TestOversizedField:
+    """A quoted field longer than ``csv``'s field limit (131,072 characters),
+    in the header or in a data row, is a data error naming its line."""
+
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_exit_2_naming_the_line(self, tmp_path, counts_csv, line, capsys):
+        lines = Path(counts_csv).read_text(encoding="utf-8").splitlines(keepends=True)
+        head, _, _ = lines[line - 1].rpartition(",")
+        lines[line - 1] = f'{head},"{"7" * 200_000}"\n'
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(lines), encoding="utf-8")
+        cfg = write_config(tmp_path, str(bad))
+        capsys.readouterr()
+        assert run(tmp_path, "train", "--config", cfg, "--out",
+                   str(tmp_path / "m.json")) == 2
+        what = "header" if line == 1 else "row"
+        _one_line(capsys.readouterr().err,
+                  f"data error: {bad}:{line}: malformed {what} (field larger than field limit")
+
+
 class TestCommandsWithoutCovariates:
     """``cvfolds`` and ``score`` read no covariate column, so a malformed
     covariate token does not fail them; ``train`` still rejects it."""

@@ -450,6 +450,16 @@ class TestAcceptedSyntax:
             path.write_bytes(SYNTAX_BASE.rstrip("\n").replace("\n", eol).encode())
             assert dataset.count_lines(path) == 2
 
+    @pytest.mark.parametrize("tail", [b"\r\ny\r\n", b"\r\ny", b"\ry\n", b"\r", b"\n\r\n"])
+    @pytest.mark.parametrize("shift", [-2, -1, 0])
+    def test_line_count_across_a_read_boundary(self, tmp_path, tail, shift):
+        """A "\\r\\n" split between two reads ends one line, as a lone "\\r"
+        at the end of a read and a "\\n" at the start of one each do."""
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"x" * (dataset._COUNT_BYTES - 1 + shift) + tail)
+        with open(path, encoding="ascii", newline=None) as fh:
+            assert dataset.count_lines(path) == len(fh.readlines())
+
 
     @pytest.mark.parametrize("block", [1, 1 << 19])
     def test_blank_lines_are_a_field_count_without_a_warning(self, tmp_path, monkeypatch,

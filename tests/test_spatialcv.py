@@ -417,6 +417,20 @@ class TestFoldIo:
         np.testing.assert_array_equal(folds.masks, masks)
         assert peak < 200 * 2 * ds.n_rows
 
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_oversized_field_names_its_line(self, tmp_path, line):
+        """A quoted field beyond csv's 131,072-character limit is a data error."""
+        ds = small_grid()
+        path = tmp_path / "folds.csv"
+        spatialcv.save_folds(spatialcv.FoldSet(np.ones((1, 2, ds.n_rows), dtype=bool)), ds,
+                             path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[line - 1] = f'"{"7" * 200_000}",{lines[line - 1]}'
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(DataError, match=rf"folds\.csv:{line}: malformed fold row "
+                                            r"\(field larger than field limit"):
+            spatialcv.load_folds(path, ds)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n", encoding="utf-8")

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from helpers import traced_peak
@@ -302,6 +302,41 @@ def _outcome(fn):
         return type(exc)
 
 
+@st.composite
+def _columns(draw):
+    """1-3,000 values: normal, tied or all-NaN, with NaNs and both signed
+    zeros sprinkled in."""
+    n = draw(st.integers(1, 3000))
+    kind = draw(st.sampled_from(["normal", "ties", "all_nan"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "normal":
+        x = np.round(rng.normal(size=n), 1)
+    elif kind == "ties":
+        x = rng.integers(-2, 3, size=n).astype(float)
+    else:
+        x = np.full(n, np.nan)
+    rates = draw(st.tuples(*[st.sampled_from([0.0, 0.1, 0.5])] * 3))
+    for value, rate in zip((np.nan, -0.0, 0.0), rates):
+        x[rng.uniform(size=n) < rate] = value
+    return x
+
+
+class TestQuantileCandidates:
+    @settings(max_examples=300, deadline=None)
+    @given(x=_columns(), n_bins=st.integers(2, 255))
+    # np.quantile's partition picks 0.0 here, the sort -0.0
+    @example(x=np.array([1.0, 1.0, 0.0, 0.0, -0.0, -0.0, -0.0, -0.0, -1.0, 1.0]), n_bins=2)
+    def test_equal_np_quantile_lower_bit_for_bit(self, x, n_bins):
+        observed = x[~np.isnan(x)]
+        expect = np.empty(0)
+        if observed.size:
+            expect = np.unique(np.quantile(observed, np.arange(1, n_bins) / n_bins,
+                                           method="lower"))
+            expect = expect[expect < observed.max()]
+        got = tree.quantile_candidates(x, n_bins)
+        assert got.view(np.uint64).tolist() == expect.view(np.uint64).tolist()
+
+
 class TestBinnedEngine:
     @settings(max_examples=80, deadline=None)
     @given(data=_feature_matrices(), n_bins=st.sampled_from([2, 3, 8, 32]))
@@ -311,7 +346,7 @@ class TestBinnedEngine:
         assert binned.shape == X.shape
         assert binned.codes.dtype == np.uint8
         for j in range(X.shape[1]):
-            x, codes, cand = X[:, j], binned.codes[:, j], binned.candidates[j]
+            x, codes, cand = X[:, j], binned.codes[j], binned.candidates[j]
             np.testing.assert_array_equal(cand, tree.quantile_candidates(x, n_bins))
             missing = codes == n_bins
             np.testing.assert_array_equal(missing, np.isnan(x))
@@ -326,9 +361,12 @@ class TestBinnedEngine:
            eta=st.sampled_from([0.0, 0.05]),
            colsample=st.sampled_from([0.4, 0.7, 1.0]),
            zero_hessians=st.booleans(),
-           block_cells=st.sampled_from([5, 64, tree._HIST_BLOCK_CELLS, 1 << 20]))
+           block_cells=st.sampled_from([5, 64, tree._HIST_BLOCK_CELLS, 1 << 20]),
+           per_feature_min=st.sampled_from([0, tree._PER_FEATURE_MIN_ROWS, 1 << 30]))
     def test_matches_per_feature_scan(self, data, n_bins, max_leaves, lambda_reg, eta,
-                                      colsample, zero_hessians, block_cells):
+                                      colsample, zero_hessians, block_cells, per_feature_min):
+        """Both histogram kernels: a cut of 0 sends every node to the
+        per-feature bincounts, one above every node to the feature blocks."""
         X, seed = data
         n, p = X.shape
         rng = np.random.default_rng(seed + 1)
@@ -341,7 +379,8 @@ class TestBinnedEngine:
             subset = np.sort(rng.choice(p, size=max(1, round(colsample * p)), replace=False))
         args = (g, h, max_leaves, lambda_reg, eta)
         expected = _outcome(lambda: _reference_grow(X, *args, n_bins, subset))
-        with mock.patch.object(tree, "_HIST_BLOCK_CELLS", block_cells):
+        with mock.patch.object(tree, "_HIST_BLOCK_CELLS", block_cells), \
+                mock.patch.object(tree, "_PER_FEATURE_MIN_ROWS", per_feature_min):
             assert _outcome(lambda: tree.grow(tree.bin_features(X, n_bins), *args,
                                               subset)) == expected
 
@@ -358,8 +397,8 @@ class TestBinnedEngine:
         X[::7, 1] = np.nan
         binned = tree.bin_features(X, 255)
         assert binned.codes.dtype == np.uint8
-        np.testing.assert_array_equal(binned.codes[:, 1] == 255, np.isnan(X[:, 1]))
-        assert binned.codes[:, 0].max() == binned.candidates[0].size
+        np.testing.assert_array_equal(binned.codes[1] == 255, np.isnan(X[:, 1]))
+        assert binned.codes[0].max() == binned.candidates[0].size
 
 
 class TestMissingRowSums:
