@@ -9,12 +9,15 @@ in the split feature follow a learned default direction.
 
 Features are binned once per fit: ``bin_features`` stores each value's
 candidate index as a one-byte code, feature-major so that each feature's
-codes are one contiguous row, and every tree of the fit reuses them.  A
-node's split search builds the g, h and count histograms of its features
-with one bincount each per feature on a node of ``_PER_FEATURE_MIN_ROWS``
-rows or more, and one per block of features on a smaller node.  Either
-way the sums add in the same order as a per-feature scan of raw values,
-so the trees are bit-identical to it.
+codes are one contiguous row, and counts each code over all rows, the
+count histogram of every tree's root; every tree of the fit reuses them.
+A node's split search fills its g and h histograms together, with one
+``np.add.at`` of the complex weights g + ih per feature on a node of
+``_PER_FEATURE_MIN_ROWS`` rows or more and one per block of features on a
+smaller node.  The smaller child of a split counts its rows; the larger
+child's counts are its parent's less the smaller's, exact in integers.
+The g and h sums add in the same order as a per-feature scan of raw
+values, so the trees are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -190,17 +193,18 @@ def quantile_candidates(x: np.ndarray, n_bins: int) -> np.ndarray:
 
 
 # A node of at least this many rows builds each feature's histograms with
-# its own bincounts; a smaller one fills them a block of features at a time,
+# its own ``add.at``; a smaller one fills them a block of features at a time,
 # since there numpy's per-call cost outweighs the work of a call.
 _PER_FEATURE_MIN_ROWS = 1000
 
 # Small nodes' histograms are built for blocks of features holding about
-# this many (feature, row) cells, so a block's int64 index and float64
-# weight temporaries (512 KB each) stay in cache.
+# this many (feature, row) cells, so a block's temporaries stay in cache:
+# the int64 index (8 bytes a cell, 512 KB) and the tiled complex128 g + ih
+# weights (16 bytes a cell, 1 MB).
 _HIST_BLOCK_CELLS = 1 << 16
 
 # numpy's ``.sum()`` adds fewer values than this left to right, from 0.0, as
-# ``bincount`` does; it sums longer arrays pairwise.
+# ``bincount`` and ``add.at`` do; it sums longer arrays pairwise.
 _PAIRWISE_MIN = 8
 
 
@@ -214,7 +218,8 @@ class BinnedFeatures:
     ``X[:, j] <= candidates[j][t]``.  Missing values get the code ``n_bins``,
     above every candidate index, and ``missing[j]`` lists the rows missing
     feature ``j`` in ascending order.  ``n_candidates[j]`` is the size of
-    ``candidates[j]``.
+    ``candidates[j]``.  ``root_counts[j]`` counts each code of feature ``j``
+    over all rows: the count histogram of every tree's root.
     """
 
     codes: np.ndarray
@@ -222,11 +227,28 @@ class BinnedFeatures:
     n_bins: int
     missing: list[np.ndarray]
     n_candidates: np.ndarray
+    root_counts: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
         """(rows, features), the shape of the binned matrix."""
         return self.codes.shape[::-1]
+
+
+def _count_below(cand: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``searchsorted(cand, x, side="left")`` for the non-missing ``x``, by a
+    branch-free search: ``cand`` padded with +inf to a power of two, and one
+    vectorised halving step per bit.  On unsorted keys ``searchsorted``'s
+    binary search spends most of its time in mispredicted branches."""
+    size = 1 << cand.size.bit_length()  # the least power of two above cand.size
+    padded = np.full(size, np.inf)
+    padded[:cand.size] = cand
+    idx = np.zeros(x.size, dtype=np.intp)
+    step = size >> 1
+    while step:
+        idx += (padded[idx + (step - 1)] < x) * step
+        step >>= 1
+    return idx
 
 
 def bin_features(X, n_bins: int) -> BinnedFeatures:
@@ -238,16 +260,19 @@ def bin_features(X, n_bins: int) -> BinnedFeatures:
     if not 2 <= n_bins <= 255:
         raise DataError("n_quantile_bins must lie in [2, 255]")
     codes = np.empty(X.shape[::-1], dtype=np.uint8)
+    root_counts = np.empty((X.shape[1], n_bins + 1), dtype=np.intp)
     candidates, missing = [], []
     for j in range(X.shape[1]):
-        x = X[:, j]
+        x = np.ascontiguousarray(X[:, j])  # _count_below reads it once a step
         cand = quantile_candidates(x, n_bins)
-        nan = np.isnan(x)
-        codes[j] = np.where(nan, n_bins, np.searchsorted(cand, x, side="left"))
+        nan = np.flatnonzero(np.isnan(x))
+        codes[j] = _count_below(cand, x)
+        codes[j, nan] = n_bins
+        root_counts[j] = np.bincount(codes[j], minlength=n_bins + 1)
         candidates.append(cand)
-        missing.append(np.flatnonzero(nan))
+        missing.append(nan)
     n_candidates = np.array([c.size for c in candidates], dtype=np.intp)
-    return BinnedFeatures(codes, candidates, n_bins, missing, n_candidates)
+    return BinnedFeatures(codes, candidates, n_bins, missing, n_candidates, root_counts)
 
 
 @dataclass
@@ -259,60 +284,81 @@ class _Split:
     bin: int
 
 
-def _node_histograms(binned, g, h, rows, features):
-    """g, h and count histograms, (features x slots), of the node's ``rows``
-    (ascending) over the sampled ``features``; slot ``n_bins`` holds the
-    missing rows.
+def _complex_weights(g, h):
+    """g and h as the real and imaginary parts of one complex array, set by
+    assignment: ``g + 1j * h`` would make an infinite h's real part NaN
+    (0 x inf)."""
+    gh = np.empty(g.size, dtype=np.complex128)
+    gh.real = g
+    gh.imag = h
+    return gh
 
-    A node of ``_PER_FEATURE_MIN_ROWS`` rows or more runs the g, h and count
-    bincounts of each feature over its codes at the node's rows.  A smaller
-    node runs them once per block of features, over the block's flattened
-    (feature, row) codes, each feature's codes offset to its own slots.
-    Either way each bin adds its rows in ascending row order, as a
-    per-feature bincount would.  The missing slot holds the missing rows'
-    sums as ``.sum()`` takes them: bincount's own below ``_PAIRWISE_MIN``
-    rows, and a pairwise sum of the rows gathered from ``binned.missing``
-    for a longer run.
+
+def _node_histograms(binned, gh, rows, features, n_hist=None):
+    """(g + ih, count) histograms, (features x slots), of the node's ``rows``
+    (ascending) over the sampled ``features``; slot ``n_bins`` holds the
+    missing rows.  ``gh`` is ``_complex_weights(g, h)``; ``n_hist``, when
+    given, is the node's count histogram, found by the caller.
+
+    The g and h sums are one complex ``np.add.at``: it adds in index order,
+    and a complex sum adds the real and imaginary parts apart, so each bin
+    is the left-to-right sum from 0.0 that a weighted ``bincount`` makes.
+    A node of ``_PER_FEATURE_MIN_ROWS`` rows or more adds each feature's
+    codes at the node's rows; the root, which holds every row, reads the
+    codes without a gather.  A smaller node adds once per block of
+    features, over the block's flattened (feature, row) codes, each
+    feature's codes offset to its own slots.  Either way each bin adds its
+    rows in ascending row order.  Counts not given are bincounts beside
+    the sums, except at the root, whose counts are ``binned.root_counts``.
+    The missing slot holds the missing rows' sums as ``.sum()`` takes
+    them: ``add.at``'s own below ``_PAIRWISE_MIN`` rows, and a pairwise sum
+    of the rows gathered from ``binned.missing`` for a longer run.
     """
     n_feat = features.size
     n_slots = binned.n_bins + 1  # observed codes 0..n_bins-1, missing n_bins
-    gn, hn = g[rows], h[rows]
-    g_hist = np.empty((n_feat, n_slots))
-    h_hist = np.empty((n_feat, n_slots))
-    n_hist = np.empty((n_feat, n_slots), dtype=np.intp)
-    if rows.size >= _PER_FEATURE_MIN_ROWS:
-        for k, j in enumerate(features):
-            codes = binned.codes[j][rows].astype(np.intp)
-            g_hist[k] = np.bincount(codes, gn, n_slots)
-            h_hist[k] = np.bincount(codes, hn, n_slots)
-            n_hist[k] = np.bincount(codes, minlength=n_slots)
-    else:
-        codes = binned.codes[:, rows][features]
-        step = max(1, _HIST_BLOCK_CELLS // rows.size)
-        for lo in range(0, n_feat, step):
-            block = codes[lo:lo + step]
-            nb = block.shape[0]
-            flat = (block + np.arange(0, nb * n_slots, n_slots)[:, None]).ravel()
-            size = nb * n_slots
-            g_hist[lo:lo + nb] = np.bincount(flat, np.tile(gn, nb), size).reshape(nb, n_slots)
-            h_hist[lo:lo + nb] = np.bincount(flat, np.tile(hn, nb), size).reshape(nb, n_slots)
-            n_hist[lo:lo + nb] = np.bincount(flat, minlength=size).reshape(nb, n_slots)
+    root = rows.size == gh.size
+    if root:
+        n_hist = binned.root_counts[features]
+    count = n_hist is None
+    if count:
+        n_hist = np.empty((n_feat, n_slots), dtype=np.intp)
+    gh_hist = np.zeros((n_feat, n_slots), dtype=np.complex128)
+    ghn = gh if root else gh[rows]
+    # add.at flags inf - inf and overflow, which bincount sums silently
+    with np.errstate(invalid="ignore", over="ignore"):
+        if rows.size >= _PER_FEATURE_MIN_ROWS:
+            for k, j in enumerate(features):
+                codes = (binned.codes[j] if root else binned.codes[j][rows]).astype(np.intp)
+                np.add.at(gh_hist[k], codes, ghn)
+                if count:
+                    n_hist[k] = np.bincount(codes, minlength=n_slots)
+        else:
+            codes = binned.codes[:, rows][features]
+            step = max(1, _HIST_BLOCK_CELLS // rows.size)
+            for lo in range(0, n_feat, step):
+                block = codes[lo:lo + step]
+                nb = block.shape[0]
+                flat = (block + np.arange(0, nb * n_slots, n_slots)[:, None]).ravel()
+                np.add.at(gh_hist[lo:lo + nb].reshape(-1), flat, np.tile(ghn, nb))
+                if count:
+                    n_hist[lo:lo + nb] = np.bincount(flat, minlength=nb * n_slots).reshape(nb, n_slots)
 
     long_runs = np.flatnonzero(n_hist[:, binned.n_bins] >= _PAIRWISE_MIN)
     if long_runs.size:
-        in_node = np.zeros(g.size, dtype=bool)
+        in_node = np.zeros(gh.size, dtype=bool)
         in_node[rows] = True
         for k in long_runs:
             missing = binned.missing[features[k]]
             missing = missing[in_node[missing]]
-            g_hist[k, binned.n_bins] = np.add.reduce(g[missing])
-            h_hist[k, binned.n_bins] = np.add.reduce(h[missing])
-    return g_hist, h_hist, n_hist
+            gh_hist[k, binned.n_bins] = complex(np.add.reduce(gh.real[missing]),
+                                                np.add.reduce(gh.imag[missing]))
+    return gh_hist, n_hist
 
 
-def _best_split_for_node(binned, g, h, rows, features, lambda_reg, eta):
+def _best_split_for_node(binned, g, h, rows, features, lambda_reg, eta, hists=None):
     """Scan the sampled features with histogram prefix sums; return the
-    best _Split or None.  ``rows`` is ascending.  Ties break on lowest
+    best _Split or None.  ``rows`` is ascending; ``hists`` is the node's
+    ``_node_histograms``, built here when not given.  Ties break on lowest
     feature index then lowest threshold (then default_left=True).
 
     Both default directions are scanned in one vectorised pass over
@@ -324,7 +370,10 @@ def _best_split_for_node(binned, g, h, rows, features, lambda_reg, eta):
         return None
     g_total = g[rows].sum()
     h_total = h[rows].sum()
-    g_hist, h_hist, n_hist = _node_histograms(binned, g, h, rows, features)
+    if hists is None:
+        hists = _node_histograms(binned, _complex_weights(g, h), rows, features)
+    gh_hist, n_hist = hists
+    g_hist, h_hist = gh_hist.real, gh_hist.imag
     g_miss, h_miss, n_miss = (a[:, binned.n_bins] for a in (g_hist, h_hist, n_hist))
 
     g_left = np.cumsum(g_hist[:, :n_thr], axis=1)
@@ -389,16 +438,19 @@ def grow(
     ))
     node_rows = {0: root_rows}
 
+    gh = _complex_weights(g, h)
     heap: list[tuple[float, int]] = []
-    pending: dict[int, _Split] = {}
+    pending: dict[int, tuple[_Split, np.ndarray]] = {}  # split, node's counts
 
-    def consider(nid: int):
-        split = _best_split_for_node(
-            X, g, h, node_rows[nid], features, lambda_reg, eta
-        )
+    def consider(nid: int, n_hist=None) -> np.ndarray:
+        """Queue the node's best split; return its count histogram."""
+        rows = node_rows[nid]
+        hists = _node_histograms(X, gh, rows, features, n_hist)
+        split = _best_split_for_node(X, g, h, rows, features, lambda_reg, eta, hists)
         if split is not None:
-            pending[nid] = split
+            pending[nid] = split, hists[1]
             heapq.heappush(heap, (-split.gain, nid))
+        return hists[1]
 
     consider(0)
     n_leaves = 1
@@ -406,7 +458,7 @@ def grow(
         neg_gain, nid = heapq.heappop(heap)
         if -neg_gain <= 0.0:
             break
-        split = pending.pop(nid)
+        split, n_parent = pending.pop(nid)
         rows = node_rows.pop(nid)
         code = X.codes[split.feature][rows]
         go_left = (code <= split.bin) | ((code == X.n_bins) & split.default_left)
@@ -430,8 +482,10 @@ def grow(
         node.right = tree.nodes[-1].id
         n_leaves += 1
         if n_leaves < max_leaves:
-            consider(node.left)
-            consider(node.right)
+            # counts are integers, so parent - smaller child is the larger
+            # child's exactly; heap ties break on node id, not on this order
+            small, large = sorted((node.left, node.right), key=lambda c: node_rows[c].size)
+            consider(large, n_parent - consider(small))
     if leaf_rows is not None:
         leaf_rows.update(node_rows)
     return tree

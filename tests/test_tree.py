@@ -400,6 +400,84 @@ class TestBinnedEngine:
         np.testing.assert_array_equal(binned.codes[1] == 255, np.isnan(X[:, 1]))
         assert binned.codes[0].max() == binned.candidates[0].size
 
+    @settings(max_examples=300, deadline=None)
+    @given(x=_columns(), n_bins=st.integers(2, 255))
+    def test_codes_equal_searchsorted_left(self, x, n_bins):
+        binned = tree.bin_features(x[:, None], n_bins)
+        codes, observed = binned.codes[0], ~np.isnan(x)
+        np.testing.assert_array_equal(
+            codes[observed], np.searchsorted(binned.candidates[0], x[observed], side="left"))
+        assert (codes[~observed] == n_bins).all()
+        np.testing.assert_array_equal(binned.root_counts[0],
+                                      np.bincount(codes, minlength=n_bins + 1))
+
+    @pytest.mark.parametrize("per_feature_min", [0, 1 << 30])
+    def test_reaches_every_count_path(self, per_feature_min):
+        """The root reads its counts from ``root_counts``, each smaller child
+        counts its rows and each larger child subtracts the smaller's from
+        its parent's; the tree still matches the per-feature scan."""
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(400, 5))
+        X[rng.uniform(size=X.shape) < 0.1] = np.nan
+        g, h = np.round(rng.normal(size=400), 1), rng.uniform(0.1, 2.0, size=400)
+        paths = []
+        node_histograms = tree._node_histograms
+
+        def spy(binned, gh, rows, features, n_hist=None):
+            paths.append("root" if rows.size == gh.size
+                         else "direct" if n_hist is None else "subtracted")
+            return node_histograms(binned, gh, rows, features, n_hist)
+
+        with mock.patch.object(tree, "_node_histograms", spy), \
+                mock.patch.object(tree, "_PER_FEATURE_MIN_ROWS", per_feature_min):
+            got = tree.grow(tree.bin_features(X, 16), g, h, max_leaves=8)
+        # 7 splits; the children of the first 6 are searched
+        assert paths == ["root"] + ["direct", "subtracted"] * 6
+        assert got.to_doc() == _reference_grow(X, g, h, 8, 1.0, 0.0, 16, None).to_doc()
+
+
+class TestComplexHistograms:
+    """The g and h sums of one complex ``np.add.at`` equal the weighted
+    ``bincount``s bit for bit, in both kernels, at the root and below it."""
+
+    SPECIALS = (-0.0, 0.0, 5e-324, -2.5e-310, np.inf, -np.inf)
+
+    @classmethod
+    def _weights(cls, rng, n, rates):
+        """Full mantissas over 16 decades, with each special value at its rate."""
+        w = rng.uniform(-1.0, 1.0, size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+        for value, rate in zip(cls.SPECIALS, rates):
+            w[rng.uniform(size=n) < rate] = value
+        return w
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 2500), p=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+           g_rates=st.tuples(*[st.sampled_from([0.0, 0.01, 0.3])] * len(SPECIALS)),
+           h_rates=st.tuples(*[st.sampled_from([0.0, 0.01, 0.3])] * len(SPECIALS)),
+           root=st.booleans(),
+           per_feature_min=st.sampled_from([0, 1 << 30]))
+    def test_sums_equal_weighted_bincounts_bit_for_bit(self, n, p, seed, g_rates, h_rates,
+                                                        root, per_feature_min):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 40, size=(n, p)).astype(float)
+        g, h = self._weights(rng, n, g_rates), self._weights(rng, n, h_rates)
+        rows = np.arange(n)
+        if not root:
+            rows = rows[rng.uniform(size=n) < 0.5]
+            rows = rows if rows.size else np.array([0])
+        binned = tree.bin_features(X, 32)
+        n_slots = binned.n_bins + 1
+        with mock.patch.object(tree, "_PER_FEATURE_MIN_ROWS", per_feature_min):
+            gh_hist, n_hist = tree._node_histograms(binned, tree._complex_weights(g, h),
+                                                    rows, np.arange(p))
+        for j in range(p):
+            codes = binned.codes[j][rows]
+            for part, w in ((gh_hist.real, g), (gh_hist.imag, h)):
+                expect = np.bincount(codes, w[rows], n_slots)
+                got = np.ascontiguousarray(part[j])
+                assert got.view(np.uint64).tolist() == expect.view(np.uint64).tolist()
+            np.testing.assert_array_equal(n_hist[j], np.bincount(codes, minlength=n_slots))
+
 
 class TestMissingRowSums:
     """A node's missing-row g and h sums equal the per-feature scan's
@@ -442,7 +520,9 @@ class TestMissingRowSums:
         rows = self._rows(node, X.shape[0])
         features = np.arange(X.shape[1]) if features is None else np.array(features)
         binned = tree.bin_features(X, self.N_BINS)
-        hists = tree._node_histograms(binned, g, h, rows, features)
+        gh_hist, n_hist = tree._node_histograms(binned, tree._complex_weights(g, h), rows,
+                                                features)
+        hists = (gh_hist.real, gh_hist.imag, n_hist)
         order_shows = False
         for k, j in enumerate(features):
             missing = np.isnan(X[rows, j])
