@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import losses as L
-from .errors import DataError, NumericalError, open_text
+from .errors import DataError, NumericalError, open_text, publish
 from .tree import Tree, bin_features, grow, is_finite_number
 
 FORMAT_VERSION = 1
@@ -90,8 +90,6 @@ def _round_feature_subset(seed: int, round_idx: int, n_features: int, colsample:
 
 def _one_hot(labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels)
-    if labels.ndim == 2:
-        return np.asarray(labels, dtype=float)
     out = np.zeros((labels.size, L.N_CLASSES))
     out[np.arange(labels.size), labels.astype(int)] = 1.0
     return out
@@ -194,9 +192,8 @@ def _grow_step(binned, g, h, theta, params: TrainParams, subset) -> Tree:
 def fit(X, ys, loss: L.LossSpec, params: TrainParams, feature_names=None) -> BoostedModel:
     """Train a boosted model on a feature matrix and responses.
 
-    ``ys`` is a 1-d response array (class labels 0..C-1 or one-hot rows for
-    cross-entropy).  Loss domain violations surface with the offending row
-    index.
+    ``ys`` is a 1-d response array (class labels 0..C-1 for cross-entropy).
+    Loss domain violations surface with the offending row index.
     """
     X = np.asarray(X, dtype=float)
     n, p = X.shape
@@ -364,8 +361,9 @@ def loads(text: str) -> BoostedModel:
 
 
 def save(model: BoostedModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(model))
+    text = dumps(model)
+    with publish(path) as fh:
+        fh.write(text)
 
 
 def load(path) -> BoostedModel:

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import csv
 import io
-import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError, open_text
+from .errors import DataError, open_text, publish
 
 DEFAULT_SCHEMA = {"lon": "lon", "lat": "lat", "year": "year", "month": "month",
                   "cnt": "cnt", "ba": "ba"}
@@ -455,7 +454,6 @@ def load_csv(path, schema: dict | None = None, missing_marker: str = "NA",
 # (rows x width), so its temporaries and Python row objects stay the same
 # size whatever the array's width.
 _BLOCK_CELLS = 1 << 14
-_DISTINCT_PROBE = 256
 
 
 def row_blocks(n: int, width: int) -> list[slice]:
@@ -463,25 +461,6 @@ def row_blocks(n: int, width: int) -> list[slice]:
     ``_BLOCK_CELLS // width`` rows (at least one) of a ``width``-wide array."""
     step = max(1, _BLOCK_CELLS // max(1, width))
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
-
-def distinct_blocks(x: np.ndarray, width: int):
-    """``(rows, values, inverse)`` over :func:`row_blocks` (at ``width``) of
-    the sort order of the 1-d float64 ``x``: ``values`` are a block's
-    distinct bit patterns (-0.0 is not 0.0, nor one NaN payload another),
-    so a function of them indexed by ``inverse`` has its bits on ``x[rows]``.
-    Scores with no repeat among the first ``_DISTINCT_PROBE`` (a large
-    model's) take plain row blocks, where sorting would not pay for itself."""
-    bits = x.view(np.uint64)
-    if np.diff(np.sort(bits[:_DISTINCT_PROBE])).all():   # no repeat
-        yield from ((rows, x[rows], slice(None)) for rows in row_blocks(x.size, width))
-        return
-    order = np.argsort(bits)
-    for block in row_blocks(x.size, width):
-        rows = order[block]
-        b = bits[rows]
-        new = np.concatenate([[True], b[1:] != b[:-1]])
-        yield rows, b[new].view(np.float64), np.cumsum(new) - 1
 
 
 def reprs(values: np.ndarray) -> np.ndarray:
@@ -529,31 +508,15 @@ def write_csv(path, header, n_rows: int, fields) -> None:
     ``(len(rows),)`` or ``(len(rows), k)``, in column order, made by a
     column rule: :func:`reprs` for numbers, :func:`quoted` for strings, or
     a rule applied to distinct values by :func:`distinct_texts`.  Lines end
-    in "\\r\\n", as ``csv`` ends them.
-
-    The output is published whole: the rows go to ``<path>.<pid>.tmp``
-    beside the target, which replaces the target once every block is
-    written and is removed if any block fails, so a failed write leaves no
-    file or the old one.  A target that exists and is not a regular file
-    (``/dev/stdout``, a FIFO) is written in place, never renamed over."""
-    in_place = os.path.exists(path) and not os.path.isfile(path)
-    if not in_place:
-        path = os.path.realpath(path)   # a symlink's file is replaced, not the link
-    target = path if in_place else f"{path}.{os.getpid()}.tmp"
-    fh = open(target, "w" if in_place else "x", newline="", encoding="utf-8")
-    try:
-        with fh:
-            csv.writer(fh).writerow(header)
-            for rows in row_blocks(n_rows, len(header)):
-                # no name holds a block, so the last one is freed before the next is made
-                fh.write("\r\n".join(map(",".join, np.column_stack(fields(rows)).tolist()))
-                         + "\r\n")
-        if not in_place:
-            os.replace(target, path)
-    except BaseException:
-        if not in_place:
-            os.remove(target)
-        raise
+    in "\\r\\n", as ``csv`` ends them.  The file is published whole by
+    :func:`errors.publish`, so a block that fails leaves no file or the
+    old one."""
+    with publish(path) as fh:
+        csv.writer(fh).writerow(header)
+        for rows in row_blocks(n_rows, len(header)):
+            # no name holds a block, so the last one is freed before the next is made
+            fh.write("\r\n".join(map(",".join, np.column_stack(fields(rows)).tolist()))
+                     + "\r\n")
 
 
 def save_csv(ds: GridDataset, path) -> None:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import distinct_blocks
+from .dataset import row_blocks
 from .errors import DataError, NumericalError
 from .tree import is_finite_number
 
@@ -223,18 +223,19 @@ def dgpd_mean(theta, alpha: float) -> float | np.ndarray:
 
     Closed form through the Hurwitz zeta function (DLMF 25.11):
     sum_{k>=1} (1 + c k)^(-alpha) = c^(-alpha) zeta(alpha, 1 + 1/c) with
-    c = e^theta, over :func:`dataset.distinct_blocks`.  A non-finite mean (a
-    NaN score, or overflow of c^(-alpha) at very negative theta) raises
-    :class:`~evtboost.errors.NumericalError`.
+    c = e^theta, a :func:`dataset.row_blocks` block at a time.  A non-finite
+    mean (a NaN score, or overflow of c^(-alpha) at very negative theta)
+    raises :class:`~evtboost.errors.NumericalError`.
     """
     from scipy import special
     if alpha <= 1.0:
         raise DataError("dGPD mean does not exist for alpha <= 1")
     theta_arr = np.asarray(theta, dtype=float)
-    mean = np.empty(theta_arr.size)
+    t = theta_arr.ravel()
+    mean = np.empty(t.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows, t, inverse in distinct_blocks(theta_arr.ravel(), 1):
-            mean[rows] = (np.exp(-alpha * t) * special.zeta(alpha, 1.0 + np.exp(-t)))[inverse]
+        for rows in row_blocks(t.size, 1):
+            mean[rows] = np.exp(-alpha * t[rows]) * special.zeta(alpha, 1.0 + np.exp(-t[rows]))
     mean = mean.reshape(theta_arr.shape)
     bad = ~np.isfinite(mean)
     if np.any(bad):

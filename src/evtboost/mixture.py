@@ -22,8 +22,8 @@ import numpy as np
 
 from . import booster as B
 from . import losses as L
-from .errors import DataError, open_text
-from .dataset import align_features, distinct_blocks
+from .errors import DataError, open_text, publish
+from .dataset import align_features, row_blocks
 
 MANIFEST_VERSION = 1
 COMPONENTS = ("classifier", "bulk", "tail")  # the MixtureModel fields a manifest names
@@ -79,11 +79,10 @@ def threshold_probs(m: MixtureModel, raw, thresholds) -> np.ndarray:
     scores of :func:`raw_scores`, or of a block of their rows;
     ``thresholds`` is a 1-d array of b >= 0, sorted ascending.
 
-    Every term is evaluated on the (n, J) grid, one block of rows at a time:
-    below ``u`` the tail CDF is exactly 0, and the bulk CDF is exactly 0 at
-    b = 0 and 1 from ``u`` on, so the incomplete gamma runs only at the
-    thresholds strictly inside (0, u).  The blocks are the
-    :func:`dataset.distinct_blocks` of the bulk scores.
+    Every term is evaluated on the (n, J) grid, a :func:`dataset.row_blocks`
+    block of rows at a time: below ``u`` the tail CDF is exactly 0, and the
+    bulk CDF is exactly 0 at b = 0 and 1 from ``u`` on, so the incomplete
+    gamma runs only at the thresholds strictly inside (0, u).
     """
     thresholds = np.asarray(thresholds, dtype=float)
     if not np.all(thresholds >= 0):
@@ -95,11 +94,11 @@ def threshold_probs(m: MixtureModel, raw, thresholds) -> np.ndarray:
     inside = (thresholds > 0) & (thresholds < m.u)
     y_inside = np.log1p(thresholds[inside])[None, :]
     out = np.empty((cls.shape[0], thresholds.size))
-    for rows, t, inverse in distinct_blocks(bulk, thresholds.size):
+    for rows in row_blocks(len(out), thresholds.size):
         p = L.softmax(cls[rows])
         cdf = np.empty((len(p), thresholds.size))
         # the normalizer's underflow check runs even with no threshold inside
-        cdf[:, inside] = L.trgamma_cdf(y_inside, t[:, None], m.k_shape, np.log1p(m.u))[inverse]
+        cdf[:, inside] = L.trgamma_cdf(y_inside, bulk[rows, None], m.k_shape, np.log1p(m.u))
         cdf[:, ~inside] = thresholds[~inside] > 0   # 0 at b = 0, 1 from u on
         # p0 + p1 * F_bulk + p2 * F_tail in place, in the same order of operations
         cdf *= p[:, 1:2]
@@ -164,8 +163,9 @@ def save(m: MixtureModel, path) -> None:
     for name in COMPONENTS:
         manifest[name] = f"{base}.{name}.json"
         B.save(getattr(m, name), os.path.join(outdir, manifest[name]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n")
+    text = json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n"
+    with publish(path) as fh:
+        fh.write(text)
 
 
 def load(path) -> MixtureModel | B.BoostedModel:

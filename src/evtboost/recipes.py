@@ -23,7 +23,7 @@ from .evaluate import BA_THRESHOLDS, ThresholdScoreSpec, threshold_score
 def count_threshold_probs(loss: L.LossSpec, theta, thresholds) -> np.ndarray:
     """Matrix of P(Y <= u_j) from the raw scores ``theta`` of a count model
     (dgpd or poisson); ``thresholds`` is a 1-d array of u >= 0.  The (n, J)
-    grid is evaluated over :func:`dataset.distinct_blocks` of the scores."""
+    grid is evaluated a :func:`dataset.row_blocks` block of rows at a time."""
     from scipy import special
     thresholds = np.asarray(thresholds, dtype=float)
     if np.any(thresholds < 0):
@@ -33,10 +33,10 @@ def count_threshold_probs(loss: L.LossSpec, theta, thresholds) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     ks = np.floor(thresholds)[None, :]
     out = np.empty((theta.size, ks.size))
-    for rows, t, inverse in D.distinct_blocks(theta, ks.size):
-        t = t[:, None]
+    for rows in D.row_blocks(theta.size, ks.size):
+        t = theta[rows, None]
         out[rows] = (1.0 - L.dgpd_survival(ks + 1.0, t, loss.alpha) if loss.kind == "dgpd"
-                     else special.pdtr(ks, np.exp(t)))[inverse]
+                     else special.pdtr(ks, np.exp(t)))
     return out
 
 

@@ -2,7 +2,9 @@ import configparser
 import csv
 import json
 import re
+import resource
 import shlex
+import signal
 import subprocess
 import sys
 import warnings
@@ -93,6 +95,29 @@ class TestTrain:
         assert run(tmp_path, "train", "--config", cfg,
                    "--out", str(tmp_path / "m.json")) == 1
         _one_line(capsys.readouterr().err, "config error: unknown keys in [data]: ['bogus']")
+
+    def test_failed_write_keeps_the_old_model(self, tmp_path, counts_csv):
+        """A child whose files may not grow past half the model's size fails
+        to write the model (``EFBIG``); the model already at ``--out`` keeps
+        its bytes and no ``.tmp`` file is left beside it."""
+        cfg = write_config(tmp_path, counts_csv)
+        out = tmp_path / "model.json"
+        assert run(tmp_path, "train", "--config", cfg, "--out", str(out)) == 0
+        old = out.read_bytes()
+
+        def limit_file_size():
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (len(old) // 2, len(old) // 2))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "evtboost.cli", "--runlog", str(tmp_path / "runs.log"),
+             "train", "--config", cfg, "--out", str(out)],
+            env={**child_env(), "PYTHONDONTWRITEBYTECODE": "1"}, preexec_fn=limit_file_size,
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert "File too large" in proc.stderr and "Traceback" not in proc.stderr
+        assert out.read_bytes() == old
+        assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
     def test_domain_violation_is_exit_2(self, tmp_path, counts_csv):
         # gpd on counts data: no burned areas above the threshold

@@ -1,18 +1,16 @@
-"""Special functions evaluated once per distinct raw score give the bits of
-their row-by-row evaluation.
+"""Special functions evaluated a row block at a time give the bits of
+their evaluation on every row at once.
 
-``dataset.distinct_blocks`` splits the rows into blocks of their sort order
-and gives each block's distinct bit patterns (or, for scores that do not
-repeat, plain row blocks); ``losses.dgpd_mean``,
-``mixture.threshold_probs`` and ``recipes.count_threshold_probs`` evaluate
-their special functions on those.  Each is compared here with its formula
-evaluated on every row at once, on scores with signed zeros, heavy repeats
-and none, at sizes around the row-block boundaries.
+``losses.dgpd_mean``, ``mixture.threshold_probs`` and
+``recipes.count_threshold_probs`` evaluate their special functions over
+``dataset.row_blocks`` of the raw scores.  Each is compared here with its
+formula evaluated on every row at once, on scores with signed zeros, heavy
+repeats and none, at sizes around the row-block boundaries, and its errors
+must name the row that the whole-array evaluation names.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 from scipy import special
 
 from helpers import block_boundary_cases
@@ -59,42 +57,6 @@ def rowwise_count_probs(loss, theta, thresholds):
     t = theta[:, None]
     return (1.0 - losses.dgpd_survival(ks + 1.0, t, loss.alpha) if loss.kind == "dgpd"
             else special.pdtr(ks, np.exp(t)))
-
-
-class TestDistinctBlocks:
-    @given(bits=st.lists(st.sampled_from([0, 1 << 63, 0x7FF8000000000000, 0x7FF8000000000001,
-                                          0xFFF8000000000000, 0x7FF0000000000000,
-                                          0x3FF0000000000000, 1]) | st.integers(0, 2 ** 64 - 1),
-                         max_size=40),
-           block=st.integers(1, 9), probe=st.integers(1, 41))
-    def test_blocks_cover_each_row_once_with_its_bits(self, bits, block, probe):
-        x = np.array(bits, dtype=np.uint64).view(np.float64)
-        seen = []
-        old = dataset._BLOCK_CELLS, dataset._DISTINCT_PROBE
-        dataset._BLOCK_CELLS, dataset._DISTINCT_PROBE = block, probe
-        try:
-            for rows, values, inverse in dataset.distinct_blocks(x, 1):
-                rows = np.arange(x.size)[rows]
-                assert 1 <= rows.size <= block
-                assert values[inverse].tobytes() == x[rows].tobytes()
-                if not isinstance(inverse, slice):
-                    patterns = values.view(np.uint64)
-                    assert np.unique(patterns).size == patterns.size
-                seen += rows.tolist()
-        finally:
-            dataset._BLOCK_CELLS, dataset._DISTINCT_PROBE = old
-        assert sorted(seen) == list(range(x.size))
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_scores_without_a_repeat_in_the_probe_take_plain_row_blocks(self, kind):
-        x = scores(kind, 3000, seed=4)
-        blocks = list(dataset.distinct_blocks(x, 28))
-        plain = kind == "distinct"
-        assert all(isinstance(inverse, slice) == plain for _, _, inverse in blocks)
-        if plain:
-            assert [rows for rows, _, _ in blocks] == dataset.row_blocks(x.size, 28)
-        else:
-            assert sum(values.size for _, values, _ in blocks) < x.size
 
 
 class TestBitEqualToRowwise:

@@ -7,8 +7,11 @@ responses and ``importance --metric coverage``), runs in-process under
 and so does a listed one that a command starts to reach.  A change to the
 set is recorded in CHANGES.md.  The package also writes CSV rows in one
 place: ``csv.writer`` appears once in its source, for the header line of
-``dataset.write_csv``."""
+``dataset.write_csv``.  And it opens a file for writing only in
+``errors.publish``, which publishes each output whole; the run log's
+append is the one other write."""
 
+import ast
 import contextlib
 import importlib
 import inspect
@@ -104,3 +107,27 @@ def test_unreached_functions_are_the_listed_ones(tmp_path):
 def test_one_csv_writer():
     sources = Path(evtboost.__file__).parent.glob("*.py")
     assert sum(p.read_text(encoding="utf-8").count("csv.writer") for p in sources) == 1
+
+
+def opens_for_writing(node, where):
+    """(function, mode) of each ``open`` call under ``node`` whose mode
+    writes ("w", "x", "a" or "+"), each mode string of a conditional mode
+    counted; ``where`` names the innermost enclosing function or class."""
+    for child in ast.iter_child_nodes(node):
+        inner = (f"{where}.{child.name}" if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else where)
+        func = getattr(child, "func", None)
+        if isinstance(child, ast.Call) and getattr(func, "id", getattr(func, "attr", "")) in (
+                "open", "fdopen"):
+            modes = child.args[1:2] + [k.value for k in child.keywords if k.arg == "mode"]
+            yield from ((where, c.value) for mode in modes for c in ast.walk(mode)
+                        if isinstance(c, ast.Constant) and set(str(c.value)) & set("wxa+"))
+        yield from opens_for_writing(child, inner)
+
+
+def test_files_are_written_only_through_publish():
+    writes = set()
+    for path in Path(evtboost.__file__).parent.glob("*.py"):
+        writes |= set(opens_for_writing(ast.parse(path.read_text(encoding="utf-8")), path.stem))
+    assert writes == {("errors.publish", "w"), ("errors.publish", "x"),
+                      ("cli._append_runlog", "a")}
