@@ -59,10 +59,10 @@ class TrainParams:
 class BoostedModel:
     """Fitted boosting model: loss metadata, base score and trees.
 
-    For multiclass models ``trees`` is round-major with ``L.N_CLASSES``
-    consecutive trees per round.  ``train_losses`` holds the total training
-    loss before each round plus after the last (length n_rounds + 1); it is
-    not serialized.
+    ``trees`` is round-major, with ``loss.n_scores`` consecutive trees per
+    round (one per class for cross_entropy).  ``train_losses`` holds the
+    total training loss before each round plus after the last (length
+    n_rounds + 1); it is not serialized.
     """
 
     loss: L.LossSpec
@@ -74,9 +74,7 @@ class BoostedModel:
 
     @property
     def n_rounds(self) -> int:
-        if self.loss.multiclass:
-            return len(self.trees) // L.N_CLASSES
-        return len(self.trees)
+        return len(self.trees) // self.loss.n_scores
 
 
 def _round_feature_subset(seed: int, round_idx: int, n_features: int, colsample: float):
@@ -207,26 +205,19 @@ def fit(X, ys, loss: L.LossSpec, params: TrainParams, feature_names=None) -> Boo
         raise DataError("response length must match row count")
 
     base = initial_estimate(ys, loss)
-    if loss.multiclass:
-        theta = np.tile(base, (n, 1))
-    else:
-        theta = np.full(n, base)
-
+    theta = np.tile(base, (n, 1))   # (n, n_scores)
     model = BoostedModel(loss=loss, base_score=base, trees=[], params=params,
                          feature_names=list(feature_names))
     binned = bin_features(X, params.n_quantile_bins)  # once per fit, for every tree
     for round_idx in range(params.n_trees):
         subset = _round_feature_subset(params.seed, round_idx, p, params.colsample)
-        v, g, h = L.evaluate_loss(loss, y, theta)
+        v, g, h = L.evaluate_loss(loss, y, theta.reshape(y.shape))
         model.train_losses.append(float(v.sum()))
-        h = np.maximum(h, HESS_FLOOR)
-        if loss.multiclass:
-            for c in range(L.N_CLASSES):
-                model.trees.append(_grow_step(binned, g[:, c], h[:, c], theta[:, c],
-                                              params, subset))
-        else:
-            model.trees.append(_grow_step(binned, g, h, theta, params, subset))
-    v, _, _ = L.evaluate_loss(loss, y, theta)
+        g, h = g.reshape(theta.shape), np.maximum(h, HESS_FLOOR).reshape(theta.shape)
+        for c in range(loss.n_scores):
+            model.trees.append(_grow_step(binned, g[:, c], h[:, c], theta[:, c],
+                                          params, subset))
+    v, _, _ = L.evaluate_loss(loss, y, theta.reshape(y.shape))
     model.train_losses.append(float(v.sum()))
     return model
 
@@ -250,23 +241,17 @@ def predict_raw_staged(model: BoostedModel, X, checkpoints) -> list[np.ndarray]:
              for k in checkpoints]
     if min(stops, default=0) < 0:
         raise DataError(f"checkpoints must be >= 0, got {min(stops)}")
-    lr = model.params.learning_rate
-    if model.loss.multiclass:
-        C = L.N_CLASSES
-        out = np.tile(np.asarray(model.base_score, dtype=float), (X.shape[0], 1))
-    else:
-        out = np.full(X.shape[0], float(model.base_score))
+    lr, n_scores = model.params.learning_rate, model.loss.n_scores
+    base = np.asarray(model.base_score, dtype=float)
+    out = np.tile(base, (X.shape[0], 1))   # (n, n_scores)
     snapshots = {}
     done = 0
     for stop in sorted(set(stops)):
         for r in range(done, stop):
-            if model.loss.multiclass:
-                for c in range(C):
-                    out[:, c] += lr * model.trees[r * C + c].predict(X)
-            else:
-                out += lr * model.trees[r].predict(X)
+            for c in range(n_scores):
+                out[:, c] += lr * model.trees[r * n_scores + c].predict(X)
         done = stop
-        snapshots[stop] = out.copy()
+        snapshots[stop] = out.reshape(X.shape[:1] + base.shape).copy()
     return [snapshots[stop] for stop in stops]
 
 

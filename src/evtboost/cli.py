@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partialmethod
 
 import numpy as np
@@ -34,13 +34,19 @@ from .errors import ConfigError, DataError, NumericalError, open_text
 
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 
+
+def _keyed_fields(make) -> dict:
+    """{INI key: field} of the settings dataclass that a [train] or [cv]
+    section sets: each key is its field's name, but [cv] names ``r`` ``range``."""
+    return {"range" if f.name == "r" else f.name: f for f in fields(make)}
+
+
 _SECTION_KEYS = {
     "data": {"train", "spacing", "missing", "season"},
     "schema": {"lon", "lat", "year", "month", "cnt", "ba", "covariates"},
     "loss": {"kind", "alpha", "xi", "kappa", "k_shape", "u"},
-    "train": {"n_trees", "learning_rate", "max_leaves", "lambda_reg", "eta",
-              "colsample", "n_quantile_bins", "seed"},
-    "cv": {"beta0_cnt", "beta0_ba", "beta", "range", "sigma_gp", "nu", "phi"},
+    "train": set(_keyed_fields(B.TrainParams)),
+    "cv": set(_keyed_fields(S.MaskModelParams)),
     "score": {"weights"},
     "tune": {"learning_rate", "max_leaves", "lambda_reg", "eta", "colsample",
              "alpha", "xi", "k_shape"},
@@ -52,6 +58,10 @@ def _seed(text: str) -> int:
     if value < 0:
         raise ValueError(text)
     return value
+
+
+# what a config value read by each parser must be
+_WHAT = {int: "an integer", float: "a number", _seed: "an integer >= 0"}
 
 
 class RunConfig:
@@ -82,18 +92,27 @@ class RunConfig:
             return self.cp.get(section, key)
         return default
 
-    def _get_as(self, parse, what, section, key, default=None):
+    def _get_as(self, parse, section, key, default=None):
         val = self.get(section, key)
         if val is None:
             return default
         try:
             return parse(val)
         except ValueError:
-            raise ConfigError(f"[{section}] {key} must be {what}, got {val!r}") from None
+            raise ConfigError(f"[{section}] {key} must be {_WHAT[parse]}, got {val!r}") from None
 
-    getfloat = partialmethod(_get_as, float, "a number")
-    getint = partialmethod(_get_as, int, "an integer")
-    getseed = partialmethod(_get_as, _seed, "an integer >= 0")
+    getfloat = partialmethod(_get_as, float)
+
+    def _settings(self, make, section):
+        """``make`` from the keys ``section`` sets, each parsed by the type of its
+        field's default (``seed`` by :func:`_seed`); unset keys keep the defaults."""
+        given = {}
+        for key, f in _keyed_fields(make).items():
+            parse = _seed if key == "seed" else type(f.default)
+            val = self._get_as(parse, section, key)
+            if val is not None:
+                given[f.name] = val
+        return _build(make, **given)
 
     # -- builders ----------------------------------------------------------
 
@@ -151,30 +170,12 @@ class RunConfig:
         return u
 
     def train_params(self) -> B.TrainParams:
-        return _build(
-            B.TrainParams,
-            n_trees=self.getint("train", "n_trees", 100),
-            learning_rate=self.getfloat("train", "learning_rate", 0.1),
-            max_leaves=self.getint("train", "max_leaves", 8),
-            lambda_reg=self.getfloat("train", "lambda_reg", 1.0),
-            eta=self.getfloat("train", "eta", 0.0),
-            colsample=self.getfloat("train", "colsample", 1.0),
-            n_quantile_bins=self.getint("train", "n_quantile_bins", 32),
-            seed=self.getseed("train", "seed", 0),
-        )
+        return self._settings(B.TrainParams, "train")
 
     def mask_params(self, ds: D.GridDataset) -> S.MaskModelParams:
-        given = {key: self.getfloat("cv", key) for key in ("beta0_cnt", "beta0_ba")
+        params = self._settings(S.MaskModelParams, "cv")
+        given = {key: getattr(params, key) for key in ("beta0_cnt", "beta0_ba")
                  if self.get("cv", key) is not None}
-        params = _build(
-            S.MaskModelParams,
-            **given,
-            beta=self.getfloat("cv", "beta", 0.42),
-            r=self.getfloat("cv", "range", 2.0),
-            sigma_gp=self.getfloat("cv", "sigma_gp", 1.0),
-            nu=self.getfloat("cv", "nu", 1.0),
-            phi=self.getfloat("cv", "phi", 0.25),
-        )
         # each intercept the config leaves unset is calibrated to the
         # dataset's observed masking rate
         if len(given) < 2:

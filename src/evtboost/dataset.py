@@ -259,10 +259,10 @@ def _parse_block(lines, header, used, marker, check) -> np.ndarray:
 def _scan(data, n_fields, used, marker):
     """``(k, data, starts, missing)`` for a block without quotes, from its
     UTF-8 bytes ``data`` (ending in a line break): ``k`` is the first line
-    without ``n_fields`` fields, or None; then ``data`` has each field equal
-    to ``marker`` overwritten by zeros of its width (a "0" inserted into an
-    empty one), ``starts`` is the first line of each record and ``missing``
-    the marker mask."""
+    without ``n_fields`` fields or with a field beyond ``csv``'s size limit,
+    or None; then ``data`` has each field equal to ``marker`` overwritten by
+    zeros of its width (a "0" inserted into an empty one), ``starts`` is the
+    first line of each record and ``missing`` the marker mask."""
     b = np.frombuffer(data, dtype=np.uint8)
     ends = b == ord(",")   # a mask made in place and dropped: a block's temporaries stay small
     ends |= b == ord("\n")
@@ -271,6 +271,10 @@ def _scan(data, n_fields, used, marker):
     wrong = np.flatnonzero(counts != n_fields)
     if wrong.size:
         return int(wrong[0]), None, None, None
+    limit = csv.field_size_limit()   # in characters; a field has as many bytes or more
+    for i in np.flatnonzero(np.diff(ends, prepend=-1) > limit + 1):
+        if len(data[ends[i - 1] + 1 if i else 0:ends[i]].decode()) > limit:
+            return int(i) // n_fields, None, None, None   # field i is on that line
     missing = np.zeros((counts.size, n_fields), dtype=bool)
     if marker is not None:
         token = marker.encode()

@@ -28,7 +28,7 @@ genuine underflow (a pmf that rounds to zero) raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .dataset import row_blocks
 from .errors import DataError, NumericalError
 from .tree import is_finite_number
 
-LOSS_KINDS = ("poisson", "dgpd", "trgamma", "gpd", "cross_entropy", "squared_log")
 N_CLASSES = 3  # cross_entropy classes: the zero / bulk / tail size classes
 
 
@@ -78,18 +77,16 @@ class LossSpec:
         ``"ba"`` for the size losses."""
         return "cnt" if self.kind in ("poisson", "dgpd") else "ba"
 
+    @property
+    def n_scores(self) -> int:
+        """Scores per row: :data:`N_CLASSES` for cross_entropy, else 1."""
+        return N_CLASSES if self.multiclass else 1
+
     def hyperparams(self) -> dict:
         """The hyperparameters actually read by this loss kind (for serialization)."""
-        out: dict = {"kind": self.kind}
-        if self.kind == "dgpd":
-            out["alpha"] = self.alpha
-        elif self.kind == "trgamma":
-            out["k_shape"] = self.k_shape
-            out["u_trunc"] = self.u_trunc
-        elif self.kind == "gpd":
-            out["xi"] = self.xi
-            out["kappa"] = self.kappa
-        elif self.kind == "cross_entropy":
+        out = {"kind": self.kind}
+        out.update((name, getattr(self, name)) for name in _KINDS[self.kind][1])
+        if self.multiclass:
             out["n_classes"] = N_CLASSES
         return out
 
@@ -99,8 +96,7 @@ def loss_spec_from_dict(doc: dict) -> LossSpec:
     finite numbers, with :data:`N_CLASSES` classes if any are given."""
     if not isinstance(doc, dict) or not isinstance(doc.get("kind"), str):
         raise DataError(f"loss must be an object with a string kind, got {doc!r}")
-    known = {"kind", "alpha", "xi", "kappa", "k_shape", "u_trunc", "n_classes"}
-    unknown = set(doc) - known
+    unknown = set(doc) - {f.name for f in fields(LossSpec)} - {"n_classes"}
     if unknown:
         raise DataError(f"unknown loss fields: {sorted(unknown)}")
     doc = dict(doc)
@@ -389,22 +385,24 @@ def squared_log_eval(y, theta):
 # Dispatch for the booster
 # ---------------------------------------------------------------------------
 
+# kind -> (its loss function, the LossSpec fields that function takes after
+# y and theta, in argument order)
+_KINDS = {
+    "poisson": (poisson_eval, ()),
+    "dgpd": (dgpd_eval, ("alpha",)),
+    "trgamma": (trgamma_eval, ("k_shape", "u_trunc")),
+    "gpd": (gpd_eval, ("xi", "kappa")),
+    "cross_entropy": (cross_entropy_eval, ()),
+    "squared_log": (squared_log_eval, ()),
+}
+LOSS_KINDS = tuple(_KINDS)
+
+
 def evaluate_loss(spec: LossSpec, y, theta):
     """Per-row (value, grad, hess) arrays for any loss kind.
 
     For ``cross_entropy``, ``y``/``theta`` are (n, C); other kinds take
     1-d arrays.
     """
-    if spec.kind == "poisson":
-        return poisson_eval(y, theta)
-    if spec.kind == "dgpd":
-        return dgpd_eval(y, theta, spec.alpha)
-    if spec.kind == "trgamma":
-        return trgamma_eval(y, theta, spec.k_shape, spec.u_trunc)
-    if spec.kind == "gpd":
-        return gpd_eval(y, theta, spec.xi, spec.kappa)
-    if spec.kind == "cross_entropy":
-        return cross_entropy_eval(y, theta)
-    if spec.kind == "squared_log":
-        return squared_log_eval(y, theta)
-    raise DataError(f"unknown loss kind {spec.kind!r}")
+    evaluate, names = _KINDS[spec.kind]
+    return evaluate(y, theta, *(getattr(spec, name) for name in names))

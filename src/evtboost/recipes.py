@@ -28,7 +28,7 @@ def count_threshold_probs(loss: L.LossSpec, theta, thresholds) -> np.ndarray:
     thresholds = np.asarray(thresholds, dtype=float)
     if np.any(thresholds < 0):
         raise DataError("count threshold must be >= 0")
-    if loss.kind not in ("dgpd", "poisson"):
+    if loss.response != "cnt":
         raise DataError(f"loss {loss.kind!r} has no count CDF")
     theta = np.asarray(theta, dtype=float)
     ks = np.floor(thresholds)[None, :]

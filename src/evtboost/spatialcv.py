@@ -311,27 +311,36 @@ def load_folds(path, ds: GridDataset) -> FoldSet:
     """Read a :func:`save_folds` export as row masks over ``ds``.
 
     One pass counts the fold rows and a second parses them as they are
-    read, so no Python object outlives its row."""
+    read, so no Python object outlives its row.  Each pass skips a UTF-8
+    byte-order mark at the start (as spreadsheets save "CSV UTF-8")."""
     with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
+        def records():
+            fh.seek(0)
+            if fh.read(1) != "\ufeff":
+                fh.seek(0)
+            return csv.reader(fh)
+
+        reader = records()
         try:   # the count reads every record, so the parse below meets no csv.Error
             if next(reader, None) != FOLD_HEADER:
                 raise DataError(f"{path}: not a fold export")
             n = sum(1 for _ in reader)
         except csv.Error as exc:   # a field beyond csv's size limit
             raise DataError(f"{path}:{reader.line_num}: malformed fold row ({exc})") from None
-        fh.seek(0)
-        reader = csv.reader(fh)
+        reader = records()
         next(reader)
         fold, resp, lon, lat, year, month = (np.empty(n, dtype=t)
                                              for t in (int, int, float, float, int, int))
         for i, row in enumerate(reader):
             lineno = i + 2
+            if len(row) != len(FOLD_HEADER):
+                raise DataError(f"{path}:{lineno}: expected {len(FOLD_HEADER)} fields, "
+                                f"got {len(row)}")
             try:
                 f, name = int(row[0]), row[1]
                 lon[i], lat[i] = float(row[2]), float(row[3])
                 year[i], month[i] = int(row[4]), int(row[5])
-            except (ValueError, IndexError, OverflowError) as exc:
+            except (ValueError, OverflowError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed fold row ({exc})") from None
             if name not in RESPONSES:
                 raise DataError(f"{path}:{lineno}: unknown response {name!r}")

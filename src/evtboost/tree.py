@@ -355,11 +355,11 @@ def _node_histograms(binned, gh, rows, features, n_hist=None):
     return gh_hist, n_hist
 
 
-def _best_split_for_node(binned, g, h, rows, features, lambda_reg, eta, hists=None):
+def _best_split_for_node(binned, g, h, rows, features, lambda_reg, eta, hists):
     """Scan the sampled features with histogram prefix sums; return the
     best _Split or None.  ``rows`` is ascending; ``hists`` is the node's
-    ``_node_histograms``, built here when not given.  Ties break on lowest
-    feature index then lowest threshold (then default_left=True).
+    ``_node_histograms``.  Ties break on lowest feature index then lowest
+    threshold (then default_left=True).
 
     Both default directions are scanned in one vectorised pass over
     (direction x features x thresholds).
@@ -370,8 +370,6 @@ def _best_split_for_node(binned, g, h, rows, features, lambda_reg, eta, hists=No
         return None
     g_total = g[rows].sum()
     h_total = h[rows].sum()
-    if hists is None:
-        hists = _node_histograms(binned, _complex_weights(g, h), rows, features)
     gh_hist, n_hist = hists
     g_hist, h_hist = gh_hist.real, gh_hist.imag
     g_miss, h_miss, n_miss = (a[:, binned.n_bins] for a in (g_hist, h_hist, n_hist))

@@ -228,6 +228,16 @@ class TestPredictRawStaged:
             if rounds == m.n_rounds:
                 np.testing.assert_array_equal(snap, booster.predict_raw(m, X))
 
+    def test_snapshots_have_the_base_scores_shape(self):
+        """One score per row for a scalar loss, one per class for cross_entropy."""
+        X, models = _staged_models()
+        for kind, shape in (("scalar", (len(X),)), ("multiclass", (len(X), 3))):
+            assert all(snap.shape == shape for snap in
+                       booster.predict_raw_staged(models[kind], X, [0, 2, None]))
+        dgpd = booster.fit(X, np.floor(X[:, 0] ** 2), _spec("dgpd", alpha=3.0),
+                           booster.TrainParams(n_trees=2, seed=1))
+        assert booster.predict_raw_staged(dgpd, X, [1])[0].shape == (len(X),)
+
     def test_negative_checkpoint_is_data_error(self):
         X, models = _staged_models()
         with pytest.raises(DataError, match="checkpoints must be >= 0, got -3"):

@@ -1572,6 +1572,21 @@ def _readme_blocks(lang):
     return re.findall(rf"```{lang}\n(.*?)```", readme, flags=re.S)
 
 
+class TestSettingsDefaults:
+    """[train] and [cv] read their keys and defaults from ``TrainParams``
+    and ``MaskModelParams``."""
+
+    def test_unset_sections_give_the_dataclass_defaults(self):
+        assert cli.RunConfig(None).train_params() == booster.TrainParams()
+
+    def test_section_keys_are_the_fields(self):
+        assert cli._SECTION_KEYS["train"] == {"n_trees", "learning_rate", "max_leaves",
+                                              "lambda_reg", "eta", "colsample",
+                                              "n_quantile_bins", "seed"}
+        assert cli._SECTION_KEYS["cv"] == {"beta0_cnt", "beta0_ba", "beta", "range",
+                                           "sigma_gp", "nu", "phi"}
+
+
 class TestReadmeConfig:
     def test_example_loads(self, tmp_path):
         blocks = _readme_blocks("ini")

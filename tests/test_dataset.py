@@ -474,6 +474,24 @@ class TestAcceptedSyntax:
             with pytest.raises(DataError, match=r"d\.csv:3: expected 7 fields, got 0"):
                 dataset.load_csv(path)
 
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["bare", "quoted"])
+    def test_field_over_the_csv_limit_is_named_bare_or_quoted(self, tmp_path, quote):
+        """A field over ``csv``'s limit in any row, even in a column that is
+        not read, names its line, bare as well as quoted; the limit counts
+        characters, so a field of more bytes but no more characters loads."""
+        limit = csv.field_size_limit()
+        path = tmp_path / "d.csv"
+        for field in ("7" * (limit + 1), "\u00e9" * limit):
+            path.write_text(f"{SYNTAX_BASE}-99.5,37.5,1993,4,1,2.5,{quote}{field}{quote}\n",
+                            encoding="utf-8")
+            if len(field) > limit:
+                with pytest.raises(DataError) as info:
+                    dataset.load_csv(path, covariate_columns=[])
+                assert str(info.value) == (f"{path}:3: malformed row (field larger than "
+                                           f"field limit ({limit}))")
+            else:
+                assert dataset.load_csv(path, covariate_columns=[]).n_rows == 2
+
     def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
         """A file saved as spreadsheets save "CSV UTF-8", with a UTF-8
         byte-order mark first, reads as the same file without it: a data

@@ -24,6 +24,24 @@ class TestLossSpec:
         with pytest.raises(DataError, match=field):
             losses.LossSpec(kind="cross_entropy", **{field: value})
 
+    def test_hyperparams_name_the_fields_each_kind_reads(self):
+        """A model file's loss object is ``hyperparams()``, so its bytes
+        depend on these dicts."""
+        fields = dict(alpha=2.0, xi=0.8, kappa=0.25, k_shape=1.5, u_trunc=5.0)
+        assert {kind: losses.LossSpec(kind=kind, **fields).hyperparams()
+                for kind in losses.LOSS_KINDS} == {
+            "poisson": {"kind": "poisson"},
+            "dgpd": {"kind": "dgpd", "alpha": 2.0},
+            "trgamma": {"kind": "trgamma", "k_shape": 1.5, "u_trunc": 5.0},
+            "gpd": {"kind": "gpd", "xi": 0.8, "kappa": 0.25},
+            "cross_entropy": {"kind": "cross_entropy", "n_classes": 3},
+            "squared_log": {"kind": "squared_log"},
+        }
+
+    def test_loss_kinds_keep_their_order(self):
+        assert losses.LOSS_KINDS == ("poisson", "dgpd", "trgamma", "gpd", "cross_entropy",
+                                     "squared_log")
+
 
 class TestPoisson:
     def test_zero_count(self):

@@ -431,6 +431,35 @@ class TestFoldIo:
                                             r"\(field larger than field limit"):
             spatialcv.load_folds(path, ds)
 
+    @pytest.mark.parametrize("edit, got", [(lambda line: line + ",7", 7),
+                                           (lambda line: line.rsplit(",", 1)[0], 5),
+                                           (lambda line: "", 0)],
+                             ids=["seventh_field", "five_fields", "blank_line"])
+    def test_row_without_six_fields_names_its_line(self, tmp_path, edit, got):
+        """A fold row with a field more or fewer, a blank line included, is
+        named with its line as a data CSV's row is."""
+        ds = small_grid()
+        path = tmp_path / "folds.csv"
+        spatialcv.save_folds(spatialcv.FoldSet(np.ones((1, 2, ds.n_rows), dtype=bool)), ds,
+                             path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = edit(lines[2])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            spatialcv.load_folds(path, ds)
+        assert str(info.value) == f"{path}:3: expected 6 fields, got {got}"
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        """A fold file saved as "CSV UTF-8" starts with a byte-order mark;
+        it loads as the same file without one."""
+        ds = small_grid(mask_cnt=0.2, seed=9)
+        folds = spatialcv.generate_folds(ds, spatialcv.MaskModelParams(), n_folds=3,
+                                         seed=10)
+        path = tmp_path / "folds.csv"
+        spatialcv.save_folds(folds, ds, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        np.testing.assert_array_equal(spatialcv.load_folds(path, ds).masks, folds.masks)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n", encoding="utf-8")

@@ -544,7 +544,8 @@ class TestMissingRowSums:
         binned = tree.bin_features(X, self.N_BINS)
         candidates = dict(enumerate(binned.candidates))
         for features in [np.array([j]) for j in range(X.shape[1])] + [np.arange(X.shape[1])]:
-            split = tree._best_split_for_node(binned, g, h, rows, features, 1.0, 0.0)
+            hists = tree._node_histograms(binned, tree._complex_weights(g, h), rows, features)
+            split = tree._best_split_for_node(binned, g, h, rows, features, 1.0, 0.0, hists)
             expect = _reference_best_split(X, g, h, rows, features, candidates, 1.0, 0.0)
             assert (split.gain, split.feature, split.threshold, split.default_left) == expect
 
